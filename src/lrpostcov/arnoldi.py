@@ -2,10 +2,12 @@
 
 The iteration is generic over the vector representation: dense spatial
 vectors (initial-condition and steady modes) or low-rank space-time fields
-(distributed-source mode).  Orthogonalization is modified Gram-Schmidt with
-one reorthogonalization pass (MGS2); in low-rank mode every basis update is
-recompressed to the truncation policy, which is what keeps storage at
-O(n_x + n_t) per vector.
+(distributed-source mode).  Orthogonalization is classical Gram-Schmidt
+with one reorthogonalization pass (CGS2): each pass takes every coefficient
+from the current vector and subtracts the whole projection as one exact
+combination.  In low-rank mode that combination is recompressed once per
+pass, and each Ritz vector once, which keeps storage at O(n_x + n_t) per
+vector without a truncation per basis vector.
 
 Stopping combines a hard iteration cap with a Ritz refresh: the run ends
 early once every Ritz value above the retention threshold is stable between
@@ -24,11 +26,11 @@ from .errors import NumericalError
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
-    lr_add,
     lr_dot,
     lr_norm,
     lr_scale,
     lr_singular_values,
+    lr_sum,
     lr_truncate,
 )
 
@@ -87,31 +89,28 @@ class ArnoldiResult:
         return worst
 
 
-class _DenseOps:
-    """Vector operations for dense ndarray iterates."""
+class _VectorOps:
+    """Operations shared by both iterate representations."""
 
     def __init__(self, pol: TruncationPolicy):
         self.pol = pol
 
-    @staticmethod
-    def dot(a, b) -> float:
-        return float(np.dot(a, b))
+    def project(self, w, basis):
+        """One classical Gram-Schmidt pass: (coefficients, w minus its projection).
 
-    @staticmethod
-    def norm(a) -> float:
-        return float(np.linalg.norm(a))
+        Every coefficient is taken from the incoming w, so the update is a
+        single combination (one truncation in low-rank mode).
+        """
+        h = np.array([self.dot(w, v) for v in basis])
+        return h, self.combine([w, *basis], np.concatenate(([1.0], -h)))
 
-    @staticmethod
-    def scale(a, c):
-        return a * c
 
-    @staticmethod
-    def sub(w, h, v):
-        return w - h * v
+class _DenseOps(_VectorOps):
+    """Vector operations for dense ndarray iterates."""
 
-    @staticmethod
-    def compress(w, final=False):
-        return w
+    dot = staticmethod(np.dot)
+    norm = staticmethod(np.linalg.norm)
+    scale = staticmethod(np.multiply)
 
     @staticmethod
     def rank(w) -> int:
@@ -121,49 +120,26 @@ class _DenseOps:
     def combine(basis, coeffs):
         out = np.zeros_like(basis[0], dtype=float)
         for v, c in zip(basis, coeffs):
-            out = out + float(np.real(c)) * v
+            out += float(np.real(c)) * v
         return out
 
 
-class _LowRankOps:
-    """Vector operations for LowRankMat iterates, with working-rank control."""
+class _LowRankOps(_VectorOps):
+    """Vector operations for LowRankMat iterates; one truncation per combination."""
 
-    def __init__(self, pol: TruncationPolicy, work_cap: int = 48):
-        self.pol = pol
-        self.work_cap = work_cap
+    norm = staticmethod(lr_norm)
+    scale = staticmethod(lr_scale)
 
     @staticmethod
     def dot(a, b) -> float:
-        return lr_dot(a, b)
-
-    @staticmethod
-    def norm(a) -> float:
-        return lr_norm(a)
-
-    @staticmethod
-    def scale(a, c):
-        return lr_scale(a, c)
-
-    def sub(self, w, h, v):
-        w = lr_add(w, lr_scale(v, -h))
-        if w.r > self.work_cap:
-            w = lr_truncate(w, self.pol)
-        return w
-
-    def compress(self, w, final=False):
-        return lr_truncate(w, self.pol)
+        return lr_dot(a, b)  # resolved per call, so a rebound module name is seen
 
     @staticmethod
     def rank(w) -> int:
         return w.r
 
     def combine(self, basis, coeffs):
-        out = LowRankMat.zeros(*basis[0].shape)
-        for v, c in zip(basis, coeffs):
-            out = lr_add(out, lr_scale(v, float(np.real(c))))
-            if out.r > self.work_cap:
-                out = lr_truncate(out, self.pol)
-        return lr_truncate(out, self.pol)
+        return lr_truncate(lr_sum(basis, np.real(coeffs)), self.pol)
 
 
 def _ops_for(v, pol: TruncationPolicy | None = None):
@@ -205,7 +181,7 @@ def ritz_pairs(H: np.ndarray, basis: list, pol: TruncationPolicy | None = None) 
     ops = _ops_for(basis[0], pol)
     pairs = []
     for i in range(m):
-        v = ops.combine(basis[:m], vecs[:, i])
+        v = ops.combine(basis[:m], vecs[:, i])  # one truncation per Ritz vector
         nrm = ops.norm(v)
         if nrm > 0:
             v = ops.scale(v, 1.0 / nrm)
@@ -227,16 +203,13 @@ def _fresh_direction(basis: list, ops, seed: int):
         w = LowRankMat(rng.standard_normal((n_x, 2)), rng.standard_normal((n_t, 2)))
     else:
         w = rng.standard_normal(proto.shape[0])
-    nrm = ops.norm(w)
-    w = ops.scale(w, 1.0 / nrm)
+    w = ops.scale(w, 1.0 / ops.norm(w))
     for _pass in range(2):
-        for v in basis:
-            w = ops.sub(w, ops.dot(w, v), v)
-        w = ops.compress(w)
+        _, w = ops.project(w, basis)
     nrm = ops.norm(w)
     if nrm <= 1e-6:
         return None
-    return ops.compress(ops.scale(w, 1.0 / nrm))
+    return ops.scale(w, 1.0 / nrm)
 
 
 def _stop_ready(
@@ -297,7 +270,7 @@ def lr_arnoldi(
     nrm = ops.norm(v1)
     if nrm == 0:
         raise ValueError("start vector must be nonzero")
-    v1 = ops.compress(ops.scale(v1, 1.0 / nrm))
+    v1 = ops.combine([v1], [1.0 / nrm])
 
     basis = [v1]
     H = np.zeros((stop.m_a + 1, stop.m_a))
@@ -319,12 +292,9 @@ def lr_arnoldi(
             apply_rank = max(apply_rank, max(rank_source[src_seen:]))
             src_seen = len(rank_source)
 
-        for _pass in range(2):  # MGS with one reorthogonalization pass
-            for i in range(j + 1):
-                hij = ops.dot(w, basis[i])
-                H[i, j] += hij
-                w = ops.sub(w, hij, basis[i])
-            w = ops.compress(w)
+        for _pass in range(2):  # CGS with one reorthogonalization pass
+            h, w = ops.project(w, basis[: j + 1])
+            H[: j + 1, j] += h
 
         h_sub = ops.norm(w)
         H[j + 1, j] = h_sub
@@ -344,7 +314,7 @@ def lr_arnoldi(
             restarts += 1
             basis.append(fresh)
             continue
-        basis.append(ops.compress(ops.scale(w, 1.0 / h_sub)))
+        basis.append(ops.scale(w, 1.0 / h_sub))  # project's output is already compressed
 
         if (j + 1) % stop.check_every == 0 and j + 1 < stop.m_a:
             vals, _ = _hessenberg_eigs(H[: j + 1, : j + 1])

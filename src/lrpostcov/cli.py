@@ -15,6 +15,7 @@ Exit codes: 0 success/PASS, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -144,6 +145,11 @@ def resolve_config(file_path=None, env=None, flag_updates=None) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    # NaN passes every range check below (all its comparisons are false)
+    floats = [(key, getattr(cfg, key)) for key, kind in _FIELD_TYPES.items() if kind == "float"]
+    for key, value in floats + [("wind", w) for w in cfg.wind]:
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"{key} must be finite, got {value}")
     if cfg.problem not in PROBLEMS:
         raise InvalidConfigError(f"problem must be one of {PROBLEMS}, got {cfg.problem!r}")
     if cfg.mode not in MODES:
@@ -167,8 +173,24 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.on_breakdown not in ("stop", "restart"):
         raise InvalidConfigError(
             f"on_breakdown must be stop or restart, got {cfg.on_breakdown!r}")
-    if not (cfg.sensors in ("none", "grid3x3") or cfg.sensors.startswith("custom:")):
+    if cfg.sensors.startswith("custom:"):
+        _custom_patches(cfg.sensors)  # rejects malformed patches before any output
+    elif cfg.sensors not in ("none", "grid3x3"):
         raise InvalidConfigError(f"unknown sensors setting {cfg.sensors!r}")
+
+
+def _custom_patches(sensors: str) -> list[tuple[float, float, float]]:
+    """Parse ``custom:cx,cy,side;...`` into finite (cx, cy, side) triples."""
+    triples = []
+    for chunk in sensors[len("custom:"):].split(";"):
+        try:
+            triple = tuple(float(p) for p in chunk.split(","))
+        except ValueError:
+            triple = ()
+        if len(triple) != 3 or not all(map(math.isfinite, triple)):
+            raise InvalidConfigError(f"custom sensor patch needs finite cx,cy,side, got {chunk!r}")
+        triples.append(triple)
+    return triples
 
 
 def write_manifest(cfg: RunConfig, outdir: Path, notes: dict | None = None) -> None:
@@ -204,13 +226,7 @@ def _build_layout(cfg: RunConfig, grid: discretize.Grid, notes: dict):
             # too coarse to resolve the patches; fall back to full observation
             notes["sensors_resolved"] = "full (grid3x3 under-resolved)"
             return hessian.full_observation(grid)
-    triples = []
-    for chunk in cfg.sensors[len("custom:"):].split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise InvalidConfigError(f"custom sensor patch needs cx,cy,side, got {chunk!r}")
-        triples.append(tuple(float(p) for p in parts))
-    return hessian.make_sensor_layout(triples, grid)
+    return hessian.make_sensor_layout(_custom_patches(cfg.sensors), grid)
 
 
 def build_problem(cfg: RunConfig) -> Problem:

@@ -37,9 +37,13 @@ MODE_SOURCE = "source"
 MODE_STEADY = "steady"
 
 
+def _finite_positive(*values: float) -> bool:
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Noise/prior covariance scalars; all strictly positive.
+    """Noise/prior covariance scalars; all finite and strictly positive.
 
     The prior covariance is gamma_prior·I.  The two presets implement the
     single identity gamma_prior·beta_prior·h^d = 1 from either direction:
@@ -52,25 +56,27 @@ class CovarianceSpec:
     gamma_prior: float
 
     def __post_init__(self):
-        if self.beta_noise <= 0 or self.beta_prior <= 0 or self.gamma_prior <= 0:
+        if not _finite_positive(self.beta_noise, self.beta_prior, self.gamma_prior):
             raise InvalidConfigError(
-                "covariance scalars must be strictly positive, got "
+                "covariance scalars must be finite and strictly positive, got "
                 f"beta_noise={self.beta_noise}, beta_prior={self.beta_prior}, "
                 f"gamma_prior={self.gamma_prior}"
             )
 
     @classmethod
     def from_gamma(cls, gamma_prior: float, beta_ratio: float, grid: Grid) -> "CovarianceSpec":
-        if gamma_prior <= 0 or beta_ratio <= 0:
-            raise InvalidConfigError("gamma_prior and beta_ratio must be positive")
+        if not _finite_positive(gamma_prior, beta_ratio):
+            raise InvalidConfigError("gamma_prior and beta_ratio must be finite and positive, "
+                                     f"got {gamma_prior} and {beta_ratio}")
         beta_prior = 1.0 / (gamma_prior * grid.m_scale)
         return cls(beta_noise=beta_ratio * beta_prior, beta_prior=beta_prior,
                    gamma_prior=gamma_prior)
 
     @classmethod
     def from_beta(cls, beta_prior: float, beta_ratio: float, grid: Grid) -> "CovarianceSpec":
-        if beta_prior <= 0 or beta_ratio <= 0:
-            raise InvalidConfigError("beta_prior and beta_ratio must be positive")
+        if not _finite_positive(beta_prior, beta_ratio):
+            raise InvalidConfigError("beta_prior and beta_ratio must be finite and positive, "
+                                     f"got {beta_prior} and {beta_ratio}")
         return cls(beta_noise=beta_ratio * beta_prior, beta_prior=beta_prior,
                    gamma_prior=1.0 / (beta_prior * grid.m_scale))
 

@@ -154,6 +154,36 @@ def lr_add(A: LowRankMat, B: LowRankMat) -> LowRankMat:
     return LowRankMat(np.hstack([A.W1, B.W1]), np.hstack([A.W2, B.W2]))
 
 
+def lr_sum(terms, coeffs) -> LowRankMat:
+    """Exact Σ c_i·A_i in rank <= min(n_x, n_t, Σ r_i); caller truncates.
+
+    One thin QR of the stacked shorter-side factors, [S_1 … S_k] = Q·[R_1 … R_k];
+    the long-side factor Σ c_i·L_i·R_iᵀ is accumulated term by term, never
+    stacked.  A sum that cancels to rounding noise of its terms is zero.
+    """
+    terms, coeffs = list(terms), [float(c) for c in coeffs]
+    if not terms or len(terms) != len(coeffs):
+        raise ValueError(f"need one coefficient per term, got {len(terms)} and {len(coeffs)}")
+    for A in terms[1:]:
+        _check_same_shape(terms[0], A)
+    n_x, n_t = terms[0].shape
+    live = [(A, c) for A, c in zip(terms, coeffs) if A.r and c != 0.0]
+    if not live:
+        return LowRankMat.zeros(n_x, n_t)
+    time_short = n_t <= n_x
+    Q, R = np.linalg.qr(np.hstack([A.W2 if time_short else A.W1 for A, _ in live]))
+    acc = np.zeros((n_x if time_short else n_t, Q.shape[1]))
+    scale = 0.0
+    col = 0
+    for A, c in live:
+        acc += (A.W1 if time_short else A.W2) @ (c * R[:, col:col + A.r]).T
+        col += A.r
+        scale += abs(c) * np.linalg.norm(A.W1) * np.linalg.norm(A.W2)
+    if np.linalg.norm(acc) <= NOISE_FLOOR * scale:
+        return LowRankMat.zeros(n_x, n_t)
+    return LowRankMat(acc, Q) if time_short else LowRankMat(Q, acc)
+
+
 def lr_scale(A: LowRankMat, c: float) -> LowRankMat:
     if c == 0.0:
         return LowRankMat.zeros(*A.shape)

@@ -4,6 +4,7 @@ import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 import lrpostcov as lp
+from lrpostcov import arnoldi
 from lrpostcov import hessian as hs
 from lrpostcov import oracle
 from lrpostcov.arnoldi import StopRule, lr_arnoldi, rank_one_check, ritz_pairs
@@ -180,6 +181,44 @@ def test_breakdown_restart_recovers_full_multiplicity():
     assert res.restarts >= 1
     got = np.sort(res.ritz_values.real)[::-1][: len(dense_vals)]
     assert np.max(np.abs(got - dense_vals) / dense_vals) <= 1e-6
+
+
+def test_breakdown_restart_low_rank_mode():
+    # P ⊗ I with P = U·diag(2, 1)·Uᵀ: each eigenvalue has multiplicity n_t,
+    # but one Krylov sequence holds a single copy of each and closes at step 3
+    rng = np.random.default_rng(0)
+    n_x, n_t = 12, 3
+    U = np.linalg.qr(rng.standard_normal((n_x, 2)))[0]
+    P = U @ np.diag([2.0, 1.0]) @ U.T
+    v1 = lp.LowRankMat(rng.standard_normal((n_x, 1)), rng.standard_normal((n_t, 1)))
+    res = lr_arnoldi(lambda X: lp.LowRankMat(P @ X.W1, X.W2), v1, POL,
+                     StopRule(m_a=12, eps_eig=1e-12, check_every=100,
+                              on_breakdown="restart"))
+    assert res.restarts >= 1
+    assert res.gram_defect() <= 1e-6
+    vals = res.ritz_values.real
+    assert_allclose(vals[:2 * n_t], [2.0] * n_t + [1.0] * n_t, rtol=1e-10)
+    assert np.abs(vals[2 * n_t:]).max() <= 1e-10
+
+
+def test_truncations_per_iteration_and_ritz_vector(monkeypatch):
+    calls = []
+
+    def counting_truncate(A, pol):
+        calls.append(A.r)
+        return lp.lr_truncate(A, pol)
+
+    monkeypatch.setattr(arnoldi, "lr_truncate", counting_truncate)
+    grid = lp.build_grid(9)
+    K = lp.SpaceTimeOperator(lp.assemble_heat(grid), lp.build_time_grid(12))
+    cov = hs.CovarianceSpec.from_gamma(10.0, 1e4, grid)
+    ctx = hs.HessianContext(mode=hs.MODE_SOURCE, operator=K,
+                            layout=hs.full_observation(grid), cov=cov, pol=POL)
+    v1 = lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((12, 1)))
+    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=12, eps_eig=1e-14, check_every=100))
+    assert res.iterations == 12 and res.restarts == 0
+    # one per Gram-Schmidt pass, one per Ritz vector, one for the start vector
+    assert len(calls) <= 2 * res.iterations + len(res.ritz_vectors) + 1
 
 
 def test_stopping_rule_fires_before_cap():

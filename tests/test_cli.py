@@ -166,6 +166,26 @@ def test_invalid_config_exit_code():
                      "--out", "/tmp/nope"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eps-eig", "nan"],
+    ["--gamma-prior", "nan"],
+    ["--beta-ratio", "inf"],
+    ["--problem", "convdiff", "--nu", "nan"],
+    ["--final-time", "inf"],
+    ["--eps0", "nan"],
+    ["--gamma-mode", "beta", "--beta-prior", "nan"],
+    ["--problem", "convdiff", "--wind", "0,-inf"],
+    ["--sensors", "custom:0.5,0.5,inf"],
+    ["--sensors", "custom:a,0.5,0.2"],
+])
+def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, flags):
+    out = tmp_path / "out"
+    rc = cli.main(["eigs", "--n-side", "15", "--nt", "5", "--m-a", "5",
+                   "--out", str(out), *flags])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_precedence_flag_env_file(tmp_path, monkeypatch):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("n_side=9\nnt=7\nnu=0.5\n")

@@ -36,6 +36,18 @@ class TestCovarianceSpec:
             with pytest.raises(InvalidConfigError):
                 hs.CovarianceSpec(**bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        grid = lp.build_grid(7)
+        with pytest.raises(InvalidConfigError):
+            hs.CovarianceSpec(beta_noise=1.0, beta_prior=1.0, gamma_prior=bad)
+        with pytest.raises(InvalidConfigError):
+            hs.CovarianceSpec.from_gamma(bad, 1e4, grid)
+        with pytest.raises(InvalidConfigError):
+            hs.CovarianceSpec.from_gamma(10.0, bad, grid)
+        with pytest.raises(InvalidConfigError):
+            hs.CovarianceSpec.from_beta(bad, 1e4, grid)
+
 
 class TestSensorLayout:
     def test_3x3_counts_at_63(self):

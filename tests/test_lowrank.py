@@ -11,6 +11,7 @@ from lrpostcov.lowrank import (
     lr_norm,
     lr_scale,
     lr_singular_values,
+    lr_sum,
     lr_to_dense,
     lr_truncate,
 )
@@ -136,6 +137,49 @@ def test_add_shared_spatial_factor_truncates_to_rank1():
     A = LowRankMat(w, rng.standard_normal((15, 1)))
     B = LowRankMat(w, rng.standard_normal((15, 1)))
     assert lr_truncate(lr_add(A, B), POL).r == 1
+
+
+def _assert_sum_exact(terms, coeffs):
+    S = lr_sum(terms, coeffs)
+    ref = sum(c * lr_to_dense(A) for A, c in zip(terms, coeffs))
+    assert np.linalg.norm(lr_to_dense(S) - ref) <= 1e-12 * np.linalg.norm(ref)
+    return S
+
+
+@pytest.mark.parametrize("n, m, ranks", [
+    (40, 12, (5, 6, 7)),    # sum of ranks above n_t: capped at n_t
+    (40, 30, (2, 3)),       # sum of ranks below n_t: rank is the sum
+    (9, 25, (4, 4, 4)),     # n_x < n_t: the spatial factors are the ones stacked
+])
+def test_sum_matches_dense_in_bounded_rank(n, m, ranks):
+    rng = np.random.default_rng(15)
+    terms = [_random_lowrank(rng, n, m, r) for r in ranks]
+    S = _assert_sum_exact(terms, rng.standard_normal(len(terms)))
+    assert S.r == min(n, m, sum(ranks))
+    Q = S.W2 if m <= n else S.W1  # the stacked side comes out orthonormal
+    assert_allclose(Q.T @ Q, np.eye(S.r), atol=1e-13)
+
+
+def test_sum_skips_zero_rank_terms_and_zero_coefficients():
+    rng = np.random.default_rng(16)
+    A, B = _random_lowrank(rng, 20, 15, 2), _random_lowrank(rng, 20, 15, 3)
+    Z = LowRankMat.zeros(20, 15)
+    S = _assert_sum_exact([Z, A, B, Z], [1.0, 0.5, 0.0, -2.0])
+    assert S.r == 2
+    assert lr_sum([Z, B], [1.0, 0.0]).r == 0
+
+
+def test_sum_exact_cancellation_truncates_to_zero():
+    rng = np.random.default_rng(17)
+    for v in (_random_lowrank(rng, 20, 15, 4), lr_truncate(_random_lowrank(rng, 20, 15, 4), POL)):
+        assert lr_truncate(lr_sum([v, v], [1.0, -1.0]), POL).r == 0
+
+
+def test_sum_validation():
+    with pytest.raises(ValueError):
+        lr_sum([LowRankMat.zeros(4, 5), LowRankMat.zeros(4, 6)], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        lr_sum([LowRankMat.zeros(4, 5)], [1.0, 2.0])
 
 
 def test_dot_unit_cases():
