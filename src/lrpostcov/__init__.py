@@ -22,14 +22,12 @@ from .discretize import (
     discrete_fd_eig,
     eigvec_dense,
 )
-from .errors import ConvergenceFailure, InvalidConfigError, NumericalError
+from .errors import InvalidConfigError, NumericalError
 from .forward import (
-    BlockDiagPreconditioner,
     DistributedInjection,
     InitInjection,
     SpaceTimeOperator,
     st_solve_adjoint_sweep,
-    st_solve_krylov,
     st_solve_sweep,
 )
 from .hessian import (
@@ -70,10 +68,9 @@ __all__ = [
     "Grid", "SpatialOperator", "TimeGrid", "analytic_poisson_eig",
     "analytic_separable_eigvec", "assemble_convdiff", "assemble_heat",
     "build_grid", "build_time_grid", "discrete_fd_eig", "eigvec_dense",
-    "ConvergenceFailure", "InvalidConfigError", "NumericalError",
-    "BlockDiagPreconditioner", "DistributedInjection", "InitInjection",
-    "SpaceTimeOperator", "st_solve_adjoint_sweep", "st_solve_krylov",
-    "st_solve_sweep",
+    "InvalidConfigError", "NumericalError",
+    "DistributedInjection", "InitInjection", "SpaceTimeOperator",
+    "st_solve_adjoint_sweep", "st_solve_sweep",
     "CovarianceSpec", "HessianContext", "SensorLayout", "apply_obs_weight",
     "full_observation", "make_sensor_layout", "make_sensor_layout_3x3",
     "misfit_apply_ic", "misfit_apply_st", "steady_poisson_apply",

@@ -75,15 +75,13 @@ def _parse_value(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise InvalidConfigError(f"unknown configuration key {key!r}")
     raw = raw.strip()
-    if key == "wind":
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise InvalidConfigError(f"wind needs two components, got {raw!r}")
-        return (float(parts[0]), float(parts[1]))
-    if key == "r_max":
-        return None if raw.lower() in ("none", "") else int(raw)
     kind = _FIELD_TYPES[key]
     try:
+        if key == "wind":
+            wx, wy = map(float, raw.split(","))  # exactly two components
+            return (wx, wy)
+        if key == "r_max":
+            return None if raw.lower() in ("none", "") else int(raw)
         if kind == "int":
             return int(raw)
         if kind == "float":
@@ -164,8 +162,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise InvalidConfigError(f"nt must be >= 1, got {cfg.nt}")
     if not (0 < cfg.eps0 < 1):
         raise InvalidConfigError(f"eps0 must lie in (0, 1), got {cfg.eps0}")
-    if cfg.eps_eig <= 0 or cfg.beta_ratio <= 0 or cfg.m_a < 1 or cfg.check_every < 1:
-        raise InvalidConfigError("eps_eig, beta_ratio, m_a, check_every must be positive")
+    if (cfg.eps_eig <= 0 or cfg.beta_ratio <= 0 or cfg.m_a < 1 or cfg.check_every < 1
+            or cfg.compress_every < 1):
+        raise InvalidConfigError(
+            "eps_eig, beta_ratio, m_a, check_every, compress_every must be positive")
+    if cfg.r_max is not None and cfg.r_max < 0:
+        raise InvalidConfigError(f"r_max must be nonnegative or none, got {cfg.r_max}")
     if cfg.gamma_mode not in ("scalar", "beta"):
         raise InvalidConfigError(f"gamma_mode must be scalar or beta, got {cfg.gamma_mode!r}")
     if cfg.start not in ("ones", "random"):
@@ -365,18 +367,18 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
 
 
 def cmd_eigs(cfg: RunConfig) -> int:
+    run = run_eigs(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    run = run_eigs(cfg)
     write_eigs_outputs(run, outdir)
     write_manifest(cfg, outdir, run.problem.notes)
     return 0
 
 
 def cmd_variance(cfg: RunConfig) -> int:
+    run, summary = run_variance(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    run, summary = run_variance(cfg)
     write_eigs_outputs(run, outdir)
     posterior.write_variance_csv(summary.variance_field, cfg.n_side, outdir / "variance.csv")
     posterior.write_variance_pgm(summary.variance_field, cfg.n_side,
@@ -472,9 +474,9 @@ def run_oracle(cfg: RunConfig, retain: float = 1e-8, top_k: int = 10):
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
+    problem, result, report = run_oracle(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    problem, result, report = run_oracle(cfg)
     (outdir / "oracle_report.txt").write_text(report.as_text())
     write_manifest(cfg, outdir, problem.notes)
     return 0 if report.passed else 4
@@ -538,36 +540,15 @@ def cmd_analytic(cfg: RunConfig) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    # one flag per RunConfig field; values stay raw strings for _parse_value
     p.add_argument("--config", help="key=value config file (e.g. a manifest)")
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--n-side", dest="n_side", type=int)
-    p.add_argument("--nt", type=int)
-    p.add_argument("--final-time", dest="final_time", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--wind", help="two comma-separated components, e.g. 0,1")
-    p.add_argument("--beta-ratio", dest="beta_ratio", type=float)
-    p.add_argument("--gamma-mode", dest="gamma_mode", choices=("scalar", "beta"))
-    p.add_argument("--gamma-prior", dest="gamma_prior", type=float)
-    p.add_argument("--beta-prior", dest="beta_prior", type=float)
-    p.add_argument("--sensors")
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--r-max", dest="r_max")
-    p.add_argument("--eps-eig", dest="eps_eig", type=float)
-    p.add_argument("--m-a", dest="m_a", type=int)
-    p.add_argument("--check-every", dest="check_every", type=int)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--start", choices=("ones", "random"))
-    p.add_argument("--on-breakdown", dest="on_breakdown", choices=("stop", "restart"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--compress-every", dest="compress_every", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
+    for f in fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
 
 
 def _flag_updates(args: argparse.Namespace) -> dict:
-    # raw strings (wind, r_max) are normalized inside resolve_config
     return {key: getattr(args, key) for key in _FIELD_TYPES
-            if getattr(args, key, None) is not None}
+            if getattr(args, key) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:

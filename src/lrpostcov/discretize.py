@@ -167,24 +167,3 @@ def eigvec_dense(m: int, n: int, grid: Grid) -> np.ndarray:
     f1, f2 = analytic_separable_eigvec(m, n, grid)
     return np.outer(f2, f1).ravel()
 
-
-def export_coo(op: SpatialOperator, path) -> None:
-    """Write the sparse operator as 'row col value' lines (0-based indices)."""
-    coo = op.L.tocoo()
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.17g}\n")
-
-
-def import_coo(path, n: int) -> sp.csr_matrix:
-    """Read a matrix written by export_coo."""
-    rows, cols, vals = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, v = line.split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(v))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()

@@ -8,14 +8,3 @@ class InvalidConfigError(ValueError):
 class NumericalError(RuntimeError):
     """A solver or factorization failed (CLI exit code 3)."""
 
-
-class ConvergenceFailure(NumericalError):
-    """An iterative solve stagnated before reaching its tolerance.
-
-    Carries the residual that was actually achieved so callers can report it.
-    """
-
-    def __init__(self, message, achieved_residual=None, iterations=None):
-        super().__init__(message)
-        self.achieved_residual = achieved_residual
-        self.iterations = iterations

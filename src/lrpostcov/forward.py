@@ -22,13 +22,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretize import SpatialOperator, TimeGrid
-from .errors import ConvergenceFailure, NumericalError
+from .errors import NumericalError
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
     lr_add,
-    lr_dot,
-    lr_norm,
     lr_scale,
     lr_truncate,
 )
@@ -200,75 +198,3 @@ def st_solve_adjoint_sweep(
         K, rhs, pol, adjoint=True, compress_every=compress_every, trace=trace
     )
 
-
-class BlockDiagPreconditioner:
-    """Block-diagonal part of K: step_matrix per time block."""
-
-    def __init__(self, K: SpaceTimeOperator, adjoint: bool = False):
-        self._K = K
-        self._adjoint = adjoint
-
-    def apply_inv(self, Y: LowRankMat) -> LowRankMat:
-        if Y.r == 0:
-            return Y
-        return LowRankMat(self._K.solve_step(Y.W1, adjoint=self._adjoint), Y.W2)
-
-
-def st_solve_krylov(
-    K: SpaceTimeOperator,
-    rhs: LowRankMat,
-    pol: TruncationPolicy,
-    adjoint: bool = False,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-    trace: list | None = None,
-) -> LowRankMat:
-    """GMRES on the block-preconditioned space-time system, in low-rank arithmetic.
-
-    Every Krylov basis update is truncated to the policy.  With the block
-    diagonal preconditioner the iteration terminates in at most n_t steps up
-    to truncation error; stagnation past max_iter raises ConvergenceFailure
-    carrying the achieved residual.
-    """
-    pre = BlockDiagPreconditioner(K, adjoint=adjoint)
-    op = K.apply_adjoint if adjoint else K.apply
-    if max_iter is None:
-        max_iter = K.n_t + 5
-
-    b = lr_truncate(pre.apply_inv(rhs), pol)
-    beta = lr_norm(b)
-    if beta == 0.0:
-        return LowRankMat.zeros(K.n_x, K.n_t)
-
-    V = [lr_scale(b, 1.0 / beta)]
-    H = np.zeros((max_iter + 1, max_iter))
-    for j in range(max_iter):
-        w = lr_truncate(pre.apply_inv(op(V[j])), pol)
-        for i in range(j + 1):
-            hij = lr_dot(w, V[i])
-            H[i, j] = hij
-            w = lr_add(w, lr_scale(V[i], -hij))
-        w = lr_truncate(w, pol)
-        H[j + 1, j] = lr_norm(w)
-        _record(trace, w.r)
-
-        # solve the small least-squares problem for the current residual
-        e1 = np.zeros(j + 2)
-        e1[0] = beta
-        y = np.linalg.lstsq(H[: j + 2, : j + 1], e1, rcond=None)[0]
-        resid = float(np.linalg.norm(H[: j + 2, : j + 1] @ y - e1)) / beta
-
-        h_scale = max(1.0, float(np.abs(H[: j + 2, : j + 1]).max()))
-        if resid <= tol or H[j + 1, j] <= 1e-14 * h_scale:
-            x = LowRankMat.zeros(K.n_x, K.n_t)
-            for i in range(j + 1):
-                x = lr_add(x, lr_scale(V[i], float(y[i])))
-            return lr_truncate(x, pol)
-        V.append(lr_scale(w, 1.0 / H[j + 1, j]))
-
-    raise ConvergenceFailure(
-        f"low-rank GMRES stagnated after {max_iter} iterations "
-        f"(relative residual {resid:.3e}, tol {tol:.3e})",
-        achieved_residual=resid,
-        iterations=max_iter,
-    )

@@ -137,10 +137,6 @@ def full_observation(grid: Grid) -> SensorLayout:
     return SensorLayout(patches=(), mask=np.ones(grid.n_x, dtype=bool))
 
 
-def empty_observation(grid: Grid) -> SensorLayout:
-    return SensorLayout(patches=(), mask=np.zeros(grid.n_x, dtype=bool))
-
-
 def apply_obs_weight(
     Y: LowRankMat,
     layout: SensorLayout,

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -177,6 +179,13 @@ def test_invalid_config_exit_code():
     ["--problem", "convdiff", "--wind", "0,-inf"],
     ["--sensors", "custom:0.5,0.5,inf"],
     ["--sensors", "custom:a,0.5,0.2"],
+    ["--wind", "a,b"],
+    ["--r-max", "abc"],
+    ["--r-max", "-3"],
+    ["--compress-every", "0"],
+    ["--n-side", "abc"],
+    ["--problem", "bogus"],
+    ["--problem", "convdiff", "--nu", "-0.01"],
 ])
 def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, flags):
     out = tmp_path / "out"
@@ -210,12 +219,31 @@ def test_wind_and_rmax_parsing():
     assert cfg.r_max is None
 
 
+def test_manifest_lines_replay_as_flags(tmp_path):
+    # every manifest key, spelled as a flag, must reach the same RunConfig
+    cfg = cli.RunConfig(
+        problem="convdiff", n_side=17, nt=12, final_time=0.5, nu=0.03,
+        wind=(-0.5, 0.25), beta_ratio=100.0, gamma_mode="beta", gamma_prior=2.5,
+        beta_prior=0.1, sensors="custom:0.5,0.5,0.2;0.25,0.75,0.1", eps0=1e-6,
+        r_max=9, eps_eig=1e-3, m_a=40, check_every=5, mode="source",
+        start="random", on_breakdown="restart", seed=7, compress_every=3, k=12,
+        out=str(tmp_path / "replay"),
+    )
+    assert all(getattr(cfg, f.name) != f.default for f in fields(cli.RunConfig))
+    cli.write_manifest(cfg, tmp_path)
+    argv = ["eigs"]
+    for line in (tmp_path / "manifest.cfg").read_text().splitlines():
+        key, value = line.split("=", 1)
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    args = cli.build_parser().parse_args(argv)
+    assert cli.resolve_config(env={}, flag_updates=cli._flag_updates(args)) == cfg
+
+
 def test_manifest_contains_all_fields(tmp_path):
     out = tmp_path / "mani"
     cli.main(["eigs", "--problem", "heat", "--n-side", "7", "--nt", "3",
               "--m-a", "5", "--check-every", "100", "--out", str(out)])
     text = (out / "manifest.cfg").read_text()
-    from dataclasses import fields
     for f in fields(cli.RunConfig):
         assert f"{f.name}=" in text
 

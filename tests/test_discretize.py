@@ -149,10 +149,3 @@ def test_eigvec_is_exact_eigenpair(m, n):
     assert np.linalg.norm(op.L @ v - lam * v) / lam <= 1e-12
     assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-13)
 
-
-def test_coo_export_roundtrip(tmp_path):
-    op = dz.assemble_convdiff(dz.build_grid(5), 3e-2, (0.2, 1.0))
-    path = tmp_path / "op.coo"
-    dz.export_coo(op, path)
-    back = dz.import_coo(path, op.grid.n_x)
-    assert np.abs((back - op.L).toarray()).max() == 0.0

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 import lrpostcov as lp
 from lrpostcov import oracle
-from lrpostcov.errors import ConvergenceFailure
 
 POL = lp.TruncationPolicy(eps0=1e-8)
 
@@ -157,60 +156,10 @@ def test_rank_bounded_across_time_refinement():
     assert max(max_ranks) - min(max_ranks) <= 5
 
 
-def test_krylov_agrees_with_sweep():
-    grid = lp.build_grid(15)
-    op = lp.assemble_heat(grid)
-    K = lp.SpaceTimeOperator(op, lp.build_time_grid(10))
-    rng = np.random.default_rng(8)
-    rhs = _rand_lr(rng, grid.n_x, 10, 2)
-    Ys = lp.st_solve_sweep(K, rhs, POL)
-    Yk = lp.st_solve_krylov(K, rhs, POL)
-    num = np.linalg.norm(lp.lr_to_dense(Yk) - lp.lr_to_dense(Ys))
-    assert num <= 1e-6 * lp.lr_norm(Ys)
-    assert num <= 10 * POL.eps0 * lp.lr_norm(Ys)  # backend agreement budget
-
-
-def test_krylov_single_block_converges_in_one_iteration(heat7):
-    grid, op, _, _ = heat7
-    K = lp.SpaceTimeOperator(op, lp.build_time_grid(1))
-    rng = np.random.default_rng(9)
-    rhs = _rand_lr(rng, grid.n_x, 1, 1)
-    trace = []
-    Y = lp.st_solve_krylov(K, rhs, POL, trace=trace)
-    assert len(trace) == 1  # preconditioner equals K for a single block
-    resid = np.linalg.norm(lp.lr_to_dense(K.apply(Y)) - lp.lr_to_dense(rhs))
-    assert resid <= 1e-8 * lp.lr_norm(rhs)
-
-
-def test_krylov_respects_rank_cap(heat7):
-    grid, op, tg, K = heat7
-    rng = np.random.default_rng(10)
-    rhs = _rand_lr(rng, grid.n_x, tg.n_t, 2)
-    pol = lp.TruncationPolicy(eps0=1e-8, r_max=3)
-    trace = []
-    try:
-        lp.st_solve_krylov(K, rhs, pol, trace=trace, tol=1e-6)
-    except ConvergenceFailure:
-        pass  # the cap may prevent convergence; only the cap itself is asserted
-    assert trace and max(trace) <= 3
-
-
-def test_krylov_stagnation_reports_residual(heat7):
-    grid, op, tg, K = heat7
-    rng = np.random.default_rng(11)
-    rhs = _rand_lr(rng, grid.n_x, tg.n_t, 2)
-    with pytest.raises(ConvergenceFailure) as info:
-        lp.st_solve_krylov(K, rhs, POL, tol=1e-16, max_iter=2)
-    assert info.value.achieved_residual is not None
-    assert info.value.iterations == 2
-
-
 def test_zero_rhs_returns_zero(heat7):
     grid, op, tg, K = heat7
     Y = lp.st_solve_sweep(K, lp.LowRankMat.zeros(grid.n_x, tg.n_t), POL)
     assert Y.r == 0
-    Yk = lp.st_solve_krylov(K, lp.LowRankMat.zeros(grid.n_x, tg.n_t), POL)
-    assert Yk.r == 0
 
 
 def test_rhs_shape_mismatch(heat7):

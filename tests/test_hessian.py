@@ -84,8 +84,8 @@ class TestObsWeight:
         cov = hs.CovarianceSpec(1.0, 1.0, 1.0)
         rng = np.random.default_rng(0)
         Y = lp.lr_from_dense(rng.standard_normal((grid.n_x, 4)), POL)
-        out = hs.apply_obs_weight(Y, hs.empty_observation(grid), cov, tg,
-                                  grid.m_scale, pol=POL)
+        empty = hs.SensorLayout(patches=(), mask=np.zeros(grid.n_x, bool))
+        out = hs.apply_obs_weight(Y, empty, cov, tg, grid.m_scale, pol=POL)
         assert out.r == 0
 
     def test_unit_weight_full_domain_is_identity(self):
