@@ -117,6 +117,10 @@ class _DenseOps(_VectorOps):
         return 0
 
     @staticmethod
+    def finite(w) -> bool:
+        return bool(np.isfinite(w).all())
+
+    @staticmethod
     def combine(basis, coeffs):
         out = np.zeros_like(basis[0], dtype=float)
         for v, c in zip(basis, coeffs):
@@ -137,6 +141,10 @@ class _LowRankOps(_VectorOps):
     @staticmethod
     def rank(w) -> int:
         return w.r
+
+    @staticmethod
+    def finite(w) -> bool:
+        return bool(np.isfinite(w.W1).all() and np.isfinite(w.W2).all())
 
     def combine(self, basis, coeffs):
         return lr_truncate(lr_sum(basis, np.real(coeffs)), self.pol)
@@ -268,6 +276,8 @@ def lr_arnoldi(
     """
     ops = _ops_for(v1, pol)
     nrm = ops.norm(v1)
+    if not np.isfinite(nrm):
+        raise NumericalError(f"Arnoldi start vector has norm {nrm}")
     if nrm == 0:
         raise ValueError("start vector must be nonzero")
     v1 = ops.combine([v1], [1.0 / nrm])
@@ -286,6 +296,8 @@ def lr_arnoldi(
     for j in range(stop.m_a):
         t0 = _time.perf_counter()
         w = apply(basis[j])
+        if not ops.finite(w):
+            raise NumericalError(f"Arnoldi iteration {j + 1}: operator output is not finite")
 
         apply_rank = ops.rank(w)
         if rank_source is not None and len(rank_source) > src_seen:
@@ -297,6 +309,8 @@ def lr_arnoldi(
             H[: j + 1, j] += h
 
         h_sub = ops.norm(w)
+        if not np.isfinite(h_sub):
+            raise NumericalError(f"Arnoldi iteration {j + 1}: h_(j+1,j) = {h_sub}")
         H[j + 1, j] = h_sub
         max_rank = max(apply_rank, ops.rank(w))
         rank_trace.append(max_rank)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -546,6 +547,27 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
 
 
+# a token argparse would read as an option although it is a negative value
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--wind -0.5,1" as "--wind=-0.5,1" for every config flag.
+
+    argparse takes a token that starts with "-" and is not a plain number
+    for an option, so a list value with a negative first entry would
+    otherwise need the "=" form.
+    """
+    flags = {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in flags and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _flag_updates(args: argparse.Namespace) -> dict:
     return {key: getattr(args, key) for key in _FIELD_TYPES
             if getattr(args, key) is not None}
@@ -575,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _bind_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(file_path=args.config, flag_updates=_flag_updates(args))
         if args.command == "eigs":

@@ -12,7 +12,9 @@ with step_matrix = M_scale·(I + tau·L).  In factor form this is
 where S is the lower time shift, so K and Kᵀ map low-rank fields to
 low-rank fields with at most doubled rank.  step_matrix is factorized once
 per (operator, tau) pair and the factorization is reused for every solve,
-including transposed ones.
+including transposed ones.  It has symmetric sparsity and is strictly
+diagonally dominant (heat and upwind convection-diffusion alike), so the LU
+uses a symmetric minimum-degree ordering and never pivots off the diagonal.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import NumericalError
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
-    lr_add,
     lr_scale,
     lr_truncate,
 )
@@ -44,7 +45,7 @@ class SpaceTimeOperator:
             self.m_scale * (sp.identity(n_x, format="csr") + time.tau * spatial.L)
         ).tocsc()
         try:
-            self._lu = spla.splu(self.step_matrix)
+            self._lu = spla.splu(self.step_matrix, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # singular factorization surfaces to callers
             raise NumericalError(f"step matrix factorization failed: {exc}") from exc
 
@@ -123,6 +124,38 @@ class DistributedInjection:
         return lr_scale(Y, self.scale)
 
 
+def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
+                 pol: TruncationPolicy) -> LowRankMat:
+    """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
+
+    A non-empty pane is canonical, so Q = pane.W1 is orthonormal: the new
+    columns split as W = Q·C + Qb·Rb (CGS2, then a thin QR of the
+    remainder), and the sum is [Q Qb]·[[I, C], [0, Rb]]·[pane.W2 E]ᵀ.  Only
+    the (r + c) × n_t coefficient field is truncated, and the basis is
+    rotated once; no QR of an n_x × (r + c) factor is formed.
+    """
+    E = np.zeros((pane.shape[1], len(idx)))
+    E[idx, np.arange(len(idx))] = 1.0
+    if pane.r == 0:
+        return lr_truncate(LowRankMat(W, E), pol)
+    Q, r = pane.W1, pane.r
+    C = Q.T @ W
+    R = W - Q @ C
+    C2 = Q.T @ R
+    R -= Q @ C2
+    C += C2
+    Qb, Rb = np.linalg.qr(R)
+    # a remainder at rounding level leaves the normalized Qb visibly
+    # non-orthogonal to Q; one more projection restores it
+    D = Q.T @ Qb
+    Qb, Rd = np.linalg.qr(Qb - Q @ D)
+    C += D @ Rb
+    Rb = Rd @ Rb
+    core = np.block([[np.eye(r), C], [np.zeros((len(Rb), r)), Rb]])
+    small = lr_truncate(LowRankMat(core, np.hstack([pane.W2, E])), pol)
+    return LowRankMat(Q @ small.W1[:r] + Qb @ small.W1[r:], small.W2)
+
+
 def _record(trace: list | None, rank: int) -> None:
     if trace is not None:
         trace.append(rank)
@@ -164,10 +197,7 @@ def st_solve_sweep(
         nonlocal pane
         if not buf_cols:
             return
-        W1 = np.column_stack(buf_cols)
-        W2 = np.zeros((n_t, len(buf_idx)))
-        W2[buf_idx, np.arange(len(buf_idx))] = 1.0
-        pane = lr_truncate(lr_add(pane, LowRankMat(W1, W2)), pol)
+        pane = _extend_pane(pane, np.column_stack(buf_cols), buf_idx, pol)
         # stored rank of the running approximation; the transient working
         # width is bounded by this plus the compress_every buffer
         _record(trace, pane.r)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 # Singular values below this multiple of sigma_1 are floating-point noise
 # and are always discarded, independent of the requested tolerance.
 NOISE_FLOOR = 1e-15
@@ -132,9 +134,11 @@ def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
         return LowRankMat.zeros(n_x, n_t)
     Q1, R1 = np.linalg.qr(A.W1)
     Q2, R2 = np.linalg.qr(A.W2)
-    U, s, Vt = np.linalg.svd(R1 @ R2.T)
     # a product that cancels to rounding noise of the factor magnitudes is zero
     factor_scale = np.linalg.norm(R1) * np.linalg.norm(R2)
+    if not np.isfinite(factor_scale):
+        raise NumericalError(f"truncation: factor norms multiply to {factor_scale}")
+    U, s, Vt = np.linalg.svd(R1 @ R2.T)
     if s.size == 0 or s[0] <= NOISE_FLOOR * factor_scale:
         return LowRankMat.zeros(n_x, n_t)
     r = _rank_cut(s, pol)
@@ -179,6 +183,8 @@ def lr_sum(terms, coeffs) -> LowRankMat:
         acc += (A.W1 if time_short else A.W2) @ (c * R[:, col:col + A.r]).T
         col += A.r
         scale += abs(c) * np.linalg.norm(A.W1) * np.linalg.norm(A.W2)
+    if not np.isfinite(scale):
+        raise NumericalError(f"low-rank sum: factor norms reach {scale}")
     if np.linalg.norm(acc) <= NOISE_FLOOR * scale:
         return LowRankMat.zeros(n_x, n_t)
     return LowRankMat(acc, Q) if time_short else LowRankMat(Q, acc)

@@ -269,3 +269,35 @@ class TestRankOneCheck:
     def test_dense_requires_reshape(self):
         with pytest.raises(ValueError):
             rank_one_check(np.ones(9))
+
+
+@pytest.mark.parametrize("low_rank", [False, True])
+def test_non_finite_operator_output_raises_numerical_error(low_rank):
+    rng = np.random.default_rng(1)
+    D = np.diag(np.arange(1.0, 9.0))
+    calls = []
+
+    def apply(x):  # a clean first application, NaN from the second on
+        calls.append(1)
+        bad = np.nan if len(calls) >= 2 else 1.0
+        if low_rank:
+            return lp.LowRankMat(D @ x.W1 * bad, x.W2)
+        return D @ x * bad
+
+    v1 = (lp.LowRankMat(rng.standard_normal((8, 1)), rng.standard_normal((5, 1)))
+          if low_rank else rng.standard_normal(8))
+    with pytest.raises(lp.NumericalError, match="iteration 2"):
+        lr_arnoldi(apply, v1, POL, StopRule(m_a=6, eps_eig=1e-12))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_subdiagonal_raises_numerical_error():
+    # finite entries whose squared norm overflows: h_{j+1,j} comes out inf
+    v1 = np.array([1.0, 0.0])
+    with pytest.raises(lp.NumericalError, match=r"iteration 1: h_\(j\+1,j\) = inf"):
+        lr_arnoldi(lambda x: np.array([0.0, 1e200]) * x.sum(), v1, POL, StopRule(m_a=2))
+
+
+def test_non_finite_start_vector_raises_numerical_error():
+    with pytest.raises(lp.NumericalError, match="start vector"):
+        lr_arnoldi(lambda x: x, np.array([1.0, np.inf]), POL, StopRule(m_a=2))

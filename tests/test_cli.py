@@ -285,3 +285,21 @@ def test_source_mode_eigs_writes_rank_trace(tmp_path):
     assert header == ["vector", "index", "sigma"]
     first = [float(r[2]) for r in sig_rows if r[0] == "0"]
     assert first and all(a >= b for a, b in zip(first, first[1:]))
+
+
+def test_negative_wind_as_two_tokens_matches_equals_form(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eigs", lambda cfg: seen.append(cfg) or 0)
+    for wind in (["--wind", "-0.5,1"], ["--wind=-0.5,1"], ["--wind", "-.5,1"]):
+        assert cli.main(["eigs", "--problem", "convdiff", *wind, "--nt", "7"]) == 0
+    assert seen[0] == seen[1] == seen[2] and seen[0].wind == (-0.5, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_numerics_exit_3_without_output(tmp_path):
+    # beta_ratio=1e305 overflows the noise-weighted field's norm in truncation
+    out = tmp_path / "out"
+    rc = cli.main(["eigs", "--n-side", "15", "--nt", "3", "--beta-ratio", "1e305",
+                   "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()

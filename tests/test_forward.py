@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import lrpostcov as lp
@@ -174,3 +175,109 @@ def test_step_matrix_symmetric_part_positive_definite():
                lp.assemble_convdiff(lp.build_grid(6), 1e-2, (0.3, 1.0))):
         S = lp.SpaceTimeOperator(op, tg).step_matrix.toarray()
         assert np.linalg.eigvalsh(0.5 * (S + S.T))[0] > 0
+
+
+def _orth_defect(Y):
+    return np.abs(Y.W1.T @ Y.W1 - np.eye(Y.r)).max()
+
+
+@pytest.mark.parametrize("case", ["heat-ic-grid3x3", "convdiff-ic-full", "heat-source"])
+def test_sweeps_keep_canonical_pane_and_match_oracle(case):
+    # forward sweep, observation weight, adjoint sweep: the Hessian apply's path
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(20)
+    rng = np.random.default_rng(8)
+    if case == "convdiff-ic-full":
+        op = lp.assemble_convdiff(grid, 1e-2, (0.0, 1.0))
+        layout = lp.full_observation(grid)
+    else:
+        op = lp.assemble_heat(grid)
+        layout = lp.make_sensor_layout_3x3(grid)
+    K = lp.SpaceTimeOperator(op, tg)
+    if case == "heat-source":
+        rhs = _rand_lr(rng, grid.n_x, tg.n_t, 2)
+    else:
+        rhs = lp.InitInjection(K).rhs(rng.standard_normal(grid.n_x))
+    cov = lp.CovarianceSpec.from_gamma(1.0, 1e4, grid)
+    Y = lp.st_solve_sweep(K, rhs, POL)
+    Z = lp.apply_obs_weight(Y, layout, cov, tg, grid.m_scale, pol=POL)
+    Q = lp.st_solve_adjoint_sweep(K, Z, POL)
+    L = op.L.toarray()
+    for out, F, adjoint in ((Y, rhs, False), (Q, Z, True)):
+        assert _orth_defect(out) <= 1e-12
+        ref = oracle.dense_forward(L, grid.m_scale, tg.tau, lp.lr_to_dense(F), adjoint=adjoint)
+        assert np.linalg.norm(lp.lr_to_dense(out) - ref) <= POL.eps0 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_pane_stays_orthonormal_when_new_columns_are_dependent(adjoint):
+    # A mode entering at step 4 spans one new direction; the other columns of
+    # its flush are multiples of it, so their remainders are rounding noise.
+    # Normalized, that noise is far from orthogonal to the pane basis, and
+    # the weak 1e-7 mode it couples to would carry it into the basis
+    # (7e-12 forward, 4e-11 adjoint) without the second projection of the
+    # remainder basis.
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(20)
+    op = lp.assemble_heat(grid)
+    K = lp.SpaceTimeOperator(op, tg)
+    modes = [lp.eigvec_dense(1, 1, grid), 1e-7 * lp.eigvec_dense(2, 1, grid),
+             lp.eigvec_dense(1, 3, grid)]
+    first, late = (tg.n_t - 1, tg.n_t - 5) if adjoint else (0, 4)
+    E = np.zeros((tg.n_t, 3))
+    E[first, :2] = E[late, 2] = 1.0
+    rhs = lp.LowRankMat(np.column_stack(modes), E)
+    Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint)
+    assert Y.r == 3
+    assert _orth_defect(Y) <= 1e-12
+    ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, lp.lr_to_dense(rhs),
+                               adjoint=adjoint)
+    assert np.linalg.norm(lp.lr_to_dense(Y) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_rank1_initial_condition_stays_rank1_over_many_flushes():
+    # every flush after the first appends columns inside the pane's span
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(30)
+    K = lp.SpaceTimeOperator(lp.assemble_heat(grid), tg)
+    u = lp.eigvec_dense(2, 3, grid)
+    lam = lp.discrete_fd_eig(2, 3, grid)
+    trace = []
+    Y = lp.st_solve_sweep(K, u, POL, compress_every=4, trace=trace)
+    assert Y.r == 1 and set(trace) == {1}
+    expect = np.column_stack([(1.0 + tg.tau * lam) ** -k * u for k in range(1, tg.n_t + 1)])
+    assert np.linalg.norm(lp.lr_to_dense(Y) - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("compress_every", [3, 4])
+def test_flush_truncates_only_the_small_coefficient_field(monkeypatch, adjoint, compress_every):
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(20)
+    K = lp.SpaceTimeOperator(lp.assemble_heat(grid), tg)
+    calls = []
+
+    def spy(A, pol):
+        out = lp.lr_truncate(A, pol)
+        calls.append((A.shape[0], out.r))
+        return out
+
+    monkeypatch.setattr(lp.forward, "lr_truncate", spy)
+    rhs = _rand_lr(np.random.default_rng(9), grid.n_x, tg.n_t, 3)
+    lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every)
+    assert len(calls) == -(-tg.n_t // compress_every)  # one truncation per flush
+    assert calls[0][0] == grid.n_x  # the first flush meets an empty pane
+    for (_, r_prev), (rows, _) in zip(calls, calls[1:]):
+        assert rows <= r_prev + compress_every < grid.n_x
+
+
+@pytest.mark.parametrize("problem", ["heat", "convdiff"])
+def test_step_lu_uses_symmetric_fill_reducing_ordering(problem):
+    grid = lp.build_grid(63)
+    op = (lp.assemble_heat(grid) if problem == "heat"
+          else lp.assemble_convdiff(grid, 1e-2, (0.0, 1.0)))
+    K = lp.SpaceTimeOperator(op, lp.build_time_grid(30))
+    lu = K._lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)  # no pivoting off the diagonal
+    colamd = spla.splu(K.step_matrix, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lrpostcov.errors import NumericalError
 from lrpostcov.lowrank import (
     LowRankMat,
     TruncationPolicy,
@@ -244,3 +245,15 @@ def test_column_extraction():
     rng = np.random.default_rng(14)
     A = _random_lowrank(rng, 9, 7, 3)
     assert_allclose(A.column(4), lr_to_dense(A)[:, 4], rtol=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [1e200, np.nan])
+def test_overflowing_or_nan_factors_raise_numerical_error(bad):
+    # an overflowing norm product would pass the noise-floor test and turn
+    # the field into zero
+    A = LowRankMat(np.array([[bad], [1.0]]), np.array([[1e200], [1.0]]))
+    with pytest.raises(NumericalError):
+        lr_truncate(A, TruncationPolicy())
+    with pytest.raises(NumericalError):
+        lr_sum([A, A], [1.0, 2.0])
