@@ -23,13 +23,7 @@ from .discretize import (
     eigvec_dense,
 )
 from .errors import InvalidConfigError, NumericalError
-from .forward import (
-    DistributedInjection,
-    InitInjection,
-    SpaceTimeOperator,
-    st_solve_adjoint_sweep,
-    st_solve_sweep,
-)
+from .forward import SpaceTimeOperator, st_solve_adjoint_sweep, st_solve_sweep
 from .hessian import (
     CovarianceSpec,
     HessianContext,
@@ -38,8 +32,6 @@ from .hessian import (
     full_observation,
     make_sensor_layout,
     make_sensor_layout_3x3,
-    misfit_apply_ic,
-    misfit_apply_st,
     steady_poisson_apply,
 )
 from .lowrank import (
@@ -69,11 +61,10 @@ __all__ = [
     "analytic_separable_eigvec", "assemble_convdiff", "assemble_heat",
     "build_grid", "build_time_grid", "discrete_fd_eig", "eigvec_dense",
     "InvalidConfigError", "NumericalError",
-    "DistributedInjection", "InitInjection", "SpaceTimeOperator",
-    "st_solve_adjoint_sweep", "st_solve_sweep",
+    "SpaceTimeOperator", "st_solve_adjoint_sweep", "st_solve_sweep",
     "CovarianceSpec", "HessianContext", "SensorLayout", "apply_obs_weight",
     "full_observation", "make_sensor_layout", "make_sensor_layout_3x3",
-    "misfit_apply_ic", "misfit_apply_st", "steady_poisson_apply",
+    "steady_poisson_apply",
     "LowRankMat", "TruncationPolicy", "lr_add", "lr_dot", "lr_from_dense",
     "lr_norm", "lr_scale", "lr_to_dense", "lr_truncate",
     "PosteriorSummary", "build_summary", "lambda_tilde", "posterior_apply",

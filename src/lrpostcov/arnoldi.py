@@ -42,10 +42,12 @@ class StopRule:
     """Iteration cap plus eigenvalue-threshold stopping.
 
     on_breakdown selects what happens when an invariant subspace is reached
-    (H_{j+1,j} <= 1e-14): "stop" terminates cleanly; "restart" continues
-    with a fresh direction orthogonal to the basis, which is required when
-    the full spectrum of an operator with high eigenvalue multiplicity is
-    needed (rounding noise alone does not reseed every copy).
+    (h_{j+1,j} <= 1e-14 times the largest |H_ij| so far, which makes the
+    test independent of the operator's scale): "stop" terminates cleanly;
+    "restart" continues with a fresh direction orthogonal to the basis,
+    which is required when the full spectrum of an operator with high
+    eigenvalue multiplicity is needed (rounding noise alone does not reseed
+    every copy).
     """
 
     m_a: int
@@ -291,6 +293,7 @@ def lr_arnoldi(
     breakdown = False
     restarts = 0
     j_done = 0
+    h_scale = 0.0  # running max |H_ij|, the operator-scale estimate
     src_seen = len(rank_source) if rank_source is not None else 0
 
     for j in range(stop.m_a):
@@ -312,12 +315,13 @@ def lr_arnoldi(
         if not np.isfinite(h_sub):
             raise NumericalError(f"Arnoldi iteration {j + 1}: h_(j+1,j) = {h_sub}")
         H[j + 1, j] = h_sub
+        h_scale = max(h_scale, float(np.abs(H[: j + 2, j]).max()))
         max_rank = max(apply_rank, ops.rank(w))
         rank_trace.append(max_rank)
         diagnostics.append((j + 1, h_sub, max_rank, _time.perf_counter() - t0))
         j_done = j + 1
 
-        if h_sub <= BREAKDOWN_TOL:
+        if h_sub <= BREAKDOWN_TOL * h_scale:
             breakdown = True  # invariant subspace reached
             if stop.on_breakdown != "restart" or j + 1 >= stop.m_a:
                 break

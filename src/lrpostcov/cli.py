@@ -294,13 +294,10 @@ class EigsRun:
 
 def run_eigs(cfg: RunConfig) -> EigsRun:
     problem = build_problem(cfg)
-    if cfg.mode == hessian.MODE_SOURCE:
-        m_a = cfg.m_a
-    else:
-        # dense Krylov cannot exceed n_x; breakdown restarts consume
-        # iteration slots without adding spectral columns, hence the slack
-        slack = 8 if cfg.on_breakdown == "restart" else 0
-        m_a = min(cfg.m_a, problem.ctx.n_param + slack)
+    # Krylov cannot exceed the parameter dimension; breakdown restarts
+    # consume iteration slots without adding spectral columns, hence the slack
+    slack = 8 if cfg.on_breakdown == "restart" else 0
+    m_a = min(cfg.m_a, problem.ctx.n_param + slack)
     stop = StopRule(m_a=m_a, eps_eig=cfg.eps_eig, check_every=cfg.check_every,
                     on_breakdown=cfg.on_breakdown, restart_seed=cfg.seed)
     v1 = start_vector(cfg, problem)
@@ -367,20 +364,23 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
             fh.write(f"iter={j} h_subdiag={h_sub:.6e} max_rank={rank} seconds={secs:.4f}\n")
 
 
-def cmd_eigs(cfg: RunConfig) -> int:
-    run = run_eigs(cfg)
-    outdir = Path(cfg.out)
+def _save_eigs(run: EigsRun) -> Path:
+    """Write a finished run's eigen outputs and manifest; returns the directory."""
+    outdir = Path(run.config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_eigs_outputs(run, outdir)
-    write_manifest(cfg, outdir, run.problem.notes)
+    write_manifest(run.config, outdir, run.problem.notes)
+    return outdir
+
+
+def cmd_eigs(cfg: RunConfig) -> int:
+    _save_eigs(run_eigs(cfg))
     return 0
 
 
 def cmd_variance(cfg: RunConfig) -> int:
     run, summary = run_variance(cfg)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_eigs_outputs(run, outdir)
+    outdir = _save_eigs(run)
     posterior.write_variance_csv(summary.variance_field, cfg.n_side, outdir / "variance.csv")
     posterior.write_variance_pgm(summary.variance_field, cfg.n_side,
                                  summary.gamma_prior, outdir / "variance.pgm")
@@ -388,7 +388,6 @@ def cmd_variance(cfg: RunConfig) -> int:
         outdir / "retained.csv", "lambda,lambda_tilde",
         (f"{lam:.17g},{f:.17g}" for lam, f in zip(summary.eigenvalues, summary.filters)),
     )
-    write_manifest(cfg, outdir, run.problem.notes)
     return 0
 
 
@@ -427,25 +426,19 @@ def _dense_apply_wrapper(problem: Problem):
 
 
 def run_oracle(cfg: RunConfig, retain: float = 1e-8, top_k: int = 10):
-    problem = build_problem(cfg)
-    dim = problem.ctx.n_param if cfg.mode != hessian.MODE_SOURCE \
-        else problem.grid.n_x * problem.time.n_t
+    # the dense side has the complete spectrum, so the low-rank side must be
+    # able to reseed through eigenvalue multiplicities
+    cfg = replace(cfg, on_breakdown="restart")
+    if cfg.mode == hessian.MODE_SOURCE:
+        run, summary = run_eigs(cfg), None
+    else:
+        run, summary = run_variance(cfg, retain)
+    problem, result = run.problem, run.result
     Hd, asymmetry = _oracle_dense_side(problem)
-
     hv_err = oracle.hv_agreement(_dense_apply_wrapper(problem), Hd,
                                  n_probe=20, seed=cfg.seed)
 
-    # the dense side has the complete spectrum, so the low-rank side must be
-    # able to reseed through eigenvalue multiplicities; restarts consume
-    # iteration slots, hence the slack beyond the dimension
-    m_a = min(cfg.m_a, dim + 8)
-    stop = StopRule(m_a=m_a, eps_eig=cfg.eps_eig, check_every=cfg.check_every,
-                    on_breakdown="restart", restart_seed=cfg.seed)
-    v1 = start_vector(cfg, problem)
-    result = lr_arnoldi(problem.ctx.apply, v1, problem.pol, stop,
-                        rank_source=problem.ctx.rank_trace)
-
-    k = min(top_k, dim, len(result.ritz_values))
+    k = min(top_k, problem.ctx.n_param, len(result.ritz_values))
     dn_vals, dn_vecs = oracle.dense_eig_top(Hd, k)
     if cfg.mode == hessian.MODE_SOURCE:
         lr_vecs = np.column_stack([
@@ -455,14 +448,7 @@ def run_oracle(cfg: RunConfig, retain: float = 1e-8, top_k: int = 10):
         lr_vecs = np.column_stack(result.ritz_vectors[:k])
 
     lr_var = dn_var = None
-    if cfg.mode != hessian.MODE_SOURCE:
-        summary = posterior.build_summary(
-            result.ritz_values,
-            [np.asarray(v) for v in result.ritz_vectors],
-            gamma_prior=problem.cov.gamma_prior,
-            eps_eig=retain,
-            n_x=dim,
-        )
+    if summary is not None:
         lr_var = summary.variance_field
         dn_var = oracle.dense_posterior_diag(Hd, problem.cov.gamma_prior)
 
@@ -504,11 +490,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
             value = _parse_value(key, raw)
             point_cfg = replace(cfg, **{key: value, "out": str(outdir / f"{axis}_{raw}")})
             validate_config(point_cfg)
-            point_dir = Path(point_cfg.out)
-            point_dir.mkdir(parents=True, exist_ok=True)
             run = run_eigs(point_cfg)
-            write_eigs_outputs(run, point_dir)
-            write_manifest(point_cfg, point_dir, run.problem.notes)
+            _save_eigs(run)
             max_rank = max(run.result.rank_trace) if run.result.rank_trace else 0
             largest = run.result.ritz_values[0].real if len(run.result.ritz_values) else 0.0
             rows.append(f"{raw},{run.result.iterations},{max_rank},{largest:.17g}")

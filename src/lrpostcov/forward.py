@@ -25,12 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError
-from .lowrank import (
-    LowRankMat,
-    TruncationPolicy,
-    lr_scale,
-    lr_truncate,
-)
+from .lowrank import LowRankMat, TruncationPolicy, lr_truncate
 
 
 class SpaceTimeOperator:
@@ -94,36 +89,6 @@ class SpaceTimeOperator:
         )
 
 
-class InitInjection:
-    """Maps an initial condition u to the rhs with block 1 = M_scale·u.
-
-    The adjoint extracts M_scale times the first time block of a field.
-    """
-
-    def __init__(self, K: SpaceTimeOperator):
-        self.m_scale = K.m_scale
-        self.n_t = K.n_t
-
-    def rhs(self, u: np.ndarray) -> LowRankMat:
-        return LowRankMat.from_column(self.m_scale * np.asarray(u, dtype=float), self.n_t, 0)
-
-    def extract(self, Y: LowRankMat) -> np.ndarray:
-        return self.m_scale * Y.column(0)
-
-
-class DistributedInjection:
-    """Blockwise source injection u ↦ tau·M_scale·u; self-adjoint up to scale."""
-
-    def __init__(self, K: SpaceTimeOperator):
-        self.scale = K.time.tau * K.m_scale
-
-    def rhs(self, U: LowRankMat) -> LowRankMat:
-        return lr_scale(U, self.scale)
-
-    def extract(self, Y: LowRankMat) -> LowRankMat:
-        return lr_scale(Y, self.scale)
-
-
 def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
                  pol: TruncationPolicy) -> LowRankMat:
     """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
@@ -163,7 +128,7 @@ def _record(trace: list | None, rank: int) -> None:
 
 def st_solve_sweep(
     K: SpaceTimeOperator,
-    rhs,
+    rhs: LowRankMat,
     pol: TruncationPolicy,
     adjoint: bool = False,
     compress_every: int = 4,
@@ -171,14 +136,12 @@ def st_solve_sweep(
 ) -> LowRankMat:
     """Solve K·vec(Y) = vec(rhs) (or Kᵀ for adjoint=True) by time substitution.
 
-    ``rhs`` is a LowRankMat field, or a spatial vector which is treated as
-    an injected initial condition.  One sparse solve per step on the running
-    column plus one multi-column solve for the rhs factor; the growing
-    solution pane is recompressed every ``compress_every`` steps so storage
-    stays O((n_x + n_t)·r).
+    An initial condition u enters as ``LowRankMat.from_column(M_scale·u,
+    n_t, 0)``.  One sparse solve per step on the running column plus one
+    multi-column solve for the rhs factor; the growing solution pane is
+    recompressed every ``compress_every`` steps so storage stays
+    O((n_x + n_t)·r).
     """
-    if isinstance(rhs, np.ndarray):
-        rhs = InitInjection(K).rhs(rhs)
     n_x, n_t = K.n_x, K.n_t
     if rhs.shape != (n_x, n_t):
         raise ValueError(f"rhs shape {rhs.shape} does not match operator {(n_x, n_t)}")

@@ -23,13 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .discretize import Grid, SpatialOperator, TimeGrid
 from .errors import InvalidConfigError
-from .forward import (
-    DistributedInjection,
-    InitInjection,
-    SpaceTimeOperator,
-    st_solve_adjoint_sweep,
-    st_solve_sweep,
-)
+from .forward import SpaceTimeOperator, st_solve_adjoint_sweep, st_solve_sweep
 from .lowrank import LowRankMat, TruncationPolicy, lr_scale, lr_truncate
 
 MODE_IC = "ic"
@@ -163,8 +157,8 @@ class HessianContext:
     """Everything needed to apply the prior-preconditioned misfit Hessian.
 
     ``rank_trace`` records the maximum intermediate rank seen during each
-    application (one entry per apply), so a context should not be shared by
-    concurrent applications; clone it instead.
+    time-dependent application (one entry per apply), so a context should
+    not be shared by concurrent applications.
     """
 
     mode: str
@@ -190,61 +184,45 @@ class HessianContext:
 
     @property
     def n_param(self) -> int:
+        """Parameter dimension: n_x, or n_x·n_t for the space-time source."""
         if self.mode == MODE_STEADY:
             return self.spatial.grid.n_x
+        if self.mode == MODE_SOURCE:
+            return self.operator.n_x * self.operator.n_t
         return self.operator.n_x
 
-    def clone(self) -> "HessianContext":
-        return HessianContext(
-            mode=self.mode, operator=self.operator, layout=self.layout,
-            cov=self.cov, pol=self.pol, spatial=self.spatial,
-            compress_every=self.compress_every,
-        )
-
     def apply(self, v):
-        """Dispatch on mode; dense vector in/out except for the source mode."""
+        """H̃·v: a dense vector in and out, a LowRankMat field in source mode.
+
+        Both time-dependent modes run the same forward sweep, observation and
+        adjoint sweep.  They differ only in the injection of the parameter
+        (an initial condition M_scale·u at time 0, or a source tau·M_scale·u)
+        and the matching adjoint extraction.
+        """
+        if self.mode == MODE_STEADY:
+            return steady_poisson_apply(v, self.cov, self.spatial, lu=self._steady_lu)
+        K = self.operator
+        sqrt_g = math.sqrt(self.cov.gamma_prior)
         if self.mode == MODE_IC:
-            return misfit_apply_ic(v, self)
-        if self.mode == MODE_SOURCE:
-            return misfit_apply_st(v, self)
-        return steady_poisson_apply(v, self.cov, self.spatial, lu=self._steady_lu)
+            rhs = LowRankMat.from_column(K.m_scale * (sqrt_g * np.asarray(v, dtype=float)),
+                                         K.n_t, 0)
+        else:
+            rhs = lr_scale(lr_scale(v, sqrt_g), K.time.tau * K.m_scale)
 
-
-def misfit_apply_ic(v: np.ndarray, ctx: HessianContext) -> np.ndarray:
-    """H̃·v for the initial-condition parameter (spatial vector in and out)."""
-    v = np.asarray(v, dtype=float)
-    K = ctx.operator
-    sqrt_g = math.sqrt(ctx.cov.gamma_prior)
-    inj = InitInjection(K)
-
-    local: list[int] = []
-    Y = st_solve_sweep(K, inj.rhs(sqrt_g * v), ctx.pol,
-                       compress_every=ctx.compress_every, trace=local)
-    Z = apply_obs_weight(Y, ctx.layout, ctx.cov, K.time, K.m_scale, pol=ctx.pol)
-    local.append(Z.r)
-    Q = st_solve_adjoint_sweep(K, Z, ctx.pol,
-                               compress_every=ctx.compress_every, trace=local)
-    ctx.rank_trace.append(max(local) if local else 0)
-    return sqrt_g * inj.extract(Q)
-
-
-def misfit_apply_st(v: LowRankMat, ctx: HessianContext) -> LowRankMat:
-    """H̃·vec(v) for the distributed-source parameter, in low-rank form."""
-    K = ctx.operator
-    sqrt_g = math.sqrt(ctx.cov.gamma_prior)
-    inj = DistributedInjection(K)
-
-    local: list[int] = []
-    rhs = inj.rhs(lr_scale(v, sqrt_g))
-    Y = st_solve_sweep(K, rhs, ctx.pol, compress_every=ctx.compress_every, trace=local)
-    Z = apply_obs_weight(Y, ctx.layout, ctx.cov, K.time, K.m_scale, pol=ctx.pol)
-    local.append(Z.r)
-    Q = st_solve_adjoint_sweep(K, Z, ctx.pol,
-                               compress_every=ctx.compress_every, trace=local)
-    out = lr_truncate(lr_scale(inj.extract(Q), sqrt_g), ctx.pol)
-    local.append(out.r)
-    ctx.rank_trace.append(max(local) if local else 0)
-    return out
+        local: list[int] = []
+        Y = st_solve_sweep(K, rhs, self.pol, compress_every=self.compress_every, trace=local)
+        del rhs  # not held through the adjoint sweep
+        Z = apply_obs_weight(Y, self.layout, self.cov, K.time, K.m_scale, pol=self.pol)
+        local.append(Z.r)
+        Q = st_solve_adjoint_sweep(K, Z, self.pol,
+                                   compress_every=self.compress_every, trace=local)
+        if self.mode == MODE_IC:
+            out = sqrt_g * (K.m_scale * Q.column(0))
+        else:
+            out = lr_truncate(lr_scale(lr_scale(Q, K.time.tau * K.m_scale), sqrt_g), self.pol)
+            local.append(out.r)
+        self.rank_trace.append(max(local))
+        return out
 
 
 def steady_poisson_apply(

@@ -4,7 +4,7 @@ import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 import lrpostcov as lp
-from lrpostcov import arnoldi
+from lrpostcov import arnoldi, cli
 from lrpostcov import hessian as hs
 from lrpostcov import oracle
 from lrpostcov.arnoldi import StopRule, lr_arnoldi, rank_one_check, ritz_pairs
@@ -145,7 +145,7 @@ def test_top_ritz_value_monotone_in_subspace_size():
     v1 = np.ones(ctx.n_param) / np.sqrt(ctx.n_param)
     tops = []
     for m_a in (4, 8, 16, 32):
-        res = lr_arnoldi(ctx.clone().apply, v1, POL,
+        res = lr_arnoldi(ctx.apply, v1, POL,
                          StopRule(m_a=m_a, eps_eig=1e-14, check_every=100))
         tops.append(res.ritz_values.real[0])
     slack = 10 * POL.eps0 * tops[-1]
@@ -219,6 +219,27 @@ def test_truncations_per_iteration_and_ritz_vector(monkeypatch):
     assert res.iterations == 12 and res.restarts == 0
     # one per Gram-Schmidt pass, one per Ritz vector, one for the start vector
     assert len(calls) <= 2 * res.iterations + len(res.ritz_vectors) + 1
+
+
+def _heat_top10(beta_ratio):
+    run = cli.run_eigs(cli.RunConfig(n_side=15, nt=3, beta_ratio=beta_ratio))
+    return run.result.ritz_values[:10]
+
+
+@pytest.fixture(scope="module")
+def unit_ratio_top10():
+    return _heat_top10(1.0).real
+
+
+@pytest.mark.parametrize("beta_ratio", [1e-12, 1.0, 1e4, 1e20, 1e50])
+def test_breakdown_test_is_scale_invariant(beta_ratio, unit_ratio_top10):
+    # the misfit Hessian is linear in beta_ratio, so its spectrum must be too;
+    # an absolute breakdown tolerance stopped at step 1 for 1e-12 and iterated
+    # on rounding noise into a complex top pair for 1e50
+    vals = _heat_top10(beta_ratio)
+    assert len(vals) == 10 and (vals.imag == 0).all()
+    ref = unit_ratio_top10
+    assert np.abs(vals.real / beta_ratio - ref).max() <= 1e-10 * ref[0]
 
 
 def test_stopping_rule_fires_before_cap():

@@ -154,6 +154,7 @@ def test_sweep_records_point_failure_and_continues(tmp_path):
     assert rc == 3
     _, rows = _read_csv(out / "summary.csv")
     assert rows[0][0] == "1e-2" and rows[1][1] == "ERROR"
+    assert not (out / "nu_-1.0").exists()  # a failing point writes nothing
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):

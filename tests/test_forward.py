@@ -17,6 +17,11 @@ def heat7():
     return grid, op, tg, lp.SpaceTimeOperator(op, tg)
 
 
+def _ic_rhs(K, u):
+    """Forward rhs of an initial condition u: M_scale·u at time index 0."""
+    return lp.LowRankMat.from_column(K.m_scale * u, K.n_t, 0)
+
+
 def _rand_lr(rng, n_x, n_t, r):
     return lp.lr_truncate(
         lp.LowRankMat(rng.standard_normal((n_x, r)), rng.standard_normal((n_t, r))), POL
@@ -30,7 +35,7 @@ def test_pure_mass_limit_keeps_initial_condition():
     K = lp.SpaceTimeOperator(op, lp.build_time_grid(5, T=5e-12))
     rng = np.random.default_rng(0)
     u = rng.standard_normal(grid.n_x)
-    Y = lp.st_solve_sweep(K, lp.InitInjection(K).rhs(u), POL)
+    Y = lp.st_solve_sweep(K, _ic_rhs(K, u), POL)
     assert Y.r == 1
     dense = lp.lr_to_dense(Y)
     for k in range(5):
@@ -41,7 +46,7 @@ def test_eigvec_injection_rank1_geometric_decay(heat7):
     grid, op, tg, K = heat7
     v = lp.eigvec_dense(1, 1, grid)
     lam = lp.discrete_fd_eig(1, 1, grid)
-    Y = lp.st_solve_sweep(K, lp.InitInjection(K).rhs(v), POL)
+    Y = lp.st_solve_sweep(K, _ic_rhs(K, v), POL)
     assert Y.r == 1
     theta = 1.0 / (1.0 + tg.tau * lam)  # scalar recursion in the eigenbasis
     expect = np.column_stack([theta**k * v for k in range(1, tg.n_t + 1)])
@@ -53,14 +58,11 @@ def test_forward_matches_dense_oracle(heat7):
     rng = np.random.default_rng(1)
     u = rng.standard_normal(grid.n_x)
     u /= np.linalg.norm(u)
-    Y = lp.st_solve_sweep(K, lp.InitInjection(K).rhs(u), POL)
+    Y = lp.st_solve_sweep(K, _ic_rhs(K, u), POL)
     F = np.zeros((grid.n_x, tg.n_t))
     F[:, 0] = grid.m_scale * u
     Yd = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, F)
     assert np.linalg.norm(lp.lr_to_dense(Y) - Yd) <= 1e-8 * np.linalg.norm(Yd)
-    # a bare spatial vector is accepted as an injected initial condition
-    Y2 = lp.st_solve_sweep(K, u, POL)
-    assert np.abs(lp.lr_to_dense(Y2) - lp.lr_to_dense(Y)).max() == 0.0
 
 
 def test_adjoint_eigvec_decay_reversed_in_time(heat7):
@@ -117,13 +119,14 @@ def test_apply_is_the_dense_operator(heat7):
 
 
 def test_injection_adjoint_identity(heat7):
+    # IC injection u -> M_scale·u at time 0 and extraction Y -> M_scale·Y[:, 0]
+    # are adjoint: <from_column(M·u, n_t, 0), Y> = <u, M·column(0)>
     grid, op, tg, K = heat7
     rng = np.random.default_rng(5)
-    inj = lp.InitInjection(K)
     u = rng.standard_normal(grid.n_x)
     Y = _rand_lr(rng, grid.n_x, tg.n_t, 2)
-    lhs = lp.lr_dot(inj.rhs(u), Y)
-    rhs = float(u @ inj.extract(Y))
+    lhs = lp.lr_dot(lp.LowRankMat.from_column(grid.m_scale * u, tg.n_t, 0), Y)
+    rhs = float(u @ (grid.m_scale * Y.column(0)))
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
@@ -151,7 +154,7 @@ def test_rank_bounded_across_time_refinement():
     for n_t in (30, 60, 90):
         K = lp.SpaceTimeOperator(op, lp.build_time_grid(n_t))
         trace = []
-        lp.st_solve_sweep(K, lp.InitInjection(K).rhs(u), POL, trace=trace)
+        lp.st_solve_sweep(K, _ic_rhs(K, u), POL, trace=trace)
         max_ranks.append(max(trace))
     assert max(max_ranks) <= 40
     assert max(max_ranks) - min(max_ranks) <= 5
@@ -197,7 +200,7 @@ def test_sweeps_keep_canonical_pane_and_match_oracle(case):
     if case == "heat-source":
         rhs = _rand_lr(rng, grid.n_x, tg.n_t, 2)
     else:
-        rhs = lp.InitInjection(K).rhs(rng.standard_normal(grid.n_x))
+        rhs = _ic_rhs(K, rng.standard_normal(grid.n_x))
     cov = lp.CovarianceSpec.from_gamma(1.0, 1e4, grid)
     Y = lp.st_solve_sweep(K, rhs, POL)
     Z = lp.apply_obs_weight(Y, layout, cov, tg, grid.m_scale, pol=POL)
@@ -243,7 +246,7 @@ def test_rank1_initial_condition_stays_rank1_over_many_flushes():
     u = lp.eigvec_dense(2, 3, grid)
     lam = lp.discrete_fd_eig(2, 3, grid)
     trace = []
-    Y = lp.st_solve_sweep(K, u, POL, compress_every=4, trace=trace)
+    Y = lp.st_solve_sweep(K, _ic_rhs(K, u), POL, compress_every=4, trace=trace)
     assert Y.r == 1 and set(trace) == {1}
     expect = np.column_stack([(1.0 + tg.tau * lam) ** -k * u for k in range(1, tg.n_t + 1)])
     assert np.linalg.norm(lp.lr_to_dense(Y) - expect) <= 1e-12 * np.linalg.norm(expect)

@@ -113,7 +113,7 @@ class TestObsWeight:
 class TestMisfitInitialCondition:
     def test_zero_maps_to_zero(self):
         grid, op, K, ctx = _heat_ctx(5, 3)
-        assert np.linalg.norm(hs.misfit_apply_ic(np.zeros(grid.n_x), ctx)) == 0.0
+        assert np.linalg.norm(ctx.apply(np.zeros(grid.n_x))) == 0.0
 
     def test_beta_noise_linearity_is_exact(self):
         grid, op, K, ctx = _heat_ctx(5, 3)
@@ -123,8 +123,7 @@ class TestMisfitInitialCondition:
                                  cov=cov2, pol=POL)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(grid.n_x)
-        assert_allclose(hs.misfit_apply_ic(v, ctx2), 2 * hs.misfit_apply_ic(v, ctx),
-                        rtol=1e-13)
+        assert_allclose(ctx2.apply(v), 2 * ctx.apply(v), rtol=1e-13)
 
     def test_matches_dense_oracle_gamma_one(self):
         cov = None  # construct explicitly with gamma_prior = 1
@@ -147,15 +146,8 @@ class TestMisfitInitialCondition:
         mu = (ctx.cov.gamma_prior * ctx.cov.beta_noise * K.time.tau * grid.m_scale
               * sum(theta ** (2 * k) for k in range(1, K.n_t + 1)))
         v = lp.eigvec_dense(m, n, grid)
-        out = hs.misfit_apply_ic(v, ctx)
+        out = ctx.apply(v)
         assert np.linalg.norm(out - mu * v) <= 1e-8 * mu
-
-    def test_rank_trace_recorded_per_apply(self):
-        grid, op, K, ctx = _heat_ctx(7, 5)
-        v = np.ones(grid.n_x)
-        hs.misfit_apply_ic(v, ctx)
-        hs.misfit_apply_ic(v, ctx)
-        assert len(ctx.rank_trace) == 2 and all(r >= 1 for r in ctx.rank_trace)
 
     def test_rank_trace_bounded_across_nt(self):
         rng = np.random.default_rng(4)
@@ -165,7 +157,7 @@ class TestMisfitInitialCondition:
         for n_t in (30, 60, 90):
             grid_, op, K, ctx = _heat_ctx(15, n_t,
                                           layout=hs.make_sensor_layout_3x3(grid))
-            hs.misfit_apply_ic(v, ctx)
+            ctx.apply(v)
             maxima.append(ctx.rank_trace[0])
         assert max(maxima) <= 40
         assert max(maxima) - min(maxima) <= 5
@@ -183,7 +175,7 @@ class TestMisfitSpaceTimeSource:
 
     def test_zero_maps_to_rank_zero(self):
         grid, K, ctx = self._ctx()
-        out = hs.misfit_apply_st(lp.LowRankMat.zeros(grid.n_x, K.n_t), ctx)
+        out = ctx.apply(lp.LowRankMat.zeros(grid.n_x, K.n_t))
         assert out.r == 0
 
     def test_symmetry_probe(self):
@@ -199,8 +191,8 @@ class TestMisfitSpaceTimeSource:
                                          rng.standard_normal((10, 2))), POL)
         b = lp.lr_truncate(lp.LowRankMat(rng.standard_normal((grid.n_x, 2)),
                                          rng.standard_normal((10, 2))), POL)
-        Ha_b = lp.lr_dot(hs.misfit_apply_st(a, ctx), b)
-        a_Hb = lp.lr_dot(a, hs.misfit_apply_st(b, ctx))
+        Ha_b = lp.lr_dot(ctx.apply(a), b)
+        a_Hb = lp.lr_dot(a, ctx.apply(b))
         scale = abs(Ha_b) + abs(a_Hb)
         assert abs(Ha_b - a_Hb) <= 1e-6 * scale
 
@@ -213,7 +205,7 @@ class TestMisfitSpaceTimeSource:
 
         def apply_stacked(v):
             X = v.reshape((grid.n_x, K.n_t), order="F")
-            out = hs.misfit_apply_st(lp.lr_from_dense(X, POL), ctx)
+            out = ctx.apply(lp.lr_from_dense(X, POL))
             return lp.lr_to_dense(out).reshape(-1, order="F")
 
         assert oracle.hv_agreement(apply_stacked, Hd, n_probe=10, seed=1) <= 1e-7
@@ -289,8 +281,23 @@ class TestOperatorProperties:
                 v = rng.standard_normal(n)
                 assert float(v @ ctx.apply(v)) >= -1e-10 * float(v @ v), name
 
-    def test_clone_gives_independent_trace(self):
-        grid, op, K, ctx = _heat_ctx(5, 3)
-        clone = ctx.clone()
-        hs.misfit_apply_ic(np.ones(grid.n_x), ctx)
-        assert len(ctx.rank_trace) == 1 and len(clone.rank_trace) == 0
+    @pytest.mark.parametrize("mode", [hs.MODE_IC, hs.MODE_SOURCE])
+    def test_rank_trace_recorded_per_apply(self, mode):
+        grid, op, K, ic_ctx = _heat_ctx(7, 5)
+        ctx = hs.HessianContext(mode=mode, operator=K, layout=ic_ctx.layout,
+                                cov=ic_ctx.cov, pol=POL)
+        if mode == hs.MODE_IC:
+            v = np.ones(grid.n_x)
+        else:
+            v = lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((K.n_t, 1)))
+        ctx.apply(v)
+        ctx.apply(v)
+        assert len(ctx.rank_trace) == 2 and all(r >= 1 for r in ctx.rank_trace)
+
+    def test_n_param_is_the_parameter_dimension(self):
+        grid, op, K, ic_ctx = _heat_ctx(7, 5)
+        source = hs.HessianContext(mode=hs.MODE_SOURCE, operator=K, layout=ic_ctx.layout,
+                                   cov=ic_ctx.cov, pol=POL)
+        steady = self._contexts()["steady"][0]
+        assert (ic_ctx.n_param, source.n_param, steady.n_param) == \
+            (grid.n_x, grid.n_x * K.n_t, grid.n_x)
