@@ -133,6 +133,7 @@ def st_solve_sweep(
     adjoint: bool = False,
     compress_every: int = 4,
     trace: list | None = None,
+    rows: np.ndarray | None = None,
 ) -> LowRankMat:
     """Solve K·vec(Y) = vec(rhs) (or Kᵀ for adjoint=True) by time substitution.
 
@@ -141,17 +142,23 @@ def st_solve_sweep(
     multi-column solve for the rhs factor; the growing solution pane is
     recompressed every ``compress_every`` steps so storage stays
     O((n_x + n_t)·r).
+
+    ``rows`` (a boolean mask or index array over the n_x dofs; None means
+    all of them) selects the rows the caller will read.  The running column
+    stays at full length, because the recursion needs it, but the pane
+    stores only y_k[rows], so the result has one row per selected dof.
     """
     n_x, n_t = K.n_x, K.n_t
     if rhs.shape != (n_x, n_t):
         raise ValueError(f"rhs shape {rhs.shape} does not match operator {(n_x, n_t)}")
+    keep = np.arange(n_x) if rows is None else np.arange(n_x)[rows]
     if rhs.r == 0:
-        return LowRankMat.zeros(n_x, n_t)
+        return LowRankMat.zeros(len(keep), n_t)
 
     B = K.solve_step(rhs.W1, adjoint=adjoint)  # step⁻¹ applied to the rhs factor
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
-    pane = LowRankMat.zeros(n_x, n_t)
+    pane = LowRankMat.zeros(len(keep), n_t)
     buf_cols: list[np.ndarray] = []
     buf_idx: list[int] = []
     y_prev = np.zeros(n_x)
@@ -169,7 +176,7 @@ def st_solve_sweep(
 
     for count, k in enumerate(steps, start=1):
         y_k = K.solve_step(K.m_scale * y_prev, adjoint=adjoint) + B @ rhs.W2[k, :]
-        buf_cols.append(y_k)
+        buf_cols.append(y_k[keep])
         buf_idx.append(k)
         y_prev = y_k
         if count % compress_every == 0:

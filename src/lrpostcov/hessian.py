@@ -139,17 +139,23 @@ def apply_obs_weight(
     m_scale: float,
     pol: TruncationPolicy | None = None,
 ) -> LowRankMat:
-    """BᵀΓ_noise⁻¹B applied to a field: mask spatial rows, uniform scalar weight.
+    """BᵀΓ_noise⁻¹B applied to the observed rows of a field.
 
-    Masking acts on rows of the spatial factor so the rank never grows; the
-    result is recompressed when a policy is supplied.
+    ``Y`` holds only the rows ``layout.mask`` selects, as the forward sweep
+    returns them with ``rows=layout.mask``.  Its spatial factor is weighted
+    by the uniform scalar and recompressed when a policy is supplied; the
+    result is then embedded once into n_x rows, zero off the mask, as the
+    adjoint sweep's rhs.
     """
-    if Y.r == 0:
-        return Y
+    if Y.shape[0] != layout.n_active:
+        raise ValueError(f"field has {Y.shape[0]} rows, the layout observes {layout.n_active}")
     w = cov.beta_noise * time.tau * m_scale
-    W1 = np.where(layout.mask[:, None], Y.W1, 0.0) * w
-    out = LowRankMat(W1, Y.W2)
-    return lr_truncate(out, pol) if pol is not None else out
+    out = LowRankMat(Y.W1 * w, Y.W2)
+    if pol is not None:
+        out = lr_truncate(out, pol)
+    W1 = np.zeros((layout.mask.size, out.r))
+    W1[layout.mask] = out.W1
+    return LowRankMat(W1, out.W2)
 
 
 @dataclass
@@ -158,7 +164,8 @@ class HessianContext:
 
     ``rank_trace`` records the maximum intermediate rank seen during each
     time-dependent application (one entry per apply), so a context should
-    not be shared by concurrent applications.
+    not be shared by concurrent applications.  The forward sweep's share of
+    it is the rank of its pane over the observed rows only.
     """
 
     mode: str
@@ -197,7 +204,9 @@ class HessianContext:
         Both time-dependent modes run the same forward sweep, observation and
         adjoint sweep.  They differ only in the injection of the parameter
         (an initial condition M_scale·u at time 0, or a source tau·M_scale·u)
-        and the matching adjoint extraction.
+        and the matching adjoint extraction.  The forward sweep stores only
+        the observed rows, (n_active + n_t)·r floats; full observation is
+        the mask of all rows.
         """
         if self.mode == MODE_STEADY:
             return steady_poisson_apply(v, self.cov, self.spatial, lu=self._steady_lu)
@@ -210,7 +219,8 @@ class HessianContext:
             rhs = lr_scale(lr_scale(v, sqrt_g), K.time.tau * K.m_scale)
 
         local: list[int] = []
-        Y = st_solve_sweep(K, rhs, self.pol, compress_every=self.compress_every, trace=local)
+        Y = st_solve_sweep(K, rhs, self.pol, compress_every=self.compress_every, trace=local,
+                           rows=self.layout.mask)
         del rhs  # not held through the adjoint sweep
         Z = apply_obs_weight(Y, self.layout, self.cov, K.time, K.m_scale, pol=self.pol)
         local.append(Z.r)

@@ -202,14 +202,51 @@ def test_sweeps_keep_canonical_pane_and_match_oracle(case):
     else:
         rhs = _ic_rhs(K, rng.standard_normal(grid.n_x))
     cov = lp.CovarianceSpec.from_gamma(1.0, 1e4, grid)
-    Y = lp.st_solve_sweep(K, rhs, POL)
+    Y = lp.st_solve_sweep(K, rhs, POL, rows=layout.mask)
     Z = lp.apply_obs_weight(Y, layout, cov, tg, grid.m_scale, pol=POL)
     Q = lp.st_solve_adjoint_sweep(K, Z, POL)
     L = op.L.toarray()
-    for out, F, adjoint in ((Y, rhs, False), (Q, Z, True)):
+    for out, F, adjoint, rows in ((Y, rhs, False, layout.mask), (Q, Z, True, slice(None))):
         assert _orth_defect(out) <= 1e-12
-        ref = oracle.dense_forward(L, grid.m_scale, tg.tau, lp.lr_to_dense(F), adjoint=adjoint)
+        ref = oracle.dense_forward(L, grid.m_scale, tg.tau, lp.lr_to_dense(F),
+                                   adjoint=adjoint)[rows]
         assert np.linalg.norm(lp.lr_to_dense(out) - ref) <= POL.eps0 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", ["heat-ic", "convdiff-ic", "heat-source"])
+def test_restricted_sweep_keeps_the_observed_rows(case):
+    grid = lp.build_grid(31)
+    tg = lp.build_time_grid(20)
+    rng = np.random.default_rng(10)
+    op = (lp.assemble_convdiff(grid, 1e-2, (0.0, 1.0)) if case == "convdiff-ic"
+          else lp.assemble_heat(grid))
+    K = lp.SpaceTimeOperator(op, tg)
+    rhs = (_rand_lr(rng, grid.n_x, tg.n_t, 2) if case == "heat-source"
+           else _ic_rhs(K, rng.standard_normal(grid.n_x)))
+    mask = lp.make_sensor_layout_3x3(grid).mask
+    n_active = int(mask.sum())
+    Y = lp.st_solve_sweep(K, rhs, POL, rows=mask)
+    assert Y.W1.shape == (n_active, Y.r) and Y.shape == (n_active, tg.n_t)
+    assert _orth_defect(Y) <= 1e-12
+    full = lp.lr_to_dense(lp.st_solve_sweep(K, rhs, POL))
+    got = lp.lr_to_dense(Y)
+    assert np.linalg.norm(got - full[mask]) <= POL.eps0 * np.linalg.norm(full)
+    # each flush drops at most eps0 of the restricted pane, and the running
+    # column is never truncated, so the errors of the flushes only add up
+    flushes = -(-tg.n_t // 4)
+    ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, lp.lr_to_dense(rhs))[mask]
+    assert np.linalg.norm(got - ref) <= flushes * POL.eps0 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_all_rows_is_the_unrestricted_sweep(heat7, adjoint):
+    # full observation is the mask of all rows, on the same code path
+    grid, op, tg, K = heat7
+    rhs = _rand_lr(np.random.default_rng(11), grid.n_x, tg.n_t, 2)
+    Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint)
+    for rows in (np.ones(grid.n_x, bool), np.arange(grid.n_x)):
+        Yr = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, rows=rows)
+        assert np.array_equal(Yr.W1, Y.W1) and np.array_equal(Yr.W2, Y.W2)
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -284,3 +321,23 @@ def test_step_lu_uses_symmetric_fill_reducing_ordering(problem):
     assert np.array_equal(lu.perm_r, lu.perm_c)  # no pivoting off the diagonal
     colamd = spla.splu(K.step_matrix, permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("compress_every", [3, 4])
+def test_restricted_flushes_see_only_the_observed_rows(monkeypatch, adjoint, compress_every):
+    grid = lp.build_grid(31)
+    tg = lp.build_time_grid(20)
+    K = lp.SpaceTimeOperator(lp.assemble_heat(grid), tg)
+    mask = lp.make_sensor_layout_3x3(grid).mask
+    calls = []
+
+    def spy(A, pol):
+        calls.append(A.shape[0])
+        return lp.lr_truncate(A, pol)
+
+    monkeypatch.setattr(lp.forward, "lr_truncate", spy)
+    rhs = _rand_lr(np.random.default_rng(12), grid.n_x, tg.n_t, 3)
+    lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every, rows=mask)
+    assert len(calls) == -(-tg.n_t // compress_every)  # one truncation per flush
+    assert calls[0] == mask.sum() and max(calls) <= mask.sum()

@@ -78,15 +78,15 @@ class TestSensorLayout:
 
 
 class TestObsWeight:
+    # the field holds the observed rows only; the output has n_x rows
     def test_empty_layout_gives_zero_field(self):
         grid = lp.build_grid(5)
         tg = lp.build_time_grid(4)
         cov = hs.CovarianceSpec(1.0, 1.0, 1.0)
-        rng = np.random.default_rng(0)
-        Y = lp.lr_from_dense(rng.standard_normal((grid.n_x, 4)), POL)
         empty = hs.SensorLayout(patches=(), mask=np.zeros(grid.n_x, bool))
+        Y = lp.LowRankMat(np.zeros((0, 2)), np.ones((4, 2)))
         out = hs.apply_obs_weight(Y, empty, cov, tg, grid.m_scale, pol=POL)
-        assert out.r == 0
+        assert out.r == 0 and out.shape == (grid.n_x, 4)
 
     def test_unit_weight_full_domain_is_identity(self):
         grid = lp.build_grid(5)
@@ -102,12 +102,24 @@ class TestObsWeight:
         grid = lp.build_grid(15)
         tg = lp.build_time_grid(6)
         cov = hs.CovarianceSpec.from_gamma(10.0, 1e4, grid)
+        layout = hs.make_sensor_layout_3x3(grid)
         rng = np.random.default_rng(2)
-        Y = lp.LowRankMat(rng.standard_normal((grid.n_x, 1)),
+        Y = lp.LowRankMat(rng.standard_normal((layout.n_active, 1)),
                           rng.standard_normal((6, 1)))
-        out = hs.apply_obs_weight(Y, hs.make_sensor_layout_3x3(grid), cov, tg,
-                                  grid.m_scale, pol=POL)
+        out = hs.apply_obs_weight(Y, layout, cov, tg, grid.m_scale, pol=POL)
         assert out.r <= 1
+        dense = lp.lr_to_dense(out)
+        assert not dense[~layout.mask].any()  # zero off the mask
+        w = cov.beta_noise * tg.tau * grid.m_scale
+        assert_allclose(dense[layout.mask], w * lp.lr_to_dense(Y), rtol=1e-12)
+
+    def test_rejects_a_field_with_unobserved_rows(self):
+        grid = lp.build_grid(15)
+        tg = lp.build_time_grid(6)
+        cov = hs.CovarianceSpec.from_gamma(10.0, 1e4, grid)
+        Y = lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((6, 1)))
+        with pytest.raises(ValueError):
+            hs.apply_obs_weight(Y, hs.make_sensor_layout_3x3(grid), cov, tg, grid.m_scale)
 
 
 class TestMisfitInitialCondition:
@@ -293,6 +305,20 @@ class TestOperatorProperties:
         ctx.apply(v)
         ctx.apply(v)
         assert len(ctx.rank_trace) == 2 and all(r >= 1 for r in ctx.rank_trace)
+
+    @pytest.mark.parametrize("mode", [hs.MODE_IC, hs.MODE_SOURCE])
+    def test_empty_mask_gives_zero_apply(self, mode):
+        grid, op, K, _ = _heat_ctx(7, 5)
+        empty = hs.SensorLayout(patches=(), mask=np.zeros(grid.n_x, bool))
+        ctx = hs.HessianContext(mode=mode, operator=K, layout=empty,
+                                cov=hs.CovarianceSpec(1e4, 1.0, 1.0), pol=POL)
+        if mode == hs.MODE_IC:
+            out = ctx.apply(np.ones(grid.n_x))
+            assert out.shape == (grid.n_x,) and not out.any()
+        else:
+            out = ctx.apply(lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((K.n_t, 1))))
+            assert out.r == 0 and out.shape == (grid.n_x, K.n_t)
+        assert ctx.rank_trace == [0]
 
     def test_n_param_is_the_parameter_dimension(self):
         grid, op, K, ic_ctx = _heat_ctx(7, 5)
