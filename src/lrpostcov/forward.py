@@ -121,18 +121,12 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     return LowRankMat(Q @ small.W1[:r] + Qb @ small.W1[r:], small.W2)
 
 
-def _record(trace: list | None, rank: int) -> None:
-    if trace is not None:
-        trace.append(rank)
-
-
 def st_solve_sweep(
     K: SpaceTimeOperator,
     rhs: LowRankMat,
     pol: TruncationPolicy,
     adjoint: bool = False,
     compress_every: int = 4,
-    trace: list | None = None,
     rows: np.ndarray | None = None,
 ) -> LowRankMat:
     """Solve K·vec(Y) = vec(rhs) (or Kᵀ for adjoint=True) by time substitution.
@@ -141,7 +135,8 @@ def st_solve_sweep(
     n_t, 0)``.  One sparse solve per step on the running column plus one
     multi-column solve for the rhs factor; the growing solution pane is
     recompressed every ``compress_every`` steps so storage stays
-    O((n_x + n_t)·r).
+    O((n_x + n_t)·r).  The returned pane is canonical, as ``lr_truncate``
+    leaves it, so callers read its rank and need not recompress it.
 
     ``rows`` (a boolean mask or index array over the n_x dofs; None means
     all of them) selects the rows the caller will read.  The running column
@@ -159,30 +154,14 @@ def st_solve_sweep(
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
     pane = LowRankMat.zeros(len(keep), n_t)
-    buf_cols: list[np.ndarray] = []
-    buf_idx: list[int] = []
     y_prev = np.zeros(n_x)
-
-    def flush():
-        nonlocal pane
-        if not buf_cols:
-            return
-        pane = _extend_pane(pane, np.column_stack(buf_cols), buf_idx, pol)
-        # stored rank of the running approximation; the transient working
-        # width is bounded by this plus the compress_every buffer
-        _record(trace, pane.r)
-        buf_cols.clear()
-        buf_idx.clear()
-
-    for count, k in enumerate(steps, start=1):
-        y_k = K.solve_step(K.m_scale * y_prev, adjoint=adjoint) + B @ rhs.W2[k, :]
-        buf_cols.append(y_k[keep])
-        buf_idx.append(k)
-        y_prev = y_k
-        if count % compress_every == 0:
-            flush()
-    flush()
-    _record(trace, pane.r)
+    for start in range(0, n_t, compress_every):
+        idx = list(steps[start:start + compress_every])
+        cols = []
+        for k in idx:
+            y_prev = K.solve_step(K.m_scale * y_prev, adjoint=adjoint) + B @ rhs.W2[k, :]
+            cols.append(y_prev[keep])
+        pane = _extend_pane(pane, np.column_stack(cols), idx, pol)
     return pane
 
 
@@ -191,10 +170,7 @@ def st_solve_adjoint_sweep(
     rhs: LowRankMat,
     pol: TruncationPolicy,
     compress_every: int = 4,
-    trace: list | None = None,
 ) -> LowRankMat:
     """Kᵀ-solve by backward-in-time substitution with the transposed factorization."""
-    return st_solve_sweep(
-        K, rhs, pol, adjoint=True, compress_every=compress_every, trace=trace
-    )
+    return st_solve_sweep(K, rhs, pol, adjoint=True, compress_every=compress_every)
 

@@ -24,7 +24,8 @@ import scipy.sparse.linalg as spla
 from .discretize import Grid, SpatialOperator, TimeGrid
 from .errors import InvalidConfigError
 from .forward import SpaceTimeOperator, st_solve_adjoint_sweep, st_solve_sweep
-from .lowrank import LowRankMat, TruncationPolicy, lr_scale, lr_truncate
+from .lowrank import LowRankMat, TruncationPolicy, lr_scale
+from .lowrank import lr_truncate  # noqa: F401  bench/tracing.py wraps hessian.lr_truncate by name
 
 MODE_IC = "ic"
 MODE_SOURCE = "source"
@@ -137,22 +138,18 @@ def apply_obs_weight(
     cov: CovarianceSpec,
     time: TimeGrid,
     m_scale: float,
-    pol: TruncationPolicy | None = None,
 ) -> LowRankMat:
     """BᵀΓ_noise⁻¹B applied to the observed rows of a field.
 
     ``Y`` holds only the rows ``layout.mask`` selects, as the forward sweep
-    returns them with ``rows=layout.mask``.  Its spatial factor is weighted
-    by the uniform scalar and recompressed when a policy is supplied; the
-    result is then embedded once into n_x rows, zero off the mask, as the
-    adjoint sweep's rhs.
+    returns them with ``rows=layout.mask``.  Its time factor is scaled by
+    the uniform positive weight, so a canonical field stays canonical, and
+    the result is embedded once into n_x rows, zero off the mask, as the
+    adjoint sweep's rhs; the zero rows keep an orthonormal W1 orthonormal.
     """
     if Y.shape[0] != layout.n_active:
         raise ValueError(f"field has {Y.shape[0]} rows, the layout observes {layout.n_active}")
-    w = cov.beta_noise * time.tau * m_scale
-    out = LowRankMat(Y.W1 * w, Y.W2)
-    if pol is not None:
-        out = lr_truncate(out, pol)
+    out = lr_scale(Y, cov.beta_noise * time.tau * m_scale)
     W1 = np.zeros((layout.mask.size, out.r))
     W1[layout.mask] = out.W1
     return LowRankMat(W1, out.W2)
@@ -162,10 +159,10 @@ def apply_obs_weight(
 class HessianContext:
     """Everything needed to apply the prior-preconditioned misfit Hessian.
 
-    ``rank_trace`` records the maximum intermediate rank seen during each
-    time-dependent application (one entry per apply), so a context should
-    not be shared by concurrent applications.  The forward sweep's share of
-    it is the rank of its pane over the observed rows only.
+    ``rank_trace`` records one entry per time-dependent application: the
+    larger rank of the two panes it stores, the forward pane over the
+    observed rows and the adjoint pane.  A context should therefore not be
+    shared by concurrent applications.
     """
 
     mode: str
@@ -218,21 +215,15 @@ class HessianContext:
         else:
             rhs = lr_scale(lr_scale(v, sqrt_g), K.time.tau * K.m_scale)
 
-        local: list[int] = []
-        Y = st_solve_sweep(K, rhs, self.pol, compress_every=self.compress_every, trace=local,
+        Y = st_solve_sweep(K, rhs, self.pol, compress_every=self.compress_every,
                            rows=self.layout.mask)
         del rhs  # not held through the adjoint sweep
-        Z = apply_obs_weight(Y, self.layout, self.cov, K.time, K.m_scale, pol=self.pol)
-        local.append(Z.r)
-        Q = st_solve_adjoint_sweep(K, Z, self.pol,
-                                   compress_every=self.compress_every, trace=local)
+        Z = apply_obs_weight(Y, self.layout, self.cov, K.time, K.m_scale)
+        Q = st_solve_adjoint_sweep(K, Z, self.pol, compress_every=self.compress_every)
+        self.rank_trace.append(max(Y.r, Q.r))
         if self.mode == MODE_IC:
-            out = sqrt_g * (K.m_scale * Q.column(0))
-        else:
-            out = lr_truncate(lr_scale(lr_scale(Q, K.time.tau * K.m_scale), sqrt_g), self.pol)
-            local.append(out.r)
-        self.rank_trace.append(max(local))
-        return out
+            return sqrt_g * (K.m_scale * Q.column(0))
+        return lr_scale(lr_scale(Q, K.time.tau * K.m_scale), sqrt_g)
 
 
 def steady_poisson_apply(

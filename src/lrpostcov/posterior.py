@@ -101,13 +101,12 @@ def build_summary(
     V = _reorthonormalize(V)
     lams = real[keep]
     filters = np.array([lambda_tilde(float(lam)) for lam in lams])
-    var = variance_diag(lams, V, gamma_prior)
     return PosteriorSummary(
         eigenvalues=lams,
         filters=filters,
         V=V,
         gamma_prior=gamma_prior,
-        variance_field=var,
+        variance_field=gamma_prior * (1.0 - (V**2) @ filters),
     )
 
 

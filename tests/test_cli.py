@@ -144,6 +144,10 @@ def test_sweep_nu_axis(tmp_path):
     assert eigs[0] < eigs[1] < eigs[2]  # largest eigenvalue grows as nu shrinks
     for r in rows:
         assert (out / f"nu_{r[0]}" / "eigenvalues.csv").exists()
+        # each summary row restates its point's per-iteration rank file
+        _, ranks = _read_csv(out / f"nu_{r[0]}" / "ranks.csv")
+        assert int(r[1]) == len(ranks) >= 1
+        assert int(r[2]) == max(int(rank) for _, rank in ranks)
 
 
 def test_sweep_records_point_failure_and_continues(tmp_path):

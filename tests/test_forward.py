@@ -153,9 +153,7 @@ def test_rank_bounded_across_time_refinement():
     max_ranks = []
     for n_t in (30, 60, 90):
         K = lp.SpaceTimeOperator(op, lp.build_time_grid(n_t))
-        trace = []
-        lp.st_solve_sweep(K, _ic_rhs(K, u), POL, trace=trace)
-        max_ranks.append(max(trace))
+        max_ranks.append(lp.st_solve_sweep(K, _ic_rhs(K, u), POL).r)
     assert max(max_ranks) <= 40
     assert max(max_ranks) - min(max_ranks) <= 5
 
@@ -203,8 +201,9 @@ def test_sweeps_keep_canonical_pane_and_match_oracle(case):
         rhs = _ic_rhs(K, rng.standard_normal(grid.n_x))
     cov = lp.CovarianceSpec.from_gamma(1.0, 1e4, grid)
     Y = lp.st_solve_sweep(K, rhs, POL, rows=layout.mask)
-    Z = lp.apply_obs_weight(Y, layout, cov, tg, grid.m_scale, pol=POL)
+    Z = lp.apply_obs_weight(Y, layout, cov, tg, grid.m_scale)
     Q = lp.st_solve_adjoint_sweep(K, Z, POL)
+    assert _orth_defect(Z) <= 1e-12  # the weighted, embedded pane stays canonical
     L = op.L.toarray()
     for out, F, adjoint, rows in ((Y, rhs, False, layout.mask), (Q, Z, True, slice(None))):
         assert _orth_defect(out) <= 1e-12
@@ -275,16 +274,24 @@ def test_pane_stays_orthonormal_when_new_columns_are_dependent(adjoint):
     assert np.linalg.norm(lp.lr_to_dense(Y) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_rank1_initial_condition_stays_rank1_over_many_flushes():
+def test_rank1_initial_condition_stays_rank1_over_many_flushes(monkeypatch):
     # every flush after the first appends columns inside the pane's span
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(30)
     K = lp.SpaceTimeOperator(lp.assemble_heat(grid), tg)
     u = lp.eigvec_dense(2, 3, grid)
     lam = lp.discrete_fd_eig(2, 3, grid)
-    trace = []
-    Y = lp.st_solve_sweep(K, _ic_rhs(K, u), POL, compress_every=4, trace=trace)
-    assert Y.r == 1 and set(trace) == {1}
+    flush_ranks = []
+
+    def spy(*args):
+        out = extend(*args)
+        flush_ranks.append(out.r)
+        return out
+
+    extend = lp.forward._extend_pane
+    monkeypatch.setattr(lp.forward, "_extend_pane", spy)
+    Y = lp.st_solve_sweep(K, _ic_rhs(K, u), POL, compress_every=4)
+    assert Y.r == 1 and flush_ranks == [1] * -(-tg.n_t // 4)
     expect = np.column_stack([(1.0 + tg.tau * lam) ** -k * u for k in range(1, tg.n_t + 1)])
     assert np.linalg.norm(lp.lr_to_dense(Y) - expect) <= 1e-12 * np.linalg.norm(expect)
 

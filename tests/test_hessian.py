@@ -84,8 +84,7 @@ class TestObsWeight:
         tg = lp.build_time_grid(4)
         cov = hs.CovarianceSpec(1.0, 1.0, 1.0)
         empty = hs.SensorLayout(patches=(), mask=np.zeros(grid.n_x, bool))
-        Y = lp.LowRankMat(np.zeros((0, 2)), np.ones((4, 2)))
-        out = hs.apply_obs_weight(Y, empty, cov, tg, grid.m_scale, pol=POL)
+        out = hs.apply_obs_weight(lp.LowRankMat.zeros(0, 4), empty, cov, tg, grid.m_scale)
         assert out.r == 0 and out.shape == (grid.n_x, 4)
 
     def test_unit_weight_full_domain_is_identity(self):
@@ -106,7 +105,7 @@ class TestObsWeight:
         rng = np.random.default_rng(2)
         Y = lp.LowRankMat(rng.standard_normal((layout.n_active, 1)),
                           rng.standard_normal((6, 1)))
-        out = hs.apply_obs_weight(Y, layout, cov, tg, grid.m_scale, pol=POL)
+        out = hs.apply_obs_weight(Y, layout, cov, tg, grid.m_scale)
         assert out.r <= 1
         dense = lp.lr_to_dense(out)
         assert not dense[~layout.mask].any()  # zero off the mask
@@ -305,6 +304,48 @@ class TestOperatorProperties:
         ctx.apply(v)
         ctx.apply(v)
         assert len(ctx.rank_trace) == 2 and all(r >= 1 for r in ctx.rank_trace)
+
+    def _spied_apply(self, monkeypatch, mode):
+        """One apply on the nine-patch layout; returns the context, the panes
+        the two sweeps returned and the shapes passed to hessian.lr_truncate."""
+        grid = lp.build_grid(15)
+        K = lp.SpaceTimeOperator(lp.assemble_heat(grid), lp.build_time_grid(12))
+        ctx = hs.HessianContext(mode=mode, operator=K, layout=hs.make_sensor_layout_3x3(grid),
+                                cov=hs.CovarianceSpec.from_gamma(10.0, 1e4, grid), pol=POL)
+        panes, truncations = [], []
+
+        def keep_pane(fn):
+            def spy(*args, **kwargs):
+                panes.append(fn(*args, **kwargs))
+                return panes[-1]
+            return spy
+
+        def count(A, pol):
+            truncations.append(A.shape)
+            return lp.lr_truncate(A, pol)
+
+        monkeypatch.setattr(hs, "st_solve_sweep", keep_pane(hs.st_solve_sweep))
+        monkeypatch.setattr(hs, "st_solve_adjoint_sweep", keep_pane(hs.st_solve_adjoint_sweep))
+        monkeypatch.setattr(hs, "lr_truncate", count)
+        rng = np.random.default_rng(13)
+        if mode == hs.MODE_IC:
+            ctx.apply(rng.standard_normal(grid.n_x))
+        else:
+            ctx.apply(lp.LowRankMat(rng.standard_normal((grid.n_x, 2)),
+                                    rng.standard_normal((K.n_t, 2))))
+        return ctx, panes, truncations
+
+    @pytest.mark.parametrize("mode", [hs.MODE_IC, hs.MODE_SOURCE])
+    def test_apply_recompresses_no_canonical_field(self, monkeypatch, mode):
+        # the sweeps return canonical panes; only their flushes truncate
+        _, panes, truncations = self._spied_apply(monkeypatch, mode)
+        assert len(panes) == 2 and truncations == []
+
+    @pytest.mark.parametrize("mode", [hs.MODE_IC, hs.MODE_SOURCE])
+    def test_rank_trace_is_the_larger_stored_pane_rank(self, monkeypatch, mode):
+        ctx, (Y, Q), _ = self._spied_apply(monkeypatch, mode)
+        assert Y.r >= 1 and Q.r >= 1
+        assert ctx.rank_trace == [max(Y.r, Q.r)]
 
     @pytest.mark.parametrize("mode", [hs.MODE_IC, hs.MODE_SOURCE])
     def test_empty_mask_gives_zero_apply(self, mode):
