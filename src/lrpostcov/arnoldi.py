@@ -35,6 +35,8 @@ from .lowrank import (
 )
 
 BREAKDOWN_TOL = 1e-14
+STABILITY_RTOL = 1e-3   # refresh-to-refresh drift allowed of a retained Ritz value
+RANK_TAIL_TOL = 1e-6    # relative singular tail that rank_one_check ignores
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class StopRule:
     m_a: int
     eps_eig: float = 1e-1
     check_every: int = 10
-    stability_rtol: float = 1e-3
     on_breakdown: str = "stop"
     restart_seed: int = 0
 
@@ -230,7 +231,7 @@ def _stop_ready(
     """Check the refresh-to-refresh stopping condition.
 
     Returns (should_stop, count_above_threshold).  Values above eps_eig must
-    be matched in count and stable to stability_rtol against the previous
+    be matched in count and stable to STABILITY_RTOL against the previous
     refresh; when nothing exceeds the threshold the leading value itself
     must have stabilized (guards against stopping while the spectrum is
     still emerging).
@@ -246,7 +247,7 @@ def _stop_ready(
         return False, above
     for i in range(n_check):
         denom = max(abs(vals[i].real), abs(prev[i].real), 1e-300)
-        if abs(vals[i].real - prev[i].real) / denom > stop.stability_rtol:
+        if abs(vals[i].real - prev[i].real) / denom > STABILITY_RTOL:
             return False, above
     return True, above
 
@@ -363,13 +364,12 @@ def lr_arnoldi(
     )
 
 
-def rank_one_check(vec, reshape: tuple[int, int] | None = None,
-                   tail_tol: float = 1e-6) -> tuple[int, float]:
+def rank_one_check(vec, reshape: tuple[int, int] | None = None) -> tuple[int, float]:
     """Numerical separation rank of a vector under its natural 2-way layout.
 
     Dense vectors are reshaped to ``reshape`` (e.g. (n_side, n_side) for
     spatial modes); LowRankMat inputs use their own factorization.  Returns
-    (smallest r with relative singular tail <= tail_tol, sigma_2/sigma_1).
+    (smallest r with relative singular tail <= RANK_TAIL_TOL, sigma_2/sigma_1).
     """
     if isinstance(vec, LowRankMat):
         s = lr_singular_values(vec)
@@ -382,6 +382,6 @@ def rank_one_check(vec, reshape: tuple[int, int] | None = None,
         return 0, 0.0
     total = float(np.linalg.norm(s))
     tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-    r = int(np.searchsorted(-tail, -tail_tol * total, side="left"))
+    r = int(np.searchsorted(-tail, -RANK_TAIL_TOL * total, side="left"))
     ratio = float(s[1] / s[0]) if s.size > 1 else 0.0
     return r, ratio

@@ -425,22 +425,29 @@ def _dense_apply_wrapper(problem: Problem):
     return apply_stacked
 
 
-def run_oracle(cfg: RunConfig, retain: float = 1e-8, top_k: int = 10):
+ORACLE_RETAIN = 1e-8  # retention threshold of the compared variance field
+ORACLE_TOP_K = 10     # leading eigenpairs compared
+
+
+def run_oracle(cfg: RunConfig):
+    # refuse an over-cap dense side before spending the low-rank solve
+    source = cfg.mode == hessian.MODE_SOURCE
+    oracle.check_cap(cfg.n_side**2 * (cfg.nt if source else 1))
     # the dense side has the complete spectrum, so the low-rank side must be
     # able to reseed through eigenvalue multiplicities
     cfg = replace(cfg, on_breakdown="restart")
-    if cfg.mode == hessian.MODE_SOURCE:
+    if source:
         run, summary = run_eigs(cfg), None
     else:
-        run, summary = run_variance(cfg, retain)
+        run, summary = run_variance(cfg, ORACLE_RETAIN)
     problem, result = run.problem, run.result
     Hd, asymmetry = _oracle_dense_side(problem)
     hv_err = oracle.hv_agreement(_dense_apply_wrapper(problem), Hd,
                                  n_probe=20, seed=cfg.seed)
 
-    k = min(top_k, problem.ctx.n_param, len(result.ritz_values))
+    k = min(ORACLE_TOP_K, problem.ctx.n_param, len(result.ritz_values))
     dn_vals, dn_vecs = oracle.dense_eig_top(Hd, k)
-    if cfg.mode == hessian.MODE_SOURCE:
+    if source:
         lr_vecs = np.column_stack([
             lr_to_dense(v).reshape(-1, order="F") for v in result.ritz_vectors[:k]
         ])

@@ -17,45 +17,39 @@ import scipy.linalg as la
 from .errors import InvalidConfigError, NumericalError
 
 DENSE_DIM_CAP = 2000
+# compare() pass thresholds, printed as the report's tol_* lines
+EIG_RTOL = 1e-6
+ANGLE_TOL = 1e-4
+VAR_RTOL = 1e-4
+HV_RTOL = 1e-8
+CLUSTER_GAP = 1e-3  # relative gap that separates eigenvalue clusters
 
 
 def dense_forward(L_dense: np.ndarray, m_scale: float, tau: float,
                   F: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Block forward (or backward) substitution through the space-time system.
 
-    F holds the right-hand side columns per time step; returns the solution
-    pane of the same shape.  Uses one dense LU of the step matrix.
+    F holds the right-hand side per time step, shape (n_x, n_t) for one
+    field or (n_x, n_t, c) for c stacked fields; returns the solution of the
+    same shape.  One dense LU of the step matrix serves every field.
     """
-    n_x, n_t = F.shape
-    A = m_scale * (np.eye(n_x) + tau * L_dense)
-    lu = la.lu_factor(A)
+    n_x, n_t = F.shape[:2]
+    lu = la.lu_factor(m_scale * (np.eye(n_x) + tau * L_dense))
     trans = 1 if adjoint else 0
     Y = np.zeros_like(F)
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
-    y_prev = np.zeros(n_x)
+    y_prev = np.zeros_like(F[:, 0])
     for k in steps:
         Y[:, k] = la.lu_solve(lu, m_scale * y_prev + F[:, k], trans=trans)
         y_prev = Y[:, k]
     return Y
 
 
-def _misfit_column_ic(L_dense, m_scale, tau, n_t, mask, beta_noise, gamma_prior,
-                      lu, u):
-    sqrt_g = np.sqrt(gamma_prior)
-    n_x = u.shape[0]
-    # forward: block 1 rhs = m_scale * u
-    Y = np.zeros((n_x, n_t))
-    y_prev = sqrt_g * u
-    for k in range(n_t):
-        Y[:, k] = la.lu_solve(lu, m_scale * y_prev)
-        y_prev = Y[:, k]
-    Z = beta_noise * tau * m_scale * (mask[:, None] * Y)
-    Q = np.zeros((n_x, n_t))
-    q_prev = np.zeros(n_x)
-    for k in range(n_t - 1, -1, -1):
-        Q[:, k] = la.lu_solve(lu, m_scale * q_prev + Z[:, k], trans=1)
-        q_prev = Q[:, k]
-    return sqrt_g * m_scale * Q[:, 0]
+def _misfit_sweeps(L_dense, m_scale, tau, F, mask, beta_noise):
+    """Forward sweep, observation weight β_noise·τ·M_scale on the mask, adjoint sweep."""
+    Y = dense_forward(L_dense, m_scale, tau, F)
+    Z = beta_noise * tau * m_scale * (mask[:, None, None] * Y)
+    return dense_forward(L_dense, m_scale, tau, Z, adjoint=True)
 
 
 def dense_misfit_ic(L_dense: np.ndarray, m_scale: float, tau: float, n_t: int,
@@ -63,19 +57,21 @@ def dense_misfit_ic(L_dense: np.ndarray, m_scale: float, tau: float, n_t: int,
                     gamma_prior: float) -> tuple[np.ndarray, float]:
     """Explicit prior-preconditioned misfit Hessian for the IC parameter.
 
-    Columns are built one unit vector at a time through a dense pipeline.
+    Unit initial conditions go through one stacked pipeline per column block;
+    a block's panes hold at most DENSE_DIM_CAP² floats, or one column.
     Returns (symmetrized matrix, asymmetry defect relative to its norm).
     """
     n_x = L_dense.shape[0]
-    _check_cap(n_x)
-    A = m_scale * (np.eye(n_x) + tau * L_dense)
-    lu = la.lu_factor(A)
+    check_cap(n_x)
+    c = np.sqrt(gamma_prior) * m_scale
+    block = max(1, DENSE_DIM_CAP**2 // (n_x * n_t))
     H = np.zeros((n_x, n_x))
-    for i in range(n_x):
-        e = np.zeros(n_x)
-        e[i] = 1.0
-        H[:, i] = _misfit_column_ic(L_dense, m_scale, tau, n_t, mask,
-                                    beta_noise, gamma_prior, lu, e)
+    for lo in range(0, n_x, block):
+        hi = min(lo + block, n_x)
+        F = np.zeros((n_x, n_t, hi - lo))
+        F[lo:hi, 0, :] = c * np.eye(hi - lo)
+        Q = _misfit_sweeps(L_dense, m_scale, tau, F, mask, beta_noise)
+        H[:, lo:hi] = c * Q[:, 0, :]
     return _symmetrize(H)
 
 
@@ -85,40 +81,24 @@ def dense_misfit_source(L_dense: np.ndarray, m_scale: float, tau: float, n_t: in
     """Explicit misfit Hessian for the distributed space-time source parameter."""
     n_x = L_dense.shape[0]
     dim = n_x * n_t
-    _check_cap(dim)
-    A = m_scale * (np.eye(n_x) + tau * L_dense)
-    lu = la.lu_factor(A)
-    sqrt_g = np.sqrt(gamma_prior)
-    inj = tau * m_scale
-    H = np.zeros((dim, dim))
-    for col in range(dim):
-        F = np.zeros((n_x, n_t))
-        F[col % n_x, col // n_x] = sqrt_g * inj
-        Y = np.zeros((n_x, n_t))
-        y_prev = np.zeros(n_x)
-        for k in range(n_t):
-            Y[:, k] = la.lu_solve(lu, m_scale * y_prev + F[:, k])
-            y_prev = Y[:, k]
-        Z = beta_noise * tau * m_scale * (mask[:, None] * Y)
-        q_prev = np.zeros(n_x)
-        Q = np.zeros((n_x, n_t))
-        for k in range(n_t - 1, -1, -1):
-            Q[:, k] = la.lu_solve(lu, m_scale * q_prev + Z[:, k], trans=1)
-            q_prev = Q[:, k]
-        H[:, col] = (sqrt_g * inj * Q).reshape(-1, order="F")
-    return _symmetrize(H)
+    check_cap(dim)
+    c = np.sqrt(gamma_prior) * (tau * m_scale)
+    F = (c * np.eye(dim)).reshape((n_x, n_t, dim), order="F")
+    Q = _misfit_sweeps(L_dense, m_scale, tau, F, mask, beta_noise)
+    return _symmetrize(c * Q.reshape((dim, dim), order="F"))
 
 
 def dense_misfit_steady(L_dense: np.ndarray, beta_noise: float,
                         beta_prior: float) -> tuple[np.ndarray, float]:
     """(beta_prior/beta_noise)·L⁻¹·L⁻¹ built densely."""
     n_x = L_dense.shape[0]
-    _check_cap(n_x)
+    check_cap(n_x)
     Linv = la.inv(L_dense)
     return _symmetrize((beta_prior / beta_noise) * (Linv @ Linv))
 
 
-def _check_cap(dim: int) -> None:
+def check_cap(dim: int) -> None:
+    """Refuse a dense oracle problem of dimension above DENSE_DIM_CAP."""
     if dim > DENSE_DIM_CAP:
         raise InvalidConfigError(
             f"dense oracle dimension {dim} exceeds the cap {DENSE_DIM_CAP}"
@@ -160,12 +140,12 @@ def dense_posterior_diag(H_preconditioned: np.ndarray, gamma_prior: float) -> np
     return np.diag(post).copy()
 
 
-def _cluster(vals: np.ndarray, rel_gap: float = 1e-3) -> list[slice]:
+def _cluster(vals: np.ndarray) -> list[slice]:
     """Split a descending spectrum into near-degenerate groups."""
     groups, start = [], 0
     for i in range(1, len(vals)):
         denom = max(abs(vals[i - 1]), abs(vals[i]), 1e-300)
-        if abs(vals[i - 1] - vals[i]) / denom > rel_gap:
+        if abs(vals[i - 1] - vals[i]) / denom > CLUSTER_GAP:
             groups.append(slice(start, i))
             start = i
     groups.append(slice(start, len(vals)))
@@ -210,11 +190,6 @@ def compare(
     lr_variance: np.ndarray | None = None,
     dense_variance: np.ndarray | None = None,
     hv_rel_error: float | None = None,
-    eig_rtol: float = 1e-6,
-    angle_tol: float = 1e-4,
-    var_rtol: float = 1e-4,
-    hv_rtol: float = 1e-8,
-    cluster_gap: float = 1e-3,
 ) -> OracleReport:
     """Fill an OracleReport for the top-k comparison (k = len(dense_values)).
 
@@ -235,7 +210,7 @@ def compare(
     eig_err = np.abs(lr_vals - dn_vals) / denom
 
     max_angle = 0.0
-    for grp in _cluster(dn_vals, cluster_gap):
+    for grp in _cluster(dn_vals):
         if grp.stop > lr_vectors.shape[1]:
             continue
         angles = la.subspace_angles(lr_vectors[:, grp], dense_vectors[:, grp])
@@ -256,14 +231,14 @@ def compare(
             np.max(np.abs(lr_variance - dense_variance) / np.abs(dense_variance))
         )
 
-    tolerances = {"eig_rel": eig_rtol, "angle": angle_tol}
-    passed = bool(np.all(eig_err <= eig_rtol)) and max_angle <= angle_tol
+    tolerances = {"eig_rel": EIG_RTOL, "angle": ANGLE_TOL}
+    passed = bool(np.all(eig_err <= EIG_RTOL)) and max_angle <= ANGLE_TOL
     if var_err is not None:
-        tolerances["var_rel"] = var_rtol
-        passed = passed and var_err <= var_rtol
+        tolerances["var_rel"] = VAR_RTOL
+        passed = passed and var_err <= VAR_RTOL
     if hv_rel_error is not None:
-        tolerances["hv_rel"] = hv_rtol
-        passed = passed and hv_rel_error <= hv_rtol
+        tolerances["hv_rel"] = HV_RTOL
+        passed = passed and hv_rel_error <= HV_RTOL
 
     return OracleReport(
         eig_rel_errors=eig_err,

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import NumericalError
 
+IMAG_RTOL = 1e-6  # largest imaginary part of a Ritz value, relative to the spectrum
+
 
 def lambda_tilde(lam: float) -> float:
     """SMW filter factor λ/(λ+1); rejects negative input as a non-PSD artifact."""
@@ -67,19 +69,18 @@ def build_summary(
     ritz_vectors,
     gamma_prior: float,
     eps_eig: float | None = None,
-    imag_rtol: float = 1e-6,
     n_x: int | None = None,
 ) -> PosteriorSummary:
     """Assemble a PosteriorSummary from Ritz output.
 
     Pairs with eigenvalue >= eps_eig are retained (all nonnegative pairs
     when eps_eig is None).  Ritz values must be numerically real: an
-    imaginary part above imag_rtol of the spectral scale is an error, tiny
+    imaginary part above IMAG_RTOL of the spectral scale is an error, tiny
     ones are dropped here (they were already reported by the eigensolver).
     """
     vals = np.asarray(ritz_values)
     scale = float(np.max(np.abs(vals.real))) if vals.size else 0.0
-    if scale > 0 and np.max(np.abs(vals.imag)) > imag_rtol * scale:
+    if scale > 0 and np.max(np.abs(vals.imag)) > IMAG_RTOL * scale:
         raise NumericalError(
             "Ritz values have a significant imaginary part "
             f"({np.max(np.abs(vals.imag)):.3e} vs scale {scale:.3e})"

@@ -125,10 +125,19 @@ def test_oracle_corrupted_truncation_fails(tmp_path):
     assert "result=FAIL" in (out / "oracle_report.txt").read_text()
 
 
-def test_oracle_cap_exceeded_is_config_error(tmp_path):
-    rc = cli.main(["oracle", "--problem", "heat", "--n-side", "63", "--nt", "30",
-                   "--out", str(tmp_path / "big")])
-    assert rc == 2
+def test_oracle_cap_exceeded_is_config_error(tmp_path, monkeypatch):
+    # an over-cap dense side is refused before the low-rank solve starts
+    def no_solve(cfg):
+        raise AssertionError("run_eigs called for an over-cap oracle run")
+
+    monkeypatch.setattr(cli, "run_eigs", no_solve)
+    # IC dimension 63² = 3969; source dimension 15²·10 = 2250
+    for mode, n_side, nt in (("ic", "63", "30"), ("source", "15", "10")):
+        out = tmp_path / mode
+        rc = cli.main(["oracle", "--problem", "heat", "--mode", mode, "--n-side", n_side,
+                       "--nt", nt, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 def test_sweep_nu_axis(tmp_path):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -81,6 +84,73 @@ def test_dense_forward_matches_kron_system():
     Z = oracle.dense_forward(op.L.toarray(), grid.m_scale, tau, F, adjoint=True)
     z_direct = np.linalg.solve(Kfull.T, F.reshape(-1, order="F"))
     assert_allclose(Z.reshape(-1, order="F"), z_direct, rtol=1e-10)
+
+
+def _kron_misfit(n_side, n_t, mask):
+    """Dense misfit core w·K⁻ᵀ·P·K⁻¹ from the assembled space-time matrix."""
+    grid = lp.build_grid(n_side)
+    op = lp.assemble_convdiff(grid, 1e-2, (0.0, 1.0))
+    cov = hs.CovarianceSpec.from_gamma(10.0, 1e4, grid)
+    tau, m = 1.0 / n_t, grid.m_scale
+    A = m * (np.eye(grid.n_x) + tau * op.L.toarray())
+    Kfull = np.kron(np.eye(n_t), A)
+    Kfull -= m * np.kron(np.diag(np.ones(n_t - 1), -1), np.eye(grid.n_x))
+    Kinv = np.linalg.inv(Kfull)
+    P = np.diag(np.tile(mask, n_t).astype(float))
+    core = cov.beta_noise * tau * m * (Kinv.T @ P @ Kinv)
+    return op.L.toarray(), m, tau, cov, core
+
+
+def _rel_err(H, ref):
+    return np.abs(H - ref).max() / np.abs(ref).max()
+
+
+def test_misfit_builders_match_kron_system():
+    # both dense builders against the inverse of the assembled space-time
+    # matrix, with a partial mask and a nonsymmetric operator
+    n_side, n_t = 4, 3
+    mask = np.zeros(n_side**2, dtype=bool)
+    mask[[1, 2, 5, 6, 11]] = True
+    L, m, tau, cov, core = _kron_misfit(n_side, n_t, mask)
+    sqrt_g = np.sqrt(cov.gamma_prior)
+    Hs, _ = oracle.dense_misfit_source(L, m, tau, n_t, mask,
+                                       cov.beta_noise, cov.gamma_prior)
+    assert _rel_err(Hs, (sqrt_g * tau * m) ** 2 * core) <= 1e-12
+    Hic, _ = oracle.dense_misfit_ic(L, m, tau, n_t, mask, cov.beta_noise, cov.gamma_prior)
+    n_x = n_side**2
+    assert _rel_err(Hic, (sqrt_g * m) ** 2 * core[:n_x, :n_x]) <= 1e-12
+
+
+def test_ic_builder_blocks_match_one_block(monkeypatch):
+    grid, op, K, cov, ctx = _tiny_heat(5, 3)
+    args = (op.L.toarray(), grid.m_scale, K.time.tau, 3, ctx.layout.mask,
+            cov.beta_noise, cov.gamma_prior)
+    H_one, _ = oracle.dense_misfit_ic(*args)
+    widths = []
+    sweeps = oracle._misfit_sweeps
+
+    def counting(L, m, tau, F, mask, beta_noise):
+        widths.append(F.shape[2])
+        return sweeps(L, m, tau, F, mask, beta_noise)
+
+    monkeypatch.setattr(oracle, "_misfit_sweeps", counting)
+    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 30)  # blocks of 30² // (25·3) = 12
+    H_blocks, _ = oracle.dense_misfit_ic(*args)
+    assert widths == [12, 12, 1]
+    assert _rel_err(H_blocks, H_one) <= 1e-14
+
+
+def test_oracle_imports_only_errors():
+    # the dense path shares no code with the low-rank modules it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == ["errors"]
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert not [name for name in absolute if name.split(".")[0] == "lrpostcov"]
 
 
 def test_dense_eig_top_diagonal_matrix():
