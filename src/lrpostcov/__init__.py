@@ -14,7 +14,6 @@ from .discretize import (
     SpatialOperator,
     TimeGrid,
     analytic_poisson_eig,
-    analytic_separable_eigvec,
     assemble_convdiff,
     assemble_heat,
     build_grid,
@@ -32,7 +31,6 @@ from .hessian import (
     full_observation,
     make_sensor_layout,
     make_sensor_layout_3x3,
-    steady_poisson_apply,
 )
 from .lowrank import (
     LowRankMat,
@@ -45,28 +43,20 @@ from .lowrank import (
     lr_to_dense,
     lr_truncate,
 )
-from .posterior import (
-    PosteriorSummary,
-    build_summary,
-    lambda_tilde,
-    posterior_apply,
-    variance_diag,
-)
+from .posterior import PosteriorSummary, build_summary, lambda_tilde, posterior_apply
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArnoldiResult", "StopRule", "lr_arnoldi", "rank_one_check", "ritz_pairs",
     "Grid", "SpatialOperator", "TimeGrid", "analytic_poisson_eig",
-    "analytic_separable_eigvec", "assemble_convdiff", "assemble_heat",
-    "build_grid", "build_time_grid", "discrete_fd_eig", "eigvec_dense",
+    "assemble_convdiff", "assemble_heat", "build_grid", "build_time_grid",
+    "discrete_fd_eig", "eigvec_dense",
     "InvalidConfigError", "NumericalError",
     "SpaceTimeOperator", "st_solve_adjoint_sweep", "st_solve_sweep",
     "CovarianceSpec", "HessianContext", "SensorLayout", "apply_obs_weight",
     "full_observation", "make_sensor_layout", "make_sensor_layout_3x3",
-    "steady_poisson_apply",
     "LowRankMat", "TruncationPolicy", "lr_add", "lr_dot", "lr_from_dense",
     "lr_norm", "lr_scale", "lr_to_dense", "lr_truncate",
     "PosteriorSummary", "build_summary", "lambda_tilde", "posterior_apply",
-    "variance_diag",
 ]

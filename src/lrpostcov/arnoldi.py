@@ -74,7 +74,7 @@ class ArnoldiResult:
     rank_trace: list[int]         # max intermediate rank per iteration
     ritz_values: np.ndarray       # complex, descending real part
     ritz_vectors: list            # same representation as the basis
-    converged_count: int
+    converged_count: int          # final Ritz values >= eps_eig
     breakdown: bool               # an invariant subspace was reached
     iterations: int
     diagnostics: list[tuple]      # (j, h_subdiag, max_rank, seconds)
@@ -223,33 +223,25 @@ def _fresh_direction(basis: list, ops, seed: int):
     return ops.scale(w, 1.0 / nrm)
 
 
-def _stop_ready(
-    vals: np.ndarray,
-    prev: np.ndarray | None,
-    stop: StopRule,
-) -> tuple[bool, int]:
-    """Check the refresh-to-refresh stopping condition.
+def _stop_ready(vals: np.ndarray, prev: np.ndarray | None, stop: StopRule) -> bool:
+    """True when the refresh-to-refresh stopping condition holds.
 
-    Returns (should_stop, count_above_threshold).  Values above eps_eig must
-    be matched in count and stable to STABILITY_RTOL against the previous
-    refresh; when nothing exceeds the threshold the leading value itself
-    must have stabilized (guards against stopping while the spectrum is
-    still emerging).
+    Values above eps_eig must be matched in count and stable to
+    STABILITY_RTOL against the previous refresh; when nothing exceeds the
+    threshold the leading value itself must have stabilized (guards against
+    stopping while the spectrum is still emerging).
     """
-    above = int(np.sum(vals.real >= stop.eps_eig))
     if prev is None:
-        return False, above
-    prev_above = int(np.sum(prev.real >= stop.eps_eig))
-    if above != prev_above:
-        return False, above
+        return False
+    above = int(np.sum(vals.real >= stop.eps_eig))
+    if above != int(np.sum(prev.real >= stop.eps_eig)):
+        return False
     n_check = above if above > 0 else min(1, len(vals), len(prev))
-    if n_check > len(prev):
-        return False, above
     for i in range(n_check):
         denom = max(abs(vals[i].real), abs(prev[i].real), 1e-300)
         if abs(vals[i].real - prev[i].real) / denom > STABILITY_RTOL:
-            return False, above
-    return True, above
+            return False
+    return True
 
 
 def lr_arnoldi(
@@ -290,7 +282,6 @@ def lr_arnoldi(
     rank_trace: list[int] = []
     diagnostics: list[tuple] = []
     prev_vals: np.ndarray | None = None
-    converged_count = 0
     breakdown = False
     restarts = 0
     j_done = 0
@@ -337,7 +328,7 @@ def lr_arnoldi(
 
         if (j + 1) % stop.check_every == 0 and j + 1 < stop.m_a:
             vals, _ = _hessenberg_eigs(H[: j + 1, : j + 1])
-            ready, converged_count = _stop_ready(vals, prev_vals, stop)
+            ready = _stop_ready(vals, prev_vals, stop)
             prev_vals = vals
             if ready:
                 break
@@ -345,10 +336,6 @@ def lr_arnoldi(
     Hout = H[: j_done + 1, : j_done]
     pairs = ritz_pairs(Hout, basis, pol)
     vals = np.array([p[0] for p in pairs])
-    if prev_vals is not None:
-        _, converged_count = _stop_ready(vals, prev_vals, stop)
-    else:
-        converged_count = int(np.sum(vals.real >= stop.eps_eig))
 
     return ArnoldiResult(
         H=Hout,
@@ -356,7 +343,7 @@ def lr_arnoldi(
         rank_trace=rank_trace,
         ritz_values=vals,
         ritz_vectors=[p[1] for p in pairs],
-        converged_count=converged_count,
+        converged_count=int(np.sum(vals.real >= stop.eps_eig)),
         breakdown=breakdown,
         iterations=j_done,
         diagnostics=diagnostics,

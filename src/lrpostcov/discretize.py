@@ -134,36 +134,26 @@ def analytic_poisson_eig(m: int, n: int, a: float = 1.0, b: float = 1.0) -> floa
     return np.pi**2 * ((m / a) ** 2 + (n / b) ** 2)
 
 
-def discrete_fd_eig(m: int, n: int, grid: Grid) -> float:
-    """Exact eigenvalue (4/h²)(sin²(mπh/2) + sin²(nπh/2)) of the FD Laplacian."""
+def _check_mode(m: int, n: int, grid: Grid) -> None:
     if not (1 <= m <= grid.n_side and 1 <= n <= grid.n_side):
         raise InvalidConfigError(
             f"mode indices must lie in [1, {grid.n_side}], got ({m}, {n})"
         )
+
+
+def discrete_fd_eig(m: int, n: int, grid: Grid) -> float:
+    """Exact eigenvalue (4/h²)(sin²(mπh/2) + sin²(nπh/2)) of the FD Laplacian."""
+    _check_mode(m, n, grid)
     h = grid.h
     return (4.0 / h**2) * (np.sin(m * np.pi * h / 2) ** 2 + np.sin(n * np.pi * h / 2) ** 2)
 
 
-def analytic_separable_eigvec(m: int, n: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-1 factors (f1, f2) of the (m,n) FD Laplacian eigenvector.
-
-    The dense eigenvector is f2 ⊗ f1 under the package dof ordering
-    (x1 fastest); the pair is normalized so the full vector has unit norm.
-    """
-    if not (1 <= m <= grid.n_side and 1 <= n <= grid.n_side):
-        raise InvalidConfigError(
-            f"mode indices must lie in [1, {grid.n_side}], got ({m}, {n})"
-        )
+def eigvec_dense(m: int, n: int, grid: Grid) -> np.ndarray:
+    """Unit-norm FD Laplacian eigenvector sin(nπx2) ⊗ sin(mπx1) of mode (m, n), x1 fastest."""
+    _check_mode(m, n, grid)
     pts = np.arange(1, grid.n_side + 1) * grid.h
     f1 = np.sin(m * np.pi * pts)
     f2 = np.sin(n * np.pi * pts)
     f1 /= np.linalg.norm(f1)
     f2 /= np.linalg.norm(f2)
-    return f1, f2
-
-
-def eigvec_dense(m: int, n: int, grid: Grid) -> np.ndarray:
-    """Unit-norm dense FD Laplacian eigenvector for mode (m, n)."""
-    f1, f2 = analytic_separable_eigvec(m, n, grid)
     return np.outer(f2, f1).ravel()
-

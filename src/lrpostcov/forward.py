@@ -61,32 +61,18 @@ class SpaceTimeOperator:
         X = self._lu.solve(B, trans="T" if adjoint else "N")
         return X[:, 0] if squeeze else X
 
-    def _shift(self, W2: np.ndarray, adjoint: bool) -> np.ndarray:
-        """S·W2 (forward) or Sᵀ·W2 (adjoint) on the time factor."""
-        out = np.zeros_like(W2)
+    def apply(self, Y: LowRankMat, adjoint: bool = False) -> LowRankMat:
+        """K·vec(Y) (Kᵀ·vec(Y) if adjoint) in factor form; rank at most doubles, not truncated."""
+        if Y.r == 0:
+            return Y
+        shifted = np.zeros_like(Y.W2)
         if adjoint:
-            out[:-1, :] = W2[1:, :]
+            shifted[:-1] = Y.W2[1:]
         else:
-            out[1:, :] = W2[:-1, :]
-        return out
-
-    def apply(self, Y: LowRankMat) -> LowRankMat:
-        """K·vec(Y) in factor form (rank at most doubles; not truncated)."""
-        if Y.r == 0:
-            return Y
-        return LowRankMat(
-            np.hstack([self.step_matrix @ Y.W1, -self.m_scale * Y.W1]),
-            np.hstack([Y.W2, self._shift(Y.W2, adjoint=False)]),
-        )
-
-    def apply_adjoint(self, Y: LowRankMat) -> LowRankMat:
-        """Kᵀ·vec(Y) in factor form."""
-        if Y.r == 0:
-            return Y
-        return LowRankMat(
-            np.hstack([self.step_matrix.T @ Y.W1, -self.m_scale * Y.W1]),
-            np.hstack([Y.W2, self._shift(Y.W2, adjoint=True)]),
-        )
+            shifted[1:] = Y.W2[:-1]
+        A = self.step_matrix.T if adjoint else self.step_matrix
+        return LowRankMat(np.hstack([A @ Y.W1, -self.m_scale * Y.W1]),
+                          np.hstack([Y.W2, shifted]))
 
 
 def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
@@ -173,4 +159,3 @@ def st_solve_adjoint_sweep(
 ) -> LowRankMat:
     """Kᵀ-solve by backward-in-time substitution with the transposed factorization."""
     return st_solve_sweep(K, rhs, pol, adjoint=True, compress_every=compress_every)
-

@@ -206,7 +206,9 @@ class HessianContext:
         the mask of all rows.
         """
         if self.mode == MODE_STEADY:
-            return steady_poisson_apply(v, self.cov, self.spatial, lu=self._steady_lu)
+            # (beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L is symmetric, so adjoint = forward
+            x = self._steady_lu.solve(self._steady_lu.solve(np.asarray(v, dtype=float)))
+            return (self.cov.beta_prior / self.cov.beta_noise) * x
         K = self.operator
         sqrt_g = math.sqrt(self.cov.gamma_prior)
         if self.mode == MODE_IC:
@@ -224,17 +226,3 @@ class HessianContext:
         if self.mode == MODE_IC:
             return sqrt_g * (K.m_scale * Q.column(0))
         return lr_scale(lr_scale(Q, K.time.tau * K.m_scale), sqrt_g)
-
-
-def steady_poisson_apply(
-    v: np.ndarray,
-    cov: CovarianceSpec,
-    spatial: SpatialOperator,
-    lu=None,
-) -> np.ndarray:
-    """(beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L symmetric so adjoint = forward."""
-    if lu is None:
-        lu = spla.splu(spatial.L.tocsc())
-    x = lu.solve(np.asarray(v, dtype=float))
-    x = lu.solve(x)
-    return (cov.beta_prior / cov.beta_noise) * x

@@ -140,7 +140,7 @@ def dense_posterior_diag(H_preconditioned: np.ndarray, gamma_prior: float) -> np
     return np.diag(post).copy()
 
 
-def _cluster(vals: np.ndarray) -> list[slice]:
+def clusters(vals: np.ndarray) -> list[slice]:
     """Split a descending spectrum into near-degenerate groups."""
     groups, start = [], 0
     for i in range(1, len(vals)):
@@ -195,7 +195,9 @@ def compare(
 
     Eigenvalues are compared index-by-index; eigenvector spans are compared
     per near-degenerate cluster by largest principal angle, so multiple
-    eigenvalues do not produce spurious angle failures.
+    eigenvalues do not produce spurious angle failures.  ``dense_vectors``
+    may end short of k at a cluster boundary: the angle check then leaves
+    out the clusters past it, which the caller could not compare whole.
     """
     k = len(dense_values)
     lr_vals = np.asarray(lr_values, dtype=float)[:k]
@@ -210,9 +212,7 @@ def compare(
     eig_err = np.abs(lr_vals - dn_vals) / denom
 
     max_angle = 0.0
-    for grp in _cluster(dn_vals):
-        if grp.stop > lr_vectors.shape[1]:
-            continue
+    for grp in clusters(dn_vals[: dense_vectors.shape[1]]):
         angles = la.subspace_angles(lr_vectors[:, grp], dense_vectors[:, grp])
         if angles.size:
             max_angle = max(max_angle, float(angles.max()))

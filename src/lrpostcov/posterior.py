@@ -55,15 +55,6 @@ def _reorthonormalize(V: np.ndarray) -> np.ndarray:
     return Q
 
 
-def variance_diag(eigenvalues: np.ndarray, V: np.ndarray, gamma_prior: float) -> np.ndarray:
-    """Diagonal of the approximate posterior covariance, γ·(1 - Σ λ̃ V²)."""
-    V = _reorthonormalize(np.atleast_2d(np.asarray(V, dtype=float)))
-    filters = np.array([lambda_tilde(float(lam)) for lam in np.atleast_1d(eigenvalues)])
-    if V.shape[1] == 0:
-        return np.full(V.shape[0], gamma_prior)
-    return gamma_prior * (1.0 - (V**2) @ filters)
-
-
 def build_summary(
     ritz_values: np.ndarray,
     ritz_vectors,

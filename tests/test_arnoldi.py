@@ -242,13 +242,54 @@ def test_breakdown_test_is_scale_invariant(beta_ratio, unit_ratio_top10):
     assert np.abs(vals.real / beta_ratio - ref).max() <= 1e-10 * ref[0]
 
 
+def _count_above(res, stop):
+    above = int(np.sum(res.ritz_values.real >= stop.eps_eig))
+    assert 0 < above < res.iterations
+    return above
+
+
 def test_stopping_rule_fires_before_cap():
     ctx = _steady_ctx(15)
     v1 = np.ones(ctx.n_param) / np.sqrt(ctx.n_param)
-    res = lr_arnoldi(ctx.apply, v1, POL,
-                     StopRule(m_a=200, eps_eig=1e-9, check_every=5))
-    assert res.iterations < 200
-    assert res.converged_count >= 1
+    stop = StopRule(m_a=200, eps_eig=1e-9, check_every=5)
+    res = lr_arnoldi(ctx.apply, v1, POL, stop)
+    assert res.iterations < 200 and not res.breakdown
+    assert res.converged_count == _count_above(res, stop)
+
+
+@pytest.mark.parametrize("why", ["cap", "breakdown"])
+def test_converged_count_is_final_ritz_values_above_threshold(why):
+    # the count is taken once, from the final Ritz values, whatever ends the
+    # run; test_stopping_rule_fires_before_cap covers a run the rule stops
+    if why == "breakdown":
+        d = np.array([3.0, 2.0, 1.0, 0.5, 0.25])
+        apply, v1 = (lambda x: d * x), np.ones(5) / np.sqrt(5)
+        stop = StopRule(m_a=10, eps_eig=0.4)
+    else:
+        ctx = _steady_ctx(15)
+        apply, v1 = ctx.apply, np.ones(ctx.n_param) / np.sqrt(ctx.n_param)
+        stop = StopRule(m_a=6, eps_eig=1e-9, check_every=5)
+    res = lr_arnoldi(apply, v1, POL, stop)
+    assert res.breakdown == (why == "breakdown")
+    assert (res.iterations == stop.m_a) == (why == "cap")
+    assert res.converged_count == _count_above(res, stop)
+
+
+RTOL = arnoldi.STABILITY_RTOL
+
+
+@pytest.mark.parametrize("vals, prev, ready", [
+    ([5.0, 2.0, 0.05], None, False),                          # first refresh
+    ([5.0, 2.0, 0.09999], [5.0, 2.0, 0.10001], False),        # count above eps_eig changed
+    ([5.0, 2.0 * (1 + 2 * RTOL), 0.05], [5.0, 2.0, 0.05], False),  # drift above the bound
+    ([5.0, 2.0 * (1 + RTOL / 2), 0.05], [5.0, 2.0, 0.02], True),   # stable above eps_eig
+    ([0.05, 0.01], [0.05 * (1 + RTOL / 2), 0.02], True),      # none above: the leading
+    ([0.05, 0.01], [0.05 * (1 + 2 * RTOL), 0.01], False),     # value decides
+])
+def test_stop_ready_table(vals, prev, ready):
+    prev = None if prev is None else np.array(prev, dtype=complex)
+    got = arnoldi._stop_ready(np.array(vals, dtype=complex), prev, StopRule(m_a=10, eps_eig=0.1))
+    assert got is ready
 
 
 def test_stop_rule_validation():

@@ -26,6 +26,11 @@ def test_analytic_table(capsys):
     assert_allclose(float(mu), 1e-4 / lp.discrete_fd_eig(1, 1, grid) ** 2, rtol=1e-15)
 
 
+def test_analytic_rejects_a_nonpositive_k(capsys):
+    assert cli.main(["analytic", "--n-side", "3", "--k", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_steady_eigs_first_value(tmp_path):
     out = tmp_path / "steady"
     rc = cli.main([
@@ -200,6 +205,9 @@ def test_invalid_config_exit_code():
     ["--n-side", "abc"],
     ["--problem", "bogus"],
     ["--problem", "convdiff", "--nu", "-0.01"],
+    ["--start", "random", "--seed", "-1"],
+    ["--k", "0"],
+    ["--k", "-2"],
 ])
 def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, flags):
     out = tmp_path / "out"
@@ -283,6 +291,17 @@ def test_source_mode_oracle_passes(tmp_path):
     rc = cli.main(["oracle", "--problem", "heat", "--n-side", "4", "--nt", "3",
                    "--sensors", "none", "--mode", "source", "--m-a", "60",
                    "--eps-eig", "1e-14", "--check-every", "100", "--out", str(out)])
+    assert rc == 0
+    assert "result=PASS" in (out / "oracle_report.txt").read_text()
+
+
+def test_oracle_passes_when_top_k_ends_inside_a_degenerate_pair(tmp_path):
+    # dense eigenvalues 10 and 11 are an exact pair here; the compared top-k
+    # extends to the end of the pair instead of cutting it
+    out = tmp_path / "pair"
+    rc = cli.main(["oracle", "--problem", "heat", "--mode", "source", "--n-side", "7",
+                   "--nt", "5", "--m-a", "200", "--eps-eig", "1e-12",
+                   "--check-every", "100", "--out", str(out)])
     assert rc == 0
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
 

@@ -222,15 +222,20 @@ class TestMisfitSpaceTimeSource:
         assert oracle.hv_agreement(apply_stacked, Hd, n_probe=10, seed=1) <= 1e-7
 
 
+def _steady_ctx(grid):
+    cov = hs.CovarianceSpec(beta_noise=1e4, beta_prior=1.0, gamma_prior=1.0)
+    return hs.HessianContext(mode=hs.MODE_STEADY, operator=None, layout=None, cov=cov,
+                             pol=POL, spatial=lp.assemble_heat(grid))
+
+
 class TestSteadyPoisson:
     def test_eigenpair_identity(self):
         grid = lp.build_grid(15)
-        op = lp.assemble_heat(grid)
-        cov = hs.CovarianceSpec(beta_noise=1e4, beta_prior=1.0, gamma_prior=1.0)
+        ctx = _steady_ctx(grid)
         for m, n in [(1, 1), (3, 2)]:
             v = lp.eigvec_dense(m, n, grid)
             mu = 1e-4 / lp.discrete_fd_eig(m, n, grid) ** 2
-            out = hs.steady_poisson_apply(v, cov, op)
+            out = ctx.apply(v)
             assert np.linalg.norm(out - mu * v) <= 1e-10 * mu
 
     def test_continuum_value(self):
@@ -243,9 +248,7 @@ class TestSteadyPoisson:
 
     def test_zero_maps_to_zero(self):
         grid = lp.build_grid(9)
-        op = lp.assemble_heat(grid)
-        cov = hs.CovarianceSpec(1e4, 1.0, 1.0)
-        assert np.linalg.norm(hs.steady_poisson_apply(np.zeros(grid.n_x), cov, op)) == 0.0
+        assert np.linalg.norm(_steady_ctx(grid).apply(np.zeros(grid.n_x))) == 0.0
 
     def test_eigen_decay_ratio_squares(self):
         grid = lp.build_grid(15)

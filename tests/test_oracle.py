@@ -228,6 +228,24 @@ def test_compare_clusters_degenerate_groups():
     assert report.max_principal_angle <= 1e-10
 
 
+def test_compare_needs_the_whole_cluster_at_the_k_boundary():
+    # dense eigenvalues k and k+1 are equal: a top-k that cuts the pair
+    # compares one vector of a 2-D eigenspace with another, an arbitrary angle
+    vals = np.array([3.0, 2.0, 1.0, 1.0])
+    V = np.linalg.qr(np.random.default_rng(4).standard_normal((8, 4)))[0]
+    c, s = np.cos(0.7), np.sin(0.7)
+    W = V.copy()
+    W[:, 2:] = V[:, 2:] @ np.array([[c, -s], [s, c]])
+    cut = oracle.compare(vals[:3], W[:, :3], vals[:3], V[:, :3])
+    assert not cut.passed and cut.max_principal_angle == pytest.approx(0.7)
+    whole = oracle.compare(vals, W, vals, V)
+    assert whole.passed and whole.max_principal_angle <= 1e-10
+    # dense vectors that end before the pair leave it out of the angle check
+    # only; its eigenvalue still counts
+    left_out = oracle.compare(vals[:3], W[:, :3], vals[:3], V[:, :2])
+    assert left_out.passed and left_out.eig_rel_errors.size == 3
+
+
 def test_report_text_roundtrip():
     report = oracle.OracleReport(
         eig_rel_errors=np.array([1e-9]), max_eig_rel_error=1e-9,

@@ -26,6 +26,12 @@ def _orthonormal(rng, n, k):
     return Q
 
 
+def _variance(lams, V, gamma_prior):
+    """The variance diagonal that build_summary forms from the pairs (lams, V)."""
+    return posterior.build_summary(np.asarray(lams, dtype=float), list(V.T), gamma_prior,
+                                   n_x=V.shape[0]).variance_field
+
+
 def test_empty_retention_gives_prior_field():
     summary = posterior.build_summary(np.array([]), [], gamma_prior=10.0,
                                       eps_eig=0.1, n_x=25)
@@ -36,7 +42,7 @@ def test_empty_retention_gives_prior_field():
 def test_huge_eigenvalue_localizes_variance():
     n = 16
     V = np.eye(n)[:, [0]]
-    var = posterior.variance_diag(np.array([1e12]), V, gamma_prior=10.0)
+    var = _variance(np.array([1e12]), V, gamma_prior=10.0)
     assert var[0] <= 1e-9
     assert_allclose(var[1:], 10.0)
 
@@ -98,7 +104,7 @@ def test_variance_bounded_by_prior_and_positive():
     rng = np.random.default_rng(2)
     V = _orthonormal(rng, 40, 6)
     lams = np.sort(rng.uniform(0.01, 50.0, 6))[::-1]
-    var = posterior.variance_diag(lams, V, gamma_prior=10.0)
+    var = _variance(lams, V, gamma_prior=10.0)
     assert (var <= 10.0 + 1e-12).all() and (var > 0).all()
 
 
@@ -106,8 +112,8 @@ def test_adding_retained_pair_never_increases_variance():
     rng = np.random.default_rng(3)
     V = _orthonormal(rng, 40, 6)
     lams = np.sort(rng.uniform(0.1, 20.0, 6))[::-1]
-    prev = posterior.variance_diag(lams[:3], V[:, :3], gamma_prior=10.0)
-    more = posterior.variance_diag(lams[:5], V[:, :5], gamma_prior=10.0)
+    prev = _variance(lams[:3], V[:, :3], gamma_prior=10.0)
+    more = _variance(lams[:5], V[:, :5], gamma_prior=10.0)
     assert (more <= prev + 1e-12).all()
 
 
@@ -116,8 +122,8 @@ def test_noise_weight_scaling_shrinks_variance_entrywise():
     rng = np.random.default_rng(4)
     V = _orthonormal(rng, 30, 4)
     lams = np.sort(rng.uniform(0.05, 5.0, 4))[::-1]
-    base = posterior.variance_diag(lams, V, gamma_prior=10.0)
-    scaled = posterior.variance_diag(100.0 * lams, V, gamma_prior=10.0)
+    base = _variance(lams, V, gamma_prior=10.0)
+    scaled = _variance(100.0 * lams, V, gamma_prior=10.0)
     affected = (V**2).sum(axis=1) > 1e-12
     assert (scaled[affected] < base[affected]).all()
 
@@ -143,7 +149,7 @@ def test_nonorthogonal_input_is_cleaned():
     rng = np.random.default_rng(6)
     v = _orthonormal(rng, 25, 1)[:, 0]
     V = np.column_stack([v, v + 1e-7 * rng.standard_normal(25)])
-    var = posterior.variance_diag(np.array([10.0, 10.0]), V, gamma_prior=1.0)
+    var = _variance(np.array([10.0, 10.0]), V, gamma_prior=1.0)
     assert var.min() > 0  # would go negative without reorthonormalization
 
 
