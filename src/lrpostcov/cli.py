@@ -1,7 +1,7 @@
 """Experiment configuration and command-line orchestration.
 
 Configuration is a flat set of key=value pairs with precedence
-flag > environment (LRPOSTCOV_*) > config file > default.  Every command
+flag > config file > default.  Every command
 writes a manifest echoing the fully resolved configuration into the output
 directory; re-running with --config pointing at that manifest reproduces
 the CSV/PGM outputs bitwise.  Wall-clock timings only ever go to
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -36,9 +35,7 @@ from .lowrank import (
     lr_to_dense,
 )
 
-ENV_PREFIX = "LRPOSTCOV_"
-
-PROBLEMS = ("heat", "convdiff", "steady-poisson")
+PROBLEMS = ("heat", "convdiff")
 MODES = (hessian.MODE_IC, hessian.MODE_SOURCE, hessian.MODE_STEADY)
 
 
@@ -51,12 +48,9 @@ class RunConfig:
     nu: float = 1e-2
     wind: tuple[float, float] = (0.0, 1.0)
     beta_ratio: float = 1e4
-    gamma_mode: str = "scalar"      # scalar: gamma_prior given; beta: beta_prior given
     gamma_prior: float = 10.0
-    beta_prior: float = 1.0
     sensors: str = "grid3x3"        # none (= full observation) | grid3x3 | custom:...
     eps0: float = 1e-8
-    r_max: int | None = None
     eps_eig: float = 1e-1
     m_a: int = 100
     check_every: int = 10
@@ -81,8 +75,6 @@ def _parse_value(key: str, raw: str):
         if key == "wind":
             wx, wy = map(float, raw.split(","))  # exactly two components
             return (wx, wy)
-        if key == "r_max":
-            return None if raw.lower() in ("none", "") else int(raw)
         if kind == "int":
             return int(raw)
         if kind == "float":
@@ -95,8 +87,6 @@ def _parse_value(key: str, raw: str):
 def _format_value(key: str, value) -> str:
     if key == "wind":
         return f"{value[0]:.17g},{value[1]:.17g}"
-    if value is None:
-        return "none"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -119,22 +109,11 @@ def load_config_file(path) -> dict:
     return updates
 
 
-def env_overrides(environ=None) -> dict:
-    environ = environ if environ is not None else os.environ
-    updates = {}
-    for key in _FIELD_TYPES:
-        raw = environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            updates[key] = _parse_value(key, raw)
-    return updates
-
-
-def resolve_config(file_path=None, env=None, flag_updates=None) -> RunConfig:
-    """Apply precedence flag > env > file > default and validate."""
+def resolve_config(file_path=None, flag_updates=None) -> RunConfig:
+    """Apply precedence flag > file > default and validate."""
     cfg = RunConfig()
     if file_path is not None:
         cfg = replace(cfg, **load_config_file(file_path))
-    cfg = replace(cfg, **env_overrides(env))
     if flag_updates:
         parsed = {k: _parse_value(k, v) if isinstance(v, str) else v
                   for k, v in flag_updates.items()}
@@ -153,33 +132,29 @@ def validate_config(cfg: RunConfig) -> None:
         raise InvalidConfigError(f"problem must be one of {PROBLEMS}, got {cfg.problem!r}")
     if cfg.mode not in MODES:
         raise InvalidConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.problem == "steady-poisson" and cfg.mode != hessian.MODE_STEADY:
-        raise InvalidConfigError("problem steady-poisson requires mode=steady")
-    if cfg.problem != "steady-poisson" and cfg.mode == hessian.MODE_STEADY:
-        raise InvalidConfigError("mode=steady requires problem=steady-poisson")
+    if cfg.mode == hessian.MODE_STEADY and cfg.problem != "heat":
+        raise InvalidConfigError("mode=steady requires problem=heat")
     if cfg.n_side < 2:
         raise InvalidConfigError(f"n_side must be >= 2, got {cfg.n_side}")
     if cfg.nt < 1:
         raise InvalidConfigError(f"nt must be >= 1, got {cfg.nt}")
     if not (0 < cfg.eps0 < 1):
         raise InvalidConfigError(f"eps0 must lie in (0, 1), got {cfg.eps0}")
-    if (cfg.eps_eig <= 0 or cfg.beta_ratio <= 0 or cfg.m_a < 1 or cfg.check_every < 1
-            or cfg.compress_every < 1):
-        raise InvalidConfigError(
-            "eps_eig, beta_ratio, m_a, check_every, compress_every must be positive")
+    if (cfg.eps_eig <= 0 or cfg.beta_ratio <= 0 or cfg.gamma_prior <= 0 or cfg.final_time <= 0
+            or cfg.nu <= 0 or cfg.m_a < 1 or cfg.check_every < 1 or cfg.compress_every < 1):
+        raise InvalidConfigError("eps_eig, beta_ratio, gamma_prior, final_time, nu, m_a, "
+                                 "check_every, compress_every must be positive")
     if cfg.seed < 0 or cfg.k < 1:
         raise InvalidConfigError(f"need seed >= 0 and k >= 1, got seed={cfg.seed}, k={cfg.k}")
-    if cfg.r_max is not None and cfg.r_max < 0:
-        raise InvalidConfigError(f"r_max must be nonnegative or none, got {cfg.r_max}")
-    if cfg.gamma_mode not in ("scalar", "beta"):
-        raise InvalidConfigError(f"gamma_mode must be scalar or beta, got {cfg.gamma_mode!r}")
     if cfg.start not in ("ones", "random"):
         raise InvalidConfigError(f"start must be ones or random, got {cfg.start!r}")
     if cfg.on_breakdown not in ("stop", "restart"):
         raise InvalidConfigError(
             f"on_breakdown must be stop or restart, got {cfg.on_breakdown!r}")
     if cfg.sensors.startswith("custom:"):
-        _custom_patches(cfg.sensors)  # rejects malformed patches before any output
+        # rejects malformed or unresolvable patches before any output
+        hessian.make_sensor_layout(_custom_patches(cfg.sensors),
+                                   discretize.build_grid(cfg.n_side))
     elif cfg.sensors not in ("none", "grid3x3"):
         raise InvalidConfigError(f"unknown sensors setting {cfg.sensors!r}")
 
@@ -237,13 +212,10 @@ def _build_layout(cfg: RunConfig, grid: discretize.Grid, notes: dict):
 def build_problem(cfg: RunConfig) -> Problem:
     notes: dict = {}
     grid = discretize.build_grid(cfg.n_side)
-    if cfg.gamma_mode == "scalar":
-        cov = hessian.CovarianceSpec.from_gamma(cfg.gamma_prior, cfg.beta_ratio, grid)
-    else:
-        cov = hessian.CovarianceSpec.from_beta(cfg.beta_prior, cfg.beta_ratio, grid)
-    pol = TruncationPolicy(eps0=cfg.eps0, r_max=cfg.r_max)
+    cov = hessian.CovarianceSpec.from_gamma(cfg.gamma_prior, cfg.beta_ratio, grid)
+    pol = TruncationPolicy(eps0=cfg.eps0)
 
-    if cfg.problem == "steady-poisson":
+    if cfg.mode == hessian.MODE_STEADY:
         spatial = discretize.assemble_heat(grid)
         ctx = hessian.HessianContext(
             mode=hessian.MODE_STEADY, operator=None, layout=None,
@@ -474,7 +446,7 @@ def run_oracle(cfg: RunConfig):
         result.ritz_values.real, lr_vecs, dn_vals[:k], dn_vecs[:, :n_angle], Hd=Hd,
         lr_variance=lr_var, dense_variance=dn_var, hv_rel_error=hv_err,
     )
-    report.tolerances["asymmetry"] = asymmetry
+    report.asymmetry = asymmetry
     return problem, result, report
 
 

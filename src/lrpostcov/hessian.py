@@ -40,10 +40,8 @@ def _finite_positive(*values: float) -> bool:
 class CovarianceSpec:
     """Noise/prior covariance scalars; all finite and strictly positive.
 
-    The prior covariance is gamma_prior·I.  The two presets implement the
-    single identity gamma_prior·beta_prior·h^d = 1 from either direction:
-    ``from_gamma`` derives beta_prior from a given gamma_prior, and
-    ``from_beta`` derives gamma_prior from a given beta_prior.
+    The prior covariance is gamma_prior·I.  ``from_gamma`` derives
+    beta_prior from a given gamma_prior through gamma_prior·beta_prior·h^d = 1.
     """
 
     beta_noise: float
@@ -66,14 +64,6 @@ class CovarianceSpec:
         beta_prior = 1.0 / (gamma_prior * grid.m_scale)
         return cls(beta_noise=beta_ratio * beta_prior, beta_prior=beta_prior,
                    gamma_prior=gamma_prior)
-
-    @classmethod
-    def from_beta(cls, beta_prior: float, beta_ratio: float, grid: Grid) -> "CovarianceSpec":
-        if not _finite_positive(beta_prior, beta_ratio):
-            raise InvalidConfigError("beta_prior and beta_ratio must be finite and positive, "
-                                     f"got {beta_prior} and {beta_ratio}")
-        return cls(beta_noise=beta_ratio * beta_prior, beta_prior=beta_prior,
-                   gamma_prior=1.0 / (beta_prior * grid.m_scale))
 
 
 @dataclass(frozen=True)

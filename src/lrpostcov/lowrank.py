@@ -26,16 +26,13 @@ NOISE_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Relative Frobenius tolerance eps0 plus an optional hard rank cap."""
+    """Relative Frobenius tolerance eps0 of every recompression."""
 
     eps0: float = 1e-8
-    r_max: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.eps0 < 1.0):
             raise ValueError(f"eps0 must lie in (0, 1), got {self.eps0}")
-        if self.r_max is not None and self.r_max < 0:
-            raise ValueError(f"r_max must be nonnegative, got {self.r_max}")
 
 
 class LowRankMat:
@@ -98,7 +95,7 @@ def lr_from_dense(X: np.ndarray, pol: TruncationPolicy) -> LowRankMat:
 
 
 def _rank_cut(s: np.ndarray, pol: TruncationPolicy) -> int:
-    """Smallest r with sqrt(sum of discarded σ²) <= eps0 * ||σ||, capped by r_max."""
+    """Smallest r with sqrt(sum of discarded σ²) <= eps0 * ||σ||."""
     if s.size == 0 or s[0] <= 0.0:
         return 0
     s = np.where(s < NOISE_FLOOR * s[0], 0.0, s)
@@ -107,10 +104,7 @@ def _rank_cut(s: np.ndarray, pol: TruncationPolicy) -> int:
     # Smallest r with tail[r] <= eps0*total; tail is descending so search the
     # negated (ascending) array.
     keep = int(np.searchsorted(-tail, -pol.eps0 * total, side="left"))
-    keep = min(keep, int(np.count_nonzero(s)))
-    if pol.r_max is not None:
-        keep = min(keep, pol.r_max)
-    return keep
+    return min(keep, int(np.count_nonzero(s)))
 
 
 def _svd_flip(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -162,7 +162,8 @@ class OracleReport:
     max_pair_residual: float
     variance_rel_error: float | None
     hv_rel_error: float | None
-    tolerances: dict = field(default_factory=dict)
+    asymmetry: float | None = None  # dense builder's asymmetry defect, measured
+    tolerances: dict = field(default_factory=dict)  # pass thresholds only
     passed: bool = False
 
     def as_text(self) -> str:
@@ -175,6 +176,8 @@ class OracleReport:
             lines.append(f"variance_rel_error={self.variance_rel_error:.6e}")
         if self.hv_rel_error is not None:
             lines.append(f"hv_rel_error={self.hv_rel_error:.6e}")
+        if self.asymmetry is not None:
+            lines.append(f"asymmetry={self.asymmetry:.6e}")
         for key, tol in self.tolerances.items():
             lines.append(f"tol_{key}={tol:.6e}")
         lines.append(f"result={'PASS' if self.passed else 'FAIL'}")

@@ -33,8 +33,8 @@ def _sorted_modes(grid, k):
 
 @pytest.fixture(scope="module")
 def steady_run():
-    cfg = cli.RunConfig(problem="steady-poisson", mode="steady", n_side=31,
-                        beta_ratio=1e4, gamma_mode="scalar", gamma_prior=10.0,
+    cfg = cli.RunConfig(problem="heat", mode="steady", n_side=31,
+                        beta_ratio=1e4, gamma_prior=10.0,
                         m_a=220, eps_eig=1e-13, check_every=50, start="ones",
                         on_breakdown="restart")
     t0 = time.perf_counter()
@@ -45,7 +45,7 @@ def steady_run():
 @pytest.fixture(scope="module")
 def oracle_heat():
     cfg = cli.RunConfig(problem="heat", n_side=7, nt=5, sensors="grid3x3",
-                        beta_ratio=1e4, gamma_mode="scalar", gamma_prior=10.0,
+                        beta_ratio=1e4, gamma_prior=10.0,
                         eps0=1e-8, m_a=100, eps_eig=1e-12, check_every=100,
                         mode="ic")
     t0 = time.perf_counter()
@@ -57,7 +57,7 @@ def oracle_heat():
 def oracle_convdiff():
     cfg = cli.RunConfig(problem="convdiff", nu=1e-2, wind=(0.0, 1.0), n_side=5,
                         nt=4, sensors="grid3x3", beta_ratio=1e4,
-                        gamma_mode="scalar", gamma_prior=10.0, eps0=1e-8,
+                        gamma_prior=10.0, eps0=1e-8,
                         m_a=100, eps_eig=1e-12, check_every=100, mode="ic")
     t0 = time.perf_counter()
     problem, result, report = cli.run_oracle(cfg)
@@ -70,7 +70,7 @@ def nt_sweep_runs():
     t0 = time.perf_counter()
     for nt in (30, 60, 90):
         cfg = cli.RunConfig(problem="heat", n_side=31, nt=nt, sensors="grid3x3",
-                            beta_ratio=1e4, gamma_mode="scalar", gamma_prior=10.0,
+                            beta_ratio=1e4, gamma_prior=10.0,
                             eps0=1e-8, m_a=60, eps_eig=1e-2, check_every=10,
                             mode="ic")
         runs[nt] = cli.run_eigs(cfg)
@@ -83,7 +83,7 @@ def nu_sweep_runs():
     for nu in (1e-1, 1e-2, 1e-3):
         cfg = cli.RunConfig(problem="convdiff", nu=nu, wind=(0.0, 1.0), n_side=31,
                             nt=30, sensors="grid3x3", beta_ratio=1e4,
-                            gamma_mode="scalar", gamma_prior=10.0, eps0=1e-8,
+                            gamma_prior=10.0, eps0=1e-8,
                             m_a=50, eps_eig=1e-1, check_every=10, mode="ic")
         runs[nu] = cli.run_eigs(cfg)
     return runs
@@ -95,7 +95,7 @@ def variance_runs():
     t0 = time.perf_counter()
     for eps_eig in (1e-1, 1e-3):
         cfg = cli.RunConfig(problem="heat", n_side=63, nt=30, sensors="grid3x3",
-                            beta_ratio=1e4, gamma_mode="scalar", gamma_prior=10.0,
+                            beta_ratio=1e4, gamma_prior=10.0,
                             eps0=1e-8, m_a=120, eps_eig=eps_eig, check_every=10,
                             mode="ic")
         runs[eps_eig] = cli.run_variance(cfg)
@@ -107,7 +107,7 @@ def ratio_runs():
     runs = {}
     for ratio in (1e4, 1e6):
         cfg = cli.RunConfig(problem="heat", n_side=31, nt=30, sensors="grid3x3",
-                            beta_ratio=ratio, gamma_mode="scalar", gamma_prior=10.0,
+                            beta_ratio=ratio, gamma_prior=10.0,
                             eps0=1e-8, m_a=150, eps_eig=1e0, check_every=1,
                             mode="ic")
         runs[ratio] = cli.run_variance(cfg)
@@ -321,7 +321,7 @@ def test_criterion_9_beta_ratio_monotonicity(ratio_runs):
 def test_criterion_10_truncation_tolerance_robustness(oracle_heat):
     _, result8, _, _ = oracle_heat
     cfg = cli.RunConfig(problem="heat", n_side=7, nt=5, sensors="grid3x3",
-                        beta_ratio=1e4, gamma_mode="scalar", gamma_prior=10.0,
+                        beta_ratio=1e4, gamma_prior=10.0,
                         eps0=1e-10, m_a=57, eps_eig=1e-12, check_every=100,
                         mode="ic", on_breakdown="restart")
     run10 = cli.run_eigs(cfg)

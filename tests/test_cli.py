@@ -34,7 +34,7 @@ def test_analytic_rejects_a_nonpositive_k(capsys):
 def test_steady_eigs_first_value(tmp_path):
     out = tmp_path / "steady"
     rc = cli.main([
-        "eigs", "--problem", "steady-poisson", "--mode", "steady",
+        "eigs", "--problem", "heat", "--mode", "steady",
         "--n-side", "15", "--m-a", "60", "--eps-eig", "1e-12",
         "--check-every", "100", "--k", "5", "--out", str(out),
     ])
@@ -44,6 +44,11 @@ def test_steady_eigs_first_value(tmp_path):
     grid = lp.build_grid(15)
     expect = 1e-4 / lp.discrete_fd_eig(1, 1, grid) ** 2
     assert_allclose(float(rows[0][1]), expect, rtol=1e-8)
+    # the steady manifest names the heat problem and replays bitwise
+    assert "problem=heat\n" in (out / "manifest.cfg").read_text()
+    replay = tmp_path / "replay"
+    assert cli.main(["eigs", "--config", str(out / "manifest.cfg"), "--out", str(replay)]) == 0
+    assert (replay / "eigenvalues.csv").read_bytes() == (out / "eigenvalues.csv").read_bytes()
 
 
 def test_runs_are_bitwise_deterministic(tmp_path):
@@ -110,6 +115,8 @@ def test_oracle_pass_heat(tmp_path):
     assert rc == 0
     text = (out / "oracle_report.txt").read_text()
     assert "result=PASS" in text
+    # the dense builder's asymmetry is a measurement, not a tol_* threshold
+    assert "\nasymmetry=" in text and "tol_asymmetry" not in text
 
 
 def test_oracle_pass_convdiff(tmp_path):
@@ -175,16 +182,33 @@ def test_sweep_records_point_failure_and_continues(tmp_path):
     assert not (out / "nu_-1.0").exists()  # a failing point writes nothing
 
 
+@pytest.mark.parametrize("flags", [
+    ["--gamma-prior", "-1"],
+    ["--final-time", "0"],
+    ["--problem", "convdiff", "--nu", "-0.1"],
+    ["--sensors", "custom:2,2,0.1"],
+])
+def test_sweep_rejects_a_bad_base_value_without_output(tmp_path, flags):
+    # the base configuration is checked once, before any point runs
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--axis", "nt", "--values", "4,5", "--n-side", "7",
+                   "--m-a", "5", "--out", str(out), *flags])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_sweep_rejects_unknown_axis(tmp_path):
     rc = cli.main(["sweep", "--axis", "bogus", "--values", "1,2",
                    "--out", str(tmp_path / "x")])
     assert rc == 2
 
 
-def test_invalid_config_exit_code():
-    assert cli.main(["eigs", "--n-side", "1", "--out", "/tmp/nope"]) == 2
-    assert cli.main(["eigs", "--problem", "heat", "--mode", "steady",
-                     "--out", "/tmp/nope"]) == 2
+def test_invalid_config_exit_code(tmp_path):
+    out = tmp_path / "nope"
+    assert cli.main(["eigs", "--n-side", "1", "--out", str(out)]) == 2
+    assert cli.main(["eigs", "--problem", "convdiff", "--mode", "steady",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -194,13 +218,13 @@ def test_invalid_config_exit_code():
     ["--problem", "convdiff", "--nu", "nan"],
     ["--final-time", "inf"],
     ["--eps0", "nan"],
-    ["--gamma-mode", "beta", "--beta-prior", "nan"],
+    ["--problem", "steady-poisson", "--mode", "steady"],
     ["--problem", "convdiff", "--wind", "0,-inf"],
     ["--sensors", "custom:0.5,0.5,inf"],
     ["--sensors", "custom:a,0.5,0.2"],
     ["--wind", "a,b"],
-    ["--r-max", "abc"],
-    ["--r-max", "-3"],
+    ["--problem", "convdiff", "--mode", "steady"],
+    ["--gamma-prior", "-1"],
     ["--compress-every", "0"],
     ["--n-side", "abc"],
     ["--problem", "bogus"],
@@ -217,37 +241,37 @@ def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, flags):
     assert not out.exists()
 
 
-def test_precedence_flag_env_file(tmp_path, monkeypatch):
+def test_precedence_flag_file(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("n_side=9\nnt=7\nnu=0.5\n")
-    monkeypatch.setenv("LRPOSTCOV_NT", "11")
     cfg = cli.resolve_config(file_path=cfg_file, flag_updates={"nu": 0.25})
     assert cfg.n_side == 9      # from file
-    assert cfg.nt == 11         # env beats file
-    assert cfg.nu == 0.25       # flag beats env and file
+    assert cfg.nt == 7          # from file
+    assert cfg.nu == 0.25       # flag beats file
+    assert cfg.eps0 == cli.RunConfig().eps0  # default
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
+    # the removed keys of older manifests are unknown keys too
     bad = tmp_path / "bad.cfg"
-    bad.write_text("frobnicate=1\n")
-    with pytest.raises(lp.InvalidConfigError):
-        cli.resolve_config(file_path=bad)
+    for line in ("frobnicate=1", "gamma_mode=scalar", "r_max=none", "beta_prior=1"):
+        bad.write_text(line + "\n")
+        with pytest.raises(lp.InvalidConfigError, match="unknown configuration key"):
+            cli.resolve_config(file_path=bad)
 
 
-def test_wind_and_rmax_parsing():
-    cfg = cli.resolve_config(flag_updates={"wind": "0.5,-1.0", "r_max": "7"})
-    assert cfg.wind == (0.5, -1.0) and cfg.r_max == 7
-    cfg = cli.resolve_config(flag_updates={"r_max": "none"})
-    assert cfg.r_max is None
+def test_wind_parsing():
+    cfg = cli.resolve_config(flag_updates={"wind": "0.5,-1.0"})
+    assert cfg.wind == (0.5, -1.0)
 
 
 def test_manifest_lines_replay_as_flags(tmp_path):
     # every manifest key, spelled as a flag, must reach the same RunConfig
     cfg = cli.RunConfig(
         problem="convdiff", n_side=17, nt=12, final_time=0.5, nu=0.03,
-        wind=(-0.5, 0.25), beta_ratio=100.0, gamma_mode="beta", gamma_prior=2.5,
-        beta_prior=0.1, sensors="custom:0.5,0.5,0.2;0.25,0.75,0.1", eps0=1e-6,
-        r_max=9, eps_eig=1e-3, m_a=40, check_every=5, mode="source",
+        wind=(-0.5, 0.25), beta_ratio=100.0, gamma_prior=2.5,
+        sensors="custom:0.5,0.5,0.2;0.25,0.75,0.1", eps0=1e-6, eps_eig=1e-3, m_a=40,
+        check_every=5, mode="source",
         start="random", on_breakdown="restart", seed=7, compress_every=3, k=12,
         out=str(tmp_path / "replay"),
     )
@@ -258,7 +282,7 @@ def test_manifest_lines_replay_as_flags(tmp_path):
         key, value = line.split("=", 1)
         argv.append(f"--{key.replace('_', '-')}={value}")
     args = cli.build_parser().parse_args(argv)
-    assert cli.resolve_config(env={}, flag_updates=cli._flag_updates(args)) == cfg
+    assert cli.resolve_config(flag_updates=cli._flag_updates(args)) == cfg
 
 
 def test_manifest_contains_all_fields(tmp_path):

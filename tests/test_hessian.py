@@ -21,12 +21,11 @@ def _heat_ctx(n_side, n_t, layout=None, cov=None, gamma=10.0, ratio=1e4):
 
 
 class TestCovarianceSpec:
-    def test_presets_implement_the_same_identity(self):
+    def test_from_gamma_implements_the_identity(self):
         grid = lp.build_grid(31)
         a = hs.CovarianceSpec.from_gamma(10.0, 1e4, grid)
-        b = hs.CovarianceSpec.from_beta(a.beta_prior, 1e4, grid)
+        assert a.gamma_prior == 10.0
         assert_allclose(a.gamma_prior * a.beta_prior * grid.m_scale, 1.0, rtol=1e-14)
-        assert_allclose(b.gamma_prior, a.gamma_prior, rtol=1e-14)
         assert_allclose(a.beta_noise, 1e4 * a.beta_prior, rtol=1e-14)
 
     def test_rejects_nonpositive(self):
@@ -45,8 +44,6 @@ class TestCovarianceSpec:
             hs.CovarianceSpec.from_gamma(bad, 1e4, grid)
         with pytest.raises(InvalidConfigError):
             hs.CovarianceSpec.from_gamma(10.0, bad, grid)
-        with pytest.raises(InvalidConfigError):
-            hs.CovarianceSpec.from_beta(bad, 1e4, grid)
 
 
 class TestSensorLayout:

@@ -29,8 +29,6 @@ def test_policy_validation():
         TruncationPolicy(eps0=0.0)
     with pytest.raises(ValueError):
         TruncationPolicy(eps0=1.5)
-    with pytest.raises(ValueError):
-        TruncationPolicy(eps0=1e-8, r_max=-1)
 
 
 def test_factor_shape_validation():
@@ -103,13 +101,6 @@ def test_truncate_zero_matrix():
     A = LowRankMat(np.zeros((10, 2)), np.zeros((8, 2)))
     assert lr_truncate(A, POL).r == 0
     assert lr_truncate(LowRankMat.zeros(10, 8), POL).r == 0
-
-
-def test_rank_cap():
-    rng = np.random.default_rng(5)
-    A = _random_lowrank(rng, 30, 30, 10)
-    out = lr_truncate(A, TruncationPolicy(eps0=1e-12, r_max=4))
-    assert out.r == 4
 
 
 def test_add_is_exact_concatenation():

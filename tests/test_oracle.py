@@ -250,12 +250,18 @@ def test_report_text_roundtrip():
     report = oracle.OracleReport(
         eig_rel_errors=np.array([1e-9]), max_eig_rel_error=1e-9,
         max_principal_angle=2e-7, max_pair_residual=3e-9,
-        variance_rel_error=4e-6, hv_rel_error=5e-10,
+        variance_rel_error=4e-6, hv_rel_error=5e-10, asymmetry=4.3e-17,
         tolerances={"eig_rel": 1e-6}, passed=True,
     )
     text = report.as_text()
     assert "result=PASS" in text
     parsed = dict(line.split("=") for line in text.strip().splitlines())
+    # measurements first, then the pass thresholds as tol_* lines only
+    assert list(parsed) == [
+        "max_eig_rel_error", "max_principal_angle", "max_pair_residual",
+        "variance_rel_error", "hv_rel_error", "asymmetry", "tol_eig_rel", "result",
+    ]
+    assert float(parsed["asymmetry"]) == pytest.approx(4.3e-17)
     assert float(parsed["max_eig_rel_error"]) == pytest.approx(1e-9)
     assert float(parsed["variance_rel_error"]) == pytest.approx(4e-6)
 
