@@ -72,7 +72,7 @@ class ArnoldiResult:
     H: np.ndarray                 # (m+1, m) Hessenberg matrix
     basis: list                   # m (or m+1) orthonormal vectors
     rank_trace: list[int]         # max intermediate rank per iteration
-    ritz_values: np.ndarray       # complex, descending real part
+    ritz_values: np.ndarray       # real, descending
     ritz_vectors: list            # same representation as the basis
     converged_count: int          # final Ritz values >= eps_eig
     breakdown: bool               # an invariant subspace was reached
@@ -90,6 +90,13 @@ class ArnoldiResult:
                 g = ops.dot(self.basis[i], self.basis[j])
                 worst = max(worst, abs(g - (1.0 if i == j else 0.0)))
         return worst
+
+    def asymmetry(self) -> float:
+        """max |Hm - Hmᵀ| / max |Hm| over the leading square block (0 if zero)."""
+        m = self.H.shape[1]
+        Hm = self.H[:m, :m]
+        scale = float(np.abs(Hm).max())
+        return float(np.abs(Hm - Hm.T).max()) / scale if scale > 0 else 0.0
 
 
 class _VectorOps:
@@ -127,7 +134,7 @@ class _DenseOps(_VectorOps):
     def combine(basis, coeffs):
         out = np.zeros_like(basis[0], dtype=float)
         for v, c in zip(basis, coeffs):
-            out += float(np.real(c)) * v
+            out += float(c) * v
         return out
 
 
@@ -150,7 +157,7 @@ class _LowRankOps(_VectorOps):
         return bool(np.isfinite(w.W1).all() and np.isfinite(w.W2).all())
 
     def combine(self, basis, coeffs):
-        return lr_truncate(lr_sum(basis, np.real(coeffs)), self.pol)
+        return lr_truncate(lr_sum(basis, coeffs), self.pol)
 
 
 def _ops_for(v, pol: TruncationPolicy | None = None):
@@ -159,36 +166,30 @@ def _ops_for(v, pol: TruncationPolicy | None = None):
 
 
 def _hessenberg_eigs(Hm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the leading square Hessenberg block, descending real part."""
+    """Eigenpairs of the symmetric part of a square Hessenberg block, descending.
+
+    The operator is a Hessian, so with full reorthogonalization Arnoldi is
+    Lanczos and Hm = VᵀAV is symmetric up to rounding and truncation noise
+    (ArnoldiResult.asymmetry measures it).  The skew part moves a simple
+    eigenvalue only at second order; a general eigensolve would instead turn
+    a skewed exact pair into a complex conjugate pair.
+    """
     try:
-        vals, vecs = np.linalg.eig(Hm)
+        vals, vecs = np.linalg.eigh(0.5 * (Hm + Hm.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense Hessenberg eigensolve failed: {exc}") from exc
-    order = np.argsort(-vals.real)
-    return vals[order], vecs[:, order]
+    return vals[::-1], vecs[:, ::-1]
 
 
 def ritz_pairs(H: np.ndarray, basis: list, pol: TruncationPolicy | None = None) -> list:
-    """Ritz pairs from the leading m×m Hessenberg block.
+    """Real Ritz pairs from the leading m×m Hessenberg block, descending.
 
-    Values are reported as complex (imaginary parts are not dropped); the
-    vectors are basis combinations using the real part of the coefficients,
-    normalized, and recompressed in low-rank mode.
-
-    When the block is numerically symmetric (the operator is a Hessian and
-    full reorthogonalization keeps H = VᵀAV symmetric up to truncation
-    noise), the combination coefficients come from a symmetric eigensolve:
-    general eigenvectors are arbitrarily skewed inside degenerate clusters,
-    which would bias every downstream V-based quantity.
+    Values and combination coefficients come from the same symmetric
+    eigensolve; each vector is the basis combination, normalized, and
+    recompressed in low-rank mode.
     """
     m = H.shape[1]
-    Hm = H[:m, :m]
-    vals, vecs = _hessenberg_eigs(Hm)
-    scale = float(np.abs(Hm).max()) if m else 0.0
-    defect = float(np.abs(Hm - Hm.T).max()) if m else 0.0
-    if scale > 0 and defect <= 1e-6 * scale:
-        sym_vals, sym_vecs = np.linalg.eigh(0.5 * (Hm + Hm.T))
-        vecs = sym_vecs[:, ::-1]  # descending, orthonormal columns
+    vals, vecs = _hessenberg_eigs(H[:m, :m])
     ops = _ops_for(basis[0], pol)
     pairs = []
     for i in range(m):
@@ -196,7 +197,7 @@ def ritz_pairs(H: np.ndarray, basis: list, pol: TruncationPolicy | None = None) 
         nrm = ops.norm(v)
         if nrm > 0:
             v = ops.scale(v, 1.0 / nrm)
-        pairs.append((complex(vals[i]), v))
+        pairs.append((float(vals[i]), v))
     return pairs
 
 
@@ -233,13 +234,13 @@ def _stop_ready(vals: np.ndarray, prev: np.ndarray | None, stop: StopRule) -> bo
     """
     if prev is None:
         return False
-    above = int(np.sum(vals.real >= stop.eps_eig))
-    if above != int(np.sum(prev.real >= stop.eps_eig)):
+    above = int(np.sum(vals >= stop.eps_eig))
+    if above != int(np.sum(prev >= stop.eps_eig)):
         return False
     n_check = above if above > 0 else min(1, len(vals), len(prev))
     for i in range(n_check):
-        denom = max(abs(vals[i].real), abs(prev[i].real), 1e-300)
-        if abs(vals[i].real - prev[i].real) / denom > STABILITY_RTOL:
+        denom = max(abs(vals[i]), abs(prev[i]), 1e-300)
+        if abs(vals[i] - prev[i]) / denom > STABILITY_RTOL:
             return False
     return True
 
@@ -343,7 +344,7 @@ def lr_arnoldi(
         rank_trace=rank_trace,
         ritz_values=vals,
         ritz_vectors=[p[1] for p in pairs],
-        converged_count=int(np.sum(vals.real >= stop.eps_eig)),
+        converged_count=int(np.sum(vals >= stop.eps_eig)),
         breakdown=breakdown,
         iterations=j_done,
         diagnostics=diagnostics,

@@ -151,12 +151,11 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.on_breakdown not in ("stop", "restart"):
         raise InvalidConfigError(
             f"on_breakdown must be stop or restart, got {cfg.on_breakdown!r}")
-    if cfg.sensors.startswith("custom:"):
-        # rejects malformed or unresolvable patches before any output
-        hessian.make_sensor_layout(_custom_patches(cfg.sensors),
-                                   discretize.build_grid(cfg.n_side))
-    elif cfg.sensors not in ("none", "grid3x3"):
-        raise InvalidConfigError(f"unknown sensors setting {cfg.sensors!r}")
+    # building the layout rejects an unknown setting and patches the grid
+    # cannot resolve before any output; steady mode builds none, so its
+    # default grid3x3 is not checked
+    if cfg.mode != hessian.MODE_STEADY or cfg.sensors != "grid3x3":
+        _build_layout(cfg, discretize.build_grid(cfg.n_side))
 
 
 def _custom_patches(sensors: str) -> list[tuple[float, float, float]]:
@@ -193,24 +192,19 @@ class Problem:
     cov: hessian.CovarianceSpec
     pol: TruncationPolicy
     ctx: hessian.HessianContext
-    notes: dict
 
 
-def _build_layout(cfg: RunConfig, grid: discretize.Grid, notes: dict):
+def _build_layout(cfg: RunConfig, grid: discretize.Grid) -> hessian.SensorLayout:
     if cfg.sensors == "none":
         return hessian.full_observation(grid)
     if cfg.sensors == "grid3x3":
-        try:
-            return hessian.make_sensor_layout_3x3(grid)
-        except InvalidConfigError:
-            # too coarse to resolve the patches; fall back to full observation
-            notes["sensors_resolved"] = "full (grid3x3 under-resolved)"
-            return hessian.full_observation(grid)
-    return hessian.make_sensor_layout(_custom_patches(cfg.sensors), grid)
+        return hessian.make_sensor_layout_3x3(grid)
+    if cfg.sensors.startswith("custom:"):
+        return hessian.make_sensor_layout(_custom_patches(cfg.sensors), grid)
+    raise InvalidConfigError(f"unknown sensors setting {cfg.sensors!r}")
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    notes: dict = {}
     grid = discretize.build_grid(cfg.n_side)
     cov = hessian.CovarianceSpec.from_gamma(cfg.gamma_prior, cfg.beta_ratio, grid)
     pol = TruncationPolicy(eps0=cfg.eps0)
@@ -221,7 +215,7 @@ def build_problem(cfg: RunConfig) -> Problem:
             mode=hessian.MODE_STEADY, operator=None, layout=None,
             cov=cov, pol=pol, spatial=spatial,
         )
-        return Problem(cfg, grid, spatial, None, None, None, cov, pol, ctx, notes)
+        return Problem(cfg, grid, spatial, None, None, None, cov, pol, ctx)
 
     if cfg.problem == "heat":
         spatial = discretize.assemble_heat(grid)
@@ -229,12 +223,12 @@ def build_problem(cfg: RunConfig) -> Problem:
         spatial = discretize.assemble_convdiff(grid, cfg.nu, cfg.wind)
     time = discretize.build_time_grid(cfg.nt, cfg.final_time)
     K = SpaceTimeOperator(spatial, time)
-    layout = _build_layout(cfg, grid, notes)
+    layout = _build_layout(cfg, grid)
     ctx = hessian.HessianContext(
         mode=cfg.mode, operator=K, layout=layout, cov=cov, pol=pol,
         compress_every=cfg.compress_every,
     )
-    return Problem(cfg, grid, spatial, time, K, layout, cov, pol, ctx, notes)
+    return Problem(cfg, grid, spatial, time, K, layout, cov, pol, ctx)
 
 
 def start_vector(cfg: RunConfig, problem: Problem):
@@ -291,7 +285,6 @@ def run_variance(cfg: RunConfig, retain: float | None = None):
         [np.asarray(v) for v in run.result.ritz_vectors],
         gamma_prior=run.problem.cov.gamma_prior,
         eps_eig=retain,
-        n_x=run.problem.grid.n_x,
     )
     return run, summary
 
@@ -311,9 +304,8 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
     res = run.result
     k = min(run.config.k, len(res.ritz_values))
     _write_rows(
-        outdir / "eigenvalues.csv", "index,ritz_value,imag_part",
-        (f"{i},{res.ritz_values[i].real:.17g},{res.ritz_values[i].imag:.17g}"
-         for i in range(k)),
+        outdir / "eigenvalues.csv", "index,ritz_value",
+        (f"{i},{res.ritz_values[i]:.17g}" for i in range(k)),
     )
     _write_rows(
         outdir / "ranks.csv", "iteration,max_intermediate_rank",
@@ -333,7 +325,8 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
         _write_rows(outdir / "singular_values.csv", "vector,index,sigma", rows)
     with open(outdir / "diagnostics.log", "w") as fh:
         fh.write(f"iterations={res.iterations} breakdown={res.breakdown} "
-                 f"converged_count={res.converged_count}\n")
+                 f"converged_count={res.converged_count} "
+                 f"asymmetry={res.asymmetry():.6e}\n")
         for j, h_sub, rank, secs in res.diagnostics:
             fh.write(f"iter={j} h_subdiag={h_sub:.6e} max_rank={rank} seconds={secs:.4f}\n")
 
@@ -343,7 +336,7 @@ def _save_eigs(run: EigsRun) -> Path:
     outdir = Path(run.config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_eigs_outputs(run, outdir)
-    write_manifest(run.config, outdir, run.problem.notes)
+    write_manifest(run.config, outdir)
     return outdir
 
 
@@ -443,7 +436,7 @@ def run_oracle(cfg: RunConfig):
         dn_var = oracle.dense_posterior_diag(Hd, problem.cov.gamma_prior)
 
     report = oracle.compare(
-        result.ritz_values.real, lr_vecs, dn_vals[:k], dn_vecs[:, :n_angle], Hd=Hd,
+        result.ritz_values, lr_vecs, dn_vals[:k], dn_vecs[:, :n_angle], Hd=Hd,
         lr_variance=lr_var, dense_variance=dn_var, hv_rel_error=hv_err,
     )
     report.asymmetry = asymmetry
@@ -451,11 +444,11 @@ def run_oracle(cfg: RunConfig):
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    problem, result, report = run_oracle(cfg)
+    _, _, report = run_oracle(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "oracle_report.txt").write_text(report.as_text())
-    write_manifest(cfg, outdir, problem.notes)
+    write_manifest(cfg, outdir)
     return 0 if report.passed else 4
 
 
@@ -482,9 +475,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
             validate_config(point_cfg)
             run = run_eigs(point_cfg)
             _save_eigs(run)
-            max_rank = max(run.result.rank_trace) if run.result.rank_trace else 0
-            largest = run.result.ritz_values[0].real if len(run.result.ritz_values) else 0.0
-            rows.append(f"{raw},{run.result.iterations},{max_rank},{largest:.17g}")
+            res = run.result
+            rows.append(f"{raw},{res.iterations},{max(res.rank_trace)},{res.ritz_values[0]:.17g}")
         except (InvalidConfigError, NumericalError) as exc:
             failed = True
             rows.append(f"{raw},ERROR,ERROR,ERROR")

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import NumericalError
 
-IMAG_RTOL = 1e-6  # largest imaginary part of a Ritz value, relative to the spectrum
-
 
 def lambda_tilde(lam: float) -> float:
     """SMW filter factor λ/(λ+1); rejects negative input as a non-PSD artifact."""
@@ -60,38 +58,24 @@ def build_summary(
     ritz_vectors,
     gamma_prior: float,
     eps_eig: float | None = None,
-    n_x: int | None = None,
 ) -> PosteriorSummary:
-    """Assemble a PosteriorSummary from Ritz output.
+    """Assemble a PosteriorSummary from Arnoldi's real Ritz pairs.
 
     Pairs with eigenvalue >= eps_eig are retained (all nonnegative pairs
-    when eps_eig is None).  Ritz values must be numerically real: an
-    imaginary part above IMAG_RTOL of the spectral scale is an error, tiny
-    ones are dropped here (they were already reported by the eigensolver).
+    when eps_eig is None).  Arnoldi returns at least one pair, so the
+    spatial dimension is that of the first vector even when none is kept.
     """
-    vals = np.asarray(ritz_values)
-    scale = float(np.max(np.abs(vals.real))) if vals.size else 0.0
-    if scale > 0 and np.max(np.abs(vals.imag)) > IMAG_RTOL * scale:
-        raise NumericalError(
-            "Ritz values have a significant imaginary part "
-            f"({np.max(np.abs(vals.imag)):.3e} vs scale {scale:.3e})"
-        )
-    real = vals.real.astype(float)
-    order = np.argsort(-real)
+    vals = np.asarray(ritz_values, dtype=float)
+    order = np.argsort(-vals)
     threshold = eps_eig if eps_eig is not None else 0.0
-    keep = [i for i in order if real[i] >= threshold]
+    keep = [i for i in order if vals[i] >= threshold]
 
-    cols = []
-    for i in keep:
+    V = np.zeros((np.asarray(ritz_vectors[0]).shape[0], len(keep)))
+    for col, i in enumerate(keep):
         v = np.asarray(ritz_vectors[i], dtype=float)
-        cols.append(v / np.linalg.norm(v))
-    if cols:
-        V = np.column_stack(cols)
-    else:
-        dim = n_x if n_x is not None else _vec_len(ritz_vectors)
-        V = np.zeros((dim, 0))
+        V[:, col] = v / np.linalg.norm(v)
     V = _reorthonormalize(V)
-    lams = real[keep]
+    lams = vals[keep]
     filters = np.array([lambda_tilde(float(lam)) for lam in lams])
     return PosteriorSummary(
         eigenvalues=lams,
@@ -100,12 +84,6 @@ def build_summary(
         gamma_prior=gamma_prior,
         variance_field=gamma_prior * (1.0 - (V**2) @ filters),
     )
-
-
-def _vec_len(vectors) -> int:
-    if len(vectors) == 0:
-        raise ValueError("cannot infer the spatial dimension from zero vectors")
-    return np.asarray(vectors[0]).shape[0]
 
 
 def posterior_apply(v: np.ndarray, summary: PosteriorSummary) -> np.ndarray:

@@ -27,7 +27,7 @@ def test_analytic_table(capsys):
 
 
 def test_analytic_rejects_a_nonpositive_k(capsys):
-    assert cli.main(["analytic", "--n-side", "3", "--k", "-1"]) == 2
+    assert cli.main(["analytic", "--n-side", "3", "--sensors", "none", "--k", "-1"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -40,10 +40,13 @@ def test_steady_eigs_first_value(tmp_path):
     ])
     assert rc == 0
     header, rows = _read_csv(out / "eigenvalues.csv")
-    assert header == ["index", "ritz_value", "imag_part"]
+    assert header == ["index", "ritz_value"]
     grid = lp.build_grid(15)
     expect = 1e-4 / lp.discrete_fd_eig(1, 1, grid) ** 2
     assert_allclose(float(rows[0][1]), expect, rtol=1e-8)
+    # the first diagnostics line reports the Hessenberg block's measured symmetry
+    first = (out / "diagnostics.log").read_text().splitlines()[0]
+    assert 0.0 <= float(first.split("asymmetry=")[1]) <= 1e-8
     # the steady manifest names the heat problem and replays bitwise
     assert "problem=heat\n" in (out / "manifest.cfg").read_text()
     replay = tmp_path / "replay"
@@ -65,8 +68,9 @@ def test_runs_are_bitwise_deterministic(tmp_path):
 def test_manifest_rerun_reproduces_bitwise(tmp_path):
     first = tmp_path / "first"
     rc = cli.main(["eigs", "--problem", "heat", "--n-side", "7", "--nt", "4",
-                   "--m-a", "15", "--eps-eig", "1e-10", "--check-every", "100",
-                   "--seed", "3", "--start", "random", "--out", str(first)])
+                   "--sensors", "none", "--m-a", "15", "--eps-eig", "1e-10",
+                   "--check-every", "100", "--seed", "3", "--start", "random",
+                   "--out", str(first)])
     assert rc == 0
     second = tmp_path / "second"
     rc = cli.main(["eigs", "--config", str(first / "manifest.cfg"),
@@ -110,8 +114,8 @@ def test_variance_minimum_at_sensor_dof(tmp_path):
 def test_oracle_pass_heat(tmp_path):
     out = tmp_path / "orc"
     rc = cli.main(["oracle", "--problem", "heat", "--n-side", "7", "--nt", "5",
-                   "--m-a", "100", "--eps-eig", "1e-12", "--check-every", "100",
-                   "--out", str(out)])
+                   "--sensors", "none", "--m-a", "100", "--eps-eig", "1e-12",
+                   "--check-every", "100", "--out", str(out)])
     assert rc == 0
     text = (out / "oracle_report.txt").read_text()
     assert "result=PASS" in text
@@ -122,7 +126,7 @@ def test_oracle_pass_heat(tmp_path):
 def test_oracle_pass_convdiff(tmp_path):
     out = tmp_path / "orc_cd"
     rc = cli.main(["oracle", "--problem", "convdiff", "--nu", "1e-2",
-                   "--n-side", "5", "--nt", "4", "--m-a", "100",
+                   "--n-side", "5", "--nt", "4", "--sensors", "none", "--m-a", "100",
                    "--eps-eig", "1e-12", "--check-every", "100", "--out", str(out)])
     assert rc == 0
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
@@ -131,7 +135,7 @@ def test_oracle_pass_convdiff(tmp_path):
 def test_oracle_corrupted_truncation_fails(tmp_path):
     out = tmp_path / "bad"
     rc = cli.main(["oracle", "--problem", "heat", "--n-side", "7", "--nt", "5",
-                   "--eps0", "0.5", "--m-a", "100", "--eps-eig", "1e-12",
+                   "--sensors", "none", "--eps0", "0.5", "--m-a", "100", "--eps-eig", "1e-12",
                    "--check-every", "100", "--out", str(out)])
     assert rc == 4
     assert "result=FAIL" in (out / "oracle_report.txt").read_text()
@@ -175,7 +179,7 @@ def test_sweep_records_point_failure_and_continues(tmp_path):
     out = tmp_path / "sweepfail"
     rc = cli.main(["sweep", "--axis", "nu", "--values", "1e-2,-1.0",
                    "--problem", "convdiff", "--n-side", "7", "--nt", "4",
-                   "--m-a", "10", "--out", str(out)])
+                   "--sensors", "none", "--m-a", "10", "--out", str(out)])
     assert rc == 3
     _, rows = _read_csv(out / "summary.csv")
     assert rows[0][0] == "1e-2" and rows[1][1] == "ERROR"
@@ -192,7 +196,7 @@ def test_sweep_rejects_a_bad_base_value_without_output(tmp_path, flags):
     # the base configuration is checked once, before any point runs
     out = tmp_path / "sweep"
     rc = cli.main(["sweep", "--axis", "nt", "--values", "4,5", "--n-side", "7",
-                   "--m-a", "5", "--out", str(out), *flags])
+                   "--sensors", "none", "--m-a", "5", "--out", str(out), *flags])
     assert rc == 2
     assert not out.exists()
 
@@ -243,7 +247,7 @@ def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, flags):
 
 def test_precedence_flag_file(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("n_side=9\nnt=7\nnu=0.5\n")
+    cfg_file.write_text("n_side=9\nnt=7\nnu=0.5\nsensors=none\n")
     cfg = cli.resolve_config(file_path=cfg_file, flag_updates={"nu": 0.25})
     assert cfg.n_side == 9      # from file
     assert cfg.nt == 7          # from file
@@ -288,18 +292,22 @@ def test_manifest_lines_replay_as_flags(tmp_path):
 def test_manifest_contains_all_fields(tmp_path):
     out = tmp_path / "mani"
     cli.main(["eigs", "--problem", "heat", "--n-side", "7", "--nt", "3",
-              "--m-a", "5", "--check-every", "100", "--out", str(out)])
+              "--sensors", "none", "--m-a", "5", "--check-every", "100", "--out", str(out)])
     text = (out / "manifest.cfg").read_text()
     for f in fields(cli.RunConfig):
         assert f"{f.name}=" in text
 
 
-def test_sensor_degradation_noted_in_manifest(tmp_path):
-    out = tmp_path / "degraded"
-    cli.main(["eigs", "--problem", "heat", "--n-side", "7", "--nt", "3",
-              "--sensors", "grid3x3", "--m-a", "5", "--check-every", "100",
-              "--out", str(out)])
-    assert "under-resolved" in (out / "manifest.cfg").read_text()
+def test_unresolved_grid3x3_exits_2_without_output(tmp_path, capsys):
+    # grid3x3 needs n_side >= 15; a coarser grid is refused, not observed
+    # everywhere instead; steady mode builds no layout and still runs
+    out = tmp_path / "coarse"
+    for mode, rc in (("ic", 2), ("source", 2), ("steady", 0)):
+        assert cli.main(["eigs", "--problem", "heat", "--mode", mode, "--n-side", "7",
+                         "--nt", "3", "--sensors", "grid3x3", "--m-a", "5",
+                         "--check-every", "100", "--out", str(out / mode)]) == rc
+        assert (out / mode).exists() == (rc == 0)
+    assert "needs n_side >= 15" in capsys.readouterr().err
 
 
 def test_custom_sensor_layout(tmp_path):
@@ -324,7 +332,7 @@ def test_oracle_passes_when_top_k_ends_inside_a_degenerate_pair(tmp_path):
     # extends to the end of the pair instead of cutting it
     out = tmp_path / "pair"
     rc = cli.main(["oracle", "--problem", "heat", "--mode", "source", "--n-side", "7",
-                   "--nt", "5", "--m-a", "200", "--eps-eig", "1e-12",
+                   "--nt", "5", "--sensors", "none", "--m-a", "200", "--eps-eig", "1e-12",
                    "--check-every", "100", "--out", str(out)])
     assert rc == 0
     assert "result=PASS" in (out / "oracle_report.txt").read_text()

@@ -28,14 +28,15 @@ def _orthonormal(rng, n, k):
 
 def _variance(lams, V, gamma_prior):
     """The variance diagonal that build_summary forms from the pairs (lams, V)."""
-    return posterior.build_summary(np.asarray(lams, dtype=float), list(V.T), gamma_prior,
-                                   n_x=V.shape[0]).variance_field
+    return posterior.build_summary(np.asarray(lams, dtype=float), list(V.T),
+                                   gamma_prior).variance_field
 
 
 def test_empty_retention_gives_prior_field():
-    summary = posterior.build_summary(np.array([]), [], gamma_prior=10.0,
-                                      eps_eig=0.1, n_x=25)
-    assert summary.k == 0
+    # one pair below the threshold: nothing is retained, the dimension stays
+    summary = posterior.build_summary(np.array([0.05]), [np.eye(25)[0]], gamma_prior=10.0,
+                                      eps_eig=0.1)
+    assert summary.k == 0 and summary.V.shape == (25, 0)
     assert_allclose(summary.variance_field, 10.0)
 
 
@@ -57,7 +58,7 @@ def test_variance_matches_dense_posterior_inversion():
     Hd, _ = oracle.dense_misfit_ic(op.L.toarray(), grid.m_scale, K.time.tau, 5,
                                    ctx.layout.mask, cov.beta_noise, cov.gamma_prior)
     w, V = np.linalg.eigh(Hd)
-    summary = posterior.build_summary(w[::-1].astype(complex), list(V[:, ::-1].T),
+    summary = posterior.build_summary(w[::-1], list(V[:, ::-1].T),
                                       gamma_prior=10.0, eps_eig=1e-8)
     dense_diag = oracle.dense_posterior_diag(Hd, 10.0)
     assert np.max(np.abs(summary.variance_field - dense_diag) / dense_diag) <= 1e-4
@@ -66,14 +67,14 @@ def test_variance_matches_dense_posterior_inversion():
 def test_posterior_apply_cases():
     rng = np.random.default_rng(0)
     n = 30
-    empty = posterior.build_summary(np.array([]), [], gamma_prior=7.0,
-                                    eps_eig=0.1, n_x=n)
+    empty = posterior.build_summary(np.array([0.05]), [np.eye(n)[0]], gamma_prior=7.0,
+                                    eps_eig=0.1)
     v = rng.standard_normal(n)
     assert_allclose(posterior.posterior_apply(v, empty), 7.0 * v)
 
     V = _orthonormal(rng, n, 3)
     lams = np.array([4.0, 2.0, 1.0])
-    summary = posterior.build_summary(lams.astype(complex), list(V.T), gamma_prior=7.0)
+    summary = posterior.build_summary(lams, list(V.T), gamma_prior=7.0)
     out = posterior.posterior_apply(V[:, 0], summary)
     assert_allclose(out, 7.0 * (1 - 4.0 / 5.0) * V[:, 0], atol=1e-12)
 
@@ -88,7 +89,7 @@ def test_posterior_apply_matches_dense():
     Hd, _ = oracle.dense_misfit_ic(op.L.toarray(), grid.m_scale, K.time.tau, 4,
                                    ctx.layout.mask, cov.beta_noise, cov.gamma_prior)
     w, V = np.linalg.eigh(Hd)
-    summary = posterior.build_summary(w[::-1].astype(complex), list(V[:, ::-1].T),
+    summary = posterior.build_summary(w[::-1], list(V[:, ::-1].T),
                                       gamma_prior=10.0, eps_eig=1e-8)
     import scipy.linalg as la
     post = la.inv(Hd / 10.0 + np.eye(grid.n_x) / 10.0)
@@ -131,17 +132,11 @@ def test_noise_weight_scaling_shrinks_variance_entrywise():
 def test_retention_threshold_filters():
     rng = np.random.default_rng(5)
     V = _orthonormal(rng, 20, 4)
-    vals = np.array([5.0, 0.5, 0.05, 0.005]).astype(complex)
+    vals = np.array([5.0, 0.5, 0.05, 0.005])
     summary = posterior.build_summary(vals, list(V.T), gamma_prior=1.0, eps_eig=0.1)
     assert summary.k == 2
     assert_allclose(summary.eigenvalues, [5.0, 0.5])
     assert (np.diff(summary.filters) <= 0).all()
-
-
-def test_build_summary_rejects_complex_spectrum():
-    with pytest.raises(NumericalError):
-        posterior.build_summary(np.array([1.0 + 0.1j, 0.5]), [np.ones(4), np.ones(4)],
-                                gamma_prior=1.0)
 
 
 def test_nonorthogonal_input_is_cleaned():
