@@ -9,10 +9,13 @@ combination.  In low-rank mode that combination is recompressed once per
 pass, and each Ritz vector once, which keeps storage at O(n_x + n_t) per
 vector without a truncation per basis vector.
 
-Stopping combines a hard iteration cap with a Ritz refresh: the run ends
-early once every Ritz value above the retention threshold is stable between
-refreshes and the rest sit below the threshold.  Truncated Arnoldi has no
-exact residual bound, so stability-between-refreshes stands in for one.
+A default run combines a hard iteration cap with a Ritz refresh every
+CHECK_EVERY steps; it ends early once every Ritz value above the retention
+threshold is stable between refreshes and the rest sit below it, or at the
+first invariant subspace.  Truncated Arnoldi has no exact residual bound,
+so stability-between-refreshes stands in for one.  An exhaustive run never
+refreshes and restarts through every invariant subspace, since one Krylov
+sequence finds only one copy of a multiple eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import NumericalError
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
+    _rank_cut,
     lr_dot,
     lr_norm,
     lr_scale,
@@ -35,6 +39,7 @@ from .lowrank import (
 )
 
 BREAKDOWN_TOL = 1e-14
+CHECK_EVERY = 10        # Arnoldi steps between Ritz refreshes of a default run
 STABILITY_RTOL = 1e-3   # refresh-to-refresh drift allowed of a retained Ritz value
 RANK_TAIL_TOL = 1e-6    # relative singular tail that rank_one_check ignores
 
@@ -43,19 +48,18 @@ RANK_TAIL_TOL = 1e-6    # relative singular tail that rank_one_check ignores
 class StopRule:
     """Iteration cap plus eigenvalue-threshold stopping.
 
-    on_breakdown selects what happens when an invariant subspace is reached
-    (h_{j+1,j} <= 1e-14 times the largest |H_ij| so far, which makes the
-    test independent of the operator's scale): "stop" terminates cleanly;
-    "restart" continues with a fresh direction orthogonal to the basis,
-    which is required when the full spectrum of an operator with high
-    eigenvalue multiplicity is needed (rounding noise alone does not reseed
-    every copy).
+    An invariant subspace is reached when h_{j+1,j} <= 1e-14 times the
+    largest |H_ij| so far, which makes the test independent of the
+    operator's scale.  A default run stops there or at a stable refresh.
+    An exhaustive run never refreshes and continues past each invariant
+    subspace with a fresh direction orthogonal to the basis, which the full
+    spectrum of an operator with eigenvalue multiplicity needs (rounding
+    noise alone does not reseed every copy).
     """
 
     m_a: int
     eps_eig: float = 1e-1
-    check_every: int = 10
-    on_breakdown: str = "stop"
+    exhaustive: bool = False
     restart_seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +67,6 @@ class StopRule:
             raise ValueError(f"m_a must be >= 1, got {self.m_a}")
         if self.eps_eig <= 0:
             raise ValueError(f"eps_eig must be positive, got {self.eps_eig}")
-        if self.on_breakdown not in ("stop", "restart"):
-            raise ValueError(f"on_breakdown must be stop or restart, got {self.on_breakdown!r}")
 
 
 @dataclass
@@ -316,7 +318,7 @@ def lr_arnoldi(
 
         if h_sub <= BREAKDOWN_TOL * h_scale:
             breakdown = True  # invariant subspace reached
-            if stop.on_breakdown != "restart" or j + 1 >= stop.m_a:
+            if not stop.exhaustive or j + 1 >= stop.m_a:
                 break
             H[j + 1, j] = 0.0
             fresh = _fresh_direction(basis, ops, stop.restart_seed + restarts)
@@ -327,7 +329,7 @@ def lr_arnoldi(
             continue
         basis.append(ops.scale(w, 1.0 / h_sub))  # project's output is already compressed
 
-        if (j + 1) % stop.check_every == 0 and j + 1 < stop.m_a:
+        if not stop.exhaustive and (j + 1) % CHECK_EVERY == 0 and j + 1 < stop.m_a:
             vals, _ = _hessenberg_eigs(H[: j + 1, : j + 1])
             ready = _stop_ready(vals, prev_vals, stop)
             prev_vals = vals
@@ -368,8 +370,5 @@ def rank_one_check(vec, reshape: tuple[int, int] | None = None) -> tuple[int, fl
                           compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0, 0.0
-    total = float(np.linalg.norm(s))
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-    r = int(np.searchsorted(-tail, -RANK_TAIL_TOL * total, side="left"))
     ratio = float(s[1] / s[0]) if s.size > 1 else 0.0
-    return r, ratio
+    return _rank_cut(s, TruncationPolicy(eps0=RANK_TAIL_TOL)), ratio

@@ -53,10 +53,8 @@ class RunConfig:
     eps0: float = 1e-8
     eps_eig: float = 1e-1
     m_a: int = 100
-    check_every: int = 10
     mode: str = "ic"
     start: str = "ones"             # ones | random
-    on_breakdown: str = "stop"      # stop | restart (oracle runs force restart)
     seed: int = 0
     compress_every: int = 4
     k: int = 50                     # how many Ritz values to report
@@ -141,16 +139,13 @@ def validate_config(cfg: RunConfig) -> None:
     if not (0 < cfg.eps0 < 1):
         raise InvalidConfigError(f"eps0 must lie in (0, 1), got {cfg.eps0}")
     if (cfg.eps_eig <= 0 or cfg.beta_ratio <= 0 or cfg.gamma_prior <= 0 or cfg.final_time <= 0
-            or cfg.nu <= 0 or cfg.m_a < 1 or cfg.check_every < 1 or cfg.compress_every < 1):
+            or cfg.nu <= 0 or cfg.m_a < 1 or cfg.compress_every < 1):
         raise InvalidConfigError("eps_eig, beta_ratio, gamma_prior, final_time, nu, m_a, "
-                                 "check_every, compress_every must be positive")
+                                 "compress_every must be positive")
     if cfg.seed < 0 or cfg.k < 1:
         raise InvalidConfigError(f"need seed >= 0 and k >= 1, got seed={cfg.seed}, k={cfg.k}")
     if cfg.start not in ("ones", "random"):
         raise InvalidConfigError(f"start must be ones or random, got {cfg.start!r}")
-    if cfg.on_breakdown not in ("stop", "restart"):
-        raise InvalidConfigError(
-            f"on_breakdown must be stop or restart, got {cfg.on_breakdown!r}")
     # building the layout rejects an unknown setting and patches the grid
     # cannot resolve before any output; steady mode builds none, so its
     # default grid3x3 is not checked
@@ -260,25 +255,25 @@ class EigsRun:
     result: ArnoldiResult
 
 
-def run_eigs(cfg: RunConfig) -> EigsRun:
+def run_eigs(cfg: RunConfig, exhaustive: bool = False) -> EigsRun:
+    """Arnoldi on the configured Hessian; see StopRule for ``exhaustive``."""
     problem = build_problem(cfg)
     # Krylov cannot exceed the parameter dimension; breakdown restarts
     # consume iteration slots without adding spectral columns, hence the slack
-    slack = 8 if cfg.on_breakdown == "restart" else 0
+    slack = 8 if exhaustive else 0
     m_a = min(cfg.m_a, problem.ctx.n_param + slack)
-    stop = StopRule(m_a=m_a, eps_eig=cfg.eps_eig, check_every=cfg.check_every,
-                    on_breakdown=cfg.on_breakdown, restart_seed=cfg.seed)
+    stop = StopRule(m_a=m_a, eps_eig=cfg.eps_eig, exhaustive=exhaustive, restart_seed=cfg.seed)
     v1 = start_vector(cfg, problem)
     result = lr_arnoldi(problem.ctx.apply, v1, problem.pol, stop,
                         rank_source=problem.ctx.rank_trace)
     return EigsRun(config=cfg, problem=problem, result=result)
 
 
-def run_variance(cfg: RunConfig, retain: float | None = None):
+def run_variance(cfg: RunConfig, retain: float | None = None, exhaustive: bool = False):
     if cfg.mode == hessian.MODE_SOURCE:
         raise InvalidConfigError(
             "the variance field is defined for spatial parameter modes (ic, steady)")
-    run = run_eigs(cfg)
+    run = run_eigs(cfg, exhaustive)
     retain = cfg.eps_eig if retain is None else retain
     summary = posterior.build_summary(
         run.result.ritz_values,
@@ -400,13 +395,12 @@ def run_oracle(cfg: RunConfig):
     # refuse an over-cap dense side before spending the low-rank solve
     source = cfg.mode == hessian.MODE_SOURCE
     oracle.check_cap(cfg.n_side**2 * (cfg.nt if source else 1))
-    # the dense side has the complete spectrum, so the low-rank side must be
-    # able to reseed through eigenvalue multiplicities
-    cfg = replace(cfg, on_breakdown="restart")
+    # the dense side has the complete spectrum, so the low-rank side runs
+    # exhaustively: no refresh stop, and a reseed through each multiplicity
     if source:
-        run, summary = run_eigs(cfg), None
+        run, summary = run_eigs(cfg, exhaustive=True), None
     else:
-        run, summary = run_variance(cfg, ORACLE_RETAIN)
+        run, summary = run_variance(cfg, ORACLE_RETAIN, exhaustive=True)
     problem, result = run.problem, run.result
     Hd, asymmetry = _oracle_dense_side(problem)
     hv_err = oracle.hv_agreement(_dense_apply_wrapper(problem), Hd,

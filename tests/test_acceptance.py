@@ -35,10 +35,9 @@ def _sorted_modes(grid, k):
 def steady_run():
     cfg = cli.RunConfig(problem="heat", mode="steady", n_side=31,
                         beta_ratio=1e4, gamma_prior=10.0,
-                        m_a=220, eps_eig=1e-13, check_every=50, start="ones",
-                        on_breakdown="restart")
+                        m_a=220, eps_eig=1e-13, start="ones")
     t0 = time.perf_counter()
-    run = cli.run_eigs(cfg)
+    run = cli.run_eigs(cfg, exhaustive=True)
     return run, time.perf_counter() - t0
 
 
@@ -46,8 +45,7 @@ def steady_run():
 def oracle_heat():
     cfg = cli.RunConfig(problem="heat", n_side=7, nt=5, sensors="none",
                         beta_ratio=1e4, gamma_prior=10.0,
-                        eps0=1e-8, m_a=100, eps_eig=1e-12, check_every=100,
-                        mode="ic")
+                        eps0=1e-8, m_a=100, eps_eig=1e-12, mode="ic")
     t0 = time.perf_counter()
     problem, result, report = cli.run_oracle(cfg)
     return problem, result, report, time.perf_counter() - t0
@@ -58,7 +56,7 @@ def oracle_convdiff():
     cfg = cli.RunConfig(problem="convdiff", nu=1e-2, wind=(0.0, 1.0), n_side=5,
                         nt=4, sensors="none", beta_ratio=1e4,
                         gamma_prior=10.0, eps0=1e-8,
-                        m_a=100, eps_eig=1e-12, check_every=100, mode="ic")
+                        m_a=100, eps_eig=1e-12, mode="ic")
     t0 = time.perf_counter()
     problem, result, report = cli.run_oracle(cfg)
     return problem, result, report, time.perf_counter() - t0
@@ -71,8 +69,7 @@ def nt_sweep_runs():
     for nt in (30, 60, 90):
         cfg = cli.RunConfig(problem="heat", n_side=31, nt=nt, sensors="grid3x3",
                             beta_ratio=1e4, gamma_prior=10.0,
-                            eps0=1e-8, m_a=60, eps_eig=1e-2, check_every=10,
-                            mode="ic")
+                            eps0=1e-8, m_a=60, eps_eig=1e-2, mode="ic")
         runs[nt] = cli.run_eigs(cfg)
     return runs, time.perf_counter() - t0
 
@@ -84,7 +81,7 @@ def nu_sweep_runs():
         cfg = cli.RunConfig(problem="convdiff", nu=nu, wind=(0.0, 1.0), n_side=31,
                             nt=30, sensors="grid3x3", beta_ratio=1e4,
                             gamma_prior=10.0, eps0=1e-8,
-                            m_a=50, eps_eig=1e-1, check_every=10, mode="ic")
+                            m_a=50, eps_eig=1e-1, mode="ic")
         runs[nu] = cli.run_eigs(cfg)
     return runs
 
@@ -96,8 +93,7 @@ def variance_runs():
     for eps_eig in (1e-1, 1e-3):
         cfg = cli.RunConfig(problem="heat", n_side=63, nt=30, sensors="grid3x3",
                             beta_ratio=1e4, gamma_prior=10.0,
-                            eps0=1e-8, m_a=120, eps_eig=eps_eig, check_every=10,
-                            mode="ic")
+                            eps0=1e-8, m_a=120, eps_eig=eps_eig, mode="ic")
         runs[eps_eig] = cli.run_variance(cfg)
     return runs, time.perf_counter() - t0
 
@@ -108,8 +104,7 @@ def ratio_runs():
     for ratio in (1e4, 1e6):
         cfg = cli.RunConfig(problem="heat", n_side=31, nt=30, sensors="grid3x3",
                             beta_ratio=ratio, gamma_prior=10.0,
-                            eps0=1e-8, m_a=150, eps_eig=1e0, check_every=1,
-                            mode="ic")
+                            eps0=1e-8, m_a=150, eps_eig=1e0, mode="ic")
         runs[ratio] = cli.run_variance(cfg)
     return runs
 
@@ -319,9 +314,8 @@ def test_criterion_10_truncation_tolerance_robustness(oracle_heat):
     _, result8, _, _ = oracle_heat
     cfg = cli.RunConfig(problem="heat", n_side=7, nt=5, sensors="none",
                         beta_ratio=1e4, gamma_prior=10.0,
-                        eps0=1e-10, m_a=57, eps_eig=1e-12, check_every=100,
-                        mode="ic", on_breakdown="restart")
-    run10 = cli.run_eigs(cfg)
+                        eps0=1e-10, m_a=57, eps_eig=1e-12, mode="ic")
+    run10 = cli.run_eigs(cfg, exhaustive=True)
     a = result8.ritz_values[:10]
     b = run10.result.ritz_values[:10]
     rel = float(np.max(np.abs(a - b) / np.abs(b)))

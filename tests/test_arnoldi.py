@@ -41,7 +41,7 @@ def test_diagonal_operator_exact_krylov_termination():
     d = np.array([3.0, 2.0, 1.0, 0.5, 0.25])
     v = np.ones(5) / np.sqrt(5)
     res = lr_arnoldi(lambda x: d * x, v, POL,
-                     StopRule(m_a=5, eps_eig=1e-12, check_every=100))
+                     StopRule(m_a=5, eps_eig=1e-12, exhaustive=True))
     assert_allclose(np.sort(res.ritz_values)[::-1], d, rtol=1e-10)
 
 
@@ -53,8 +53,7 @@ def test_heat_ic_ritz_match_dense_top40():
     dn_vals, _ = oracle.dense_eig_top(Hd, 40)
     v1 = np.ones(grid.n_x) / np.sqrt(grid.n_x)
     res = lr_arnoldi(ctx.apply, v1, POL,
-                     StopRule(m_a=55, eps_eig=1e-12, check_every=100,
-                              on_breakdown="restart"))
+                     StopRule(m_a=55, eps_eig=1e-12, exhaustive=True))
     got = res.ritz_values[:40]
     assert np.max(np.abs(got - dn_vals) / dn_vals) <= 1e-6
 
@@ -107,14 +106,14 @@ def test_asymmetry_measures_the_leading_block():
 def test_misfit_run_hessenberg_block_is_symmetric():
     grid, K, ctx = _heat_ic_ctx(7, 4)
     v1 = np.ones(grid.n_x) / np.sqrt(grid.n_x)
-    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=30, eps_eig=1e-10, check_every=100))
+    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=30, eps_eig=1e-10, exhaustive=True))
     assert 0.0 < res.asymmetry() <= 1e-8
 
 
 def test_orthogonality_and_normalization_dense_mode():
     grid, K, ctx = _heat_ic_ctx(9, 6)
     v1 = np.ones(grid.n_x) / np.sqrt(grid.n_x)
-    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=25, eps_eig=1e-10, check_every=100))
+    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=25, eps_eig=1e-10, exhaustive=True))
     assert res.gram_defect() <= 1e-6
     for v in res.basis:
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-8
@@ -123,7 +122,7 @@ def test_orthogonality_and_normalization_dense_mode():
 def test_hessenberg_below_first_subdiagonal_exactly_zero():
     grid, K, ctx = _heat_ic_ctx(7, 4)
     v1 = np.ones(grid.n_x) / np.sqrt(grid.n_x)
-    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=12, eps_eig=1e-10, check_every=100))
+    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=12, eps_eig=1e-10, exhaustive=True))
     H = res.H
     for j in range(H.shape[1]):
         assert (H[j + 2:, j] == 0.0).all()
@@ -138,7 +137,7 @@ def test_orthogonality_low_rank_mode():
                             layout=hs.full_observation(grid), cov=cov, pol=POL)
     v1 = lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((6, 1)))
     res = lr_arnoldi(ctx.apply, v1, POL,
-                     StopRule(m_a=15, eps_eig=1e-14, check_every=100),
+                     StopRule(m_a=15, eps_eig=1e-14, exhaustive=True),
                      rank_source=ctx.rank_trace)
     assert res.gram_defect() <= 1e-6
     for v in res.basis:
@@ -155,7 +154,7 @@ def test_arnoldi_relation_low_rank_mode():
                             layout=hs.full_observation(grid), cov=cov, pol=POL)
     v1 = lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((4, 1)))
     res = lr_arnoldi(ctx.apply, v1, POL,
-                     StopRule(m_a=8, eps_eig=1e-14, check_every=100))
+                     StopRule(m_a=8, eps_eig=1e-14, exhaustive=True))
     Vd = [lp.lr_to_dense(v).ravel() for v in res.basis]
     H = res.H
     h_scale = np.linalg.norm(H)
@@ -171,7 +170,7 @@ def test_top_ritz_value_monotone_in_subspace_size():
     tops = []
     for m_a in (4, 8, 16, 32):
         res = lr_arnoldi(ctx.apply, v1, POL,
-                         StopRule(m_a=m_a, eps_eig=1e-14, check_every=100))
+                         StopRule(m_a=m_a, eps_eig=1e-14, exhaustive=True))
         tops.append(res.ritz_values[0])
     slack = 10 * POL.eps0 * tops[-1]
     assert all(tops[i + 1] >= tops[i] - slack for i in range(len(tops) - 1))
@@ -182,8 +181,7 @@ def test_degenerate_pair_subspace_angle():
     grid = lp.build_grid(15)
     v1 = np.ones(ctx.n_param) / np.sqrt(ctx.n_param)
     res = lr_arnoldi(ctx.apply, v1, POL,
-                     StopRule(m_a=80, eps_eig=1e-14, check_every=100,
-                              on_breakdown="restart"))
+                     StopRule(m_a=80, eps_eig=1e-14, exhaustive=True))
     vals = res.ritz_values
     # modes (1,2)/(2,1) share the second-largest eigenvalue
     assert_allclose(vals[1], vals[2], rtol=1e-10)
@@ -201,8 +199,7 @@ def test_breakdown_restart_recovers_full_multiplicity():
     dense_vals = np.linalg.eigvalsh(Hd)[::-1]
     v1 = np.ones(grid.n_x) / np.sqrt(grid.n_x)
     res = lr_arnoldi(ctx.apply, v1, POL,
-                     StopRule(m_a=57, eps_eig=1e-12, check_every=100,
-                              on_breakdown="restart"))
+                     StopRule(m_a=57, eps_eig=1e-12, exhaustive=True))
     assert res.restarts >= 1
     got = np.sort(res.ritz_values)[::-1][: len(dense_vals)]
     assert np.max(np.abs(got - dense_vals) / dense_vals) <= 1e-6
@@ -217,8 +214,7 @@ def test_breakdown_restart_low_rank_mode():
     P = U @ np.diag([2.0, 1.0]) @ U.T
     v1 = lp.LowRankMat(rng.standard_normal((n_x, 1)), rng.standard_normal((n_t, 1)))
     res = lr_arnoldi(lambda X: lp.LowRankMat(P @ X.W1, X.W2), v1, POL,
-                     StopRule(m_a=12, eps_eig=1e-12, check_every=100,
-                              on_breakdown="restart"))
+                     StopRule(m_a=12, eps_eig=1e-12, exhaustive=True))
     assert res.restarts >= 1
     assert res.gram_defect() <= 1e-6
     vals = res.ritz_values
@@ -240,7 +236,7 @@ def test_truncations_per_iteration_and_ritz_vector(monkeypatch):
     ctx = hs.HessianContext(mode=hs.MODE_SOURCE, operator=K,
                             layout=hs.full_observation(grid), cov=cov, pol=POL)
     v1 = lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((12, 1)))
-    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=12, eps_eig=1e-14, check_every=100))
+    res = lr_arnoldi(ctx.apply, v1, POL, StopRule(m_a=12, eps_eig=1e-14, exhaustive=True))
     assert res.iterations == 12 and res.restarts == 0
     # one per Gram-Schmidt pass, one per Ritz vector, one for the start vector
     assert len(calls) <= 2 * res.iterations + len(res.ritz_vectors) + 1
@@ -276,7 +272,7 @@ def _count_above(res, stop):
 def test_stopping_rule_fires_before_cap():
     ctx = _steady_ctx(15)
     v1 = np.ones(ctx.n_param) / np.sqrt(ctx.n_param)
-    stop = StopRule(m_a=200, eps_eig=1e-9, check_every=5)
+    stop = StopRule(m_a=200, eps_eig=1e-9)
     res = lr_arnoldi(ctx.apply, v1, POL, stop)
     assert res.iterations < 200 and not res.breakdown
     assert res.converged_count == _count_above(res, stop)
@@ -293,7 +289,7 @@ def test_converged_count_is_final_ritz_values_above_threshold(why):
     else:
         ctx = _steady_ctx(15)
         apply, v1 = ctx.apply, np.ones(ctx.n_param) / np.sqrt(ctx.n_param)
-        stop = StopRule(m_a=6, eps_eig=1e-9, check_every=5)
+        stop = StopRule(m_a=6, eps_eig=1e-9)
     res = lr_arnoldi(apply, v1, POL, stop)
     assert res.breakdown == (why == "breakdown")
     assert (res.iterations == stop.m_a) == (why == "cap")
@@ -322,8 +318,6 @@ def test_stop_rule_validation():
         StopRule(m_a=0)
     with pytest.raises(ValueError):
         StopRule(m_a=5, eps_eig=0.0)
-    with pytest.raises(ValueError):
-        StopRule(m_a=5, on_breakdown="explode")
     with pytest.raises(ValueError):
         lr_arnoldi(lambda x: x, np.zeros(4), POL, StopRule(m_a=3))
 

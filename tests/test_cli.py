@@ -36,7 +36,7 @@ def test_steady_eigs_first_value(tmp_path):
     rc = cli.main([
         "eigs", "--problem", "heat", "--mode", "steady",
         "--n-side", "15", "--m-a", "60", "--eps-eig", "1e-12",
-        "--check-every", "100", "--k", "5", "--out", str(out),
+        "--k", "5", "--out", str(out),
     ])
     assert rc == 0
     header, rows = _read_csv(out / "eigenvalues.csv")
@@ -56,8 +56,7 @@ def test_steady_eigs_first_value(tmp_path):
 
 def test_runs_are_bitwise_deterministic(tmp_path):
     args = ["eigs", "--problem", "heat", "--n-side", "7", "--nt", "5",
-            "--sensors", "none", "--m-a", "20", "--eps-eig", "1e-10",
-            "--check-every", "100"]
+            "--sensors", "none", "--m-a", "20", "--eps-eig", "1e-10"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
@@ -69,7 +68,7 @@ def test_manifest_rerun_reproduces_bitwise(tmp_path):
     first = tmp_path / "first"
     rc = cli.main(["eigs", "--problem", "heat", "--n-side", "7", "--nt", "4",
                    "--sensors", "none", "--m-a", "15", "--eps-eig", "1e-10",
-                   "--check-every", "100", "--seed", "3", "--start", "random",
+                   "--seed", "3", "--start", "random",
                    "--out", str(first)])
     assert rc == 0
     second = tmp_path / "second"
@@ -86,8 +85,7 @@ def test_variance_empty_retention_is_prior_constant(tmp_path):
     out = tmp_path / "flat"
     rc = cli.main(["variance", "--problem", "heat", "--n-side", "7", "--nt", "4",
                    "--sensors", "none", "--beta-ratio", "1e-12",
-                   "--m-a", "10", "--eps-eig", "1e-1", "--check-every", "100",
-                   "--gamma-prior", "10", "--out", str(out)])
+                   "--m-a", "10", "--eps-eig", "1e-1", "--gamma-prior", "10", "--out", str(out)])
     assert rc == 0
     header, rows = _read_csv(out / "variance.csv")
     values = np.array([[float(x) for x in row] for row in rows])
@@ -115,7 +113,7 @@ def test_oracle_pass_heat(tmp_path):
     out = tmp_path / "orc"
     rc = cli.main(["oracle", "--problem", "heat", "--n-side", "7", "--nt", "5",
                    "--sensors", "none", "--m-a", "100", "--eps-eig", "1e-12",
-                   "--check-every", "100", "--out", str(out)])
+                   "--out", str(out)])
     assert rc == 0
     text = (out / "oracle_report.txt").read_text()
     assert "result=PASS" in text
@@ -123,11 +121,22 @@ def test_oracle_pass_heat(tmp_path):
     assert "\nasymmetry=" in text and "tol_asymmetry" not in text
 
 
+@pytest.mark.parametrize("n_side", ["7", "15"])
+def test_steady_oracle_passes_without_stop_flags(tmp_path, n_side):
+    # the steady spectrum is made of exact (m,n)/(n,m) pairs; the oracle's
+    # exhaustive run must find both copies of each without any stop flag
+    out = tmp_path / "steady"
+    rc = cli.main(["oracle", "--problem", "heat", "--mode", "steady",
+                   "--n-side", n_side, "--out", str(out)])
+    assert rc == 0
+    assert (out / "oracle_report.txt").read_text().splitlines()[-1] == "result=PASS"
+
+
 def test_oracle_pass_convdiff(tmp_path):
     out = tmp_path / "orc_cd"
     rc = cli.main(["oracle", "--problem", "convdiff", "--nu", "1e-2",
                    "--n-side", "5", "--nt", "4", "--sensors", "none", "--m-a", "100",
-                   "--eps-eig", "1e-12", "--check-every", "100", "--out", str(out)])
+                   "--eps-eig", "1e-12", "--out", str(out)])
     assert rc == 0
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
 
@@ -136,7 +145,7 @@ def test_oracle_corrupted_truncation_fails(tmp_path):
     out = tmp_path / "bad"
     rc = cli.main(["oracle", "--problem", "heat", "--n-side", "7", "--nt", "5",
                    "--sensors", "none", "--eps0", "0.5", "--m-a", "100", "--eps-eig", "1e-12",
-                   "--check-every", "100", "--out", str(out)])
+                   "--out", str(out)])
     assert rc == 4
     assert "result=FAIL" in (out / "oracle_report.txt").read_text()
 
@@ -258,10 +267,15 @@ def test_precedence_flag_file(tmp_path):
 def test_config_file_rejects_unknown_key(tmp_path):
     # the removed keys of older manifests are unknown keys too
     bad = tmp_path / "bad.cfg"
-    for line in ("frobnicate=1", "gamma_mode=scalar", "r_max=none", "beta_prior=1"):
+    for line in ("frobnicate=1", "gamma_mode=scalar", "r_max=none", "beta_prior=1",
+                 "check_every=10", "on_breakdown=stop"):
         bad.write_text(line + "\n")
         with pytest.raises(lp.InvalidConfigError, match="unknown configuration key"):
             cli.resolve_config(file_path=bad)
+    # and their flags are unknown arguments: the command decides how Arnoldi stops
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eigs", "--check-every", "5"])
+    assert exc.value.code == 2
 
 
 def test_wind_parsing():
@@ -275,8 +289,7 @@ def test_manifest_lines_replay_as_flags(tmp_path):
         problem="convdiff", n_side=17, nt=12, final_time=0.5, nu=0.03,
         wind=(-0.5, 0.25), beta_ratio=100.0, gamma_prior=2.5,
         sensors="custom:0.5,0.5,0.2;0.25,0.75,0.1", eps0=1e-6, eps_eig=1e-3, m_a=40,
-        check_every=5, mode="source",
-        start="random", on_breakdown="restart", seed=7, compress_every=3, k=12,
+        mode="source", start="random", seed=7, compress_every=3, k=12,
         out=str(tmp_path / "replay"),
     )
     assert all(getattr(cfg, f.name) != f.default for f in fields(cli.RunConfig))
@@ -292,7 +305,7 @@ def test_manifest_lines_replay_as_flags(tmp_path):
 def test_manifest_contains_all_fields(tmp_path):
     out = tmp_path / "mani"
     cli.main(["eigs", "--problem", "heat", "--n-side", "7", "--nt", "3",
-              "--sensors", "none", "--m-a", "5", "--check-every", "100", "--out", str(out)])
+              "--sensors", "none", "--m-a", "5", "--out", str(out)])
     text = (out / "manifest.cfg").read_text()
     for f in fields(cli.RunConfig):
         assert f"{f.name}=" in text
@@ -305,7 +318,7 @@ def test_unresolved_grid3x3_exits_2_without_output(tmp_path, capsys):
     for mode, rc in (("ic", 2), ("source", 2), ("steady", 0)):
         assert cli.main(["eigs", "--problem", "heat", "--mode", mode, "--n-side", "7",
                          "--nt", "3", "--sensors", "grid3x3", "--m-a", "5",
-                         "--check-every", "100", "--out", str(out / mode)]) == rc
+                         "--out", str(out / mode)]) == rc
         assert (out / mode).exists() == (rc == 0)
     assert "needs n_side >= 15" in capsys.readouterr().err
 
@@ -314,7 +327,7 @@ def test_custom_sensor_layout(tmp_path):
     out = tmp_path / "custom"
     rc = cli.main(["eigs", "--problem", "heat", "--n-side", "15", "--nt", "4",
                    "--sensors", "custom:0.5,0.5,0.2;0.25,0.25,0.1",
-                   "--m-a", "8", "--check-every", "100", "--out", str(out)])
+                   "--m-a", "8", "--out", str(out)])
     assert rc == 0
 
 
@@ -322,7 +335,7 @@ def test_source_mode_oracle_passes(tmp_path):
     out = tmp_path / "src"
     rc = cli.main(["oracle", "--problem", "heat", "--n-side", "4", "--nt", "3",
                    "--sensors", "none", "--mode", "source", "--m-a", "60",
-                   "--eps-eig", "1e-14", "--check-every", "100", "--out", str(out)])
+                   "--eps-eig", "1e-14", "--out", str(out)])
     assert rc == 0
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
 
@@ -333,7 +346,7 @@ def test_oracle_passes_when_top_k_ends_inside_a_degenerate_pair(tmp_path):
     out = tmp_path / "pair"
     rc = cli.main(["oracle", "--problem", "heat", "--mode", "source", "--n-side", "7",
                    "--nt", "5", "--sensors", "none", "--m-a", "200", "--eps-eig", "1e-12",
-                   "--check-every", "100", "--out", str(out)])
+                   "--out", str(out)])
     assert rc == 0
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
 
@@ -342,7 +355,7 @@ def test_source_mode_eigs_writes_rank_trace(tmp_path):
     out = tmp_path / "src_eigs"
     rc = cli.main(["eigs", "--problem", "heat", "--n-side", "9", "--nt", "6",
                    "--sensors", "none", "--mode", "source", "--m-a", "10",
-                   "--check-every", "100", "--out", str(out)])
+                   "--out", str(out)])
     assert rc == 0
     _, rows = _read_csv(out / "ranks.csv")
     assert len(rows) == 10 and all(int(r[1]) >= 1 for r in rows)

@@ -151,8 +151,7 @@ def test_nonorthogonal_input_is_cleaned():
 def test_variance_strictly_reduced_at_every_sensor_dof():
     from lrpostcov import cli
     cfg = cli.RunConfig(problem="heat", n_side=31, nt=10, sensors="grid3x3",
-                        beta_ratio=1e4, gamma_prior=10.0, m_a=25, eps_eig=1e-1,
-                        check_every=10)
+                        beta_ratio=1e4, gamma_prior=10.0, m_a=25, eps_eig=1e-1)
     run, summary = cli.run_variance(cfg)
     assert summary.k >= 1
     mask = run.problem.layout.mask
