@@ -13,7 +13,8 @@ A default run combines a hard iteration cap with a Ritz refresh every
 CHECK_EVERY steps; it ends early once every Ritz value above the retention
 threshold is stable between refreshes and the rest sit below it, or at the
 first invariant subspace.  Truncated Arnoldi has no exact residual bound,
-so stability-between-refreshes stands in for one.  An exhaustive run never
+so stability-between-refreshes stands in for one.  ArnoldiResult.stop_reason
+records which of the three ended the run.  An exhaustive run never
 refreshes and restarts through every invariant subspace, since one Krylov
 sequence finds only one copy of a multiple eigenvalue.
 """
@@ -78,6 +79,7 @@ class ArnoldiResult:
     ritz_vectors: list            # same representation as the basis
     converged_count: int          # final Ritz values >= eps_eig
     breakdown: bool               # an invariant subspace was reached
+    stop_reason: str              # why the run ended: "stable", "breakdown" or "cap"
     iterations: int
     diagnostics: list[tuple]      # (j, h_subdiag, max_rank, seconds)
     restarts: int = 0
@@ -286,6 +288,7 @@ def lr_arnoldi(
     diagnostics: list[tuple] = []
     prev_vals: np.ndarray | None = None
     breakdown = False
+    stop_reason = "cap"
     restarts = 0
     j_done = 0
     h_scale = 0.0  # running max |H_ij|, the operator-scale estimate
@@ -318,11 +321,12 @@ def lr_arnoldi(
 
         if h_sub <= BREAKDOWN_TOL * h_scale:
             breakdown = True  # invariant subspace reached
-            if not stop.exhaustive or j + 1 >= stop.m_a:
-                break
-            H[j + 1, j] = 0.0
-            fresh = _fresh_direction(basis, ops, stop.restart_seed + restarts)
-            if fresh is None:  # orthogonal complement exhausted
+            fresh = None
+            if stop.exhaustive and j + 1 < stop.m_a:
+                H[j + 1, j] = 0.0
+                fresh = _fresh_direction(basis, ops, stop.restart_seed + restarts)
+            if fresh is None:  # not restarting, or orthogonal complement exhausted
+                stop_reason = "breakdown"
                 break
             restarts += 1
             basis.append(fresh)
@@ -334,6 +338,7 @@ def lr_arnoldi(
             ready = _stop_ready(vals, prev_vals, stop)
             prev_vals = vals
             if ready:
+                stop_reason = "stable"
                 break
 
     Hout = H[: j_done + 1, : j_done]
@@ -348,6 +353,7 @@ def lr_arnoldi(
         ritz_vectors=[p[1] for p in pairs],
         converged_count=int(np.sum(vals >= stop.eps_eig)),
         breakdown=breakdown,
+        stop_reason=stop_reason,
         iterations=j_done,
         diagnostics=diagnostics,
         restarts=restarts,

@@ -320,7 +320,7 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
         _write_rows(outdir / "singular_values.csv", "vector,index,sigma", rows)
     with open(outdir / "diagnostics.log", "w") as fh:
         fh.write(f"iterations={res.iterations} breakdown={res.breakdown} "
-                 f"converged_count={res.converged_count} "
+                 f"converged_count={res.converged_count} stop={res.stop_reason} "
                  f"asymmetry={res.asymmetry():.6e}\n")
         for j, h_sub, rank, secs in res.diagnostics:
             fh.write(f"iter={j} h_subdiag={h_sub:.6e} max_rank={rank} seconds={secs:.4f}\n")

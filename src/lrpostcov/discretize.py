@@ -61,6 +61,7 @@ class SpatialOperator:
 
     L approximates -Δ (heat) or -nu·Δ + wind·∇ (convection-diffusion) with
     zero Dirichlet data.  Immutable after assembly; safe for shared reads.
+    ``symmetric`` says L = Lᵀ, which assembly knows without comparing them.
     """
 
     kind: str  # "heat" | "convdiff"
@@ -68,6 +69,7 @@ class SpatialOperator:
     L: sp.csr_matrix
     nu: float = 1.0
     wind: tuple[float, float] = (0.0, 0.0)
+    symmetric: bool = False
 
     @property
     def m_scale(self) -> float:
@@ -109,7 +111,7 @@ def assemble_heat(grid: Grid) -> SpatialOperator:
     A1 = _laplacian_1d(grid.n_side, grid.h)
     eye = sp.identity(grid.n_side, format="csr")
     L = (sp.kron(eye, A1) + sp.kron(A1, eye)).tocsr()
-    return SpatialOperator(kind="heat", grid=grid, L=L)
+    return SpatialOperator(kind="heat", grid=grid, L=L, symmetric=True)
 
 
 def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> SpatialOperator:
@@ -124,7 +126,8 @@ def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> Spati
         L = L + sp.kron(eye, _upwind_1d(n, h, w1))
     if w2 != 0.0:
         L = L + sp.kron(_upwind_1d(n, h, w2), eye)
-    return SpatialOperator(kind="convdiff", grid=grid, L=L.tocsr(), nu=nu, wind=(w1, w2))
+    return SpatialOperator(kind="convdiff", grid=grid, L=L.tocsr(), nu=nu, wind=(w1, w2),
+                           symmetric=w1 == 0.0 and w2 == 0.0)
 
 
 def analytic_poisson_eig(m: int, n: int, a: float = 1.0, b: float = 1.0) -> float:

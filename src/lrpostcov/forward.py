@@ -15,6 +15,9 @@ per (operator, tau) pair and the factorization is reused for every solve,
 including transposed ones.  It has symmetric sparsity and is strictly
 diagonally dominant (heat and upwind convection-diffusion alike), so the LU
 uses a symmetric minimum-degree ordering and never pivots off the diagonal.
+When the spatial operator is symmetric (heat, or convection-diffusion
+without wind), the step matrix is too, and every solve takes SuperLU's
+transposed path, which is the faster one for a single column.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError
-from .lowrank import LowRankMat, TruncationPolicy, lr_truncate
+from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
 
 
 class SpaceTimeOperator:
@@ -58,7 +61,7 @@ class SpaceTimeOperator:
         squeeze = B.ndim == 1
         if squeeze:
             B = B[:, None]
-        X = self._lu.solve(B, trans="T" if adjoint else "N")
+        X = self._lu.solve(B, trans="T" if adjoint or self.spatial.symmetric else "N")
         return X[:, 0] if squeeze else X
 
     def apply(self, Y: LowRankMat, adjoint: bool = False) -> LowRankMat:
@@ -95,11 +98,11 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     C2 = Q.T @ R
     R -= Q @ C2
     C += C2
-    Qb, Rb = np.linalg.qr(R)
+    Qb, Rb = _qr(R)
     # a remainder at rounding level leaves the normalized Qb visibly
     # non-orthogonal to Q; one more projection restores it
     D = Q.T @ Qb
-    Qb, Rd = np.linalg.qr(Qb - Q @ D)
+    Qb, Rd = _qr(Qb - Q @ D)
     C += D @ Rb
     Rb = Rd @ Rb
     core = np.block([[np.eye(r), C], [np.zeros((len(Rb), r)), Rb]])

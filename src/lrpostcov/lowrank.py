@@ -6,6 +6,12 @@ O((n_x + n_t)·r) instead of O(n_x·n_t).  All operations are pure: inputs
 are never mutated and results are freshly allocated, so values can be
 shared freely across threads.
 
+Every thin QR here and in ``forward`` and ``posterior`` goes through one
+kernel, ``_qr``, which calls LAPACK's geqrf and orgqr directly.  With one
+BLAS thread it gives the (Q, R) of ``np.linalg.qr`` bit for bit, at about
+half numpy's per-call cost on the small blocks recompression feeds it, and
+a caller that owns a Fortran-ordered buffer can let Q take its memory.
+
 Canonical form (produced by ``lr_truncate``): W1 has orthonormal columns
 and W2 = Q2·diag(σ) with Q2 orthonormal and σ the nonincreasing positive
 singular values of the represented matrix.
@@ -16,12 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 
 # Singular values below this multiple of sigma_1 are floating-point noise
 # and are always discarded, independent of the requested tolerance.
 NOISE_FLOOR = 1e-15
+
+# Reference LAPACK (ilaenv's NX) factors at most this many reflectors with
+# its unblocked QR, which needs n of workspace; past it the blocked code gets
+# the queried optimum, as np.linalg.qr gives it.  Allocating that optimum on
+# every small recompression would only cost memory.
+QR_UNBLOCKED_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,29 @@ class LowRankMat:
         return f"LowRankMat(shape={self.shape}, r={self.r})"
 
 
+def _qr(A: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR A = Q·R with Q m × k, R k × n and k = min(m, n).
+
+    A wide A gives a square Q.  A is left untouched unless ``overwrite_a``
+    is set and A is a Fortran-ordered float64 array; then the factorization
+    works in A's memory, and unless A is wide, Q is A itself.
+    """
+    m, n = A.shape
+    k = min(m, n)
+    if k == 0:
+        return np.zeros((m, 0)), np.zeros((0, n))
+    lwork = int(lapack.dgeqrf_lwork(m, n)[0]) if k > QR_UNBLOCKED_MAX else n
+    qr, tau, _, info = lapack.dgeqrf(A, lwork=lwork, overwrite_a=overwrite_a)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (geqrf info={info})")
+    R = np.triu(qr[:k])
+    # a wide A's Q is copied out, so it does not keep the m × n buffer alive
+    Q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=lwork, overwrite_a=k == n)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (orgqr info={info})")
+    return Q, R
+
+
 def _check_same_shape(A: LowRankMat, B: LowRankMat) -> None:
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
@@ -126,8 +162,8 @@ def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
     n_x, n_t = A.shape
     if A.r == 0:
         return LowRankMat.zeros(n_x, n_t)
-    Q1, R1 = np.linalg.qr(A.W1)
-    Q2, R2 = np.linalg.qr(A.W2)
+    Q1, R1 = _qr(A.W1)
+    Q2, R2 = _qr(A.W2)
     # a product that cancels to rounding noise of the factor magnitudes is zero
     factor_scale = np.linalg.norm(R1) * np.linalg.norm(R2)
     if not np.isfinite(factor_scale):
@@ -169,7 +205,7 @@ def lr_sum(terms, coeffs) -> LowRankMat:
     if not live:
         return LowRankMat.zeros(n_x, n_t)
     time_short = n_t <= n_x
-    Q, R = np.linalg.qr(np.hstack([A.W2 if time_short else A.W1 for A, _ in live]))
+    Q, R = _qr(np.hstack([A.W2 if time_short else A.W1 for A, _ in live]))
     acc = np.zeros((n_x if time_short else n_t, Q.shape[1]))
     scale = 0.0
     col = 0
@@ -207,6 +243,6 @@ def lr_singular_values(A: LowRankMat) -> np.ndarray:
     """Singular values of the represented matrix (descending)."""
     if A.r == 0:
         return np.zeros(0)
-    R1 = np.linalg.qr(A.W1, mode="r")
-    R2 = np.linalg.qr(A.W2, mode="r")
+    R1 = _qr(A.W1)[1]
+    R2 = _qr(A.W2)[1]
     return np.linalg.svd(R1 @ R2.T, compute_uv=False)

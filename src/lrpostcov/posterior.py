@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .lowrank import _qr
 
 
 def lambda_tilde(lam: float) -> float:
@@ -44,15 +45,6 @@ class PosteriorSummary:
         return self.V.shape[1]
 
 
-def _reorthonormalize(V: np.ndarray) -> np.ndarray:
-    # Truncation can leave ~1e-6-level non-orthogonality that would bias the
-    # variance diagonal, so clean the basis defensively.
-    if V.shape[1] == 0:
-        return V
-    Q, _ = np.linalg.qr(V)
-    return Q
-
-
 def build_summary(
     ritz_values: np.ndarray,
     ritz_vectors,
@@ -70,11 +62,14 @@ def build_summary(
     threshold = eps_eig if eps_eig is not None else 0.0
     keep = [i for i in order if vals[i] >= threshold]
 
-    V = np.zeros((np.asarray(ritz_vectors[0]).shape[0], len(keep)))
+    # Truncation can leave ~1e-6-level non-orthogonality that would bias the
+    # variance diagonal, so the basis is re-orthonormalized.  V is filled in
+    # Fortran order and Q overwrites it, so one n_x × k block is ever held.
+    V = np.zeros((np.asarray(ritz_vectors[0]).shape[0], len(keep)), order="F")
     for col, i in enumerate(keep):
         v = np.asarray(ritz_vectors[i], dtype=float)
         V[:, col] = v / np.linalg.norm(v)
-    V = _reorthonormalize(V)
+    V, _ = _qr(V, overwrite_a=True)
     lams = vals[keep]
     filters = np.array([lambda_tilde(float(lam)) for lam in lams])
     return PosteriorSummary(
@@ -82,7 +77,7 @@ def build_summary(
         filters=filters,
         V=V,
         gamma_prior=gamma_prior,
-        variance_field=gamma_prior * (1.0 - (V**2) @ filters),
+        variance_field=gamma_prior * (1.0 - np.einsum("ij,ij,j->i", V, V, filters)),
     )
 
 

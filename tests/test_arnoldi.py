@@ -296,6 +296,24 @@ def test_converged_count_is_final_ritz_values_above_threshold(why):
     assert res.converged_count == _count_above(res, stop)
 
 
+@pytest.mark.parametrize("spectrum, stop, reason", [
+    # well-separated values above eps_eig agree between the refreshes at 10 and 20
+    (2.0 ** -np.arange(60.0), StopRule(m_a=50), "stable"),
+    (2.0 ** -np.arange(60.0), StopRule(m_a=5), "cap"),
+    # five distinct values: the Krylov space closes at step 5
+    ([3.0, 2.0, 1.0, 0.5, 0.25], StopRule(m_a=10), "breakdown"),
+    # exhaustive: a restart past the first invariant subspace, then the cap
+    ([2.0, 2.0, 1.0, 1.0, 0.5, 0.5], StopRule(m_a=5, exhaustive=True), "cap"),
+    # exhaustive: the second invariant subspace leaves no complement to restart in
+    ([2.0, 2.0, 1.0, 1.0], StopRule(m_a=12, exhaustive=True), "breakdown"),
+])
+def test_stop_reason_names_what_ended_the_run(spectrum, stop, reason):
+    d = np.asarray(spectrum)
+    res = lr_arnoldi(lambda x: d * x, np.ones(len(d)) / np.sqrt(len(d)), POL, stop)
+    assert res.stop_reason == reason
+    assert (res.iterations == stop.m_a) == (reason == "cap")
+
+
 RTOL = arnoldi.STABILITY_RTOL
 
 

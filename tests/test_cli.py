@@ -44,8 +44,10 @@ def test_steady_eigs_first_value(tmp_path):
     grid = lp.build_grid(15)
     expect = 1e-4 / lp.discrete_fd_eig(1, 1, grid) ** 2
     assert_allclose(float(rows[0][1]), expect, rtol=1e-8)
-    # the first diagnostics line reports the Hessenberg block's measured symmetry
+    # the first diagnostics line says why Arnoldi stopped and ends in the
+    # Hessenberg block's measured symmetry
     first = (out / "diagnostics.log").read_text().splitlines()[0]
+    assert " stop=cap asymmetry=" in first
     assert 0.0 <= float(first.split("asymmetry=")[1]) <= 1e-8
     # the steady manifest names the heat problem and replays bitwise
     assert "problem=heat\n" in (out / "manifest.cfg").read_text()

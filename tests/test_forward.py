@@ -296,6 +296,21 @@ def test_rank1_initial_condition_stays_rank1_over_many_flushes(monkeypatch):
     assert np.linalg.norm(lp.lr_to_dense(Y) - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
+@pytest.mark.parametrize("wind", [None, (0.0, 1.0), (0.0, 0.0)])
+def test_step_solves_match_spsolve_in_both_directions(wind):
+    # heat's step matrix is symmetric and every solve takes the transposed path
+    grid = lp.build_grid(15)
+    op = lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
+    assert op.symmetric == (abs(op.L - op.L.T).max() == 0.0)
+    K = lp.SpaceTimeOperator(op, lp.build_time_grid(5))
+    B = np.random.default_rng(18).standard_normal((grid.n_x, 3))
+    for adjoint, S in ((False, K.step_matrix), (True, K.step_matrix.T.tocsc())):
+        for rhs in (B[:, 0], B):
+            want = spla.spsolve(S, rhs)
+            assert_allclose(K.solve_step(rhs, adjoint=adjoint), want,
+                            rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("compress_every", [3, 4])
 def test_flush_truncates_only_the_small_coefficient_field(monkeypatch, adjoint, compress_every):

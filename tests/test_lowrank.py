@@ -6,6 +6,7 @@ from lrpostcov.errors import NumericalError
 from lrpostcov.lowrank import (
     LowRankMat,
     TruncationPolicy,
+    _qr,
     lr_add,
     lr_dot,
     lr_from_dense,
@@ -248,3 +249,36 @@ def test_overflowing_or_nan_factors_raise_numerical_error(bad):
         lr_truncate(A, TruncationPolicy())
     with pytest.raises(NumericalError):
         lr_sum([A, A], [1.0, 2.0])
+
+
+def _qr_input(rng, shape):
+    if shape == "repeated":  # rank-deficient: one column three times
+        c = rng.standard_normal((50, 1))
+        return np.hstack([c, rng.standard_normal((50, 2)), c, c])
+    return rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(3969, 4), (144, 4), (24, 24), (30, 1200), "repeated",
+                                   (0, 4), (5, 0)])
+def test_qr_kernel_is_numpy_qr_bitwise(shape):
+    # a flush's pane and remainder, a square core, lr_sum's wide stacked time
+    # factors, a dependent block and the empty blocks of an empty-mask apply
+    A = _qr_input(np.random.default_rng(15), shape)
+    A0 = A.copy()
+    Q, R = _qr(A)
+    Qn, Rn = np.linalg.qr(A)
+    assert Q.shape == Qn.shape and R.shape == Rn.shape
+    assert np.array_equal(Q, Qn) and np.array_equal(R, Rn)
+    assert np.array_equal(A, A0)  # the caller's array is never written
+
+
+def test_qr_kernel_in_place_reuses_a_fortran_buffer():
+    A = np.asfortranarray(np.random.default_rng(16).standard_normal((200, 12)))
+    Qn, Rn = np.linalg.qr(A)
+    Q, R = _qr(A, overwrite_a=True)
+    assert np.shares_memory(Q, A)
+    assert np.array_equal(Q, Qn) and np.array_equal(R, Rn)
+    # a wide block's square Q is copied out and does not pin the wide buffer
+    W = np.asfortranarray(np.random.default_rng(17).standard_normal((6, 40)))
+    Q, _ = _qr(W, overwrite_a=True)
+    assert Q.shape == (6, 6) and not np.shares_memory(Q, W)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -146,6 +148,24 @@ def test_nonorthogonal_input_is_cleaned():
     V = np.column_stack([v, v + 1e-7 * rng.standard_normal(25)])
     var = _variance(np.array([10.0, 10.0]), V, gamma_prior=1.0)
     assert var.min() > 0  # would go negative without reorthonormalization
+
+
+def test_summary_holds_one_block_and_forms_the_exact_variance():
+    # 120 retained pairs on the 63 × 63 grid, the size of the ic-full workload
+    n, k, gamma = 3969, 120, 10.0
+    V = _orthonormal(np.random.default_rng(8), n, k)
+    vecs = [V[:, j].copy() for j in range(k)]
+    lams = np.geomspace(1e4, 0.2, k)
+    tracemalloc.start()
+    try:
+        summary = posterior.build_summary(lams, vecs, gamma_prior=gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # V is re-orthonormalized in its own buffer and squared without a copy
+    assert peak <= 1.2 * V.nbytes
+    reference = gamma * (1.0 - (summary.V**2) @ summary.filters)
+    assert np.abs(summary.variance_field - reference).max() <= 1e-15 * gamma
 
 
 def test_variance_strictly_reduced_at_every_sensor_dof():
