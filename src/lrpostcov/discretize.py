@@ -8,7 +8,7 @@ j = k // n_side.  The mass matrix is lumped to the scalar M_scale = h^d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,16 +60,24 @@ class SpatialOperator:
     """Discrete diffusion(-convection) operator on a Grid.
 
     L approximates -Δ (heat) or -nu·Δ + wind·∇ (convection-diffusion) with
-    zero Dirichlet data.  Immutable after assembly; safe for shared reads.
-    ``symmetric`` says L = Lᵀ, which assembly knows without comparing them.
+    zero Dirichlet data.  It is the Kronecker sum L = I⊗A1 + A2⊗I of two
+    tridiagonal n_side × n_side factors, A1 along x1 (the fast index) and
+    A2 along x2, and is assembled from them here, so the three never
+    disagree.  A factor whose axis carries no wind is symmetric.  Immutable
+    after assembly; safe for shared reads.
     """
 
     kind: str  # "heat" | "convdiff"
     grid: Grid
-    L: sp.csr_matrix
+    A1: sp.csr_matrix
+    A2: sp.csr_matrix
     nu: float = 1.0
     wind: tuple[float, float] = (0.0, 0.0)
-    symmetric: bool = False
+    L: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        eye = sp.identity(self.grid.n_side, format="csr")
+        object.__setattr__(self, "L", (sp.kron(eye, self.A1) + sp.kron(self.A2, eye)).tocsr())
 
     @property
     def m_scale(self) -> float:
@@ -108,10 +116,8 @@ def _upwind_1d(n: int, h: float, w: float) -> sp.csr_matrix:
 
 def assemble_heat(grid: Grid) -> SpatialOperator:
     """5-point FD Laplacian, symmetric, diagonal entries 4/h²."""
-    A1 = _laplacian_1d(grid.n_side, grid.h)
-    eye = sp.identity(grid.n_side, format="csr")
-    L = (sp.kron(eye, A1) + sp.kron(A1, eye)).tocsr()
-    return SpatialOperator(kind="heat", grid=grid, L=L, symmetric=True)
+    A = _laplacian_1d(grid.n_side, grid.h)
+    return SpatialOperator(kind="heat", grid=grid, A1=A, A2=A)
 
 
 def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> SpatialOperator:
@@ -119,15 +125,11 @@ def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> Spati
     if nu <= 0:
         raise InvalidConfigError(f"viscosity nu must be positive, got {nu}")
     n, h = grid.n_side, grid.h
-    eye = sp.identity(n, format="csr")
-    L = nu * (sp.kron(eye, _laplacian_1d(n, h)) + sp.kron(_laplacian_1d(n, h), eye))
     w1, w2 = float(wind[0]), float(wind[1])
-    if w1 != 0.0:
-        L = L + sp.kron(eye, _upwind_1d(n, h, w1))
-    if w2 != 0.0:
-        L = L + sp.kron(_upwind_1d(n, h, w2), eye)
-    return SpatialOperator(kind="convdiff", grid=grid, L=L.tocsr(), nu=nu, wind=(w1, w2),
-                           symmetric=w1 == 0.0 and w2 == 0.0)
+    diffusion = nu * _laplacian_1d(n, h)
+    return SpatialOperator(kind="convdiff", grid=grid,
+                           A1=(diffusion + _upwind_1d(n, h, w1)).tocsr(),
+                           A2=(diffusion + _upwind_1d(n, h, w2)).tocsr(), nu=nu, wind=(w1, w2))
 
 
 def analytic_poisson_eig(m: int, n: int, a: float = 1.0, b: float = 1.0) -> float:

@@ -10,42 +10,106 @@ with step_matrix = M_scale·(I + tau·L).  In factor form this is
     K(W1·W2ᵀ) = (step_matrix·W1)·W2ᵀ - (M_scale·W1)·(S·W2)ᵀ,
 
 where S is the lower time shift, so K and Kᵀ map low-rank fields to
-low-rank fields with at most doubled rank.  step_matrix is factorized once
-per (operator, tau) pair and the factorization is reused for every solve,
-including transposed ones.  It has symmetric sparsity and is strictly
-diagonally dominant (heat and upwind convection-diffusion alike), so the LU
-uses a symmetric minimum-degree ordering and never pivots off the diagonal.
-When the spatial operator is symmetric (heat, or convection-diffusion
-without wind), the step matrix is too, and every solve takes SuperLU's
-transposed path, which is the faster one for a single column.
+low-rank fields with at most doubled rank.  The step solve is factored once
+per (operator, tau) pair and reused for every solve, including transposed
+ones.
+
+L = I⊗A1 + A2⊗I is a Kronecker sum of tridiagonal 1-D factors, and a factor
+whose axis carries no wind is symmetric.  With one such factor the step
+matrix is solved by the fast diagonalization method (Lynch, Rice & Thomas,
+Numer. Math. 6, 1964): the symmetric factor's orthogonal eigenvectors turn
+it into n_side independent tridiagonal systems along the other axis,
+stacked into one and factored by LAPACK's gttrf (``SeparableSolver``).
+This covers heat, convection-diffusion without wind and wind along one
+axis.  Wind along both axes leaves no symmetric factor; that step matrix is
+factored by a sparse LU under a symmetric minimum-degree ordering, which
+never pivots off the diagonal because the matrix is strictly diagonally
+dominant.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError
 from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
 
 
+class SeparableSolver:
+    """Direct solver for a·I + b·L, L = I⊗A1 + A2⊗I with a symmetric factor.
+
+    The symmetric factor A_d = V·diag(λ)·Vᵀ is diagonalized once by a dense
+    ``eigh``.  Along its eigenvector k the system reduces to the tridiagonal
+    (a + b·λ_k)·I + b·A_t on the other axis; the n_side of them are stacked
+    into one block-diagonal tridiagonal matrix and factored once by gttrf.
+    A solve is then one V-transform, one gttrs and one back-transform, for
+    any number of columns, and the transpose solve differs only in gttrs's
+    ``trans``.  x1 is diagonalized when it carries no wind, else x2; the
+    second case is the first on the transposed grid.  ``solve`` has the
+    signature of SuperLU's, so either can back a step solve.
+    """
+
+    def __init__(self, spatial: SpatialOperator, a: float, b: float):
+        self.n = spatial.grid.n_side
+        self.x1_diag = spatial.wind[0] == 0.0
+        if not (self.x1_diag or spatial.wind[1] == 0.0):
+            raise ValueError("wind along both axes leaves no symmetric factor")
+        A_d, A_t = (spatial.A1, spatial.A2) if self.x1_diag else (spatial.A2, spatial.A1)
+        lam, self.V = sla.eigh(A_d.toarray())
+        # block k (contiguous, the diagonalized index k slowest) couples only
+        # along the other axis; the off-diagonals are zero between blocks
+        d = (a + b * lam)[:, None] + b * A_t.diagonal()
+        dl = np.tile(np.append(b * A_t.diagonal(-1), 0.0), self.n)[:-1]
+        du = np.tile(np.append(b * A_t.diagonal(1), 0.0), self.n)[:-1]
+        *self._factors, info = lapack.dgttrf(dl, d.ravel(), du, overwrite_dl=True,
+                                             overwrite_d=True, overwrite_du=True)
+        if info != 0:
+            raise NumericalError(f"stacked tridiagonal factorization failed (gttrf info={info})")
+
+    def solve(self, B: np.ndarray, trans: str = "N") -> np.ndarray:
+        """(a·I + b·L)⁻¹·B, or its transpose's for trans="T"; B is n_x × c."""
+        n, c, V = self.n, B.shape[1], self.V
+        G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
+        if self.x1_diag:
+            G = G.swapaxes(1, 2)  # the diagonalized axis first
+        W = V.T @ G  # (column, eigen-index k, tridiagonal axis), C-ordered
+        W, _ = lapack.dgttrs(*self._factors, W.reshape(c, -1).T, trans=trans, overwrite_b=True)
+        W = W.T.reshape(c, n, n)
+        X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
+        return X.reshape(c, -1).T
+
+
 class SpaceTimeOperator:
-    """Block-bidiagonal implicit-Euler operator with a cached factorization."""
+    """Block-bidiagonal implicit-Euler operator with a cached step factorization.
+
+    The factorization is a ``SeparableSolver`` when an axis carries no wind,
+    and a sparse LU of ``step_matrix`` when both axes do.
+    """
 
     def __init__(self, spatial: SpatialOperator, time: TimeGrid):
         self.spatial = spatial
         self.time = time
-        n_x = spatial.grid.n_x
         self.m_scale = spatial.m_scale
-        self.step_matrix = (
-            self.m_scale * (sp.identity(n_x, format="csr") + time.tau * spatial.L)
-        ).tocsc()
+        if 0.0 in spatial.wind:
+            self._solver = SeparableSolver(spatial, self.m_scale, self.m_scale * time.tau)
+            return
         try:
-            self._lu = spla.splu(self.step_matrix, permc_spec="MMD_AT_PLUS_A")
+            self._solver = spla.splu(self.step_matrix, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # singular factorization surfaces to callers
             raise NumericalError(f"step matrix factorization failed: {exc}") from exc
+
+    @cached_property
+    def step_matrix(self) -> sp.csc_matrix:
+        """M_scale·(I + tau·L), assembled on first use; a separable solve never reads it."""
+        eye = sp.identity(self.n_x, format="csr")
+        return (self.m_scale * (eye + self.time.tau * self.spatial.L)).tocsc()
 
     @property
     def n_x(self) -> int:
@@ -61,7 +125,7 @@ class SpaceTimeOperator:
         squeeze = B.ndim == 1
         if squeeze:
             B = B[:, None]
-        X = self._lu.solve(B, trans="T" if adjoint or self.spatial.symmetric else "N")
+        X = self._solver.solve(B, trans="T" if adjoint else "N")
         return X[:, 0] if squeeze else X
 
     def apply(self, Y: LowRankMat, adjoint: bool = False) -> LowRankMat:
@@ -121,7 +185,7 @@ def st_solve_sweep(
     """Solve K·vec(Y) = vec(rhs) (or Kᵀ for adjoint=True) by time substitution.
 
     An initial condition u enters as ``LowRankMat.from_column(M_scale·u,
-    n_t, 0)``.  One sparse solve per step on the running column plus one
+    n_t, 0)``.  One step solve per step on the running column plus one
     multi-column solve for the rhs factor; the growing solution pane is
     recompressed every ``compress_every`` steps so storage stays
     O((n_x + n_t)·r).  The returned pane is canonical, as ``lr_truncate``
@@ -135,21 +199,23 @@ def st_solve_sweep(
     n_x, n_t = K.n_x, K.n_t
     if rhs.shape != (n_x, n_t):
         raise ValueError(f"rhs shape {rhs.shape} does not match operator {(n_x, n_t)}")
-    keep = np.arange(n_x) if rows is None else np.arange(n_x)[rows]
+    keep = None if rows is None else np.arange(n_x)[rows]
+    n_keep = n_x if keep is None else len(keep)
     if rhs.r == 0:
-        return LowRankMat.zeros(len(keep), n_t)
+        return LowRankMat.zeros(n_keep, n_t)
 
     B = K.solve_step(rhs.W1, adjoint=adjoint)  # step⁻¹ applied to the rhs factor
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
-    pane = LowRankMat.zeros(len(keep), n_t)
+    pane = LowRankMat.zeros(n_keep, n_t)
     y_prev = np.zeros(n_x)
     for start in range(0, n_t, compress_every):
         idx = list(steps[start:start + compress_every])
         cols = []
         for k in idx:
             y_prev = K.solve_step(K.m_scale * y_prev, adjoint=adjoint) + B @ rhs.W2[k, :]
-            cols.append(y_prev[keep])
+            # y_prev is a fresh array every step, so a full-row pane stores it as is
+            cols.append(y_prev if keep is None else y_prev[keep])
         pane = _extend_pane(pane, np.column_stack(cols), idx, pol)
     return pane
 

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .discretize import Grid, SpatialOperator, TimeGrid
 from .errors import InvalidConfigError
-from .forward import SpaceTimeOperator, st_solve_adjoint_sweep, st_solve_sweep
+from .forward import SeparableSolver, SpaceTimeOperator, st_solve_adjoint_sweep, st_solve_sweep
 from .lowrank import LowRankMat, TruncationPolicy, lr_scale
 from .lowrank import lr_truncate  # noqa: F401  bench/tracing.py wraps hessian.lr_truncate by name
 
@@ -172,7 +171,7 @@ class HessianContext:
                 raise InvalidConfigError("steady mode needs a spatial operator")
             if self.spatial.kind != "heat":
                 raise InvalidConfigError("steady mode is defined for the heat operator")
-            self._steady_lu = spla.splu(self.spatial.L.tocsc())
+            self._steady = SeparableSolver(self.spatial, 0.0, 1.0)  # L itself, no time shift
         elif self.operator is None or self.layout is None:
             raise InvalidConfigError(f"mode {self.mode!r} needs operator and layout")
 
@@ -197,8 +196,9 @@ class HessianContext:
         """
         if self.mode == MODE_STEADY:
             # (beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L is symmetric, so adjoint = forward
-            x = self._steady_lu.solve(self._steady_lu.solve(np.asarray(v, dtype=float)))
-            return (self.cov.beta_prior / self.cov.beta_noise) * x
+            x = np.asarray(v, dtype=float)[:, None]
+            x = self._steady.solve(self._steady.solve(x))
+            return (self.cov.beta_prior / self.cov.beta_noise) * x[:, 0]
         K = self.operator
         sqrt_g = math.sqrt(self.cov.gamma_prior)
         if self.mode == MODE_IC:

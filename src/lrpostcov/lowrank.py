@@ -105,7 +105,9 @@ def _qr(A: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarra
     qr, tau, _, info = lapack.dgeqrf(A, lwork=lwork, overwrite_a=overwrite_a)
     if info != 0:
         raise NumericalError(f"QR factorization failed (geqrf info={info})")
-    R = np.triu(qr[:k])
+    R = qr[:k].copy()
+    for i in range(1, k):  # below the diagonal geqrf leaves its reflectors
+        R[i, :i] = 0.0
     # a wide A's Q is copied out, so it does not keep the m × n buffer alive
     Q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=lwork, overwrite_a=k == n)
     if info != 0:

@@ -296,19 +296,50 @@ def test_rank1_initial_condition_stays_rank1_over_many_flushes(monkeypatch):
     assert np.linalg.norm(lp.lr_to_dense(Y) - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
-@pytest.mark.parametrize("wind", [None, (0.0, 1.0), (0.0, 0.0)])
+# heat, no wind, wind along x2 only (the default), along x1 only (the
+# transposed separable case), and wind along both axes (the sparse LU)
+STEP_WINDS = [None, (0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.3, -0.7), (-0.5, 1.0)]
+
+
+def _spatial(grid, wind):
+    return lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
+
+
+@pytest.mark.parametrize("wind", STEP_WINDS)
 def test_step_solves_match_spsolve_in_both_directions(wind):
-    # heat's step matrix is symmetric and every solve takes the transposed path
+    # n_side 63 with nt 30 are the benchmark workloads' step matrices
+    for n_side, n_t in ((15, 5), (63, 30)):
+        grid = lp.build_grid(n_side)
+        K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(n_t))
+        B = np.random.default_rng(18).standard_normal((grid.n_x, 3))
+        B0 = B.copy()
+        for adjoint, S in ((False, K.step_matrix), (True, K.step_matrix.T.tocsc())):
+            for rhs in (B[:, 0], B[:, :1], B):
+                want = spla.spsolve(S, rhs).reshape(rhs.shape)
+                got = K.solve_step(rhs, adjoint=adjoint)
+                assert got.shape == rhs.shape
+                assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(B, B0)  # the right-hand sides are never written
+
+
+@pytest.mark.parametrize("wind", STEP_WINDS)
+def test_only_wind_along_both_axes_builds_a_sparse_lu(monkeypatch, wind):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", spy)
     grid = lp.build_grid(15)
-    op = lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
-    assert op.symmetric == (abs(op.L - op.L.T).max() == 0.0)
-    K = lp.SpaceTimeOperator(op, lp.build_time_grid(5))
-    B = np.random.default_rng(18).standard_normal((grid.n_x, 3))
-    for adjoint, S in ((False, K.step_matrix), (True, K.step_matrix.T.tocsc())):
-        for rhs in (B[:, 0], B):
-            want = spla.spsolve(S, rhs)
-            assert_allclose(K.solve_step(rhs, adjoint=adjoint), want,
-                            rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    op = _spatial(grid, wind)
+    lp.SpaceTimeOperator(op, lp.build_time_grid(5))
+    two_axis = wind is not None and 0.0 not in wind
+    assert calls == ([(grid.n_x, grid.n_x)] if two_axis else [])
+    if two_axis:  # neither factor is symmetric, so there is nothing to diagonalize
+        with pytest.raises(ValueError):
+            lp.forward.SeparableSolver(op, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -333,13 +364,12 @@ def test_flush_truncates_only_the_small_coefficient_field(monkeypatch, adjoint, 
         assert rows <= r_prev + compress_every < grid.n_x
 
 
-@pytest.mark.parametrize("problem", ["heat", "convdiff"])
-def test_step_lu_uses_symmetric_fill_reducing_ordering(problem):
+def test_step_lu_uses_symmetric_fill_reducing_ordering():
+    # wind along both axes is the only step matrix still factored by a sparse LU
     grid = lp.build_grid(63)
-    op = (lp.assemble_heat(grid) if problem == "heat"
-          else lp.assemble_convdiff(grid, 1e-2, (0.0, 1.0)))
-    K = lp.SpaceTimeOperator(op, lp.build_time_grid(30))
-    lu = K._lu
+    K = lp.SpaceTimeOperator(lp.assemble_convdiff(grid, 1e-2, (0.3, -0.7)),
+                             lp.build_time_grid(30))
+    lu = K._solver
     assert np.array_equal(lu.perm_r, lu.perm_c)  # no pivoting off the diagonal
     colamd = spla.splu(K.step_matrix, permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import lrpostcov as lp
@@ -254,6 +255,15 @@ class TestSteadyPoisson:
             lam = lp.discrete_fd_eig(m, n, grid)
             mu_ratio = (1e-4 / lam1**2) / (1e-4 / lam**2)
             assert_allclose(mu_ratio, (lam / lam1) ** 2, rtol=1e-8)
+
+    def test_apply_matches_two_sparse_solves(self, monkeypatch):
+        grid = lp.build_grid(31)
+        monkeypatch.setattr(spla, "splu", None)  # the separable solver builds no LU
+        ctx = _steady_ctx(grid)
+        v = np.random.default_rng(30).standard_normal(grid.n_x)
+        L = ctx.spatial.L.tocsc()
+        want = 1e-4 * spla.spsolve(L, spla.spsolve(L, v))
+        assert_allclose(ctx.apply(v), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_steady_mode_requires_heat(self):
         grid = lp.build_grid(5)
