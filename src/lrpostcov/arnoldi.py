@@ -16,7 +16,8 @@ first invariant subspace.  Truncated Arnoldi has no exact residual bound,
 so stability-between-refreshes stands in for one.  ArnoldiResult.stop_reason
 records which of the three ended the run.  An exhaustive run never
 refreshes and restarts through every invariant subspace, since one Krylov
-sequence finds only one copy of a multiple eigenvalue.
+sequence finds only one copy of a multiple eigenvalue.  Per step the
+iteration records only its wall time; ranks are read where they are stored.
 """
 
 from __future__ import annotations
@@ -74,14 +75,13 @@ class StopRule:
 class ArnoldiResult:
     H: np.ndarray                 # (m+1, m) Hessenberg matrix
     basis: list                   # m (or m+1) orthonormal vectors
-    rank_trace: list[int]         # max intermediate rank per iteration
     ritz_values: np.ndarray       # real, descending
     ritz_vectors: list            # same representation as the basis
     converged_count: int          # final Ritz values >= eps_eig
     breakdown: bool               # an invariant subspace was reached
     stop_reason: str              # why the run ended: "stable", "breakdown" or "cap"
     iterations: int
-    diagnostics: list[tuple]      # (j, h_subdiag, max_rank, seconds)
+    step_seconds: list[float]     # wall time of each iteration
     restarts: int = 0
 
     def gram_defect(self) -> float:
@@ -127,10 +127,6 @@ class _DenseOps(_VectorOps):
     scale = staticmethod(np.multiply)
 
     @staticmethod
-    def rank(w) -> int:
-        return 0
-
-    @staticmethod
     def finite(w) -> bool:
         return bool(np.isfinite(w).all())
 
@@ -151,10 +147,6 @@ class _LowRankOps(_VectorOps):
     @staticmethod
     def dot(a, b) -> float:
         return lr_dot(a, b)  # resolved per call, so a rebound module name is seen
-
-    @staticmethod
-    def rank(w) -> int:
-        return w.r
 
     @staticmethod
     def finite(w) -> bool:
@@ -254,9 +246,10 @@ def lr_arnoldi(
     v1,
     pol: TruncationPolicy,
     stop: StopRule,
-    rank_source: list | None = None,
 ) -> ArnoldiResult:
     """Arnoldi iteration for a self-adjoint-up-to-truncation operator action.
+
+    ``apply`` runs once per iteration, so a per-call trace lines up with them.
 
     Parameters
     ----------
@@ -270,9 +263,6 @@ def lr_arnoldi(
         Recompression policy for basis updates (low-rank mode).
     stop : StopRule
         Iteration cap and Ritz stopping thresholds.
-    rank_source : list, optional
-        A list the operator appends per-application max ranks to (e.g., a
-        HessianContext.rank_trace); consumed for the per-iteration trace.
     """
     ops = _ops_for(v1, pol)
     nrm = ops.norm(v1)
@@ -284,26 +274,19 @@ def lr_arnoldi(
 
     basis = [v1]
     H = np.zeros((stop.m_a + 1, stop.m_a))
-    rank_trace: list[int] = []
-    diagnostics: list[tuple] = []
+    step_seconds: list[float] = []
     prev_vals: np.ndarray | None = None
     breakdown = False
     stop_reason = "cap"
     restarts = 0
     j_done = 0
     h_scale = 0.0  # running max |H_ij|, the operator-scale estimate
-    src_seen = len(rank_source) if rank_source is not None else 0
 
     for j in range(stop.m_a):
         t0 = _time.perf_counter()
         w = apply(basis[j])
         if not ops.finite(w):
             raise NumericalError(f"Arnoldi iteration {j + 1}: operator output is not finite")
-
-        apply_rank = ops.rank(w)
-        if rank_source is not None and len(rank_source) > src_seen:
-            apply_rank = max(apply_rank, max(rank_source[src_seen:]))
-            src_seen = len(rank_source)
 
         for _pass in range(2):  # CGS with one reorthogonalization pass
             h, w = ops.project(w, basis[: j + 1])
@@ -314,9 +297,7 @@ def lr_arnoldi(
             raise NumericalError(f"Arnoldi iteration {j + 1}: h_(j+1,j) = {h_sub}")
         H[j + 1, j] = h_sub
         h_scale = max(h_scale, float(np.abs(H[: j + 2, j]).max()))
-        max_rank = max(apply_rank, ops.rank(w))
-        rank_trace.append(max_rank)
-        diagnostics.append((j + 1, h_sub, max_rank, _time.perf_counter() - t0))
+        step_seconds.append(_time.perf_counter() - t0)
         j_done = j + 1
 
         if h_sub <= BREAKDOWN_TOL * h_scale:
@@ -348,14 +329,13 @@ def lr_arnoldi(
     return ArnoldiResult(
         H=Hout,
         basis=basis,
-        rank_trace=rank_trace,
         ritz_values=vals,
         ritz_vectors=[p[1] for p in pairs],
         converged_count=int(np.sum(vals >= stop.eps_eig)),
         breakdown=breakdown,
         stop_reason=stop_reason,
         iterations=j_done,
-        diagnostics=diagnostics,
+        step_seconds=step_seconds,
         restarts=restarts,
     )
 

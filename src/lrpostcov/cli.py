@@ -254,6 +254,13 @@ class EigsRun:
     problem: Problem
     result: ArnoldiResult
 
+    @property
+    def rank_trace(self) -> list[int]:
+        """Per iteration (ranks.csv), the larger of its apply's entry in the
+        context's trace and the rank of the basis vector it stored (0 if dense)."""
+        stored = [getattr(v, "r", 0) for v in self.result.basis[1:]] + [0]  # none at breakdown
+        return list(map(max, self.problem.ctx.rank_trace[:self.result.iterations], stored))
+
 
 def run_eigs(cfg: RunConfig, exhaustive: bool = False) -> EigsRun:
     """Arnoldi on the configured Hessian; see StopRule for ``exhaustive``."""
@@ -264,8 +271,7 @@ def run_eigs(cfg: RunConfig, exhaustive: bool = False) -> EigsRun:
     m_a = min(cfg.m_a, problem.ctx.n_param + slack)
     stop = StopRule(m_a=m_a, eps_eig=cfg.eps_eig, exhaustive=exhaustive, restart_seed=cfg.seed)
     v1 = start_vector(cfg, problem)
-    result = lr_arnoldi(problem.ctx.apply, v1, problem.pol, stop,
-                        rank_source=problem.ctx.rank_trace)
+    result = lr_arnoldi(problem.ctx.apply, v1, problem.pol, stop)
     return EigsRun(config=cfg, problem=problem, result=result)
 
 
@@ -296,7 +302,7 @@ def _write_rows(path: Path, header: str, rows) -> None:
 
 
 def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
-    res = run.result
+    res, ranks = run.result, run.rank_trace
     k = min(run.config.k, len(res.ritz_values))
     _write_rows(
         outdir / "eigenvalues.csv", "index,ritz_value",
@@ -304,7 +310,7 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
     )
     _write_rows(
         outdir / "ranks.csv", "iteration,max_intermediate_rank",
-        (f"{j + 1},{r}" for j, r in enumerate(res.rank_trace)),
+        (f"{j + 1},{r}" for j, r in enumerate(ranks)),
     )
     m = res.H.shape[1]
     _write_rows(
@@ -322,8 +328,9 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
         fh.write(f"iterations={res.iterations} breakdown={res.breakdown} "
                  f"converged_count={res.converged_count} stop={res.stop_reason} "
                  f"asymmetry={res.asymmetry():.6e}\n")
-        for j, h_sub, rank, secs in res.diagnostics:
-            fh.write(f"iter={j} h_subdiag={h_sub:.6e} max_rank={rank} seconds={secs:.4f}\n")
+        for j, (rank, secs) in enumerate(zip(ranks, res.step_seconds)):
+            fh.write(f"iter={j + 1} h_subdiag={res.H[j + 1, j]:.6e} max_rank={rank} "
+                     f"seconds={secs:.4f}\n")
 
 
 def _save_eigs(run: EigsRun) -> Path:
@@ -470,7 +477,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
             run = run_eigs(point_cfg)
             _save_eigs(run)
             res = run.result
-            rows.append(f"{raw},{res.iterations},{max(res.rank_trace)},{res.ritz_values[0]:.17g}")
+            rows.append(f"{raw},{res.iterations},{max(run.rank_trace)},{res.ritz_values[0]:.17g}")
         except (InvalidConfigError, NumericalError) as exc:
             failed = True
             rows.append(f"{raw},ERROR,ERROR,ERROR")

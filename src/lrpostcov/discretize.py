@@ -8,7 +8,8 @@ j = k // n_side.  The mass matrix is lumped to the scalar M_scale = h^d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,9 +63,9 @@ class SpatialOperator:
     L approximates -Δ (heat) or -nu·Δ + wind·∇ (convection-diffusion) with
     zero Dirichlet data.  It is the Kronecker sum L = I⊗A1 + A2⊗I of two
     tridiagonal n_side × n_side factors, A1 along x1 (the fast index) and
-    A2 along x2, and is assembled from them here, so the three never
-    disagree.  A factor whose axis carries no wind is symmetric.  Immutable
-    after assembly; safe for shared reads.
+    A2 along x2.  L is assembled from them on first read (a separable step
+    solve never reads it), so the three never disagree.  A factor whose axis
+    carries no wind is symmetric.  Immutable; safe for shared reads.
     """
 
     kind: str  # "heat" | "convdiff"
@@ -73,11 +74,11 @@ class SpatialOperator:
     A2: sp.csr_matrix
     nu: float = 1.0
     wind: tuple[float, float] = (0.0, 0.0)
-    L: sp.csr_matrix = field(init=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def L(self) -> sp.csr_matrix:
         eye = sp.identity(self.grid.n_side, format="csr")
-        object.__setattr__(self, "L", (sp.kron(eye, self.A1) + sp.kron(self.A2, eye)).tocsr())
+        return (sp.kron(eye, self.A1) + sp.kron(self.A2, eye)).tocsr()
 
     @property
     def m_scale(self) -> float:

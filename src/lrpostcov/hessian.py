@@ -148,10 +148,10 @@ def apply_obs_weight(
 class HessianContext:
     """Everything needed to apply the prior-preconditioned misfit Hessian.
 
-    ``rank_trace`` records one entry per time-dependent application: the
-    larger rank of the two panes it stores, the forward pane over the
-    observed rows and the adjoint pane.  A context should therefore not be
-    shared by concurrent applications.
+    ``rank_trace`` gets one entry per application in every mode, so its
+    length counts applies: the larger rank of the two panes it stores, the
+    forward pane over the observed rows and the adjoint pane (0 in steady
+    mode).  A context should therefore not be shared by concurrent applies.
     """
 
     mode: str
@@ -198,6 +198,7 @@ class HessianContext:
             # (beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L is symmetric, so adjoint = forward
             x = np.asarray(v, dtype=float)[:, None]
             x = self._steady.solve(self._steady.solve(x))
+            self.rank_trace.append(0)
             return (self.cov.beta_prior / self.cov.beta_noise) * x[:, 0]
         K = self.operator
         sqrt_g = math.sqrt(self.cov.gamma_prior)

@@ -244,8 +244,8 @@ def test_criterion_5_time_step_invariance(nt_sweep_runs):
 
 def test_criterion_6_rank_boundedness(nt_sweep_runs, nu_sweep_runs):
     runs, _ = nt_sweep_runs
-    heat_ranks = [max(runs[nt].result.rank_trace) for nt in (30, 60, 90)]
-    cd_ranks = [max(nu_sweep_runs[nu].result.rank_trace) for nu in (1e-1, 1e-2, 1e-3)]
+    heat_ranks = [max(runs[nt].rank_trace) for nt in (30, 60, 90)]
+    cd_ranks = [max(nu_sweep_runs[nu].rank_trace) for nu in (1e-1, 1e-2, 1e-3)]
     ok = (max(heat_ranks) - min(heat_ranks) <= 5 and max(heat_ranks) <= 40
           and max(cd_ranks) - min(cd_ranks) <= 5 and max(cd_ranks) <= 40)
     assert _report("6 rank boundedness", ok,

@@ -367,6 +367,57 @@ def test_source_mode_eigs_writes_rank_trace(tmp_path):
     assert first and all(a >= b for a, b in zip(first, first[1:]))
 
 
+RANK_CASES = {
+    "ic": dict(mode="ic", n_side=7, nt=5, sensors="none", m_a=20, eps_eig=1e-10),
+    "source": dict(mode="source", n_side=15, nt=10, m_a=10),  # nine patches
+    "steady": dict(mode="steady", n_side=7, m_a=20, eps_eig=1e-12),
+    "source-breakdown": dict(mode="source", n_side=3, nt=2, sensors="none", m_a=100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_rank_files_read_the_stored_ranks(tmp_path, case):
+    cfg = cli.RunConfig(problem="heat", out=str(tmp_path), **RANK_CASES[case])
+    run = cli.run_eigs(cfg)
+    cli.write_eigs_outputs(run, tmp_path)
+    res, applies = run.result, run.problem.ctx.rank_trace
+    if case == "source-breakdown":  # the last iteration stores no basis vector
+        assert res.stop_reason == "breakdown" and len(res.basis) == res.iterations
+    assert len(applies) == res.iterations == len(res.step_seconds)
+    # row j: the larger of apply j's pane rank and the rank of the basis
+    # vector iteration j stored, if it stored one
+    stored = [getattr(v, "r", 0) for v in res.basis[1:res.iterations + 1]]
+    stored += [0] * (res.iterations - len(stored))
+    expect = [max(a, b) for a, b in zip(applies, stored)]
+    _, rows = _read_csv(tmp_path / "ranks.csv")
+    assert [(int(i), int(r)) for i, r in rows] == list(enumerate(expect, start=1))
+    if case == "steady":
+        assert expect == [0] * res.iterations
+    else:
+        assert min(expect) >= 1
+    if case == "source":  # some rows come from the stored basis vector alone
+        assert any(b > a for a, b in zip(applies, stored))
+    # diagnostics.log restates H's subdiagonal and ranks.csv, one line per iteration
+    lines = (tmp_path / "diagnostics.log").read_text().splitlines()[1:]
+    assert len(lines) == res.iterations
+    for j, line in enumerate(lines):
+        kv = dict(item.split("=") for item in line.split())
+        assert int(kv["iter"]) == j + 1 and int(kv["max_rank"]) == expect[j]
+        assert kv["h_subdiag"] == f"{res.H[j + 1, j]:.6e}"
+
+
+@pytest.mark.parametrize("extra", [{}, {"mode": "steady"}, {"problem": "convdiff"}])
+def test_separable_run_never_assembles_the_spatial_matrix(extra):
+    cfg = cli.RunConfig(n_side=7, nt=4, sensors="none", **extra)
+    problem = cli.build_problem(cfg)
+    problem.ctx.apply(np.ones(problem.grid.n_x))
+    assert "L" not in problem.spatial.__dict__
+    # the two-axis-wind step matrix is the one solver that reads L
+    both = cli.build_problem(cli.RunConfig(problem="convdiff", wind=(0.3, -0.7), n_side=7,
+                                           nt=4, sensors="none"))
+    assert "L" in both.spatial.__dict__
+
+
 def test_negative_wind_as_two_tokens_matches_equals_form(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_eigs", lambda cfg: seen.append(cfg) or 0)

@@ -302,18 +302,21 @@ class TestOperatorProperties:
                 v = rng.standard_normal(n)
                 assert float(v @ ctx.apply(v)) >= -1e-10 * float(v @ v), name
 
-    @pytest.mark.parametrize("mode", [hs.MODE_IC, hs.MODE_SOURCE])
+    @pytest.mark.parametrize("mode", [hs.MODE_IC, hs.MODE_SOURCE, hs.MODE_STEADY])
     def test_rank_trace_recorded_per_apply(self, mode):
         grid, op, K, ic_ctx = _heat_ctx(7, 5)
         ctx = hs.HessianContext(mode=mode, operator=K, layout=ic_ctx.layout,
-                                cov=ic_ctx.cov, pol=POL)
-        if mode == hs.MODE_IC:
-            v = np.ones(grid.n_x)
-        else:
+                                cov=ic_ctx.cov, pol=POL, spatial=op)
+        if mode == hs.MODE_SOURCE:
             v = lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((K.n_t, 1)))
+        else:
+            v = np.ones(grid.n_x)
         ctx.apply(v)
         ctx.apply(v)
-        assert len(ctx.rank_trace) == 2 and all(r >= 1 for r in ctx.rank_trace)
+        if mode == hs.MODE_STEADY:  # stores no pane, but still counts the apply
+            assert ctx.rank_trace == [0, 0]
+        else:
+            assert len(ctx.rank_trace) == 2 and all(r >= 1 for r in ctx.rank_trace)
 
     def _spied_apply(self, monkeypatch, mode):
         """One apply on the nine-patch layout; returns the context, the panes
