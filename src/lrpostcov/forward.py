@@ -19,12 +19,13 @@ whose axis carries no wind is symmetric.  With one such factor the step
 matrix is solved by the fast diagonalization method (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964): the symmetric factor's orthogonal eigenvectors turn
 it into n_side independent tridiagonal systems along the other axis,
-stacked into one and factored by LAPACK's gttrf (``SeparableSolver``).
-This covers heat, convection-diffusion without wind and wind along one
-axis.  Wind along both axes leaves no symmetric factor; that step matrix is
-factored by a sparse LU under a symmetric minimum-degree ordering, which
-never pivots off the diagonal because the matrix is strictly diagonally
-dominant.
+stacked into one and factored by LAPACK (``SeparableSolver``): pttrf when
+that axis carries no wind either, so the stack is symmetric positive
+definite, and gttrf with partial pivoting otherwise.  This covers heat,
+convection-diffusion without wind and wind along one axis.  Wind along
+both axes leaves no symmetric factor; that step matrix is factored by a
+sparse LU under a symmetric minimum-degree ordering, which never pivots off
+the diagonal because the matrix is strictly diagonally dominant.
 """
 
 from __future__ import annotations
@@ -48,11 +49,17 @@ class SeparableSolver:
     The symmetric factor A_d = V·diag(λ)·Vᵀ is diagonalized once by a dense
     ``eigh``.  Along its eigenvector k the system reduces to the tridiagonal
     (a + b·λ_k)·I + b·A_t on the other axis; the n_side of them are stacked
-    into one block-diagonal tridiagonal matrix and factored once by gttrf.
-    A solve is then one V-transform, one gttrs and one back-transform, for
-    any number of columns, and the transpose solve differs only in gttrs's
-    ``trans``.  x1 is diagonalized when it carries no wind, else x2; the
-    second case is the first on the transposed grid.  ``solve`` has the
+    into one block-diagonal tridiagonal matrix and factored once.  A solve
+    is then one V-transform, one tridiagonal solve and one back-transform,
+    for any number of columns.  x1 is diagonalized when it carries no wind,
+    else x2; the second case is the first on the transposed grid.
+
+    When A_t's axis carries no wind too, the stacked matrix is symmetric,
+    and positive definite for the step and steady operators: pttrf factors
+    it as L·D·Lᵀ, and pttrs serves both solve directions.  Otherwise gttrf
+    factors it with partial pivoting, and the transpose solve differs only
+    in gttrs's ``trans``.  A factorization that fails, an indefinite
+    symmetric matrix included, raises ``NumericalError``.  ``solve`` has the
     signature of SuperLU's, so either can back a step solve.
     """
 
@@ -61,17 +68,24 @@ class SeparableSolver:
         self.x1_diag = spatial.wind[0] == 0.0
         if not (self.x1_diag or spatial.wind[1] == 0.0):
             raise ValueError("wind along both axes leaves no symmetric factor")
+        self.spd = self.x1_diag and spatial.wind[1] == 0.0  # no wind on either axis
         A_d, A_t = (spatial.A1, spatial.A2) if self.x1_diag else (spatial.A2, spatial.A1)
         lam, self.V = sla.eigh(A_d.toarray())
         # block k (contiguous, the diagonalized index k slowest) couples only
         # along the other axis; the off-diagonals are zero between blocks
-        d = (a + b * lam)[:, None] + b * A_t.diagonal()
-        dl = np.tile(np.append(b * A_t.diagonal(-1), 0.0), self.n)[:-1]
+        d = ((a + b * lam)[:, None] + b * A_t.diagonal()).ravel()
         du = np.tile(np.append(b * A_t.diagonal(1), 0.0), self.n)[:-1]
-        *self._factors, info = lapack.dgttrf(dl, d.ravel(), du, overwrite_dl=True,
-                                             overwrite_d=True, overwrite_du=True)
+        if self.spd:
+            *self._factors, info = lapack.dpttrf(d, du, overwrite_d=True, overwrite_e=True)
+            kernel = "pttrf"
+        else:
+            dl = np.tile(np.append(b * A_t.diagonal(-1), 0.0), self.n)[:-1]
+            *self._factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=True,
+                                                 overwrite_d=True, overwrite_du=True)
+            kernel = "gttrf"
         if info != 0:
-            raise NumericalError(f"stacked tridiagonal factorization failed (gttrf info={info})")
+            raise NumericalError(
+                f"stacked tridiagonal factorization failed ({kernel} info={info})")
 
     def solve(self, B: np.ndarray, trans: str = "N") -> np.ndarray:
         """(a·I + b·L)⁻¹·B, or its transpose's for trans="T"; B is n_x × c."""
@@ -80,7 +94,11 @@ class SeparableSolver:
         if self.x1_diag:
             G = G.swapaxes(1, 2)  # the diagonalized axis first
         W = V.T @ G  # (column, eigen-index k, tridiagonal axis), C-ordered
-        W, _ = lapack.dgttrs(*self._factors, W.reshape(c, -1).T, trans=trans, overwrite_b=True)
+        W = W.reshape(c, -1).T
+        if self.spd:
+            W, _ = lapack.dpttrs(*self._factors, W, overwrite_b=True)
+        else:
+            W, _ = lapack.dgttrs(*self._factors, W, trans=trans, overwrite_b=True)
         W = W.T.reshape(c, n, n)
         X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
         return X.reshape(c, -1).T
@@ -150,11 +168,14 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     columns split as W = Q·C + Qb·Rb (CGS2, then a thin QR of the
     remainder), and the sum is [Q Qb]·[[I, C], [0, Rb]]·[pane.W2 E]ᵀ.  Only
     the (r + c) × n_t coefficient field is truncated, and the basis is
-    rotated once; no QR of an n_x × (r + c) factor is formed.
+    rotated once; no QR of an n_x × (r + c) factor is formed.  The core and
+    the time factor are filled in place, and Qb's reprojection and the
+    basis rotation update their n_x-row arrays in place.
     """
-    E = np.zeros((pane.shape[1], len(idx)))
-    E[idx, np.arange(len(idx))] = 1.0
+    n_t, c = pane.shape[1], len(idx)
     if pane.r == 0:
+        E = np.zeros((n_t, c))
+        E[idx, np.arange(c)] = 1.0
         return lr_truncate(LowRankMat(W, E), pol)
     Q, r = pane.W1, pane.r
     C = Q.T @ W
@@ -166,12 +187,21 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     # a remainder at rounding level leaves the normalized Qb visibly
     # non-orthogonal to Q; one more projection restores it
     D = Q.T @ Qb
-    Qb, Rd = _qr(Qb - Q @ D)
+    Qb -= Q @ D
+    Qb, Rd = _qr(Qb, overwrite_a=True)
     C += D @ Rb
-    Rb = Rd @ Rb
-    core = np.block([[np.eye(r), C], [np.zeros((len(Rb), r)), Rb]])
-    small = lr_truncate(LowRankMat(core, np.hstack([pane.W2, E])), pol)
-    return LowRankMat(Q @ small.W1[:r] + Qb @ small.W1[r:], small.W2)
+    k = len(Rb)
+    core = np.zeros((r + k, r + c))
+    core[range(r), range(r)] = 1.0
+    core[:r, r:] = C
+    core[r:, r:] = Rd @ Rb
+    T = np.zeros((n_t, r + c))
+    T[:, :r] = pane.W2
+    T[idx, range(r, r + c)] = 1.0
+    small = lr_truncate(LowRankMat(core, T), pol)
+    U = Q @ small.W1[:r]
+    U += Qb @ small.W1[r:]
+    return LowRankMat(U, small.W2)
 
 
 def st_solve_sweep(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 
 import lrpostcov as lp
 from lrpostcov import oracle
@@ -274,6 +275,32 @@ def test_pane_stays_orthonormal_when_new_columns_are_dependent(adjoint):
     assert np.linalg.norm(lp.lr_to_dense(Y) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("n_rows", [144, 3969])
+def test_flush_of_a_chunk_inside_the_pane_span_stays_orthonormal(n_rows):
+    # The chunk is one new direction g at four multiples plus weak parts in
+    # the pane's span, so past its first column the remainder lies in
+    # span(pane, g) up to rounding.  Its QR then normalizes rounding noise
+    # that is far from orthogonal to the pane basis, and the 1e-7 pane mode
+    # carries that into the result (defect ~1e-10) unless Qb is reprojected.
+    # The rows are the observed pane of ic-sensors and a full 63² pane.
+    rng = np.random.default_rng(7)
+    n_t, r, idx = 30, 6, [8, 9, 10, 11]
+    U, _ = np.linalg.qr(rng.standard_normal((n_rows, r)))
+    V, _ = np.linalg.qr(rng.standard_normal((n_t, r)))
+    pane = lp.lr_truncate(lp.LowRankMat(U * np.logspace(0, -7, r), V), POL)
+    g = rng.standard_normal(n_rows)
+    W = 1e-7 * pane.W1 @ rng.standard_normal((r, len(idx))) + np.outer(g / np.linalg.norm(g),
+                                                                       [1.0, 3.0, 5.0, 7.0])
+    out = lp.forward._extend_pane(pane, W, idx, POL)
+    assert _orth_defect(out) <= 1e-12
+    X = lp.lr_to_dense(pane)
+    X[:, idx] += W
+    dense = lp.lr_from_dense(X, POL)  # the truncation by a full SVD
+    assert out.r == dense.r
+    err = np.linalg.norm(lp.lr_to_dense(out) - lp.lr_to_dense(dense))
+    assert err <= POL.eps0 * np.linalg.norm(X)
+
+
 def test_rank1_initial_condition_stays_rank1_over_many_flushes(monkeypatch):
     # every flush after the first appends columns inside the pane's span
     grid = lp.build_grid(15)
@@ -305,21 +332,66 @@ def _spatial(grid, wind):
     return lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
 
 
+def _spy_tridiagonal_factorizations(monkeypatch):
+    """Record the name of every stacked tridiagonal factorization built."""
+    built = []
+    for name in ("dpttrf", "dgttrf"):
+        def spy(*args, _f=getattr(lapack, name), _name=name[1:], **kwargs):
+            built.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, spy)
+    return built
+
+
+def _assert_solves_match_spsolve(solve, S, n_x):
+    """solve(rhs, adjoint) against spsolve on S and Sᵀ, for 1-D and 2-D rhs."""
+    B = np.random.default_rng(18).standard_normal((n_x, 3))
+    B0 = B.copy()
+    for adjoint, A in ((False, S), (True, S.T.tocsc())):
+        for rhs in (B[:, 0], B[:, :1], B):
+            want = spla.spsolve(A, rhs).reshape(rhs.shape)
+            got = solve(rhs, adjoint)
+            assert got.shape == rhs.shape
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert np.array_equal(B, B0)  # the right-hand sides are never written
+
+
 @pytest.mark.parametrize("wind", STEP_WINDS)
-def test_step_solves_match_spsolve_in_both_directions(wind):
+def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
+    # without wind the stacked tridiagonal is SPD and pttrf factors it; one
+    # axis of wind keeps the pivoted gttrf; two axes build the sparse LU
+    built = _spy_tridiagonal_factorizations(monkeypatch)
     # n_side 63 with nt 30 are the benchmark workloads' step matrices
     for n_side, n_t in ((15, 5), (63, 30)):
         grid = lp.build_grid(n_side)
         K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(n_t))
-        B = np.random.default_rng(18).standard_normal((grid.n_x, 3))
-        B0 = B.copy()
-        for adjoint, S in ((False, K.step_matrix), (True, K.step_matrix.T.tocsc())):
-            for rhs in (B[:, 0], B[:, :1], B):
-                want = spla.spsolve(S, rhs).reshape(rhs.shape)
-                got = K.solve_step(rhs, adjoint=adjoint)
-                assert got.shape == rhs.shape
-                assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        assert np.array_equal(B, B0)  # the right-hand sides are never written
+        _assert_solves_match_spsolve(lambda rhs, adjoint: K.solve_step(rhs, adjoint=adjoint),
+                                     K.step_matrix, grid.n_x)
+    kernel = "pttrf" if wind in (None, (0.0, 0.0)) else "gttrf" if 0.0 in wind else None
+    assert built == ([kernel] * 2 if kernel else [])
+
+
+def test_steady_solves_match_spsolve_on_pttrf(monkeypatch):
+    # steady mode solves with L itself, as HessianContext builds it
+    built = _spy_tridiagonal_factorizations(monkeypatch)
+    for n_side in (15, 63):
+        grid = lp.build_grid(n_side)
+        op = lp.assemble_heat(grid)
+        solver = lp.forward.SeparableSolver(op, 0.0, 1.0)
+        _assert_solves_match_spsolve(
+            lambda rhs, adjoint: solver.solve(rhs.reshape(grid.n_x, -1),
+                                              trans="T" if adjoint else "N").reshape(rhs.shape),
+            op.L.tocsc(), grid.n_x)
+    assert built == ["pttrf"] * 2
+
+
+def test_indefinite_symmetric_stack_raises():
+    # a shift below -λ_min(L) leaves a·I + L nonsingular but indefinite, so
+    # the stacked tridiagonal has no L·D·Lᵀ factorization with positive D
+    grid = lp.build_grid(15)
+    lam_min = lp.discrete_fd_eig(1, 1, grid)
+    with pytest.raises(lp.NumericalError, match="pttrf"):
+        lp.forward.SeparableSolver(lp.assemble_heat(grid), -1.5 * lam_min, 1.0)
 
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
