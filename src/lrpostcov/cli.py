@@ -60,6 +60,42 @@ class RunConfig:
     k: int = 50                     # how many Ritz values to report
     out: str = "out"
 
+    def __post_init__(self):
+        """Reject a bad setting when the config is built (``replace`` builds anew)."""
+        # NaN passes every range check below (all its comparisons are false)
+        floats = [(key, getattr(self, key)) for key, kind in _FIELD_TYPES.items()
+                  if kind == "float"]
+        for key, value in floats + [("wind", w) for w in self.wind]:
+            if not math.isfinite(value):
+                raise InvalidConfigError(f"{key} must be finite, got {value}")
+        if self.problem not in PROBLEMS:
+            raise InvalidConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
+        if self.mode not in MODES:
+            raise InvalidConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == hessian.MODE_STEADY and self.problem != "heat":
+            raise InvalidConfigError("mode=steady requires problem=heat")
+        if self.n_side < 2:
+            raise InvalidConfigError(f"n_side must be >= 2, got {self.n_side}")
+        if self.nt < 1:
+            raise InvalidConfigError(f"nt must be >= 1, got {self.nt}")
+        if not (0 < self.eps0 < 1):
+            raise InvalidConfigError(f"eps0 must lie in (0, 1), got {self.eps0}")
+        if (self.eps_eig <= 0 or self.beta_ratio <= 0 or self.gamma_prior <= 0
+                or self.final_time <= 0 or self.nu <= 0 or self.m_a < 1
+                or self.compress_every < 1):
+            raise InvalidConfigError("eps_eig, beta_ratio, gamma_prior, final_time, nu, m_a, "
+                                     "compress_every must be positive")
+        if self.seed < 0 or self.k < 1:
+            raise InvalidConfigError(
+                f"need seed >= 0 and k >= 1, got seed={self.seed}, k={self.k}")
+        if self.start not in ("ones", "random"):
+            raise InvalidConfigError(f"start must be ones or random, got {self.start!r}")
+        # building the layout rejects an unknown setting and patches the grid
+        # cannot resolve before any output; steady mode builds none, so its
+        # default grid3x3 is not checked
+        if self.mode != hessian.MODE_STEADY or self.sensors != "grid3x3":
+            _build_layout(self, discretize.build_grid(self.n_side))
+
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -108,49 +144,11 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(file_path=None, flag_updates=None) -> RunConfig:
-    """Apply precedence flag > file > default and validate."""
-    cfg = RunConfig()
-    if file_path is not None:
-        cfg = replace(cfg, **load_config_file(file_path))
-    if flag_updates:
-        parsed = {k: _parse_value(k, v) if isinstance(v, str) else v
-                  for k, v in flag_updates.items()}
-        cfg = replace(cfg, **parsed)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    # NaN passes every range check below (all its comparisons are false)
-    floats = [(key, getattr(cfg, key)) for key, kind in _FIELD_TYPES.items() if kind == "float"]
-    for key, value in floats + [("wind", w) for w in cfg.wind]:
-        if not math.isfinite(value):
-            raise InvalidConfigError(f"{key} must be finite, got {value}")
-    if cfg.problem not in PROBLEMS:
-        raise InvalidConfigError(f"problem must be one of {PROBLEMS}, got {cfg.problem!r}")
-    if cfg.mode not in MODES:
-        raise InvalidConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.mode == hessian.MODE_STEADY and cfg.problem != "heat":
-        raise InvalidConfigError("mode=steady requires problem=heat")
-    if cfg.n_side < 2:
-        raise InvalidConfigError(f"n_side must be >= 2, got {cfg.n_side}")
-    if cfg.nt < 1:
-        raise InvalidConfigError(f"nt must be >= 1, got {cfg.nt}")
-    if not (0 < cfg.eps0 < 1):
-        raise InvalidConfigError(f"eps0 must lie in (0, 1), got {cfg.eps0}")
-    if (cfg.eps_eig <= 0 or cfg.beta_ratio <= 0 or cfg.gamma_prior <= 0 or cfg.final_time <= 0
-            or cfg.nu <= 0 or cfg.m_a < 1 or cfg.compress_every < 1):
-        raise InvalidConfigError("eps_eig, beta_ratio, gamma_prior, final_time, nu, m_a, "
-                                 "compress_every must be positive")
-    if cfg.seed < 0 or cfg.k < 1:
-        raise InvalidConfigError(f"need seed >= 0 and k >= 1, got seed={cfg.seed}, k={cfg.k}")
-    if cfg.start not in ("ones", "random"):
-        raise InvalidConfigError(f"start must be ones or random, got {cfg.start!r}")
-    # building the layout rejects an unknown setting and patches the grid
-    # cannot resolve before any output; steady mode builds none, so its
-    # default grid3x3 is not checked
-    if cfg.mode != hessian.MODE_STEADY or cfg.sensors != "grid3x3":
-        _build_layout(cfg, discretize.build_grid(cfg.n_side))
+    """Apply precedence flag > file > default; the one RunConfig built checks itself."""
+    updates = load_config_file(file_path) if file_path is not None else {}
+    updates.update({k: _parse_value(k, v) if isinstance(v, str) else v
+                    for k, v in (flag_updates or {}).items()})
+    return RunConfig(**updates)
 
 
 def _custom_patches(sensors: str) -> list[tuple[float, float, float]]:
@@ -473,7 +471,6 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
         try:
             value = _parse_value(key, raw)
             point_cfg = replace(cfg, **{key: value, "out": str(outdir / f"{axis}_{raw}")})
-            validate_config(point_cfg)
             run = run_eigs(point_cfg)
             _save_eigs(run)
             res = run.result

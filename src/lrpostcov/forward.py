@@ -90,6 +90,8 @@ class SeparableSolver:
     def solve(self, B: np.ndarray, trans: str = "N") -> np.ndarray:
         """(a·I + b·L)⁻¹·B, or its transpose's for trans="T"; B is n_x × c."""
         n, c, V = self.n, B.shape[1], self.V
+        if c == 0:  # as SuperLU does; LAPACK never sees zero right-hand sides
+            return np.zeros((n * n, 0))
         G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
         if self.x1_diag:
             G = G.swapaxes(1, 2)  # the diagonalized axis first

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -224,6 +224,26 @@ def test_invalid_config_exit_code(tmp_path):
     assert cli.main(["eigs", "--problem", "convdiff", "--mode", "steady",
                      "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("updates, ok", [
+    ({}, True),
+    # README's library use
+    (dict(problem="heat", n_side=31, nt=30, beta_ratio=1e4, eps_eig=1e-1, m_a=60), True),
+    ({"problem": "foo"}, False),
+    ({"start": "bogus"}, False),
+    ({"problem": "convdiff", "mode": "steady"}, False),
+    ({"n_side": 7}, False),  # the default grid3x3 needs n_side >= 15
+    ({"nt": 0}, False),
+])
+def test_run_config_is_checked_when_built(updates, ok):
+    # the constructor and dataclasses.replace both check, so no unchecked config exists
+    for build in (lambda: cli.RunConfig(**updates), lambda: replace(cli.RunConfig(), **updates)):
+        if ok:
+            build()
+        else:
+            with pytest.raises(lp.InvalidConfigError):
+                build()
 
 
 @pytest.mark.parametrize("flags", [

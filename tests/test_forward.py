@@ -367,6 +367,8 @@ def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
         K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(n_t))
         _assert_solves_match_spsolve(lambda rhs, adjoint: K.solve_step(rhs, adjoint=adjoint),
                                      K.step_matrix, grid.n_x)
+        for adjoint in (False, True):  # a block of no columns, as every backend returns it
+            assert K.solve_step(np.zeros((grid.n_x, 0)), adjoint=adjoint).shape == (grid.n_x, 0)
     kernel = "pttrf" if wind in (None, (0.0, 0.0)) else "gttrf" if 0.0 in wind else None
     assert built == ([kernel] * 2 if kernel else [])
 
