@@ -26,6 +26,12 @@ convection-diffusion without wind and wind along one axis.  Wind along
 both axes leaves no symmetric factor; that step matrix is factored by a
 sparse LU under a symmetric minimum-degree ordering, which never pivots off
 the diagonal because the matrix is strictly diagonally dominant.
+
+M = M_scale·I commutes with the orthogonal eigenvector transform, so a
+sweep runs in the solver's modal coordinates (``to_modal``/``from_modal``):
+it transforms the rhs factor once, pays one stacked tridiagonal solve per
+step, and transforms back only the columns it flushes into its pane.  For
+the sparse LU the transform is the identity, so the same sweep serves it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError
@@ -50,9 +56,12 @@ class SeparableSolver:
     ``eigh``.  Along its eigenvector k the system reduces to the tridiagonal
     (a + b·λ_k)·I + b·A_t on the other axis; the n_side of them are stacked
     into one block-diagonal tridiagonal matrix and factored once.  A solve
-    is then one V-transform, one tridiagonal solve and one back-transform,
-    for any number of columns.  x1 is diagonalized when it carries no wind,
-    else x2; the second case is the first on the transposed grid.
+    is then one V-transform (``to_modal``), one tridiagonal solve
+    (``solve_modal``, in place) and one back-transform (``from_modal``),
+    for any number of columns; a caller that chains solves, as the sweeps
+    and steady mode do, transforms only at the ends.  x1 is diagonalized
+    when it carries no wind, else x2; the second case is the first on the
+    transposed grid.
 
     When A_t's axis carries no wind too, the stacked matrix is symmetric,
     and positive definite for the step and steady operators: pttrf factors
@@ -87,30 +96,54 @@ class SeparableSolver:
             raise NumericalError(
                 f"stacked tridiagonal factorization failed ({kernel} info={info})")
 
-    def solve(self, B: np.ndarray, trans: str = "N") -> np.ndarray:
-        """(a·I + b·L)⁻¹·B, or its transpose's for trans="T"; B is n_x × c."""
-        n, c, V = self.n, B.shape[1], self.V
-        if c == 0:  # as SuperLU does; LAPACK never sees zero right-hand sides
-            return np.zeros((n * n, 0))
+    def to_modal(self, B: np.ndarray) -> np.ndarray:
+        """B (n_x × c) in modal coordinates: a fresh Fortran-ordered n_x × c block.
+
+        Column by column, Vᵀ acts along the diagonalized axis, and the dofs
+        are reordered so that each eigen-index owns one contiguous block of
+        the stacked tridiagonal system.  The map is orthogonal.
+        """
+        n, c = self.n, B.shape[1]
         G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
         if self.x1_diag:
             G = G.swapaxes(1, 2)  # the diagonalized axis first
-        W = V.T @ G  # (column, eigen-index k, tridiagonal axis), C-ordered
-        W = W.reshape(c, -1).T
-        if self.spd:
-            W, _ = lapack.dpttrs(*self._factors, W, overwrite_b=True)
-        else:
-            W, _ = lapack.dgttrs(*self._factors, W, trans=trans, overwrite_b=True)
+        return (self.V.T @ G).reshape(c, -1).T  # (column, eigen-index k, tridiagonal axis)
+
+    def from_modal(self, W: np.ndarray) -> np.ndarray:
+        """The inverse of ``to_modal``: W (n_x × c, modal) back on the grid."""
+        n, c, V = self.n, W.shape[1], self.V
         W = W.T.reshape(c, n, n)
         X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
         return X.reshape(c, -1).T
+
+    def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Overwrite the modal block W with the stacked tridiagonal solve, and return it.
+
+        W must be a Fortran-ordered float64 n_x × c array (a column slice
+        of one qualifies); LAPACK then solves in its memory.
+        """
+        if not (W.flags.f_contiguous and W.dtype == np.float64):
+            raise ValueError("a modal solve needs a Fortran-ordered float64 block")
+        if self.spd:
+            X, _ = lapack.dpttrs(*self._factors, W, overwrite_b=True)
+        else:
+            X, _ = lapack.dgttrs(*self._factors, W, trans=trans, overwrite_b=True)
+        return X
+
+    def solve(self, B: np.ndarray, trans: str = "N") -> np.ndarray:
+        """(a·I + b·L)⁻¹·B, or its transpose's for trans="T"; B is n_x × c."""
+        if B.shape[1] == 0:  # as SuperLU does; LAPACK never sees zero right-hand sides
+            return np.zeros((self.n * self.n, 0))
+        return self.from_modal(self.solve_modal(self.to_modal(B), trans))
 
 
 class SpaceTimeOperator:
     """Block-bidiagonal implicit-Euler operator with a cached step factorization.
 
     The factorization is a ``SeparableSolver`` when an axis carries no wind,
-    and a sparse LU of ``step_matrix`` when both axes do.
+    and a sparse LU of ``step_matrix`` when both axes do.  ``to_modal``,
+    ``from_modal`` and ``solve_step(..., modal=True)`` expose its modal
+    coordinates, the identity for the LU.
     """
 
     def __init__(self, spatial: SpatialOperator, time: TimeGrid):
@@ -139,13 +172,42 @@ class SpaceTimeOperator:
     def n_t(self) -> int:
         return self.time.n_t
 
-    def solve_step(self, B: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """step_matrix⁻¹·B (or its transpose's inverse), B with columns as rhs."""
+    def to_modal(self, B: np.ndarray) -> np.ndarray:
+        """B (n_x × c) in the step solver's modal coordinates, a fresh Fortran-ordered block.
+
+        M = M_scale·I commutes with the orthogonal transform, so a sweep can
+        run entirely in these coordinates.  For the two-axis-wind LU the
+        transform is the identity, and this is a copy.
+        """
+        if isinstance(self._solver, SeparableSolver):
+            return self._solver.to_modal(B)
+        return np.array(B, dtype=float, order="F")
+
+    def from_modal(self, W: np.ndarray) -> np.ndarray:
+        """The inverse of ``to_modal``; for the LU, W itself."""
+        if isinstance(self._solver, SeparableSolver):
+            return self._solver.from_modal(W)
+        return W
+
+    def solve_step(self, B: np.ndarray, adjoint: bool = False, modal: bool = False) -> np.ndarray:
+        """step_matrix⁻¹·B (or its transpose's inverse), B with columns as rhs.
+
+        With ``modal=True``, B and the result are in modal coordinates
+        (``to_modal``), and the result is written into B, which must be a
+        Fortran-ordered float64 n_x × c block, and returned: one stacked
+        tridiagonal solve, with no transform.
+        """
+        trans = "T" if adjoint else "N"
+        if modal:
+            if isinstance(self._solver, SeparableSolver):
+                return self._solver.solve_modal(B, trans)
+            B[...] = self._solver.solve(B, trans=trans)
+            return B
         B = np.asarray(B, dtype=float)
         squeeze = B.ndim == 1
         if squeeze:
             B = B[:, None]
-        X = self._solver.solve(B, trans="T" if adjoint else "N")
+        X = self._solver.solve(B, trans=trans)
         return X[:, 0] if squeeze else X
 
     def apply(self, Y: LowRankMat, adjoint: bool = False) -> LowRankMat:
@@ -223,6 +285,13 @@ def st_solve_sweep(
     O((n_x + n_t)·r).  The returned pane is canonical, as ``lr_truncate``
     leaves it, so callers read its rank and need not recompress it.
 
+    The recursion runs in the step solver's modal coordinates: the rhs
+    factor is transformed once, and each step writes M_scale·y_{k-1} into
+    the next column of a Fortran-ordered n_x × ``compress_every`` flush
+    block, where one modal step solve overwrites it and the rhs term is
+    added in place.  A flush transforms the block back once, so the pane
+    is physical.
+
     ``rows`` (a boolean mask or index array over the n_x dofs; None means
     all of them) selects the rows the caller will read.  The running column
     stays at full length, because the recursion needs it, but the pane
@@ -236,19 +305,23 @@ def st_solve_sweep(
     if rhs.r == 0:
         return LowRankMat.zeros(n_keep, n_t)
 
-    B = K.solve_step(rhs.W1, adjoint=adjoint)  # step⁻¹ applied to the rhs factor
+    B = K.solve_step(K.to_modal(rhs.W1), adjoint=adjoint, modal=True)  # step⁻¹·rhs factor
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
     pane = LowRankMat.zeros(n_keep, n_t)
+    block = np.empty((n_x, compress_every), order="F")
     y_prev = np.zeros(n_x)
     for start in range(0, n_t, compress_every):
         idx = list(steps[start:start + compress_every])
-        cols = []
-        for k in idx:
-            y_prev = K.solve_step(K.m_scale * y_prev, adjoint=adjoint) + B @ rhs.W2[k, :]
-            # y_prev is a fresh array every step, so a full-row pane stores it as is
-            cols.append(y_prev if keep is None else y_prev[keep])
-        pane = _extend_pane(pane, np.column_stack(cols), idx, pol)
+        for j, k in enumerate(idx):
+            np.multiply(y_prev, K.m_scale, out=block[:, j])
+            K.solve_step(block[:, j:j + 1], adjoint=adjoint, modal=True)
+            y_prev = block[:, j]
+            # y_prev += B·W2[k] in place; matmul of a one-column B takes numpy's
+            # slow non-BLAS loop (~27 µs against ~4 at n_side 63)
+            blas.dgemv(1.0, B, rhs.W2[k, :], beta=1.0, y=y_prev, overwrite_y=True)
+        W = K.from_modal(block[:, :len(idx)])
+        pane = _extend_pane(pane, W if keep is None else W[keep], idx, pol)
     return pane
 
 

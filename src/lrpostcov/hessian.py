@@ -195,9 +195,11 @@ class HessianContext:
         the mask of all rows.
         """
         if self.mode == MODE_STEADY:
-            # (beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L is symmetric, so adjoint = forward
-            x = np.asarray(v, dtype=float)[:, None]
-            x = self._steady.solve(self._steady.solve(x))
+            # (beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L is symmetric, so adjoint = forward.
+            # Both solves stay in modal coordinates: one transform each way.
+            S = self._steady
+            x = S.to_modal(np.asarray(v, dtype=float)[:, None])
+            x = S.from_modal(S.solve_modal(S.solve_modal(x)))
             self.rank_trace.append(0)
             return (self.cov.beta_prior / self.cov.beta_noise) * x[:, 0]
         K = self.operator

@@ -373,6 +373,52 @@ def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
     assert built == ([kernel] * 2 if kernel else [])
 
 
+@pytest.mark.parametrize("wind", STEP_WINDS)
+def test_modal_step_solves_run_in_place_in_a_fortran_block(wind):
+    # the sweep's step: one solve on a column of its flush block, written back
+    # into that column; the transforms around it give the physical solve
+    grid = lp.build_grid(15)
+    K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(5))
+    B = np.random.default_rng(19).standard_normal((grid.n_x, 3))
+    for adjoint in (False, True):
+        W = K.to_modal(B)
+        assert W.flags.f_contiguous and not np.shares_memory(W, B)
+        assert_allclose(K.from_modal(W), B, rtol=0, atol=1e-13 * np.abs(B).max())
+        want = K.solve_step(B, adjoint=adjoint)
+        got = K.from_modal(K.solve_step(W, adjoint=adjoint, modal=True))
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        block = K.to_modal(B)
+        before = block.copy()
+        out = K.solve_step(block[:, 1:2], adjoint=adjoint, modal=True)
+        assert np.shares_memory(out, block)
+        assert_allclose(K.from_modal(block[:, 1:2]), want[:, 1:2],
+                        rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(block[:, ::2], before[:, ::2])  # the other columns are untouched
+    if wind is None or 0.0 in wind:  # LAPACK solves in place only in a Fortran-ordered block
+        with pytest.raises(ValueError, match="Fortran"):
+            K.solve_step(np.ascontiguousarray(K.to_modal(B)), modal=True)
+
+
+@pytest.mark.parametrize("wind", STEP_WINDS)
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
+    # every step solver's sweep, with and without the observed-row restriction;
+    # n_t = 10 leaves a partial last flush of 2 columns
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(10)
+    op = _spatial(grid, wind)
+    K = lp.SpaceTimeOperator(op, tg)
+    rhs = _rand_lr(np.random.default_rng(20), grid.n_x, tg.n_t, 3)
+    ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, lp.lr_to_dense(rhs),
+                               adjoint=adjoint)
+    flushes = -(-tg.n_t // 4)
+    for rows in (None, lp.make_sensor_layout_3x3(grid).mask):
+        Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, rows=rows)
+        want = ref if rows is None else ref[rows]
+        assert Y.shape == want.shape
+        assert np.linalg.norm(lp.lr_to_dense(Y) - want) <= flushes * POL.eps0 * np.linalg.norm(want)
+
+
 def test_steady_solves_match_spsolve_on_pttrf(monkeypatch):
     # steady mode solves with L itself, as HessianContext builds it
     built = _spy_tridiagonal_factorizations(monkeypatch)
