@@ -27,11 +27,13 @@ both axes leaves no symmetric factor; that step matrix is factored by a
 sparse LU under a symmetric minimum-degree ordering, which never pivots off
 the diagonal because the matrix is strictly diagonally dominant.
 
-M = M_scale·I commutes with the orthogonal eigenvector transform, so a
-sweep runs in the solver's modal coordinates (``to_modal``/``from_modal``):
-it transforms the rhs factor once, pays one stacked tridiagonal solve per
-step, and transforms back only the columns it flushes into its pane.  For
-the sparse LU the transform is the identity, so the same sweep serves it.
+Both solvers share one interface (``to_modal``, ``solve_modal``,
+``from_modal``), exposed as ``SpaceTimeOperator.solver``.  M = M_scale·I
+commutes with the orthogonal eigenvector transform, so a sweep runs in the
+solver's modal coordinates: it transforms the rhs factor once, pays one
+in-place step solve (``solve_step``) per step, and transforms back only the
+columns it flushes into its pane.  For the sparse LU the transform is the
+identity, so the same sweep serves it.
 """
 
 from __future__ import annotations
@@ -58,18 +60,17 @@ class SeparableSolver:
     into one block-diagonal tridiagonal matrix and factored once.  A solve
     is then one V-transform (``to_modal``), one tridiagonal solve
     (``solve_modal``, in place) and one back-transform (``from_modal``),
-    for any number of columns; a caller that chains solves, as the sweeps
-    and steady mode do, transforms only at the ends.  x1 is diagonalized
-    when it carries no wind, else x2; the second case is the first on the
-    transposed grid.
+    for any number of columns; the sweeps and steady mode chain solves and
+    transform only at the ends.  x1 is diagonalized when it carries no
+    wind, else x2; the second case is the first on the transposed grid.
 
     When A_t's axis carries no wind too, the stacked matrix is symmetric,
     and positive definite for the step and steady operators: pttrf factors
     it as L·D·Lᵀ, and pttrs serves both solve directions.  Otherwise gttrf
     factors it with partial pivoting, and the transpose solve differs only
     in gttrs's ``trans``.  A factorization that fails, an indefinite
-    symmetric matrix included, raises ``NumericalError``.  ``solve`` has the
-    signature of SuperLU's, so either can back a step solve.
+    symmetric matrix included, raises ``NumericalError``, and so does a
+    solve whose kernel reports failure.
     """
 
     def __init__(self, spatial: SpatialOperator, a: float, b: float):
@@ -107,14 +108,14 @@ class SeparableSolver:
         G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
         if self.x1_diag:
             G = G.swapaxes(1, 2)  # the diagonalized axis first
-        return (self.V.T @ G).reshape(c, -1).T  # (column, eigen-index k, tridiagonal axis)
+        return (self.V.T @ G).reshape(c, n * n).T  # (column, eigen-index k, tridiagonal axis)
 
     def from_modal(self, W: np.ndarray) -> np.ndarray:
         """The inverse of ``to_modal``: W (n_x × c, modal) back on the grid."""
         n, c, V = self.n, W.shape[1], self.V
         W = W.T.reshape(c, n, n)
         X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
-        return X.reshape(c, -1).T
+        return X.reshape(c, n * n).T
 
     def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
         """Overwrite the modal block W with the stacked tridiagonal solve, and return it.
@@ -122,28 +123,53 @@ class SeparableSolver:
         W must be a Fortran-ordered float64 n_x × c array (a column slice
         of one qualifies); LAPACK then solves in its memory.
         """
-        if not (W.flags.f_contiguous and W.dtype == np.float64):
+        if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
             raise ValueError("a modal solve needs a Fortran-ordered float64 block")
+        if W.shape[0] != self.n * self.n:  # LAPACK would refuse it silently or solve a prefix
+            raise ValueError(f"a modal solve needs {self.n * self.n} rows, not {W.shape[0]}")
+        if W.shape[1] == 0:  # gttrs corrupts the heap on zero right-hand sides
+            return W
         if self.spd:
-            X, _ = lapack.dpttrs(*self._factors, W, overwrite_b=True)
+            X, info = lapack.dpttrs(*self._factors, W, overwrite_b=True)
         else:
-            X, _ = lapack.dgttrs(*self._factors, W, trans=trans, overwrite_b=True)
+            X, info = lapack.dgttrs(*self._factors, W, trans=trans, overwrite_b=True)
+        if info != 0:
+            kernel = "pttrs" if self.spd else "gttrs"
+            raise NumericalError(f"stacked tridiagonal solve failed ({kernel} info={info})")
         return X
 
-    def solve(self, B: np.ndarray, trans: str = "N") -> np.ndarray:
-        """(a·I + b·L)⁻¹·B, or its transpose's for trans="T"; B is n_x × c."""
-        if B.shape[1] == 0:  # as SuperLU does; LAPACK never sees zero right-hand sides
-            return np.zeros((self.n * self.n, 0))
-        return self.from_modal(self.solve_modal(self.to_modal(B), trans))
+
+class _SparseLU:
+    """The two-axis-wind step solver: SuperLU behind ``SeparableSolver``'s interface.
+
+    Its modal coordinates are the physical ones, so ``to_modal`` is a
+    Fortran-ordered copy and ``from_modal`` returns its input.
+    """
+
+    def __init__(self, A: sp.csc_matrix):
+        try:
+            self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # singular factorization surfaces to callers
+            raise NumericalError(f"step matrix factorization failed: {exc}") from exc
+
+    def to_modal(self, B: np.ndarray) -> np.ndarray:
+        return np.array(B, dtype=float, order="F")
+
+    def from_modal(self, W: np.ndarray) -> np.ndarray:
+        return W
+
+    def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Overwrite W with SuperLU's solve, and return it."""
+        W[...] = self.lu.solve(W, trans=trans)
+        return W
 
 
 class SpaceTimeOperator:
     """Block-bidiagonal implicit-Euler operator with a cached step factorization.
 
-    The factorization is a ``SeparableSolver`` when an axis carries no wind,
-    and a sparse LU of ``step_matrix`` when both axes do.  ``to_modal``,
-    ``from_modal`` and ``solve_step(..., modal=True)`` expose its modal
-    coordinates, the identity for the LU.
+    ``solver`` is a ``SeparableSolver`` when an axis carries no wind, and a
+    sparse LU of ``step_matrix`` when both axes do; ``solve_step`` solves
+    in its modal coordinates.
     """
 
     def __init__(self, spatial: SpatialOperator, time: TimeGrid):
@@ -151,12 +177,9 @@ class SpaceTimeOperator:
         self.time = time
         self.m_scale = spatial.m_scale
         if 0.0 in spatial.wind:
-            self._solver = SeparableSolver(spatial, self.m_scale, self.m_scale * time.tau)
-            return
-        try:
-            self._solver = spla.splu(self.step_matrix, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # singular factorization surfaces to callers
-            raise NumericalError(f"step matrix factorization failed: {exc}") from exc
+            self.solver = SeparableSolver(spatial, self.m_scale, self.m_scale * time.tau)
+        else:
+            self.solver = _SparseLU(self.step_matrix)
 
     @cached_property
     def step_matrix(self) -> sp.csc_matrix:
@@ -172,43 +195,13 @@ class SpaceTimeOperator:
     def n_t(self) -> int:
         return self.time.n_t
 
-    def to_modal(self, B: np.ndarray) -> np.ndarray:
-        """B (n_x × c) in the step solver's modal coordinates, a fresh Fortran-ordered block.
+    def solve_step(self, W: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """step_matrix⁻¹·W (or its transpose's inverse) in ``solver``'s modal coordinates.
 
-        M = M_scale·I commutes with the orthogonal transform, so a sweep can
-        run entirely in these coordinates.  For the two-axis-wind LU the
-        transform is the identity, and this is a copy.
+        The result is written into W, which must be a Fortran-ordered
+        float64 n_x × c block (a column slice of one qualifies), and returned.
         """
-        if isinstance(self._solver, SeparableSolver):
-            return self._solver.to_modal(B)
-        return np.array(B, dtype=float, order="F")
-
-    def from_modal(self, W: np.ndarray) -> np.ndarray:
-        """The inverse of ``to_modal``; for the LU, W itself."""
-        if isinstance(self._solver, SeparableSolver):
-            return self._solver.from_modal(W)
-        return W
-
-    def solve_step(self, B: np.ndarray, adjoint: bool = False, modal: bool = False) -> np.ndarray:
-        """step_matrix⁻¹·B (or its transpose's inverse), B with columns as rhs.
-
-        With ``modal=True``, B and the result are in modal coordinates
-        (``to_modal``), and the result is written into B, which must be a
-        Fortran-ordered float64 n_x × c block, and returned: one stacked
-        tridiagonal solve, with no transform.
-        """
-        trans = "T" if adjoint else "N"
-        if modal:
-            if isinstance(self._solver, SeparableSolver):
-                return self._solver.solve_modal(B, trans)
-            B[...] = self._solver.solve(B, trans=trans)
-            return B
-        B = np.asarray(B, dtype=float)
-        squeeze = B.ndim == 1
-        if squeeze:
-            B = B[:, None]
-        X = self._solver.solve(B, trans=trans)
-        return X[:, 0] if squeeze else X
+        return self.solver.solve_modal(W, "T" if adjoint else "N")
 
     def apply(self, Y: LowRankMat, adjoint: bool = False) -> LowRankMat:
         """K·vec(Y) (Kᵀ·vec(Y) if adjoint) in factor form; rank at most doubles, not truncated."""
@@ -305,7 +298,8 @@ def st_solve_sweep(
     if rhs.r == 0:
         return LowRankMat.zeros(n_keep, n_t)
 
-    B = K.solve_step(K.to_modal(rhs.W1), adjoint=adjoint, modal=True)  # step⁻¹·rhs factor
+    S = K.solver
+    B = K.solve_step(S.to_modal(rhs.W1), adjoint)  # step⁻¹·rhs factor
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
     pane = LowRankMat.zeros(n_keep, n_t)
@@ -315,12 +309,12 @@ def st_solve_sweep(
         idx = list(steps[start:start + compress_every])
         for j, k in enumerate(idx):
             np.multiply(y_prev, K.m_scale, out=block[:, j])
-            K.solve_step(block[:, j:j + 1], adjoint=adjoint, modal=True)
+            K.solve_step(block[:, j:j + 1], adjoint)
             y_prev = block[:, j]
             # y_prev += B·W2[k] in place; matmul of a one-column B takes numpy's
             # slow non-BLAS loop (~27 µs against ~4 at n_side 63)
             blas.dgemv(1.0, B, rhs.W2[k, :], beta=1.0, y=y_prev, overwrite_y=True)
-        W = K.from_modal(block[:, :len(idx)])
+        W = S.from_modal(block[:, :len(idx)])
         pane = _extend_pane(pane, W if keep is None else W[keep], idx, pol)
     return pane
 

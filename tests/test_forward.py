@@ -343,16 +343,31 @@ def _spy_tridiagonal_factorizations(monkeypatch):
     return built
 
 
-def _assert_solves_match_spsolve(solve, S, n_x):
-    """solve(rhs, adjoint) against spsolve on S and Sᵀ, for 1-D and 2-D rhs."""
+def _refuse_zero_column_solves(monkeypatch):
+    """Fail at once if a stacked tridiagonal solve is handed no right-hand sides.
+
+    gttrs corrupts the heap on a block of zero columns, and the interpreter
+    crashes later, so the real kernel must never see one.
+    """
+    for name in ("dpttrs", "dgttrs"):
+        def spy(*args, _f=getattr(lapack, name), **kwargs):
+            assert args[-1].shape[1] > 0, "a zero-column block reached LAPACK"
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, spy)
+
+
+def _assert_solves_match_spsolve(solver, solve, S, n_x):
+    """from_modal(solve(to_modal(rhs), adjoint)) against spsolve on S and Sᵀ."""
     B = np.random.default_rng(18).standard_normal((n_x, 3))
     B0 = B.copy()
     for adjoint, A in ((False, S), (True, S.T.tocsc())):
-        for rhs in (B[:, 0], B[:, :1], B):
+        for rhs in (B[:, :1], B):
             want = spla.spsolve(A, rhs).reshape(rhs.shape)
-            got = solve(rhs, adjoint)
+            got = solver.from_modal(solve(solver.to_modal(rhs), adjoint))
             assert got.shape == rhs.shape
             assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # a block of no columns comes back as one
+        assert solver.from_modal(solve(solver.to_modal(B[:, :0]), adjoint)).shape == (n_x, 0)
     assert np.array_equal(B, B0)  # the right-hand sides are never written
 
 
@@ -361,14 +376,12 @@ def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
     # without wind the stacked tridiagonal is SPD and pttrf factors it; one
     # axis of wind keeps the pivoted gttrf; two axes build the sparse LU
     built = _spy_tridiagonal_factorizations(monkeypatch)
+    _refuse_zero_column_solves(monkeypatch)
     # n_side 63 with nt 30 are the benchmark workloads' step matrices
     for n_side, n_t in ((15, 5), (63, 30)):
         grid = lp.build_grid(n_side)
         K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(n_t))
-        _assert_solves_match_spsolve(lambda rhs, adjoint: K.solve_step(rhs, adjoint=adjoint),
-                                     K.step_matrix, grid.n_x)
-        for adjoint in (False, True):  # a block of no columns, as every backend returns it
-            assert K.solve_step(np.zeros((grid.n_x, 0)), adjoint=adjoint).shape == (grid.n_x, 0)
+        _assert_solves_match_spsolve(K.solver, K.solve_step, K.step_matrix, grid.n_x)
     kernel = "pttrf" if wind in (None, (0.0, 0.0)) else "gttrf" if 0.0 in wind else None
     assert built == ([kernel] * 2 if kernel else [])
 
@@ -376,27 +389,41 @@ def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
 @pytest.mark.parametrize("wind", STEP_WINDS)
 def test_modal_step_solves_run_in_place_in_a_fortran_block(wind):
     # the sweep's step: one solve on a column of its flush block, written back
-    # into that column; the transforms around it give the physical solve
+    # into that column
     grid = lp.build_grid(15)
     K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(5))
     B = np.random.default_rng(19).standard_normal((grid.n_x, 3))
     for adjoint in (False, True):
-        W = K.to_modal(B)
-        assert W.flags.f_contiguous and not np.shares_memory(W, B)
-        assert_allclose(K.from_modal(W), B, rtol=0, atol=1e-13 * np.abs(B).max())
-        want = K.solve_step(B, adjoint=adjoint)
-        got = K.from_modal(K.solve_step(W, adjoint=adjoint, modal=True))
-        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        block = K.to_modal(B)
+        W = K.solver.to_modal(B)
+        want = K.solve_step(W, adjoint)
+        assert np.shares_memory(want, W)
+        block = K.solver.to_modal(B)
         before = block.copy()
-        out = K.solve_step(block[:, 1:2], adjoint=adjoint, modal=True)
+        out = K.solve_step(block[:, 1:2], adjoint)
         assert np.shares_memory(out, block)
-        assert_allclose(K.from_modal(block[:, 1:2]), want[:, 1:2],
-                        rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert_allclose(block[:, 1:2], want[:, 1:2], rtol=1e-12, atol=1e-12 * np.abs(want).max())
         assert np.array_equal(block[:, ::2], before[:, ::2])  # the other columns are untouched
     if wind is None or 0.0 in wind:  # LAPACK solves in place only in a Fortran-ordered block
         with pytest.raises(ValueError, match="Fortran"):
-            K.solve_step(np.ascontiguousarray(K.to_modal(B)), modal=True)
+            K.solve_step(np.ascontiguousarray(K.solver.to_modal(B)))
+
+
+@pytest.mark.parametrize("wind", STEP_WINDS)
+def test_modal_solves_refuse_a_wrong_height_and_report_kernel_failures(monkeypatch, wind):
+    # on a block of the wrong height pttrs and gttrs either refuse it with a
+    # negative info or solve only its first n_x rows; neither may pass silently
+    grid = lp.build_grid(15)
+    K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(5))
+    separable = wind is None or 0.0 in wind
+    for n_rows in (grid.n_x - 3, grid.n_x + 3):
+        for trans in "NT":
+            with pytest.raises(ValueError, match="rows" if separable else None):
+                K.solver.solve_modal(np.zeros((n_rows, 2), order="F"), trans)
+    if separable:
+        kernel = "pttrs" if wind in (None, (0.0, 0.0)) else "gttrs"
+        monkeypatch.setattr(lapack, "d" + kernel, lambda *args, **kwargs: (args[-1], -6))
+        with pytest.raises(lp.NumericalError, match=f"{kernel} info=-6"):
+            K.solve_step(K.solver.to_modal(np.ones((grid.n_x, 2))))
 
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
@@ -422,13 +449,13 @@ def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
 def test_steady_solves_match_spsolve_on_pttrf(monkeypatch):
     # steady mode solves with L itself, as HessianContext builds it
     built = _spy_tridiagonal_factorizations(monkeypatch)
+    _refuse_zero_column_solves(monkeypatch)
     for n_side in (15, 63):
         grid = lp.build_grid(n_side)
         op = lp.assemble_heat(grid)
         solver = lp.forward.SeparableSolver(op, 0.0, 1.0)
         _assert_solves_match_spsolve(
-            lambda rhs, adjoint: solver.solve(rhs.reshape(grid.n_x, -1),
-                                              trans="T" if adjoint else "N").reshape(rhs.shape),
+            solver, lambda W, adjoint: solver.solve_modal(W, "T" if adjoint else "N"),
             op.L.tocsc(), grid.n_x)
     assert built == ["pttrf"] * 2
 
@@ -489,7 +516,7 @@ def test_step_lu_uses_symmetric_fill_reducing_ordering():
     grid = lp.build_grid(63)
     K = lp.SpaceTimeOperator(lp.assemble_convdiff(grid, 1e-2, (0.3, -0.7)),
                              lp.build_time_grid(30))
-    lu = K._solver
+    lu = K.solver.lu
     assert np.array_equal(lu.perm_r, lu.perm_c)  # no pivoting off the diagonal
     colamd = spla.splu(K.step_matrix, permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
