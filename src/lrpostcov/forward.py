@@ -30,10 +30,12 @@ the diagonal because the matrix is strictly diagonally dominant.
 Both solvers share one interface (``to_modal``, ``solve_modal``,
 ``from_modal``), exposed as ``SpaceTimeOperator.solver``.  M = M_scale·I
 commutes with the orthogonal eigenvector transform, so a sweep runs in the
-solver's modal coordinates: it transforms the rhs factor once, pays one
-in-place step solve (``solve_step``) per step, and transforms back only the
-columns it flushes into its pane.  For the sparse LU the transform is the
-identity, so the same sweep serves it.
+solver's modal coordinates: it transforms the rhs factor once and pays one
+in-place step solve (``solve_step``) per step.  A pane of every row is
+recompressed in modal coordinates too, and only its basis is transformed
+back; a pane of some rows transforms the grid lines that hold them at each
+flush.  For the sparse LU the transform is the identity, so the same sweep
+serves it.
 """
 
 from __future__ import annotations
@@ -110,12 +112,27 @@ class SeparableSolver:
             G = G.swapaxes(1, 2)  # the diagonalized axis first
         return (self.V.T @ G).reshape(c, n * n).T  # (column, eigen-index k, tridiagonal axis)
 
-    def from_modal(self, W: np.ndarray) -> np.ndarray:
-        """The inverse of ``to_modal``: W (n_x × c, modal) back on the grid."""
+    def from_modal(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        """The inverse of ``to_modal``: W (n_x × c, modal) back on the grid.
+
+        With ``keep`` (dof indices) only those rows are returned, as a
+        Fortran-ordered len(keep) × c block, and only the grid lines along
+        the diagonalized axis that hold a kept dof are transformed.
+        """
         n, c, V = self.n, W.shape[1], self.V
-        W = W.T.reshape(c, n, n)
-        X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
-        return X.reshape(c, n * n).T
+        W = W.T.reshape(c, n, n)  # per column, eigen-index × the other axis
+        if keep is None:
+            X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
+            return X.reshape(c, n * n).T
+        x2, x1 = np.divmod(keep, n)
+        if self.x1_diag:  # lines of constant x2, each transformed along x1
+            lines, at = np.unique(x2, return_inverse=True)
+            X, flat = W[:, :, lines].swapaxes(1, 2) @ V.T, at * n + x1
+        else:  # lines of constant x1, each transformed along x2
+            lines, at = np.unique(x1, return_inverse=True)
+            X, flat = V @ W[:, :, lines], x2 * len(lines) + at
+        # take gives a C-ordered c × len(keep) array, so its transpose is Fortran-ordered
+        return np.take(X.reshape(c, -1), flat, axis=1).T
 
     def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
         """Overwrite the modal block W with the stacked tridiagonal solve, and return it.
@@ -143,7 +160,8 @@ class _SparseLU:
     """The two-axis-wind step solver: SuperLU behind ``SeparableSolver``'s interface.
 
     Its modal coordinates are the physical ones, so ``to_modal`` is a
-    Fortran-ordered copy and ``from_modal`` returns its input.
+    Fortran-ordered copy and ``from_modal`` returns its input, or the kept
+    rows of it.
     """
 
     def __init__(self, A: sp.csc_matrix):
@@ -155,8 +173,8 @@ class _SparseLU:
     def to_modal(self, B: np.ndarray) -> np.ndarray:
         return np.array(B, dtype=float, order="F")
 
-    def from_modal(self, W: np.ndarray) -> np.ndarray:
-        return W
+    def from_modal(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        return W if keep is None else np.asfortranarray(W[keep])
 
     def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
         """Overwrite W with SuperLU's solve, and return it."""
@@ -217,6 +235,12 @@ class SpaceTimeOperator:
                           np.hstack([Y.W2, shifted]))
 
 
+def _add_product(W: np.ndarray, alpha: float, Q: np.ndarray, C: np.ndarray) -> None:
+    """W += alpha·Q·C in W's memory; W is a Fortran-ordered float64 block."""
+    if W.size:  # dgemm refuses an empty output block that ``@`` would accept
+        blas.dgemm(alpha, Q, C, beta=1.0, c=W, overwrite_c=True)
+
+
 def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
                  pol: TruncationPolicy) -> LowRankMat:
     """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
@@ -225,26 +249,32 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     columns split as W = Q·C + Qb·Rb (CGS2, then a thin QR of the
     remainder), and the sum is [Q Qb]·[[I, C], [0, Rb]]·[pane.W2 E]ᵀ.  Only
     the (r + c) × n_t coefficient field is truncated, and the basis is
-    rotated once; no QR of an n_x × (r + c) factor is formed.  The core and
-    the time factor are filled in place, and Qb's reprojection and the
-    basis rotation update their n_x-row arrays in place.
+    rotated once; no QR of an n_x × (r + c) factor is formed.
+
+    The flush works in the caller's block: W must be a Fortran-ordered
+    float64 array, which the projections overwrite with the remainder and
+    its QR with Qb, so the caller must not read W afterwards.  The rotated
+    basis is a fresh Fortran-ordered array, so the pane's basis stays one.
     """
+    if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
+        raise ValueError("a flush needs a Fortran-ordered float64 block")
     n_t, c = pane.shape[1], len(idx)
     if pane.r == 0:
         E = np.zeros((n_t, c))
         E[idx, np.arange(c)] = 1.0
-        return lr_truncate(LowRankMat(W, E), pol)
+        small = lr_truncate(LowRankMat(W, E), pol)
+        return LowRankMat(np.asfortranarray(small.W1), small.W2)
     Q, r = pane.W1, pane.r
-    C = Q.T @ W
-    R = W - Q @ C
-    C2 = Q.T @ R
-    R -= Q @ C2
+    C = blas.dgemm(1.0, Q, W, trans_a=True)
+    _add_product(W, -1.0, Q, C)
+    C2 = blas.dgemm(1.0, Q, W, trans_a=True)
+    _add_product(W, -1.0, Q, C2)
     C += C2
-    Qb, Rb = _qr(R)
+    Qb, Rb = _qr(W, overwrite_a=True)
     # a remainder at rounding level leaves the normalized Qb visibly
     # non-orthogonal to Q; one more projection restores it
-    D = Q.T @ Qb
-    Qb -= Q @ D
+    D = blas.dgemm(1.0, Q, Qb, trans_a=True)
+    _add_product(Qb, -1.0, Q, D)
     Qb, Rd = _qr(Qb, overwrite_a=True)
     C += D @ Rb
     k = len(Rb)
@@ -256,8 +286,8 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     T[:, :r] = pane.W2
     T[idx, range(r, r + c)] = 1.0
     small = lr_truncate(LowRankMat(core, T), pol)
-    U = Q @ small.W1[:r]
-    U += Qb @ small.W1[r:]
+    U = blas.dgemm(1.0, Q, small.W1[:r])
+    _add_product(U, 1.0, Qb, small.W1[r:])
     return LowRankMat(U, small.W2)
 
 
@@ -282,18 +312,24 @@ def st_solve_sweep(
     factor is transformed once, and each step writes M_scale·y_{k-1} into
     the next column of a Fortran-ordered n_x × ``compress_every`` flush
     block, where one modal step solve overwrites it and the rhs term is
-    added in place.  A flush transforms the block back once, so the pane
-    is physical.
+    added in place.  The running column is copied out before each flush,
+    which works in the block's memory.
 
     ``rows`` (a boolean mask or index array over the n_x dofs; None means
     all of them) selects the rows the caller will read.  The running column
     stays at full length, because the recursion needs it, but the pane
-    stores only y_k[rows], so the result has one row per selected dof.
+    stores only y_k[rows], so the result has one row per selected dof.  A
+    pane of every row is flushed in modal coordinates, and its basis is
+    transformed back once at the end: the transform is orthogonal, so the
+    truncations are those of the physical pane.  A restricted pane is
+    physical; each flush transforms only the grid lines that hold its rows.
     """
     n_x, n_t = K.n_x, K.n_t
     if rhs.shape != (n_x, n_t):
         raise ValueError(f"rhs shape {rhs.shape} does not match operator {(n_x, n_t)}")
     keep = None if rows is None else np.arange(n_x)[rows]
+    if keep is not None and np.array_equal(keep, np.arange(n_x)):
+        keep = None  # every row in order: the full-row pane, rounded as rows=None
     n_keep = n_x if keep is None else len(keep)
     if rhs.r == 0:
         return LowRankMat.zeros(n_keep, n_t)
@@ -304,9 +340,10 @@ def st_solve_sweep(
 
     pane = LowRankMat.zeros(n_keep, n_t)
     block = np.empty((n_x, compress_every), order="F")
-    y_prev = np.zeros(n_x)
+    y_run = np.zeros(n_x)
     for start in range(0, n_t, compress_every):
         idx = list(steps[start:start + compress_every])
+        y_prev = y_run
         for j, k in enumerate(idx):
             np.multiply(y_prev, K.m_scale, out=block[:, j])
             K.solve_step(block[:, j:j + 1], adjoint)
@@ -314,8 +351,11 @@ def st_solve_sweep(
             # y_prev += B·W2[k] in place; matmul of a one-column B takes numpy's
             # slow non-BLAS loop (~27 µs against ~4 at n_side 63)
             blas.dgemv(1.0, B, rhs.W2[k, :], beta=1.0, y=y_prev, overwrite_y=True)
-        W = S.from_modal(block[:, :len(idx)])
-        pane = _extend_pane(pane, W if keep is None else W[keep], idx, pol)
+        y_run[:] = y_prev
+        W = block[:, :len(idx)]
+        pane = _extend_pane(pane, W if keep is None else S.from_modal(W, keep), idx, pol)
+    if keep is None:
+        pane = LowRankMat(S.from_modal(pane.W1), pane.W2)
     return pane
 
 

@@ -115,6 +115,17 @@ def _qr(A: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarra
     return Q, R
 
 
+def _qr_tall(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """``_qr(A)``, or (None, A) when A has no more rows than columns.
+
+    Such a factor is already its own R with Q = I, so a truncation needs
+    no QR of it; a flush core is one, and upper triangular as well.
+    """
+    if A.shape[0] <= A.shape[1]:
+        return None, A
+    return _qr(A)
+
+
 def _check_same_shape(A: LowRankMat, B: LowRankMat) -> None:
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
@@ -158,14 +169,15 @@ def _svd_flip(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
     """Recompress to canonical form within the policy's relative tolerance.
 
-    Thin QR of each factor, SVD of the small core, rank cut by the relative
-    Frobenius tail.  Guarantees ||A - out||_F <= eps0 * ||A||_F.
+    Thin QR of each tall factor (a factor with no more rows than columns is
+    its own R), SVD of the small core, rank cut by the relative Frobenius
+    tail.  Guarantees ||A - out||_F <= eps0 * ||A||_F.
     """
     n_x, n_t = A.shape
     if A.r == 0:
         return LowRankMat.zeros(n_x, n_t)
-    Q1, R1 = _qr(A.W1)
-    Q2, R2 = _qr(A.W2)
+    Q1, R1 = _qr_tall(A.W1)
+    Q2, R2 = _qr_tall(A.W2)
     # a product that cancels to rounding noise of the factor magnitudes is zero
     factor_scale = np.linalg.norm(R1) * np.linalg.norm(R2)
     if not np.isfinite(factor_scale):
@@ -176,7 +188,8 @@ def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
     r = _rank_cut(s, pol)
     if r == 0:
         return LowRankMat.zeros(n_x, n_t)
-    U, V = _svd_flip(Q1 @ U[:, :r], Q2 @ Vt[:r, :].T)
+    U, V = U[:, :r], Vt[:r, :].T
+    U, V = _svd_flip(U if Q1 is None else Q1 @ U, V if Q2 is None else Q2 @ V)
     return LowRankMat(U, V * s[:r])
 
 

@@ -143,6 +143,27 @@ def test_oracle_pass_convdiff(tmp_path):
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
 
 
+def test_sensor_oracle_passes_through_flushes_that_truncate_to_nothing(tmp_path, monkeypatch):
+    # nine observed rows: once the Krylov vectors leave the observed range,
+    # a forward pane's flush truncates to rank 0, and its basis rotation
+    # then has no column to write
+    emptied = []
+
+    def spy(pane, W, idx, pol):
+        out = extend(pane, W, idx, pol)
+        emptied.append(pane.r > 0 and out.r == 0)
+        return out
+
+    extend = lp.forward._extend_pane
+    monkeypatch.setattr(lp.forward, "_extend_pane", spy)
+    out = tmp_path / "orc_sensors"
+    rc = cli.main(["oracle", "--problem", "convdiff", "--wind", "1,0", "--n-side", "15",
+                   "--nt", "5", "--sensors", "grid3x3", "--m-a", "100", "--out", str(out)])
+    assert rc == 0
+    assert (out / "oracle_report.txt").read_text().splitlines()[-1] == "result=PASS"
+    assert any(emptied)
+
+
 def test_oracle_corrupted_truncation_fails(tmp_path):
     out = tmp_path / "bad"
     rc = cli.main(["oracle", "--problem", "heat", "--n-side", "7", "--nt", "5",

@@ -291,7 +291,7 @@ def test_flush_of_a_chunk_inside_the_pane_span_stays_orthonormal(n_rows):
     g = rng.standard_normal(n_rows)
     W = 1e-7 * pane.W1 @ rng.standard_normal((r, len(idx))) + np.outer(g / np.linalg.norm(g),
                                                                        [1.0, 3.0, 5.0, 7.0])
-    out = lp.forward._extend_pane(pane, W, idx, POL)
+    out = lp.forward._extend_pane(pane, W.copy(order="F"), idx, POL)  # the flush overwrites it
     assert _orth_defect(out) <= 1e-12
     X = lp.lr_to_dense(pane)
     X[:, idx] += W
@@ -299,6 +299,39 @@ def test_flush_of_a_chunk_inside_the_pane_span_stays_orthonormal(n_rows):
     assert out.r == dense.r
     err = np.linalg.norm(lp.lr_to_dense(out) - lp.lr_to_dense(dense))
     assert err <= POL.eps0 * np.linalg.norm(X)
+
+
+def _pane_and_block(rng, n_rows, n_t, r, c):
+    pane = _rand_lr(rng, n_rows, n_t, r)
+    return pane, np.asfortranarray(rng.standard_normal((n_rows, c)))
+
+
+def test_flush_refuses_a_block_it_cannot_overwrite():
+    # dgemm and the QR would silently work on a copy of any other block
+    pane, W = _pane_and_block(np.random.default_rng(25), 40, 12, 3, 2)
+    for bad in (np.ascontiguousarray(W), W.astype(np.float32), W[::2]):
+        with pytest.raises(ValueError, match="Fortran"):
+            lp.forward._extend_pane(pane, bad, [5, 6], POL)
+    out = lp.forward._extend_pane(pane, W, [5, 6], POL)
+    assert out.W1.flags.f_contiguous  # the rotated basis stays Fortran-ordered
+
+
+def test_flush_that_truncates_to_nothing_returns_an_empty_pane():
+    # the new column cancels the pane's only nonzero time, so the sum is zero
+    # and the truncation keeps no column for dgemm to rotate
+    u = np.random.default_rng(26).standard_normal(40)
+    pane = lp.lr_truncate(lp.LowRankMat.from_column(u, 12, 5), POL)
+    out = lp.forward._extend_pane(pane, -u[:, None].copy(order="F"), [5], POL)
+    assert out.r == 0 and out.shape == (40, 12)
+
+
+def test_flush_of_a_block_without_columns_recompresses_the_pane():
+    # a remainder of zero columns leaves dgemm an empty block to update
+    pane, W = _pane_and_block(np.random.default_rng(27), 40, 12, 3, 0)
+    out = lp.forward._extend_pane(pane, W, [], POL)
+    assert out.r == pane.r
+    assert_allclose(lp.lr_to_dense(out), lp.lr_to_dense(pane), rtol=0,
+                    atol=1e-14 * np.abs(lp.lr_to_dense(pane)).max())
 
 
 def test_rank1_initial_condition_stays_rank1_over_many_flushes(monkeypatch):
@@ -430,7 +463,9 @@ def test_modal_solves_refuse_a_wrong_height_and_report_kernel_failures(monkeypat
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
     # every step solver's sweep, with and without the observed-row restriction;
-    # n_t = 10 leaves a partial last flush of 2 columns
+    # at compress_every 4, n_t = 10 leaves a partial last flush of 2 columns.
+    # A flush every step and one flush for the whole sweep would expose a
+    # running column that a flush overwrote in the block it works in.
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(10)
     op = _spatial(grid, wind)
@@ -438,12 +473,31 @@ def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
     rhs = _rand_lr(np.random.default_rng(20), grid.n_x, tg.n_t, 3)
     ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, lp.lr_to_dense(rhs),
                                adjoint=adjoint)
-    flushes = -(-tg.n_t // 4)
-    for rows in (None, lp.make_sensor_layout_3x3(grid).mask):
-        Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, rows=rows)
-        want = ref if rows is None else ref[rows]
-        assert Y.shape == want.shape
-        assert np.linalg.norm(lp.lr_to_dense(Y) - want) <= flushes * POL.eps0 * np.linalg.norm(want)
+    for compress_every in (1, 4, tg.n_t):
+        flushes = -(-tg.n_t // compress_every)
+        for rows in (None, lp.make_sensor_layout_3x3(grid).mask):
+            Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every,
+                                  rows=rows)
+            want = ref if rows is None else ref[rows]
+            assert Y.shape == want.shape
+            err = np.linalg.norm(lp.lr_to_dense(Y) - want)
+            assert err <= flushes * POL.eps0 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("wind", STEP_WINDS)
+def test_restricted_back_transform_is_the_rows_of_the_full_one(wind):
+    # only the grid lines holding a kept dof are transformed; the kept rows
+    # come back in the order asked, as a Fortran-ordered block the flush accepts
+    grid = lp.build_grid(15)
+    K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(5))
+    rng = np.random.default_rng(21)
+    W = K.solver.to_modal(rng.standard_normal((grid.n_x, 4)))
+    full = K.solver.from_modal(W)
+    for keep in (np.flatnonzero(lp.make_sensor_layout_3x3(grid).mask),
+                 rng.permutation(grid.n_x)[:30], np.arange(grid.n_x)):
+        got = K.solver.from_modal(W, keep)
+        assert got.shape == (len(keep), 4) and got.flags.f_contiguous
+        assert_allclose(got, full[keep], rtol=0, atol=1e-15 * np.abs(full).max())
 
 
 def test_steady_solves_match_spsolve_on_pttrf(monkeypatch):

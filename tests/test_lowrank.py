@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lrpostcov import lowrank
 from lrpostcov.errors import NumericalError
 from lrpostcov.lowrank import (
     LowRankMat,
@@ -282,3 +283,35 @@ def test_qr_kernel_in_place_reuses_a_fortran_buffer():
     W = np.asfortranarray(np.random.default_rng(17).standard_normal((6, 40)))
     Q, _ = _qr(W, overwrite_a=True)
     assert Q.shape == (6, 6) and not np.shares_memory(Q, W)
+
+
+@pytest.mark.parametrize("n, m, r", [(12, 30, 12), (6, 40, 10), (40, 6, 10), (50, 40, 6)])
+def test_truncation_skips_the_qr_of_a_factor_with_no_more_rows_than_columns(monkeypatch,
+                                                                           n, m, r):
+    # a square spatial factor, a wide spatial and a wide time factor, tall ones;
+    # a factor with no more rows than columns is its own R, with Q = I
+    A = _random_lowrank(np.random.default_rng(23), n, m, r)
+    seen = []
+
+    def spy(B, *args, **kwargs):
+        seen.append(B.shape)
+        return qr(B, *args, **kwargs)
+
+    qr = lowrank._qr
+    monkeypatch.setattr(lowrank, "_qr", spy)
+    out = lr_truncate(A, POL)
+    assert seen == [B.shape for B in (A.W1, A.W2) if B.shape[0] > B.shape[1]]
+    monkeypatch.setattr(lowrank, "_qr_tall", qr)  # the QR of every factor
+    ref = lr_truncate(A, POL)
+    assert out.r == ref.r
+    scale = np.linalg.norm(ref.W2)
+    assert_allclose(out.W1, ref.W1, rtol=0, atol=1e-13)
+    assert_allclose(out.W2, ref.W2, rtol=0, atol=1e-13 * scale)
+
+
+def test_qr_of_an_upper_triangular_factor_is_the_identity_bitwise():
+    # a flush core is upper triangular, so skipping its QR changes no bit
+    for shape in ((14, 14), (10, 14)):
+        T = np.triu(np.random.default_rng(24).standard_normal(shape))
+        Q, R = _qr(T)
+        assert np.array_equal(Q, np.eye(shape[0])) and np.array_equal(R, T)
