@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InvalidConfigError, NumericalError
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
@@ -66,9 +66,9 @@ class StopRule:
 
     def __post_init__(self):
         if self.m_a < 1:
-            raise ValueError(f"m_a must be >= 1, got {self.m_a}")
+            raise InvalidConfigError(f"m_a must be >= 1, got {self.m_a}")
         if self.eps_eig <= 0:
-            raise ValueError(f"eps_eig must be positive, got {self.eps_eig}")
+            raise InvalidConfigError(f"eps_eig must be positive, got {self.eps_eig}")
 
 
 @dataclass
@@ -78,11 +78,18 @@ class ArnoldiResult:
     ritz_values: np.ndarray       # real, descending
     ritz_vectors: list            # same representation as the basis
     converged_count: int          # final Ritz values >= eps_eig
-    breakdown: bool               # an invariant subspace was reached
     stop_reason: str              # why the run ended: "stable", "breakdown" or "cap"
-    iterations: int
     step_seconds: list[float]     # wall time of each iteration
     restarts: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return self.H.shape[1]
+
+    @property
+    def breakdown(self) -> bool:
+        """An invariant subspace was reached: the run stopped at one or restarted past one."""
+        return self.stop_reason == "breakdown" or self.restarts > 0
 
     def gram_defect(self) -> float:
         """max |<v_i, v_j> - δ_ij| over the stored basis."""
@@ -276,10 +283,8 @@ def lr_arnoldi(
     H = np.zeros((stop.m_a + 1, stop.m_a))
     step_seconds: list[float] = []
     prev_vals: np.ndarray | None = None
-    breakdown = False
     stop_reason = "cap"
     restarts = 0
-    j_done = 0
     h_scale = 0.0  # running max |H_ij|, the operator-scale estimate
 
     for j in range(stop.m_a):
@@ -298,10 +303,8 @@ def lr_arnoldi(
         H[j + 1, j] = h_sub
         h_scale = max(h_scale, float(np.abs(H[: j + 2, j]).max()))
         step_seconds.append(_time.perf_counter() - t0)
-        j_done = j + 1
 
-        if h_sub <= BREAKDOWN_TOL * h_scale:
-            breakdown = True  # invariant subspace reached
+        if h_sub <= BREAKDOWN_TOL * h_scale:  # invariant subspace reached
             fresh = None
             if stop.exhaustive and j + 1 < stop.m_a:
                 H[j + 1, j] = 0.0
@@ -322,7 +325,7 @@ def lr_arnoldi(
                 stop_reason = "stable"
                 break
 
-    Hout = H[: j_done + 1, : j_done]
+    Hout = H[: j + 2, : j + 1]  # iterations 1 .. j + 1 ran
     pairs = ritz_pairs(Hout, basis, pol)
     vals = np.array([p[0] for p in pairs])
 
@@ -332,9 +335,7 @@ def lr_arnoldi(
         ritz_values=vals,
         ritz_vectors=[p[1] for p in pairs],
         converged_count=int(np.sum(vals >= stop.eps_eig)),
-        breakdown=breakdown,
         stop_reason=stop_reason,
-        iterations=j_done,
         step_seconds=step_seconds,
         restarts=restarts,
     )

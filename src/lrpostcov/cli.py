@@ -26,7 +26,7 @@ import numpy as np
 from . import discretize, hessian, oracle, posterior
 from .arnoldi import ArnoldiResult, StopRule, lr_arnoldi
 from .errors import InvalidConfigError, NumericalError
-from .forward import SpaceTimeOperator
+from .forward import COMPRESS_EVERY, SpaceTimeOperator
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
@@ -56,13 +56,13 @@ class RunConfig:
     mode: str = "ic"
     start: str = "ones"             # ones | random
     seed: int = 0
-    compress_every: int = 4
+    compress_every: int = COMPRESS_EVERY
     k: int = 50                     # how many Ritz values to report
     out: str = "out"
 
     def __post_init__(self):
         """Reject a bad setting when the config is built (``replace`` builds anew)."""
-        # NaN passes every range check below (all its comparisons are false)
+        # NaN passes every range check (all its comparisons are false)
         floats = [(key, getattr(self, key)) for key, kind in _FIELD_TYPES.items()
                   if kind == "float"]
         for key, value in floats + [("wind", w) for w in self.wind]:
@@ -74,27 +74,23 @@ class RunConfig:
             raise InvalidConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == hessian.MODE_STEADY and self.problem != "heat":
             raise InvalidConfigError("mode=steady requires problem=heat")
-        if self.n_side < 2:
-            raise InvalidConfigError(f"n_side must be >= 2, got {self.n_side}")
-        if self.nt < 1:
-            raise InvalidConfigError(f"nt must be >= 1, got {self.nt}")
-        if not (0 < self.eps0 < 1):
-            raise InvalidConfigError(f"eps0 must lie in (0, 1), got {self.eps0}")
-        if (self.eps_eig <= 0 or self.beta_ratio <= 0 or self.gamma_prior <= 0
-                or self.final_time <= 0 or self.nu <= 0 or self.m_a < 1
-                or self.compress_every < 1):
-            raise InvalidConfigError("eps_eig, beta_ratio, gamma_prior, final_time, nu, m_a, "
-                                     "compress_every must be positive")
-        if self.seed < 0 or self.k < 1:
-            raise InvalidConfigError(
-                f"need seed >= 0 and k >= 1, got seed={self.seed}, k={self.k}")
+        if self.seed < 0 or self.k < 1 or self.compress_every < 1:
+            raise InvalidConfigError("need seed >= 0, k >= 1 and compress_every >= 1, got "
+                                     f"{self.seed}, {self.k} and {self.compress_every}")
         if self.start not in ("ones", "random"):
             raise InvalidConfigError(f"start must be ones or random, got {self.start!r}")
+        # every range is checked once, by building the cheap object that owns it
+        grid = discretize.build_grid(self.n_side)
+        discretize.build_time_grid(self.nt, self.final_time)
+        discretize.assemble_convdiff(grid, self.nu, self.wind)  # nu is checked for heat too
+        hessian.CovarianceSpec.from_gamma(self.gamma_prior, self.beta_ratio, grid)
+        TruncationPolicy(self.eps0)
+        StopRule(self.m_a, self.eps_eig)
         # building the layout rejects an unknown setting and patches the grid
         # cannot resolve before any output; steady mode builds none, so its
         # default grid3x3 is not checked
         if self.mode != hessian.MODE_STEADY or self.sensors != "grid3x3":
-            _build_layout(self, discretize.build_grid(self.n_side))
+            _build_layout(self, grid)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -138,8 +134,10 @@ def load_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise InvalidConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, raw = line.split("=", 1)
-        updates[key.strip()] = _parse_value(key.strip(), raw)
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key in updates:  # a later line would silently win
+            raise InvalidConfigError(f"{path}:{lineno}: repeated key {key!r}")
+        updates[key] = _parse_value(key, raw)
     return updates
 
 
@@ -202,18 +200,15 @@ def build_problem(cfg: RunConfig) -> Problem:
     cov = hessian.CovarianceSpec.from_gamma(cfg.gamma_prior, cfg.beta_ratio, grid)
     pol = TruncationPolicy(eps0=cfg.eps0)
 
-    if cfg.mode == hessian.MODE_STEADY:
-        spatial = discretize.assemble_heat(grid)
-        ctx = hessian.HessianContext(
-            mode=hessian.MODE_STEADY, operator=None, layout=None,
-            cov=cov, pol=pol, spatial=spatial,
-        )
-        return Problem(cfg, grid, spatial, None, None, None, cov, pol, ctx)
-
-    if cfg.problem == "heat":
+    if cfg.problem == "heat":  # always, in steady mode
         spatial = discretize.assemble_heat(grid)
     else:
         spatial = discretize.assemble_convdiff(grid, cfg.nu, cfg.wind)
+    if cfg.mode == hessian.MODE_STEADY:
+        ctx = hessian.HessianContext(mode=cfg.mode, operator=None, layout=None, cov=cov, pol=pol,
+                                     spatial=spatial)
+        return Problem(cfg, grid, spatial, None, None, None, cov, pol, ctx)
+
     time = discretize.build_time_grid(cfg.nt, cfg.final_time)
     K = SpaceTimeOperator(spatial, time)
     layout = _build_layout(cfg, grid)
@@ -248,7 +243,6 @@ def start_vector(cfg: RunConfig, problem: Problem):
 
 @dataclass
 class EigsRun:
-    config: RunConfig
     problem: Problem
     result: ArnoldiResult
 
@@ -270,7 +264,7 @@ def run_eigs(cfg: RunConfig, exhaustive: bool = False) -> EigsRun:
     stop = StopRule(m_a=m_a, eps_eig=cfg.eps_eig, exhaustive=exhaustive, restart_seed=cfg.seed)
     v1 = start_vector(cfg, problem)
     result = lr_arnoldi(problem.ctx.apply, v1, problem.pol, stop)
-    return EigsRun(config=cfg, problem=problem, result=result)
+    return EigsRun(problem=problem, result=result)
 
 
 def run_variance(cfg: RunConfig, retain: float | None = None, exhaustive: bool = False):
@@ -300,8 +294,8 @@ def _write_rows(path: Path, header: str, rows) -> None:
 
 
 def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
-    res, ranks = run.result, run.rank_trace
-    k = min(run.config.k, len(res.ritz_values))
+    res, ranks, cfg = run.result, run.rank_trace, run.problem.config
+    k = min(cfg.k, len(res.ritz_values))
     _write_rows(
         outdir / "eigenvalues.csv", "index,ritz_value",
         (f"{i},{res.ritz_values[i]:.17g}" for i in range(k)),
@@ -315,7 +309,7 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
         outdir / "hessenberg.csv", "i,j,value",
         (f"{i},{j},{res.H[i, j]:.17g}" for j in range(m) for i in range(min(j + 2, m + 1))),
     )
-    if run.config.mode == hessian.MODE_SOURCE:
+    if cfg.mode == hessian.MODE_SOURCE:
         # spectra of the low-rank Ritz vectors (space-time separation decay)
         rows = []
         for idx in range(k):
@@ -333,10 +327,10 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
 
 def _save_eigs(run: EigsRun) -> Path:
     """Write a finished run's eigen outputs and manifest; returns the directory."""
-    outdir = Path(run.config.out)
+    outdir = Path(run.problem.config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_eigs_outputs(run, outdir)
-    write_manifest(run.config, outdir)
+    write_manifest(run.problem.config, outdir)
     return outdir
 
 
@@ -365,16 +359,9 @@ def _oracle_dense_side(problem: Problem):
     if cfg.mode == hessian.MODE_STEADY:
         return oracle.dense_misfit_steady(L_dense, problem.cov.beta_noise,
                                           problem.cov.beta_prior)
-    mask = problem.layout.mask
-    if cfg.mode == hessian.MODE_IC:
-        return oracle.dense_misfit_ic(
-            L_dense, problem.grid.m_scale, problem.time.tau, problem.time.n_t,
-            mask, problem.cov.beta_noise, problem.cov.gamma_prior,
-        )
-    return oracle.dense_misfit_source(
-        L_dense, problem.grid.m_scale, problem.time.tau, problem.time.n_t,
-        mask, problem.cov.beta_noise, problem.cov.gamma_prior,
-    )
+    dense = oracle.dense_misfit_ic if cfg.mode == hessian.MODE_IC else oracle.dense_misfit_source
+    return dense(L_dense, problem.grid.m_scale, problem.time.tau, problem.time.n_t,
+                 problem.layout.mask, problem.cov.beta_noise, problem.cov.gamma_prior)
 
 
 def _dense_apply_wrapper(problem: Problem):
@@ -451,18 +438,16 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0 if report.passed else 4
 
 
-SWEEP_AXES = {
-    "nt": "nt", "n-side": "n_side", "nu": "nu", "beta-ratio": "beta_ratio",
-    "eps0": "eps0", "eps-eig": "eps_eig",
-}
+SWEEP_FIELDS = ("nt", "n_side", "nu", "beta_ratio", "eps0", "eps_eig")  # --axis takes their flags
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
-    if axis not in SWEEP_AXES:
-        raise InvalidConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
+    axes = [_flag(key) for key in SWEEP_FIELDS]
+    if axis not in axes:
+        raise InvalidConfigError(f"sweep axis must be one of {sorted(axes)}, got {axis!r}")
     if not values:
         raise InvalidConfigError("sweep needs a nonempty list of axis values")
-    key = SWEEP_AXES[axis]
+    key = SWEEP_FIELDS[axes.index(axis)]
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, failed = [], False
@@ -503,11 +488,15 @@ def cmd_analytic(cfg: RunConfig) -> int:
 # argument parsing
 
 
+def _flag(key: str) -> str:  # a config key's flag, without its leading "--"
+    return key.replace("_", "-")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     # one flag per RunConfig field; values stay raw strings for _parse_value
     p.add_argument("--config", help="key=value config file (e.g. a manifest)")
     for f in fields(RunConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
+        p.add_argument("--" + _flag(f.name), dest=f.name)
 
 
 # a token argparse would read as an option although it is a negative value
@@ -521,7 +510,7 @@ def _bind_negative_values(argv: list[str]) -> list[str]:
     for an option, so a list value with a negative first entry would
     otherwise need the "=" form.
     """
-    flags = {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
+    flags = {"--" + _flag(f.name) for f in fields(RunConfig)}
     out: list[str] = []
     for tok in argv:
         if out and out[-1] in flags and _NEGATIVE_VALUE.match(tok):
@@ -553,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_config_flags(p)
         if name == "sweep":
-            p.add_argument("--axis", required=True, help=f"one of {sorted(SWEEP_AXES)}")
+            p.add_argument("--axis", required=True,
+                           help=f"one of {sorted(map(_flag, SWEEP_FIELDS))}")
             p.add_argument("--values", required=True,
                            help="comma-separated axis values")
     return parser

@@ -3,7 +3,7 @@
 The domain is the unit square with homogeneous Dirichlet boundaries on all
 sides.  Interior dofs are numbered lexicographically with the x1 index
 running fastest: dof k sits at ((i+1)h, (j+1)h) with i = k % n_side,
-j = k // n_side.  The mass matrix is lumped to the scalar M_scale = h^d.
+j = k // n_side.  The mass matrix is lumped to the scalar M_scale = h².
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class Grid:
 
     n_side: int
     h: float
-    d: int = 2
 
     @property
     def n_x(self) -> int:
@@ -31,8 +30,8 @@ class Grid:
 
     @property
     def m_scale(self) -> float:
-        """Lumped mass coefficient h^d."""
-        return self.h**self.d
+        """Lumped mass coefficient h²."""
+        return self.h**2
 
     def ij_to_dof(self, i: int, j: int) -> int:
         return j * self.n_side + i
@@ -72,7 +71,6 @@ class SpatialOperator:
     grid: Grid
     A1: sp.csr_matrix
     A2: sp.csr_matrix
-    nu: float = 1.0
     wind: tuple[float, float] = (0.0, 0.0)
 
     @cached_property
@@ -80,22 +78,28 @@ class SpatialOperator:
         eye = sp.identity(self.grid.n_side, format="csr")
         return (sp.kron(eye, self.A1) + sp.kron(self.A2, eye)).tocsr()
 
-    @property
-    def m_scale(self) -> float:
-        return self.grid.m_scale
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int if it is a whole number >= least (31.0 and numpy ints qualify)."""
+    try:
+        if value == int(value) and value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, ±inf
+        pass
+    raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def build_grid(n_side: int) -> Grid:
     """Interior grid with mesh size h = 1/(n_side+1)."""
-    if n_side < 2:
-        raise InvalidConfigError(f"n_side must be >= 2, got {n_side}")
-    return Grid(n_side=int(n_side), h=1.0 / (n_side + 1))
+    n_side = _count("n_side", n_side, 2)
+    return Grid(n_side=n_side, h=1.0 / (n_side + 1))
 
 
 def build_time_grid(n_t: int, T: float = 1.0) -> TimeGrid:
-    if n_t < 1 or T <= 0:
-        raise InvalidConfigError(f"need n_t >= 1 and T > 0, got n_t={n_t}, T={T}")
-    return TimeGrid(n_t=int(n_t), tau=T / n_t, T=T)
+    n_t = _count("n_t", n_t, 1)
+    if T <= 0:
+        raise InvalidConfigError(f"final time T must be positive, got {T}")
+    return TimeGrid(n_t=n_t, tau=T / n_t, T=T)
 
 
 def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
@@ -130,14 +134,14 @@ def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> Spati
     diffusion = nu * _laplacian_1d(n, h)
     return SpatialOperator(kind="convdiff", grid=grid,
                            A1=(diffusion + _upwind_1d(n, h, w1)).tocsr(),
-                           A2=(diffusion + _upwind_1d(n, h, w2)).tocsr(), nu=nu, wind=(w1, w2))
+                           A2=(diffusion + _upwind_1d(n, h, w2)).tocsr(), wind=(w1, w2))
 
 
-def analytic_poisson_eig(m: int, n: int, a: float = 1.0, b: float = 1.0) -> float:
-    """Continuous Dirichlet-Laplacian eigenvalue π²[(m/a)² + (n/b)²] on [0,a]×[0,b]."""
-    if m < 1 or n < 1 or a <= 0 or b <= 0:
-        raise InvalidConfigError("need m,n >= 1 and a,b > 0")
-    return np.pi**2 * ((m / a) ** 2 + (n / b) ** 2)
+def analytic_poisson_eig(m: int, n: int) -> float:
+    """Continuous Dirichlet-Laplacian eigenvalue π²(m² + n²) on the unit square."""
+    if m < 1 or n < 1:
+        raise InvalidConfigError(f"need m, n >= 1, got ({m}, {n})")
+    return np.pi**2 * (m**2 + n**2)
 
 
 def _check_mode(m: int, n: int, grid: Grid) -> None:

@@ -52,6 +52,8 @@ from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError
 from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
 
+COMPRESS_EVERY = 4  # default sweep steps between recompressions
+
 
 class SeparableSolver:
     """Direct solver for a·I + b·L, L = I⊗A1 + A2⊗I with a symmetric factor.
@@ -193,7 +195,7 @@ class SpaceTimeOperator:
     def __init__(self, spatial: SpatialOperator, time: TimeGrid):
         self.spatial = spatial
         self.time = time
-        self.m_scale = spatial.m_scale
+        self.m_scale = spatial.grid.m_scale
         if 0.0 in spatial.wind:
             self.solver = SeparableSolver(spatial, self.m_scale, self.m_scale * time.tau)
         else:
@@ -296,7 +298,7 @@ def st_solve_sweep(
     rhs: LowRankMat,
     pol: TruncationPolicy,
     adjoint: bool = False,
-    compress_every: int = 4,
+    compress_every: int = COMPRESS_EVERY,
     rows: np.ndarray | None = None,
 ) -> LowRankMat:
     """Solve K·vec(Y) = vec(rhs) (or Kᵀ for adjoint=True) by time substitution.
@@ -363,7 +365,7 @@ def st_solve_adjoint_sweep(
     K: SpaceTimeOperator,
     rhs: LowRankMat,
     pol: TruncationPolicy,
-    compress_every: int = 4,
+    compress_every: int = COMPRESS_EVERY,
 ) -> LowRankMat:
     """Kᵀ-solve by backward-in-time substitution with the transposed factorization."""
     return st_solve_sweep(K, rhs, pol, adjoint=True, compress_every=compress_every)

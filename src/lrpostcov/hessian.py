@@ -22,7 +22,8 @@ import numpy as np
 
 from .discretize import Grid, SpatialOperator, TimeGrid
 from .errors import InvalidConfigError
-from .forward import SeparableSolver, SpaceTimeOperator, st_solve_adjoint_sweep, st_solve_sweep
+from .forward import COMPRESS_EVERY, SeparableSolver, SpaceTimeOperator
+from .forward import st_solve_adjoint_sweep, st_solve_sweep
 from .lowrank import LowRankMat, TruncationPolicy, lr_scale
 from .lowrank import lr_truncate  # noqa: F401  bench/tracing.py wraps hessian.lr_truncate by name
 
@@ -40,7 +41,7 @@ class CovarianceSpec:
     """Noise/prior covariance scalars; all finite and strictly positive.
 
     The prior covariance is gamma_prior·I.  ``from_gamma`` derives
-    beta_prior from a given gamma_prior through gamma_prior·beta_prior·h^d = 1.
+    beta_prior from a given gamma_prior through gamma_prior·beta_prior·h² = 1.
     """
 
     beta_noise: float
@@ -160,7 +161,7 @@ class HessianContext:
     cov: CovarianceSpec
     pol: TruncationPolicy
     spatial: SpatialOperator | None = None  # steady mode only
-    compress_every: int = 4
+    compress_every: int = COMPRESS_EVERY
     rank_trace: list[int] = field(default_factory=list)
 
     def __post_init__(self):

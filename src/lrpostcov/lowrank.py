@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NumericalError
+from .errors import InvalidConfigError, NumericalError
 
 # Singular values below this multiple of sigma_1 are floating-point noise
 # and are always discarded, independent of the requested tolerance.
@@ -45,7 +45,7 @@ class TruncationPolicy:
 
     def __post_init__(self):
         if not (0.0 < self.eps0 < 1.0):
-            raise ValueError(f"eps0 must lie in (0, 1), got {self.eps0}")
+            raise InvalidConfigError(f"eps0 must lie in (0, 1), got {self.eps0}")
 
 
 class LowRankMat:
@@ -54,8 +54,8 @@ class LowRankMat:
     __slots__ = ("W1", "W2")
 
     def __init__(self, W1: np.ndarray, W2: np.ndarray):
-        W1 = np.atleast_2d(np.asarray(W1, dtype=float))
-        W2 = np.atleast_2d(np.asarray(W2, dtype=float))
+        W1 = np.asarray(W1, dtype=float)
+        W2 = np.asarray(W2, dtype=float)
         if W1.ndim != 2 or W2.ndim != 2 or W1.shape[1] != W2.shape[1]:
             raise ValueError(
                 f"factor shapes {W1.shape} and {W2.shape} are inconsistent"

@@ -256,6 +256,10 @@ def test_invalid_config_exit_code(tmp_path):
     ({"problem": "convdiff", "mode": "steady"}, False),
     ({"n_side": 7}, False),  # the default grid3x3 needs n_side >= 15
     ({"nt": 0}, False),
+    # a size that is not a whole number is refused, not rounded down
+    ({"n_side": 31.5}, False),
+    ({"nt": 5.5, "n_side": 7, "sensors": "none"}, False),
+    ({"n_side": 31.0, "nt": np.int64(30)}, True),
 ])
 def test_run_config_is_checked_when_built(updates, ok):
     # the constructor and dataclasses.replace both check, so no unchecked config exists
@@ -288,6 +292,7 @@ def test_run_config_is_checked_when_built(updates, ok):
     ["--start", "random", "--seed", "-1"],
     ["--k", "0"],
     ["--k", "-2"],
+    ["--problem", "heat", "--nu", "-1"],  # nu is checked whatever the problem
 ])
 def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, flags):
     out = tmp_path / "out"
@@ -305,6 +310,15 @@ def test_precedence_flag_file(tmp_path):
     assert cfg.nt == 7          # from file
     assert cfg.nu == 0.25       # flag beats file
     assert cfg.eps0 == cli.RunConfig().eps0  # default
+
+
+def test_config_file_rejects_a_repeated_key_without_output(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_side=7\nsensors=none\nnt=30\n# nt=45\nm_a=5\nnt = 60\n")
+    out = tmp_path / "out"
+    assert cli.main(["eigs", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{cfg_file}:6: repeated key 'nt'" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

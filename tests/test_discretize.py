@@ -18,6 +18,22 @@ def test_build_grid_rejects_degenerate():
         dz.build_grid(1)
 
 
+@pytest.mark.parametrize("bad", [31.5, 5.5, 2.0000001, float("nan"), float("inf"), "31", None])
+def test_builders_refuse_a_size_that_is_not_a_whole_number(bad):
+    # int() would round 31.5 down to a 31-side grid with h = 1/32.5, and a
+    # 5.5-step grid to 5 steps of T/5.5, so tau·n_t != T
+    for build in (dz.build_grid, dz.build_time_grid):
+        with pytest.raises(InvalidConfigError, match="must be an integer"):
+            build(bad)
+
+
+def test_builders_take_an_integral_float_or_a_numpy_integer_as_the_int():
+    assert dz.build_grid(31.0) == dz.build_grid(np.int64(31)) == dz.build_grid(31)
+    assert type(dz.build_grid(np.int64(31)).n_side) is int
+    assert dz.build_time_grid(5.0, 2.0) == dz.build_time_grid(np.int32(5), 2.0) \
+        == dz.build_time_grid(5, 2.0)
+
+
 def test_dof_index_bijection():
     g = dz.build_grid(5)
     for k in range(g.n_x):
@@ -98,7 +114,6 @@ def test_convdiff_bandwidth():
 def test_analytic_poisson_eig_values():
     assert_allclose(dz.analytic_poisson_eig(1, 1), 2 * np.pi**2, rtol=1e-15)
     assert_allclose(dz.analytic_poisson_eig(2, 1), 5 * np.pi**2, rtol=1e-15)
-    assert_allclose(dz.analytic_poisson_eig(1, 1, a=2.0), 1.25 * np.pi**2, rtol=1e-15)
 
 
 def test_discrete_eig_matches_dense_eigensolve():

@@ -34,8 +34,12 @@ def test_policy_validation():
 
 
 def test_factor_shape_validation():
-    with pytest.raises(ValueError):
-        LowRankMat(np.zeros((4, 2)), np.zeros((5, 3)))
+    # factors must be matrices: promoting 1-D factors to rows would read two
+    # length-5 vectors as a 1 x 1 field of rank 5
+    for W1, W2 in [(np.zeros((4, 2)), np.zeros((5, 3))), (np.ones(5), np.ones(5)),
+                   (np.ones((5, 1)), np.ones(5)), (np.ones(5), np.ones((5, 1))), (1.0, 1.0)]:
+        with pytest.raises(ValueError, match="inconsistent"):
+            LowRankMat(W1, W2)
 
 
 def test_truncate_rank1_is_exact():
