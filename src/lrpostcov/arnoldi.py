@@ -7,7 +7,9 @@ with one reorthogonalization pass (CGS2): each pass takes every coefficient
 from the current vector and subtracts the whole projection as one exact
 combination.  In low-rank mode that combination is recompressed once per
 pass, and each Ritz vector once, which keeps storage at O(n_x + n_t) per
-vector without a truncation per basis vector.
+vector without a truncation per basis vector.  The m Ritz vectors are the
+columns of one product basis·Y (``combinations``), which in low-rank mode
+shares each basis vector's long-side product across a block of them.
 
 A default run combines a hard iteration cap with a Ritz refresh every
 CHECK_EVERY steps; it ends early once every Ritz value above the retention
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, NumericalError
+from .errors import InvalidConfigError, NumericalError, check_count
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
@@ -36,7 +38,7 @@ from .lowrank import (
     lr_norm,
     lr_scale,
     lr_singular_values,
-    lr_sum,
+    lr_sums,
     lr_truncate,
 )
 
@@ -65,8 +67,7 @@ class StopRule:
     restart_seed: int = 0
 
     def __post_init__(self):
-        if self.m_a < 1:
-            raise InvalidConfigError(f"m_a must be >= 1, got {self.m_a}")
+        object.__setattr__(self, "m_a", check_count("m_a", self.m_a, 1))
         if self.eps_eig <= 0:
             raise InvalidConfigError(f"eps_eig must be positive, got {self.eps_eig}")
 
@@ -125,6 +126,11 @@ class _VectorOps:
         h = np.array([self.dot(w, v) for v in basis])
         return h, self.combine([w, *basis], np.concatenate(([1.0], -h)))
 
+    def combine(self, basis, coeffs):
+        """Σ c_i·basis_i, the one-column case of ``combinations``."""
+        (out,) = self.combinations(basis, np.asarray(coeffs, dtype=float)[:, None])
+        return out
+
 
 class _DenseOps(_VectorOps):
     """Vector operations for dense ndarray iterates."""
@@ -138,11 +144,13 @@ class _DenseOps(_VectorOps):
         return bool(np.isfinite(w).all())
 
     @staticmethod
-    def combine(basis, coeffs):
-        out = np.zeros_like(basis[0], dtype=float)
-        for v, c in zip(basis, coeffs):
-            out += float(c) * v
-        return out
+    def combinations(basis, C):
+        """Yield basis·C[:, k] for each column k, each by its own loop over the basis."""
+        for coeffs in C.T:
+            out = np.zeros_like(basis[0], dtype=float)
+            for v, c in zip(basis, coeffs):
+                out += float(c) * v
+            yield out
 
 
 class _LowRankOps(_VectorOps):
@@ -159,8 +167,10 @@ class _LowRankOps(_VectorOps):
     def finite(w) -> bool:
         return bool(np.isfinite(w.W1).all() and np.isfinite(w.W2).all())
 
-    def combine(self, basis, coeffs):
-        return lr_truncate(lr_sum(basis, coeffs), self.pol)
+    def combinations(self, basis, C):
+        """Each column's combination, truncated; the exact sums share their products."""
+        # map keeps no exact sum once its truncation is handed on
+        return map(lambda S: lr_truncate(S, self.pol), lr_sums(basis, C))
 
 
 def _ops_for(v, pol: TruncationPolicy | None = None):
@@ -187,20 +197,20 @@ def _hessenberg_eigs(Hm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def ritz_pairs(H: np.ndarray, basis: list, pol: TruncationPolicy | None = None) -> list:
     """Real Ritz pairs from the leading m×m Hessenberg block, descending.
 
-    Values and combination coefficients come from the same symmetric
-    eigensolve; each vector is the basis combination, normalized, and
-    recompressed in low-rank mode.
+    Values and combination coefficients Y come from the same symmetric
+    eigensolve.  The vectors are the columns of basis·Y, made together by
+    ``combinations`` (in low-rank mode one truncation each, and products
+    shared between columns), then normalized.
     """
     m = H.shape[1]
     vals, vecs = _hessenberg_eigs(H[:m, :m])
     ops = _ops_for(basis[0], pol)
     pairs = []
-    for i in range(m):
-        v = ops.combine(basis[:m], vecs[:, i])  # one truncation per Ritz vector
+    for val, v in zip(vals, ops.combinations(basis[:m], vecs)):
         nrm = ops.norm(v)
         if nrm > 0:
             v = ops.scale(v, 1.0 / nrm)
-        pairs.append((float(vals[i]), v))
+        pairs.append((float(val), v))
     return pairs
 
 

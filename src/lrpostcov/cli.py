@@ -25,7 +25,7 @@ import numpy as np
 
 from . import discretize, hessian, oracle, posterior
 from .arnoldi import ArnoldiResult, StopRule, lr_arnoldi
-from .errors import InvalidConfigError, NumericalError
+from .errors import InvalidConfigError, NumericalError, check_count
 from .forward import COMPRESS_EVERY, SpaceTimeOperator
 from .lowrank import (
     LowRankMat,
@@ -74,18 +74,21 @@ class RunConfig:
             raise InvalidConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == hessian.MODE_STEADY and self.problem != "heat":
             raise InvalidConfigError("mode=steady requires problem=heat")
-        if self.seed < 0 or self.k < 1 or self.compress_every < 1:
-            raise InvalidConfigError("need seed >= 0, k >= 1 and compress_every >= 1, got "
-                                     f"{self.seed}, {self.k} and {self.compress_every}")
         if self.start not in ("ones", "random"):
             raise InvalidConfigError(f"start must be ones or random, got {self.start!r}")
-        # every range is checked once, by building the cheap object that owns it
+        # every range is checked once, by building the cheap object that owns
+        # it; a count is kept as the int its owner made of it (31.0 becomes 31)
+        counts = {key: check_count(key, getattr(self, key), least)
+                  for key, least in (("seed", 0), ("k", 1), ("compress_every", 1))}
         grid = discretize.build_grid(self.n_side)
-        discretize.build_time_grid(self.nt, self.final_time)
+        time_grid = discretize.build_time_grid(self.nt, self.final_time)
         discretize.assemble_convdiff(grid, self.nu, self.wind)  # nu is checked for heat too
         hessian.CovarianceSpec.from_gamma(self.gamma_prior, self.beta_ratio, grid)
         TruncationPolicy(self.eps0)
-        StopRule(self.m_a, self.eps_eig)
+        counts.update(n_side=grid.n_side, nt=time_grid.n_t,
+                      m_a=StopRule(self.m_a, self.eps_eig).m_a)
+        for key, value in counts.items():
+            object.__setattr__(self, key, value)
         # building the layout rejects an unknown setting and patches the grid
         # cannot resolve before any output; steady mode builds none, so its
         # default grid3x3 is not checked

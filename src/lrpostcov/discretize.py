@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_count
 
 
 @dataclass(frozen=True)
@@ -79,24 +79,14 @@ class SpatialOperator:
         return (sp.kron(eye, self.A1) + sp.kron(self.A2, eye)).tocsr()
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int if it is a whole number >= least (31.0 and numpy ints qualify)."""
-    try:
-        if value == int(value) and value >= least:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN, ±inf
-        pass
-    raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def build_grid(n_side: int) -> Grid:
     """Interior grid with mesh size h = 1/(n_side+1)."""
-    n_side = _count("n_side", n_side, 2)
+    n_side = check_count("n_side", n_side, 2)
     return Grid(n_side=n_side, h=1.0 / (n_side + 1))
 
 
 def build_time_grid(n_t: int, T: float = 1.0) -> TimeGrid:
-    n_t = _count("n_t", n_t, 1)
+    n_t = check_count("n_t", n_t, 1)
     if T <= 0:
         raise InvalidConfigError(f"final time T must be positive, got {T}")
     return TimeGrid(n_t=n_t, tau=T / n_t, T=T)

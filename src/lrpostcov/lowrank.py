@@ -12,6 +12,12 @@ BLAS thread it gives the (Q, R) of ``np.linalg.qr`` bit for bit, at about
 half numpy's per-call cost on the small blocks recompression feeds it, and
 a caller that owns a Fortran-ordered buffer can let Q take its memory.
 
+Exact linear combinations go through one kernel too, ``lr_sums``: it
+makes every column of basis·C from one QR of the stacked shorter-side
+factors and forms each term's long-side product once per block of columns,
+where a column at a time would form it once per column.  ``lr_sum`` is its
+one-column case.
+
 Canonical form (produced by ``lr_truncate``): W1 has orthonormal columns
 and W2 = Q2·diag(σ) with Q2 orthonormal and σ the nonincreasing positive
 singular values of the represented matrix.
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import InvalidConfigError, NumericalError
 
@@ -35,6 +41,10 @@ NOISE_FLOOR = 1e-15
 # the queried optimum, as np.linalg.qr gives it.  Allocating that optimum on
 # every small recompression would only cost memory.
 QR_UNBLOCKED_MAX = 128
+
+# Output columns ``lr_sums`` accumulates together: each term's long-side
+# product is formed once per block, and one block of accumulators is held.
+SUMS_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -203,36 +213,93 @@ def lr_add(A: LowRankMat, B: LowRankMat) -> LowRankMat:
     return LowRankMat(np.hstack([A.W1, B.W1]), np.hstack([A.W2, B.W2]))
 
 
-def lr_sum(terms, coeffs) -> LowRankMat:
-    """Exact Σ c_i·A_i in rank <= min(n_x, n_t, Σ r_i); caller truncates.
+def _gemm(alpha: float, L: np.ndarray, R: np.ndarray, beta: float,
+          out: np.ndarray) -> np.ndarray:
+    """out ← alpha·L·Rᵀ + beta·out in out's (Fortran-ordered) memory.
 
-    One thin QR of the stacked shorter-side factors, [S_1 … S_k] = Q·[R_1 … R_k];
-    the long-side factor Σ c_i·L_i·R_iᵀ is accumulated term by term, never
-    stacked.  A sum that cancels to rounding noise of its terms is zero.
+    A C-ordered L goes to BLAS as its transpose, a Fortran-ordered view, so
+    the wrapper does not copy it.
     """
-    terms, coeffs = list(terms), [float(c) for c in coeffs]
-    if not terms or len(terms) != len(coeffs):
-        raise ValueError(f"need one coefficient per term, got {len(terms)} and {len(coeffs)}")
+    if L.flags.c_contiguous:
+        return blas.dgemm(alpha, L.T, R, beta, out, trans_a=1, trans_b=1, overwrite_c=1)
+    return blas.dgemm(alpha, L, R, beta, out, trans_b=1, overwrite_c=1)
+
+
+def lr_sums(terms, C):
+    """Yield the exact Σ_i C[i, k]·A_i for each column k of C, in order.
+
+    One thin QR of the stacked shorter-side factors, [S_1 … S_m] = Q·[R_1 … R_m],
+    serves every column: output k is its long-side factor Σ_i C[i, k]·L_i·R_iᵀ
+    with Q, of rank <= min(n_x, n_t, Σ r_i).  Columns are accumulated
+    SUMS_BLOCK at a time.  In a block each term's product P_i = L_i·R_iᵀ is
+    formed once and added into every output that uses it; a term only one
+    output uses is multiplied straight into that output's accumulator.  The
+    caller truncates each output before it takes the next, so only a block
+    of accumulators is held, never one per column.  A column that cancels
+    to rounding noise of its terms is zero.
+    """
+    terms, C = list(terms), np.asarray(C, dtype=float)
+    if not terms or C.ndim != 2 or C.shape[0] != len(terms):
+        raise ValueError(f"need one coefficient row per term, got {len(terms)} terms "
+                         f"and coefficients of shape {C.shape}")
     for A in terms[1:]:
         _check_same_shape(terms[0], A)
     n_x, n_t = terms[0].shape
-    live = [(A, c) for A, c in zip(terms, coeffs) if A.r and c != 0.0]
+    keep = np.array([A.r > 0 and row.any() for A, row in zip(terms, C)])
+    live, C = [A for A, k in zip(terms, keep) if k], C[keep]
     if not live:
-        return LowRankMat.zeros(n_x, n_t)
+        for _ in range(C.shape[1]):
+            yield LowRankMat.zeros(n_x, n_t)
+        return
     time_short = n_t <= n_x
-    Q, R = _qr(np.hstack([A.W2 if time_short else A.W1 for A, _ in live]))
-    acc = np.zeros((n_x if time_short else n_t, Q.shape[1]))
-    scale = 0.0
-    col = 0
-    for A, c in live:
-        acc += (A.W1 if time_short else A.W2) @ (c * R[:, col:col + A.r]).T
-        col += A.r
-        scale += abs(c) * np.linalg.norm(A.W1) * np.linalg.norm(A.W2)
-    if not np.isfinite(scale):
-        raise NumericalError(f"low-rank sum: factor norms reach {scale}")
+    Q, R = _qr(np.hstack([A.W2 if time_short else A.W1 for A in live]))
+    R = np.split(R, np.cumsum([A.r for A in live])[:-1], axis=1)
+    longs = [A.W1 if time_short else A.W2 for A in live]
+    norms = np.array([np.linalg.norm(A.W1) * np.linalg.norm(A.W2) for A in live])
+    shape = (n_x if time_short else n_t, Q.shape[1])
+    starts = range(0, C.shape[1], SUMS_BLOCK)
+    for start in starts:
+        block = C[:, start:start + SUMS_BLOCK]
+        accs = _sums_block(longs, R, block, shape)
+        if start == starts[-1]:
+            R = None  # not held through the last block's truncations
+        for coeffs in block.T:
+            nz = coeffs != 0.0
+            scale = float(np.abs(coeffs[nz]) @ norms[nz])
+            if not np.isfinite(scale):
+                raise NumericalError(f"low-rank sum: factor norms reach {scale}")
+            # the output alone holds its accumulator, freed when the caller drops it
+            yield _sum_output(accs.pop(0), Q, time_short, scale)
+
+
+def _sum_output(acc: np.ndarray, Q: np.ndarray, time_short: bool, scale: float) -> LowRankMat:
+    """The field with long-side factor acc and short-side Q, or zero if acc is noise of scale."""
+    S = LowRankMat(acc, Q) if time_short else LowRankMat(Q, acc)
     if np.linalg.norm(acc) <= NOISE_FLOOR * scale:
-        return LowRankMat.zeros(n_x, n_t)
-    return LowRankMat(acc, Q) if time_short else LowRankMat(Q, acc)
+        return LowRankMat.zeros(*S.shape)
+    return S
+
+
+def _sums_block(longs, R, block, shape) -> list:
+    """Accumulators Σ_i block[i, k]·L_i·R_iᵀ, one per column k of the block."""
+    accs = [np.zeros(shape, order="F") for _ in range(block.shape[1])]
+    P = None  # one product buffer for the block, freed before its outputs are yielded
+    for L, Ri, row in zip(longs, R, block):
+        used = np.flatnonzero(row)
+        if used.size == 1:  # c·Ri, not alpha = c: one-column sums keep their rounding
+            k = used[0]
+            accs[k] = _gemm(1.0, L, row[k] * Ri, 1.0, accs[k])
+        elif used.size:
+            P = _gemm(1.0, L, Ri, 0.0, np.empty(shape, order="F") if P is None else P)
+            for k in used:
+                blas.daxpy(P.ravel("F"), accs[k].ravel("F"), a=row[k])
+    return accs
+
+
+def lr_sum(terms, coeffs) -> LowRankMat:
+    """Exact Σ c_i·A_i, the one-column case of ``lr_sums``; caller truncates."""
+    (S,) = lr_sums(terms, np.asarray(coeffs, dtype=float)[:, None])
+    return S
 
 
 def lr_scale(A: LowRankMat, c: float) -> LowRankMat:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -6,7 +8,7 @@ from numpy.testing import assert_allclose
 import lrpostcov as lp
 from lrpostcov import arnoldi, cli
 from lrpostcov import hessian as hs
-from lrpostcov import oracle
+from lrpostcov import lowrank, oracle
 from lrpostcov.arnoldi import StopRule, lr_arnoldi, rank_one_check, ritz_pairs
 
 POL = lp.TruncationPolicy(eps0=1e-8)
@@ -64,6 +66,65 @@ def test_ritz_single_column():
     pairs = ritz_pairs(H, [v])
     assert pairs[0][0] == pytest.approx(2.5)
     assert_allclose(pairs[0][1], v)
+
+
+def _ritz_coefficients(H):
+    m = H.shape[1]
+    vals, Y = np.linalg.eigh(0.5 * (H[:m, :m] + H[:m, :m].T))
+    return vals[::-1], Y[:, ::-1]
+
+
+@pytest.mark.parametrize("n_x, n_t", [(30, 6), (6, 30)])
+def test_low_rank_ritz_vectors_are_the_dense_basis_combinations(n_x, n_t):
+    # every combination has full rank min(n_x, n_t), so truncation keeps it
+    rng = np.random.default_rng(40)
+    m = 2 * lowrank.SUMS_BLOCK + 4
+    basis = [lp.LowRankMat(rng.standard_normal((n_x, 3)), rng.standard_normal((n_t, 3)))
+             for _ in range(m + 1)]
+    H = rng.standard_normal((m + 1, m))
+    vals, Y = _ritz_coefficients(H)
+    dense = np.array([lp.lr_to_dense(v) for v in basis[:m]])
+    pairs = ritz_pairs(H, basis, POL)
+    assert [p[0] for p in pairs] == [float(v) for v in vals]
+    for (_, v), y in zip(pairs, Y.T):
+        ref = np.tensordot(y, dense, axes=1)
+        ref /= np.linalg.norm(ref)
+        assert np.linalg.norm(lp.lr_to_dense(v) - ref) <= 1e-12
+
+
+def test_dense_ritz_vectors_are_bitwise_the_per_column_loop():
+    rng = np.random.default_rng(41)
+    m = 2 * lowrank.SUMS_BLOCK + 4
+    basis = list(rng.standard_normal((m + 1, 50)))
+    H = rng.standard_normal((m + 1, m))
+    _, Y = _ritz_coefficients(H)
+    for (_, v), y in zip(ritz_pairs(H, basis), Y.T):
+        ref = np.zeros(50)
+        for b, c in zip(basis, y):
+            ref += float(c) * b
+        assert np.array_equal(v, np.multiply(ref, 1.0 / np.linalg.norm(ref)))
+
+
+def test_ritz_extraction_holds_one_block_of_exact_sums_not_one_per_vector():
+    # The spatial factors share a 2-D subspace, so each Ritz vector truncates
+    # to rank 2 while its exact combination is n_x x n_t.  Above its inputs
+    # and outputs the extraction may hold one block of exact combinations
+    # (SUMS_BLOCK = 8), one product buffer and a truncation's work arrays:
+    # 11 exact combinations, against the m = 40 of a buffer per vector.
+    rng = np.random.default_rng(42)
+    n_x, n_t, m = 3000, 16, 40
+    U = np.linalg.qr(rng.standard_normal((n_x, 2)))[0]
+    basis = [lp.LowRankMat(U @ rng.standard_normal((2, 4)), rng.standard_normal((n_t, 4)))
+             for _ in range(m)]
+    H = rng.standard_normal((m + 1, m))
+    tracemalloc.start()
+    try:
+        pairs = ritz_pairs(H, basis, POL)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {v.r for _, v in pairs} == {2}
+    assert peak - held <= 11 * n_x * n_t * 8
 
 
 def test_ritz_symmetric_tridiagonal_real():
@@ -333,6 +394,10 @@ def test_stop_ready_table(vals, prev, ready):
 def test_stop_rule_validation():
     with pytest.raises(ValueError):
         StopRule(m_a=0)
+    for m_a in (5.5, True, "5"):  # not rounded down, and a bool is not a count
+        with pytest.raises(lp.InvalidConfigError, match="m_a must be an integer"):
+            StopRule(m_a=m_a)
+    assert type(StopRule(m_a=5.0).m_a) is int
     with pytest.raises(ValueError):
         StopRule(m_a=5, eps_eig=0.0)
     with pytest.raises(ValueError):

@@ -271,6 +271,24 @@ def test_run_config_is_checked_when_built(updates, ok):
                 build()
 
 
+@pytest.mark.parametrize("key", ["n_side", "nt", "m_a", "seed", "compress_every", "k"])
+@pytest.mark.parametrize("value", [5.5, True, "5"])
+def test_run_config_refuses_a_count_that_is_not_a_whole_number(key, value):
+    # library use reaches these (the command line parses them with int()); a
+    # non-integral count used to die later with a raw TypeError
+    base = dict(n_side=7, nt=4, sensors="none", m_a=5)
+    with pytest.raises(lp.InvalidConfigError, match="must be an integer"):
+        cli.RunConfig(**{**base, key: value})
+
+
+def test_run_config_keeps_a_whole_float_count_as_an_int(tmp_path):
+    cfg = cli.RunConfig(n_side=7.0, nt=np.int64(4), sensors="none", m_a=5.0, seed=1.0,
+                        compress_every=2.0, k=3.0, out=str(tmp_path / "out"))
+    counts = ("n_side", "nt", "m_a", "seed", "compress_every", "k")
+    assert all(type(getattr(cfg, key)) is int for key in counts)
+    assert cli.cmd_variance(cfg) == 0  # a float n_side used to fail writing the fields
+
+
 @pytest.mark.parametrize("flags", [
     ["--eps-eig", "nan"],
     ["--gamma-prior", "nan"],

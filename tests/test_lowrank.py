@@ -15,6 +15,7 @@ from lrpostcov.lowrank import (
     lr_scale,
     lr_singular_values,
     lr_sum,
+    lr_sums,
     lr_to_dense,
     lr_truncate,
 )
@@ -178,6 +179,83 @@ def test_sum_validation():
         lr_sum([LowRankMat.zeros(4, 5), LowRankMat.zeros(4, 6)], [1.0, 1.0])
     with pytest.raises(ValueError):
         lr_sum([LowRankMat.zeros(4, 5)], [1.0, 2.0])
+
+
+def _dense_sums(terms, C):
+    return [sum(c * lr_to_dense(A) for A, c in zip(terms, col)) for col in C.T]
+
+
+@pytest.mark.parametrize("n, m", [(40, 12), (9, 25)])  # n_t <= n_x, and n_t > n_x
+def test_sums_match_dense_and_per_column_sums(n, m):
+    # a zero-rank term, an all-zero coefficient row, and more columns than one block
+    rng = np.random.default_rng(18)
+    terms = [_random_lowrank(rng, n, m, r) for r in (3, 0, 5, 4, 2)]
+    C = rng.standard_normal((len(terms), 2 * lowrank.SUMS_BLOCK + 3))
+    C[3] = 0.0
+    C[2, 5] = 0.0  # a term one column of a block leaves out
+    outs = list(lr_sums(terms, C))
+    assert len(outs) == C.shape[1]
+    for S, ref, col in zip(outs, _dense_sums(terms, C), C.T):
+        assert S.r == min(n, m, 3 + 5 + 2)  # the zero row's term is not stacked
+        assert np.linalg.norm(lr_to_dense(S) - ref) <= 1e-12 * np.linalg.norm(ref)
+        one = lr_to_dense(lr_sum(terms, col))
+        assert np.linalg.norm(lr_to_dense(S) - one) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_sums_form_each_long_side_product_once_per_block(monkeypatch):
+    calls = []
+    gemm = lowrank._gemm
+
+    def counting_gemm(*args):
+        calls.append(args[0])
+        return gemm(*args)
+
+    monkeypatch.setattr(lowrank, "_gemm", counting_gemm)
+    rng = np.random.default_rng(19)
+    terms = [_random_lowrank(rng, 30, 8, 2) for _ in range(5)]
+    n_cols = 2 * lowrank.SUMS_BLOCK + 1
+    list(lr_sums(terms, rng.standard_normal((5, n_cols))))
+    assert len(calls) == 5 * 3  # three blocks, the last of one column
+    calls.clear()
+    lr_sum(terms, rng.standard_normal(5))  # one column: one product per term
+    assert len(calls) == 5
+
+
+def test_sums_with_no_live_term_are_zero_fields():
+    A = _random_lowrank(np.random.default_rng(20), 7, 5, 2)
+    outs = list(lr_sums([LowRankMat.zeros(7, 5), A], np.array([[1.0, 2.0, 3.0], [0.0] * 3])))
+    assert [(S.shape, S.r) for S in outs] == [((7, 5), 0)] * 3
+
+
+def test_sums_one_column_cancels_to_zero_while_the_others_do_not():
+    rng = np.random.default_rng(21)
+    v, w = _random_lowrank(rng, 20, 15, 4), _random_lowrank(rng, 20, 15, 3)
+    C = np.array([[1.0, 1.0, 2.0], [-1.0, 0.5, 1.0], [0.0, 1.0, -1.0]])
+    outs = list(lr_sums([v, v, w], C))
+    assert outs[0].r == 0
+    for S, ref in zip(outs[1:], _dense_sums([v, v, w], C)[1:]):
+        assert S.r > 0
+        assert np.linalg.norm(lr_to_dense(S) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [1e200, np.nan])
+def test_sums_raise_numerical_error_at_the_first_column_that_overflows(bad):
+    A = _random_lowrank(np.random.default_rng(22), 2, 2, 1)
+    B = LowRankMat(np.array([[bad], [1.0]]), np.array([[1e200], [1.0]]))
+    outs = lr_sums([A, B], np.array([[1.0, 1.0], [0.0, 2.0]]))
+    assert_allclose(lr_to_dense(next(outs)), lr_to_dense(A), rtol=1e-12)  # B is not in it
+    with pytest.raises(NumericalError):
+        next(outs)
+
+
+def test_sums_validation():
+    A = LowRankMat.zeros(4, 5)
+    for C in (np.ones(2), np.ones((3, 1)), np.ones((2, 1, 1))):
+        with pytest.raises(ValueError):
+            list(lr_sums([A, A], C))
+    with pytest.raises(ValueError):
+        list(lr_sums([], np.ones((0, 1))))
 
 
 def test_dot_unit_cases():
