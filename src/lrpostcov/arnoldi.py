@@ -68,8 +68,8 @@ class StopRule:
 
     def __post_init__(self):
         object.__setattr__(self, "m_a", check_count("m_a", self.m_a, 1))
-        if self.eps_eig <= 0:
-            raise InvalidConfigError(f"eps_eig must be positive, got {self.eps_eig}")
+        if not 0 < self.eps_eig < np.inf:  # NaN fails every comparison
+            raise InvalidConfigError(f"eps_eig must be finite and positive, got {self.eps_eig}")
 
 
 @dataclass

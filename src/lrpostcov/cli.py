@@ -15,7 +15,6 @@ Exit codes: 0 success/PASS, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -36,7 +35,6 @@ from .lowrank import (
 )
 
 PROBLEMS = ("heat", "convdiff")
-MODES = (hessian.MODE_IC, hessian.MODE_SOURCE, hessian.MODE_STEADY)
 
 
 @dataclass(frozen=True)
@@ -62,22 +60,13 @@ class RunConfig:
 
     def __post_init__(self):
         """Reject a bad setting when the config is built (``replace`` builds anew)."""
-        # NaN passes every range check (all its comparisons are false)
-        floats = [(key, getattr(self, key)) for key, kind in _FIELD_TYPES.items()
-                  if kind == "float"]
-        for key, value in floats + [("wind", w) for w in self.wind]:
-            if not math.isfinite(value):
-                raise InvalidConfigError(f"{key} must be finite, got {value}")
         if self.problem not in PROBLEMS:
             raise InvalidConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
-        if self.mode not in MODES:
-            raise InvalidConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == hessian.MODE_STEADY and self.problem != "heat":
-            raise InvalidConfigError("mode=steady requires problem=heat")
+        hessian.check_mode(self.mode, self.problem)
         if self.start not in ("ones", "random"):
             raise InvalidConfigError(f"start must be ones or random, got {self.start!r}")
-        # every range is checked once, by building the cheap object that owns
-        # it; a count is kept as the int its owner made of it (31.0 becomes 31)
+        # every range (finiteness too) is checked once, by building the object
+        # that owns it; a count is kept as the int its owner made (31.0 is 31)
         counts = {key: check_count(key, getattr(self, key), least)
                   for key, least in (("seed", 0), ("k", 1), ("compress_every", 1))}
         grid = discretize.build_grid(self.n_side)
@@ -153,15 +142,15 @@ def resolve_config(file_path=None, flag_updates=None) -> RunConfig:
 
 
 def _custom_patches(sensors: str) -> list[tuple[float, float, float]]:
-    """Parse ``custom:cx,cy,side;...`` into finite (cx, cy, side) triples."""
+    """Parse ``custom:cx,cy,side;...`` into (cx, cy, side) triples; the layout checks them."""
     triples = []
     for chunk in sensors[len("custom:"):].split(";"):
         try:
             triple = tuple(float(p) for p in chunk.split(","))
         except ValueError:
             triple = ()
-        if len(triple) != 3 or not all(map(math.isfinite, triple)):
-            raise InvalidConfigError(f"custom sensor patch needs finite cx,cy,side, got {chunk!r}")
+        if len(triple) != 3:
+            raise InvalidConfigError(f"custom sensor patch needs cx,cy,side, got {chunk!r}")
         triples.append(triple)
     return triples
 
@@ -328,10 +317,20 @@ def write_eigs_outputs(run: EigsRun, outdir: Path) -> None:
                      f"seconds={secs:.4f}\n")
 
 
+def _out_dir(path, create: bool = True) -> Path:
+    """The output directory ``path``: refused if it or a parent is not one; made if ``create``."""
+    out = Path(path)
+    for p in (out, *out.parents):
+        if p.exists() and not p.is_dir():
+            raise InvalidConfigError(f"out={path}: {p} exists and is not a directory")
+    if create:
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _save_eigs(run: EigsRun) -> Path:
     """Write a finished run's eigen outputs and manifest; returns the directory."""
-    outdir = Path(run.problem.config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(run.problem.config.out)
     write_eigs_outputs(run, outdir)
     write_manifest(run.problem.config, outdir)
     return outdir
@@ -434,8 +433,7 @@ def run_oracle(cfg: RunConfig):
 
 def cmd_oracle(cfg: RunConfig) -> int:
     _, _, report = run_oracle(cfg)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(cfg.out)
     (outdir / "oracle_report.txt").write_text(report.as_text())
     write_manifest(cfg, outdir)
     return 0 if report.passed else 4
@@ -452,13 +450,13 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
         raise InvalidConfigError("sweep needs a nonempty list of axis values")
     key = SWEEP_FIELDS[axes.index(axis)]
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows, failed = [], False
     for raw in values:
         # each point runs with fully independent state
         try:
             value = _parse_value(key, raw)
             point_cfg = replace(cfg, **{key: value, "out": str(outdir / f"{axis}_{raw}")})
+            _out_dir(point_cfg.out, create=False)
             run = run_eigs(point_cfg)
             _save_eigs(run)
             res = run.result
@@ -467,7 +465,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
             failed = True
             rows.append(f"{raw},ERROR,ERROR,ERROR")
             print(f"sweep point {axis}={raw} failed: {exc}", file=sys.stderr)
-    _write_rows(outdir / "summary.csv",
+    _write_rows(_out_dir(outdir) / "summary.csv",
                 "point,iterations_to_threshold,max_rank,largest_eig", rows)
     write_manifest(cfg, outdir, {"sweep_axis": axis, "sweep_values": ",".join(values)})
     return 3 if failed else 0
@@ -557,17 +555,12 @@ def main(argv=None) -> int:
         _bind_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(file_path=args.config, flag_updates=_flag_updates(args))
-        if args.command == "eigs":
-            return cmd_eigs(cfg)
-        if args.command == "variance":
-            return cmd_variance(cfg)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
+        if args.command == "analytic":  # the one command that writes no files
+            return cmd_analytic(cfg)
+        _out_dir(cfg.out, create=False)  # refused before any solve, made when written
         if args.command == "sweep":
             return cmd_sweep(cfg, args.axis, [v for v in args.values.split(",") if v])
-        if args.command == "analytic":
-            return cmd_analytic(cfg)
-        raise InvalidConfigError(f"unknown command {args.command!r}")
+        return {"eigs": cmd_eigs, "variance": cmd_variance, "oracle": cmd_oracle}[args.command](cfg)
     except InvalidConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -87,8 +87,8 @@ def build_grid(n_side: int) -> Grid:
 
 def build_time_grid(n_t: int, T: float = 1.0) -> TimeGrid:
     n_t = check_count("n_t", n_t, 1)
-    if T <= 0:
-        raise InvalidConfigError(f"final time T must be positive, got {T}")
+    if not 0 < T < np.inf:  # NaN fails every comparison
+        raise InvalidConfigError(f"final time T must be finite and positive, got {T}")
     return TimeGrid(n_t=n_t, tau=T / n_t, T=T)
 
 
@@ -117,10 +117,12 @@ def assemble_heat(grid: Grid) -> SpatialOperator:
 
 def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> SpatialOperator:
     """nu·(5-point Laplacian) + first-order upwind wind·∇; nonsymmetric for wind ≠ 0."""
-    if nu <= 0:
-        raise InvalidConfigError(f"viscosity nu must be positive, got {nu}")
-    n, h = grid.n_side, grid.h
-    w1, w2 = float(wind[0]), float(wind[1])
+    if not 0 < nu < np.inf:  # NaN fails every comparison
+        raise InvalidConfigError(f"viscosity nu must be finite and positive, got {nu}")
+    w = np.asarray(wind, dtype=float)
+    if w.shape != (2,) or not np.isfinite(w).all():
+        raise InvalidConfigError(f"wind must be two finite numbers, got {wind!r}")
+    n, h, w1, w2 = grid.n_side, grid.h, float(w[0]), float(w[1])
     diffusion = nu * _laplacian_1d(n, h)
     return SpatialOperator(kind="convdiff", grid=grid,
                            A1=(diffusion + _upwind_1d(n, h, w1)).tocsr(),

@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .discretize import SpatialOperator, TimeGrid
-from .errors import NumericalError
+from .errors import NumericalError, check_count
 from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
 
 COMPRESS_EVERY = 4  # default sweep steps between recompressions
@@ -329,6 +329,7 @@ def st_solve_sweep(
     n_x, n_t = K.n_x, K.n_t
     if rhs.shape != (n_x, n_t):
         raise ValueError(f"rhs shape {rhs.shape} does not match operator {(n_x, n_t)}")
+    compress_every = check_count("compress_every", compress_every, 1)
     keep = None if rows is None else np.arange(n_x)[rows]
     if keep is not None and np.array_equal(keep, np.arange(n_x)):
         keep = None  # every row in order: the full-row pane, rounded as rows=None

@@ -32,6 +32,15 @@ MODE_SOURCE = "source"
 MODE_STEADY = "steady"
 
 
+def check_mode(mode: str, kind: str | None) -> None:
+    """The mode rule: one of the three parameter modes, steady only on the heat operator."""
+    modes = (MODE_IC, MODE_SOURCE, MODE_STEADY)
+    if mode not in modes:
+        raise InvalidConfigError(f"mode must be one of {modes}, got {mode!r}")
+    if mode == MODE_STEADY and kind != "heat":
+        raise InvalidConfigError("mode=steady requires problem=heat")
+
+
 def _finite_positive(*values: float) -> bool:
     return all(math.isfinite(v) and v > 0 for v in values)
 
@@ -95,8 +104,9 @@ def make_sensor_layout(patches, grid: Grid) -> SensorLayout:
     """Layout from (center_x1, center_x2, side) triples; each must cover >= 1 dof."""
     mask = np.zeros(grid.n_x, dtype=bool)
     for cx, cy, side in patches:
-        if not (0 < cx < 1 and 0 < cy < 1 and side > 0):
-            raise InvalidConfigError(f"patch ({cx}, {cy}, side={side}) is not inside the domain")
+        if not (0 < cx < 1 and 0 < cy < 1 and 0 < side < math.inf):  # NaN fails too
+            raise InvalidConfigError(f"patch ({cx}, {cy}, side={side}) needs a center inside "
+                                     "the domain and a finite side > 0")
         ii = _axis_dof_range(cx, side, grid)
         jj = _axis_dof_range(cy, side, grid)
         if ii.size == 0 or jj.size == 0:
@@ -165,13 +175,10 @@ class HessianContext:
     rank_trace: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.mode not in (MODE_IC, MODE_SOURCE, MODE_STEADY):
-            raise InvalidConfigError(f"unknown Hessian mode {self.mode!r}")
+        if self.mode == MODE_STEADY and self.spatial is None:
+            raise InvalidConfigError("steady mode needs a spatial operator")
+        check_mode(self.mode, getattr(self.spatial, "kind", None))
         if self.mode == MODE_STEADY:
-            if self.spatial is None:
-                raise InvalidConfigError("steady mode needs a spatial operator")
-            if self.spatial.kind != "heat":
-                raise InvalidConfigError("steady mode is defined for the heat operator")
             self._steady = SeparableSolver(self.spatial, 0.0, 1.0)  # L itself, no time shift
         elif self.operator is None or self.layout is None:
             raise InvalidConfigError(f"mode {self.mode!r} needs operator and layout")

@@ -15,8 +15,8 @@ a caller that owns a Fortran-ordered buffer can let Q take its memory.
 Exact linear combinations go through one kernel too, ``lr_sums``: it
 makes every column of basis·C from one QR of the stacked shorter-side
 factors and forms each term's long-side product once per block of columns,
-where a column at a time would form it once per column.  ``lr_sum`` is its
-one-column case.
+where a column at a time would form it once per column.  A single sum is
+its one-column case, ``lr_sums(terms, c[:, None])``.
 
 Canonical form (produced by ``lr_truncate``): W1 has orthonormal columns
 and W2 = Q2·diag(σ) with Q2 orthonormal and σ the nonincreasing positive
@@ -294,12 +294,6 @@ def _sums_block(longs, R, block, shape) -> list:
             for k in used:
                 blas.daxpy(P.ravel("F"), accs[k].ravel("F"), a=row[k])
     return accs
-
-
-def lr_sum(terms, coeffs) -> LowRankMat:
-    """Exact Σ c_i·A_i, the one-column case of ``lr_sums``; caller truncates."""
-    (S,) = lr_sums(terms, np.asarray(coeffs, dtype=float)[:, None])
-    return S
 
 
 def lr_scale(A: LowRankMat, c: float) -> LowRankMat:

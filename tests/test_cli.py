@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lrpostcov as lp
-from lrpostcov import cli
+from lrpostcov import cli, hessian
 
 
 def _read_csv(path):
@@ -279,6 +280,83 @@ def test_run_config_refuses_a_count_that_is_not_a_whole_number(key, value):
     base = dict(n_side=7, nt=4, sensors="none", m_a=5)
     with pytest.raises(lp.InvalidConfigError, match="must be an integer"):
         cli.RunConfig(**{**base, key: value})
+
+
+_NON_FINITE_OWNERS = {
+    "final_time": lambda x: lp.build_time_grid(5, x),
+    "nu": lambda x: lp.assemble_convdiff(lp.build_grid(5), x, (0.0, 1.0)),
+    "wind_x1": lambda x: lp.assemble_convdiff(lp.build_grid(5), 0.01, (x, 1.0)),
+    "wind_x2": lambda x: lp.assemble_convdiff(lp.build_grid(5), 0.01, (0.0, x)),
+    "eps_eig": lambda x: lp.StopRule(5, x),
+    "gamma_prior": lambda x: lp.CovarianceSpec.from_gamma(x, 1e4, lp.build_grid(5)),
+    "beta_ratio": lambda x: lp.CovarianceSpec.from_gamma(10.0, x, lp.build_grid(5)),
+    "eps0": lambda x: lp.TruncationPolicy(x),
+    "patch_side": lambda x: lp.make_sensor_layout([(0.5, 0.5, x)], lp.build_grid(15)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("owner", sorted(_NON_FINITE_OWNERS))
+def test_owners_refuse_a_non_finite_value(owner, bad):
+    # RunConfig has no finiteness check of its own: each value is refused by
+    # the object it builds to own it, in library use as on the command line
+    with pytest.raises(lp.InvalidConfigError):
+        _NON_FINITE_OWNERS[owner](bad)
+
+
+@pytest.mark.parametrize("mode, problem", [("bogus", "heat"), ("steady", "convdiff")])
+def test_config_and_hessian_context_share_one_mode_rule(mode, problem):
+    with pytest.raises(lp.InvalidConfigError) as rule:
+        hessian.check_mode(mode, problem)
+    grid = lp.build_grid(5)
+    spatial = (lp.assemble_heat(grid) if problem == "heat"
+               else lp.assemble_convdiff(grid, 1e-2, (0.0, 1.0)))
+    cov = lp.CovarianceSpec(1e4, 1.0, 1.0)
+    for build in (lambda: cli.RunConfig(mode=mode, problem=problem, n_side=5, sensors="none"),
+                  lambda: lp.HessianContext(mode=mode, operator=None, layout=None, cov=cov,
+                                            pol=lp.TruncationPolicy(), spatial=spatial)):
+        with pytest.raises(lp.InvalidConfigError, match=re.escape(str(rule.value))):
+            build()
+
+
+@pytest.mark.parametrize("command", ["eigs", "variance", "oracle", "sweep"])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_at_or_under_a_file_exits_2_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                         command, under):
+    # these used to run the whole solve, then die with a raw FileExistsError
+    # or NotADirectoryError traceback when the outputs were written
+    def apply(self, v):
+        raise AssertionError("a refused run applied the Hessian")
+    monkeypatch.setattr(lp.HessianContext, "apply", apply)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    sweep = ["--axis", "nt", "--values", "3,4"] if command == "sweep" else []
+    rc = cli.main([command, "--n-side", "5", "--nt", "3", "--sensors", "none", "--m-a", "5",
+                   "--out", str(blocker / "run" if under else blocker), *sweep])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out=") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+
+def test_analytic_writes_no_files_and_ignores_out(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert cli.main(["analytic", "--n-side", "3", "--sensors", "none", "--k", "2",
+                     "--out", str(blocker)]) == 0
+
+
+def test_sweep_point_whose_directory_is_a_file_fails_alone(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "nt_3").write_text("")
+    rc = cli.main(["sweep", "--axis", "nt", "--values", "3,4", "--n-side", "5",
+                   "--sensors", "none", "--m-a", "5", "--out", str(out)])
+    assert rc == 3
+    _, rows = _read_csv(out / "summary.csv")
+    assert rows[0] == ["3", "ERROR", "ERROR", "ERROR"] and rows[1][1] != "ERROR"
+    assert (out / "nt_4" / "eigenvalues.csv").exists()
+    assert "sweep point nt=3 failed" in capsys.readouterr().err
 
 
 def test_run_config_keeps_a_whole_float_count_as_an_int(tmp_path):

@@ -27,6 +27,13 @@ def test_builders_refuse_a_size_that_is_not_a_whole_number(bad):
             build(bad)
 
 
+@pytest.mark.parametrize("wind", [(0.5,), (0.0, 1.0, 5.0)])
+def test_convdiff_refuses_a_wind_that_is_not_two_components(wind):
+    # a third component used to be dropped, and a single one raised IndexError
+    with pytest.raises(InvalidConfigError, match="wind must be two finite numbers"):
+        dz.assemble_convdiff(dz.build_grid(5), 0.01, wind)
+
+
 def test_builders_take_an_integral_float_or_a_numpy_integer_as_the_int():
     assert dz.build_grid(31.0) == dz.build_grid(np.int64(31)) == dz.build_grid(31)
     assert type(dz.build_grid(np.int64(31)).n_side) is int

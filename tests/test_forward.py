@@ -171,6 +171,15 @@ def test_rhs_shape_mismatch(heat7):
         lp.st_solve_sweep(K, lp.LowRankMat.zeros(grid.n_x, tg.n_t + 1), POL)
 
 
+@pytest.mark.parametrize("compress_every", [2.5, True, 0, "4"])
+def test_sweep_refuses_a_compress_every_that_is_not_a_count(heat7, compress_every):
+    # library use reaches the sweep without a RunConfig; each of these used to
+    # die in its loop with a raw TypeError or ValueError
+    grid, op, tg, K = heat7
+    with pytest.raises(lp.InvalidConfigError, match="compress_every must be an integer"):
+        lp.st_solve_sweep(K, _ic_rhs(K, np.ones(grid.n_x)), POL, compress_every=compress_every)
+
+
 def test_step_matrix_symmetric_part_positive_definite():
     tg = lp.build_time_grid(6)
     for op in (lp.assemble_heat(lp.build_grid(6)),

@@ -14,7 +14,6 @@ from lrpostcov.lowrank import (
     lr_norm,
     lr_scale,
     lr_singular_values,
-    lr_sum,
     lr_sums,
     lr_to_dense,
     lr_truncate,
@@ -138,8 +137,14 @@ def test_add_shared_spatial_factor_truncates_to_rank1():
     assert lr_truncate(lr_add(A, B), POL).r == 1
 
 
+def _sum(terms, coeffs):
+    """The one exact sum Σ c_i·A_i: the one-column case of lr_sums."""
+    (S,) = lr_sums(terms, np.asarray(coeffs, dtype=float)[:, None])
+    return S
+
+
 def _assert_sum_exact(terms, coeffs):
-    S = lr_sum(terms, coeffs)
+    S = _sum(terms, coeffs)
     ref = sum(c * lr_to_dense(A) for A, c in zip(terms, coeffs))
     assert np.linalg.norm(lr_to_dense(S) - ref) <= 1e-12 * np.linalg.norm(ref)
     return S
@@ -165,20 +170,20 @@ def test_sum_skips_zero_rank_terms_and_zero_coefficients():
     Z = LowRankMat.zeros(20, 15)
     S = _assert_sum_exact([Z, A, B, Z], [1.0, 0.5, 0.0, -2.0])
     assert S.r == 2
-    assert lr_sum([Z, B], [1.0, 0.0]).r == 0
+    assert _sum([Z, B], [1.0, 0.0]).r == 0
 
 
 def test_sum_exact_cancellation_truncates_to_zero():
     rng = np.random.default_rng(17)
     for v in (_random_lowrank(rng, 20, 15, 4), lr_truncate(_random_lowrank(rng, 20, 15, 4), POL)):
-        assert lr_truncate(lr_sum([v, v], [1.0, -1.0]), POL).r == 0
+        assert lr_truncate(_sum([v, v], [1.0, -1.0]), POL).r == 0
 
 
 def test_sum_validation():
     with pytest.raises(ValueError):
-        lr_sum([LowRankMat.zeros(4, 5), LowRankMat.zeros(4, 6)], [1.0, 1.0])
+        _sum([LowRankMat.zeros(4, 5), LowRankMat.zeros(4, 6)], [1.0, 1.0])
     with pytest.raises(ValueError):
-        lr_sum([LowRankMat.zeros(4, 5)], [1.0, 2.0])
+        _sum([LowRankMat.zeros(4, 5)], [1.0, 2.0])
 
 
 def _dense_sums(terms, C):
@@ -198,7 +203,7 @@ def test_sums_match_dense_and_per_column_sums(n, m):
     for S, ref, col in zip(outs, _dense_sums(terms, C), C.T):
         assert S.r == min(n, m, 3 + 5 + 2)  # the zero row's term is not stacked
         assert np.linalg.norm(lr_to_dense(S) - ref) <= 1e-12 * np.linalg.norm(ref)
-        one = lr_to_dense(lr_sum(terms, col))
+        one = lr_to_dense(_sum(terms, col))
         assert np.linalg.norm(lr_to_dense(S) - one) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -217,7 +222,7 @@ def test_sums_form_each_long_side_product_once_per_block(monkeypatch):
     list(lr_sums(terms, rng.standard_normal((5, n_cols))))
     assert len(calls) == 5 * 3  # three blocks, the last of one column
     calls.clear()
-    lr_sum(terms, rng.standard_normal(5))  # one column: one product per term
+    _sum(terms, rng.standard_normal(5))  # one column: one product per term
     assert len(calls) == 5
 
 
@@ -331,7 +336,7 @@ def test_overflowing_or_nan_factors_raise_numerical_error(bad):
     with pytest.raises(NumericalError):
         lr_truncate(A, TruncationPolicy())
     with pytest.raises(NumericalError):
-        lr_sum([A, A], [1.0, 2.0])
+        _sum([A, A], [1.0, 2.0])
 
 
 def _qr_input(rng, shape):
@@ -344,7 +349,7 @@ def _qr_input(rng, shape):
 @pytest.mark.parametrize("shape", [(3969, 4), (144, 4), (24, 24), (30, 1200), "repeated",
                                    (0, 4), (5, 0)])
 def test_qr_kernel_is_numpy_qr_bitwise(shape):
-    # a flush's pane and remainder, a square core, lr_sum's wide stacked time
+    # a flush's pane and remainder, a square core, lr_sums' wide stacked time
     # factors, a dependent block and the empty blocks of an empty-mask apply
     A = _qr_input(np.random.default_rng(15), shape)
     A0 = A.copy()
