@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, NumericalError, check_count
+from .errors import InvalidConfigError, NumericalError, check_count, check_real
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
@@ -68,7 +68,7 @@ class StopRule:
 
     def __post_init__(self):
         object.__setattr__(self, "m_a", check_count("m_a", self.m_a, 1))
-        if not 0 < self.eps_eig < np.inf:  # NaN fails every comparison
+        if not 0 < check_real("eps_eig", self.eps_eig) < np.inf:  # NaN fails every comparison
             raise InvalidConfigError(f"eps_eig must be finite and positive, got {self.eps_eig}")
 
 

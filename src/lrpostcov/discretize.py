@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidConfigError, check_count
+from .errors import InvalidConfigError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def build_grid(n_side: int) -> Grid:
 
 def build_time_grid(n_t: int, T: float = 1.0) -> TimeGrid:
     n_t = check_count("n_t", n_t, 1)
-    if not 0 < T < np.inf:  # NaN fails every comparison
+    if not 0 < check_real("final time T", T) < np.inf:  # NaN fails every comparison
         raise InvalidConfigError(f"final time T must be finite and positive, got {T}")
     return TimeGrid(n_t=n_t, tau=T / n_t, T=T)
 
@@ -117,7 +117,7 @@ def assemble_heat(grid: Grid) -> SpatialOperator:
 
 def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> SpatialOperator:
     """nu·(5-point Laplacian) + first-order upwind wind·∇; nonsymmetric for wind ≠ 0."""
-    if not 0 < nu < np.inf:  # NaN fails every comparison
+    if not 0 < check_real("viscosity nu", nu) < np.inf:  # NaN fails every comparison
         raise InvalidConfigError(f"viscosity nu must be finite and positive, got {nu}")
     w = np.asarray(wind, dtype=float)
     if w.shape != (2,) or not np.isfinite(w).all():

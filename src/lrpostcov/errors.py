@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the whole-number check."""
+"""Exception types shared across the package, and the number-type checks."""
+
+from numbers import Real
 
 import numpy as np
 
@@ -23,3 +25,14 @@ def check_count(name: str, value, least: int) -> int:
     except (TypeError, ValueError, OverflowError):  # not a number, NaN, ±inf
         pass
     raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float if it is a real number, else InvalidConfigError.
+
+    Ints, floats and numpy reals qualify, NaN and ±inf too, since the owner
+    checks the range; a bool, a string or None does not.
+    """
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidConfigError(f"{name} must be a real number, got {value!r}")

@@ -52,7 +52,7 @@ from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError, check_count
 from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
 
-COMPRESS_EVERY = 4  # default sweep steps between recompressions
+COMPRESS_EVERY = 8  # default sweep steps between recompressions
 
 
 class SeparableSolver:
@@ -243,30 +243,12 @@ def _add_product(W: np.ndarray, alpha: float, Q: np.ndarray, C: np.ndarray) -> N
         blas.dgemm(alpha, Q, C, beta=1.0, c=W, overwrite_c=True)
 
 
-def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
-                 pol: TruncationPolicy) -> LowRankMat:
-    """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
+def _split_off(Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W = Q·C + Qb·Rb with Qb orthonormal and orthogonal to the orthonormal Q.
 
-    A non-empty pane is canonical, so Q = pane.W1 is orthonormal: the new
-    columns split as W = Q·C + Qb·Rb (CGS2, then a thin QR of the
-    remainder), and the sum is [Q Qb]·[[I, C], [0, Rb]]·[pane.W2 E]ᵀ.  Only
-    the (r + c) × n_t coefficient field is truncated, and the basis is
-    rotated once; no QR of an n_x × (r + c) factor is formed.
-
-    The flush works in the caller's block: W must be a Fortran-ordered
-    float64 array, which the projections overwrite with the remainder and
-    its QR with Qb, so the caller must not read W afterwards.  The rotated
-    basis is a fresh Fortran-ordered array, so the pane's basis stays one.
+    CGS2 projects W against Q in W's memory, and a thin QR of the remainder
+    then takes that memory for Qb.
     """
-    if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
-        raise ValueError("a flush needs a Fortran-ordered float64 block")
-    n_t, c = pane.shape[1], len(idx)
-    if pane.r == 0:
-        E = np.zeros((n_t, c))
-        E[idx, np.arange(c)] = 1.0
-        small = lr_truncate(LowRankMat(W, E), pol)
-        return LowRankMat(np.asfortranarray(small.W1), small.W2)
-    Q, r = pane.W1, pane.r
     C = blas.dgemm(1.0, Q, W, trans_a=True)
     _add_product(W, -1.0, Q, C)
     C2 = blas.dgemm(1.0, Q, W, trans_a=True)
@@ -279,16 +261,44 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     _add_product(Qb, -1.0, Q, D)
     Qb, Rd = _qr(Qb, overwrite_a=True)
     C += D @ Rb
+    return C, Qb, Rd @ Rb
+
+
+def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
+                 pol: TruncationPolicy) -> LowRankMat:
+    """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
+
+    The pane is canonical, so its basis Q = pane.W1 is orthonormal: the new
+    columns split as W = Q·C + Qb·Rb (CGS2, then a thin QR of the
+    remainder), and the sum is [Q Qb]·[[I, C], [0, Rb]]·[pane.W2 E]ᵀ.  Only
+    the (r + c) × n_t coefficient field is truncated, and the basis is
+    rotated once; no QR of an n_x × (r + c) factor is formed.  The first
+    flush meets an empty pane (r = 0): it has nothing to project against,
+    so W's thin QR alone gives Qb and Rb, and the field truncated is Rb·Eᵀ.
+
+    The flush works in the caller's block: W must be a Fortran-ordered
+    float64 array, which the projections overwrite with the remainder and
+    its QR with Qb, so the caller must not read W afterwards.  The rotated
+    basis is a fresh Fortran-ordered array, so the pane's basis stays one.
+    """
+    if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
+        raise ValueError("a flush needs a Fortran-ordered float64 block")
+    n_t, c = pane.shape[1], len(idx)
+    Q, r = pane.W1, pane.r
+    if r:
+        C, Qb, Rb = _split_off(Q, W)
+    else:
+        C, (Qb, Rb) = np.zeros((0, c)), _qr(W, overwrite_a=True)
     k = len(Rb)
     core = np.zeros((r + k, r + c))
     core[range(r), range(r)] = 1.0
     core[:r, r:] = C
-    core[r:, r:] = Rd @ Rb
+    core[r:, r:] = Rb
     T = np.zeros((n_t, r + c))
     T[:, :r] = pane.W2
     T[idx, range(r, r + c)] = 1.0
     small = lr_truncate(LowRankMat(core, T), pol)
-    U = blas.dgemm(1.0, Q, small.W1[:r])
+    U = blas.dgemm(1.0, Q, small.W1[:r])  # zero when the pane was empty
     _add_product(U, 1.0, Qb, small.W1[r:])
     return LowRankMat(U, small.W2)
 
@@ -306,42 +316,56 @@ def st_solve_sweep(
     An initial condition u enters as ``LowRankMat.from_column(M_scale·u,
     n_t, 0)``.  One step solve per step on the running column plus one
     multi-column solve for the rhs factor; the growing solution pane is
-    recompressed every ``compress_every`` steps so storage stays
-    O((n_x + n_t)·r).  The returned pane is canonical, as ``lr_truncate``
-    leaves it, so callers read its rank and need not recompress it.
+    recompressed every ``compress_every`` steps (8 by default, so n_t = 30
+    takes 4 flushes) so storage stays O((n_x + n_t)·r).  The returned pane
+    is canonical, as ``lr_truncate`` leaves it, so callers read its rank
+    and need not recompress it.
 
     The recursion runs in the step solver's modal coordinates: the rhs
     factor is transformed once, and each step writes M_scale·y_{k-1} into
     the next column of a Fortran-ordered n_x × ``compress_every`` flush
     block, where one modal step solve overwrites it and the rhs term is
     added in place.  The running column is copied out before each flush,
-    which works in the block's memory.
+    which works in the block's memory, the first flush included.  The
+    block and the transformed rhs factor are freed before the pane's basis
+    is transformed back.
 
     ``rows`` (a boolean mask or index array over the n_x dofs; None means
-    all of them) selects the rows the caller will read.  The running column
-    stays at full length, because the recursion needs it, but the pane
-    stores only y_k[rows], so the result has one row per selected dof.  A
-    pane of every row is flushed in modal coordinates, and its basis is
-    transformed back once at the end: the transform is orthogonal, so the
-    truncations are those of the physical pane.  A restricted pane is
-    physical; each flush transforms only the grid lines that hold its rows.
+    all of them) names the observed rows.  A forward sweep returns only
+    y_k[rows]: the running column stays at full length, because the
+    recursion needs it, but the pane stores only those rows.  An adjoint
+    sweep reads an rhs of only those rows, as ``hessian.apply_obs_weight``
+    returns it, embeds it into n_x rows for its one transform into modal
+    coordinates, and returns every row.  A pane of every row is flushed in
+    modal coordinates, and its basis is transformed back once at the end:
+    the transform is orthogonal, so the truncations are those of the
+    physical pane.  A forward pane of some rows is physical; each flush
+    transforms only the grid lines that hold its rows.
     """
     n_x, n_t = K.n_x, K.n_t
-    if rhs.shape != (n_x, n_t):
-        raise ValueError(f"rhs shape {rhs.shape} does not match operator {(n_x, n_t)}")
     compress_every = check_count("compress_every", compress_every, 1)
     keep = None if rows is None else np.arange(n_x)[rows]
     if keep is not None and np.array_equal(keep, np.arange(n_x)):
         keep = None  # every row in order: the full-row pane, rounded as rows=None
     n_keep = n_x if keep is None else len(keep)
+    n_in, n_out = (n_keep, n_x) if adjoint else (n_x, n_keep)
+    if rhs.shape != (n_in, n_t):
+        raise ValueError(f"rhs shape {rhs.shape} does not match the sweep's {(n_in, n_t)}")
     if rhs.r == 0:
-        return LowRankMat.zeros(n_keep, n_t)
+        return LowRankMat.zeros(n_out, n_t)
 
     S = K.solver
-    B = K.solve_step(S.to_modal(rhs.W1), adjoint)  # step⁻¹·rhs factor
+    W1 = rhs.W1
+    if adjoint and keep is not None:  # the rhs rows, embedded for the transform only
+        W1 = np.zeros((n_x, rhs.r))
+        W1[keep] = rhs.W1
+        keep = None  # the pane holds every row
+    B = S.to_modal(W1)
+    del W1  # not held through the sweep
+    B = K.solve_step(B, adjoint)  # step⁻¹·rhs factor
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
-    pane = LowRankMat.zeros(n_keep, n_t)
+    pane = LowRankMat.zeros(n_out, n_t)
     block = np.empty((n_x, compress_every), order="F")
     y_run = np.zeros(n_x)
     for start in range(0, n_t, compress_every):
@@ -357,6 +381,7 @@ def st_solve_sweep(
         y_run[:] = y_prev
         W = block[:, :len(idx)]
         pane = _extend_pane(pane, W if keep is None else S.from_modal(W, keep), idx, pol)
+    del block, W, y_prev, B  # not held through the back-transform
     if keep is None:
         pane = LowRankMat(S.from_modal(pane.W1), pane.W2)
     return pane
@@ -367,6 +392,11 @@ def st_solve_adjoint_sweep(
     rhs: LowRankMat,
     pol: TruncationPolicy,
     compress_every: int = COMPRESS_EVERY,
+    rows: np.ndarray | None = None,
 ) -> LowRankMat:
-    """Kᵀ-solve by backward-in-time substitution with the transposed factorization."""
-    return st_solve_sweep(K, rhs, pol, adjoint=True, compress_every=compress_every)
+    """Kᵀ-solve by backward-in-time substitution with the transposed factorization.
+
+    With ``rows`` the rhs holds only those rows; the result has every row.
+    """
+    return st_solve_sweep(K, rhs, pol, adjoint=True, compress_every=compress_every,
+                          rows=rows)

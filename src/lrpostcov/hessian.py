@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import Grid, SpatialOperator, TimeGrid
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_real
 from .forward import COMPRESS_EVERY, SeparableSolver, SpaceTimeOperator
 from .forward import st_solve_adjoint_sweep, st_solve_sweep
 from .lowrank import LowRankMat, TruncationPolicy, lr_scale
@@ -41,8 +41,8 @@ def check_mode(mode: str, kind: str | None) -> None:
         raise InvalidConfigError("mode=steady requires problem=heat")
 
 
-def _finite_positive(*values: float) -> bool:
-    return all(math.isfinite(v) and v > 0 for v in values)
+def _finite_positive(**values: float) -> bool:
+    return all(math.isfinite(check_real(k, v)) and v > 0 for k, v in values.items())
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class CovarianceSpec:
     gamma_prior: float
 
     def __post_init__(self):
-        if not _finite_positive(self.beta_noise, self.beta_prior, self.gamma_prior):
+        if not _finite_positive(beta_noise=self.beta_noise, beta_prior=self.beta_prior,
+                                gamma_prior=self.gamma_prior):
             raise InvalidConfigError(
                 "covariance scalars must be finite and strictly positive, got "
                 f"beta_noise={self.beta_noise}, beta_prior={self.beta_prior}, "
@@ -67,7 +68,7 @@ class CovarianceSpec:
 
     @classmethod
     def from_gamma(cls, gamma_prior: float, beta_ratio: float, grid: Grid) -> "CovarianceSpec":
-        if not _finite_positive(gamma_prior, beta_ratio):
+        if not _finite_positive(gamma_prior=gamma_prior, beta_ratio=beta_ratio):
             raise InvalidConfigError("gamma_prior and beta_ratio must be finite and positive, "
                                      f"got {gamma_prior} and {beta_ratio}")
         beta_prior = 1.0 / (gamma_prior * grid.m_scale)
@@ -142,17 +143,15 @@ def apply_obs_weight(
     """BᵀΓ_noise⁻¹B applied to the observed rows of a field.
 
     ``Y`` holds only the rows ``layout.mask`` selects, as the forward sweep
-    returns them with ``rows=layout.mask``.  Its time factor is scaled by
-    the uniform positive weight, so a canonical field stays canonical, and
-    the result is embedded once into n_x rows, zero off the mask, as the
-    adjoint sweep's rhs; the zero rows keep an orthonormal W1 orthonormal.
+    returns them with ``rows=layout.mask``, and so does the result: the
+    adjoint sweep reads it with the same ``rows`` and embeds it into n_x
+    rows, zero off the mask, only for its transform into modal coordinates.
+    The time factor is scaled by the uniform positive weight, so a
+    canonical field stays canonical.
     """
     if Y.shape[0] != layout.n_active:
         raise ValueError(f"field has {Y.shape[0]} rows, the layout observes {layout.n_active}")
-    out = lr_scale(Y, cov.beta_noise * time.tau * m_scale)
-    W1 = np.zeros((layout.mask.size, out.r))
-    W1[layout.mask] = out.W1
-    return LowRankMat(W1, out.W2)
+    return lr_scale(Y, cov.beta_noise * time.tau * m_scale)
 
 
 @dataclass
@@ -198,9 +197,10 @@ class HessianContext:
         Both time-dependent modes run the same forward sweep, observation and
         adjoint sweep.  They differ only in the injection of the parameter
         (an initial condition M_scale·u at time 0, or a source tau·M_scale·u)
-        and the matching adjoint extraction.  The forward sweep stores only
-        the observed rows, (n_active + n_t)·r floats; full observation is
-        the mask of all rows.
+        and the matching adjoint extraction.  The forward sweep's pane and
+        the adjoint sweep's rhs hold only the observed rows,
+        (n_active + n_t)·r floats each; full observation is the mask of all
+        rows.
         """
         if self.mode == MODE_STEADY:
             # (beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L is symmetric, so adjoint = forward.
@@ -222,7 +222,8 @@ class HessianContext:
                            rows=self.layout.mask)
         del rhs  # not held through the adjoint sweep
         Z = apply_obs_weight(Y, self.layout, self.cov, K.time, K.m_scale)
-        Q = st_solve_adjoint_sweep(K, Z, self.pol, compress_every=self.compress_every)
+        Q = st_solve_adjoint_sweep(K, Z, self.pol, compress_every=self.compress_every,
+                                   rows=self.layout.mask)
         self.rank_trace.append(max(Y.r, Q.r))
         if self.mode == MODE_IC:
             return sqrt_g * (K.m_scale * Q.column(0))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import InvalidConfigError, NumericalError
+from .errors import InvalidConfigError, NumericalError, check_real
 
 # Singular values below this multiple of sigma_1 are floating-point noise
 # and are always discarded, independent of the requested tolerance.
@@ -54,7 +54,7 @@ class TruncationPolicy:
     eps0: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.eps0 < 1.0):
+        if not (0.0 < check_real("eps0", self.eps0) < 1.0):
             raise InvalidConfigError(f"eps0 must lie in (0, 1), got {self.eps0}")
 
 

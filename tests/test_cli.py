@@ -147,7 +147,8 @@ def test_oracle_pass_convdiff(tmp_path):
 def test_sensor_oracle_passes_through_flushes_that_truncate_to_nothing(tmp_path, monkeypatch):
     # nine observed rows: once the Krylov vectors leave the observed range,
     # a forward pane's flush truncates to rank 0, and its basis rotation
-    # then has no column to write
+    # then has no column to write.  Only a later flush can empty a pane that
+    # holds something, so the 5 steps are flushed 2 at a time.
     emptied = []
 
     def spy(pane, W, idx, pol):
@@ -159,7 +160,8 @@ def test_sensor_oracle_passes_through_flushes_that_truncate_to_nothing(tmp_path,
     monkeypatch.setattr(lp.forward, "_extend_pane", spy)
     out = tmp_path / "orc_sensors"
     rc = cli.main(["oracle", "--problem", "convdiff", "--wind", "1,0", "--n-side", "15",
-                   "--nt", "5", "--sensors", "grid3x3", "--m-a", "100", "--out", str(out)])
+                   "--nt", "5", "--sensors", "grid3x3", "--m-a", "100", "--compress-every", "2",
+                   "--out", str(out)])
     assert rc == 0
     assert (out / "oracle_report.txt").read_text().splitlines()[-1] == "result=PASS"
     assert any(emptied)
@@ -279,6 +281,17 @@ def test_run_config_refuses_a_count_that_is_not_a_whole_number(key, value):
     # non-integral count used to die later with a raw TypeError
     base = dict(n_side=7, nt=4, sensors="none", m_a=5)
     with pytest.raises(lp.InvalidConfigError, match="must be an integer"):
+        cli.RunConfig(**{**base, key: value})
+
+
+@pytest.mark.parametrize("key", ["final_time", "nu", "beta_ratio", "gamma_prior", "eps0",
+                                 "eps_eig"])
+@pytest.mark.parametrize("value", ["0.01", None])
+def test_run_config_refuses_a_real_that_is_not_a_number(key, value):
+    # library use reaches these (the command line parses them with float()); a
+    # string or None used to die in the owner's range test with a raw TypeError
+    base = dict(n_side=7, nt=4, sensors="none", m_a=5)
+    with pytest.raises(lp.InvalidConfigError, match="must be a real number"):
         cli.RunConfig(**{**base, key: value})
 
 

@@ -192,6 +192,13 @@ def _orth_defect(Y):
     return np.abs(Y.W1.T @ Y.W1 - np.eye(Y.r)).max()
 
 
+def _embedded(F, mask):
+    """The dense n_x-row field whose masked rows are the field F, zero elsewhere."""
+    out = np.zeros((mask.size, F.shape[1]))
+    out[mask] = lp.lr_to_dense(F)
+    return out
+
+
 @pytest.mark.parametrize("case", ["heat-ic-grid3x3", "convdiff-ic-full", "heat-source"])
 def test_sweeps_keep_canonical_pane_and_match_oracle(case):
     # forward sweep, observation weight, adjoint sweep: the Hessian apply's path
@@ -212,13 +219,16 @@ def test_sweeps_keep_canonical_pane_and_match_oracle(case):
     cov = lp.CovarianceSpec.from_gamma(1.0, 1e4, grid)
     Y = lp.st_solve_sweep(K, rhs, POL, rows=layout.mask)
     Z = lp.apply_obs_weight(Y, layout, cov, tg, grid.m_scale)
-    Q = lp.st_solve_adjoint_sweep(K, Z, POL)
-    assert _orth_defect(Z) <= 1e-12  # the weighted, embedded pane stays canonical
+    Q = lp.st_solve_adjoint_sweep(K, Z, POL, rows=layout.mask)
+    # the weighted pane keeps the observed rows and stays canonical; the
+    # adjoint sweep reads it as its rhs and returns every row
+    assert Z.shape == Y.shape and _orth_defect(Z) <= 1e-12
+    assert Q.shape == (grid.n_x, tg.n_t)
     L = op.L.toarray()
-    for out, F, adjoint, rows in ((Y, rhs, False, layout.mask), (Q, Z, True, slice(None))):
+    for out, F, adjoint, rows in ((Y, lp.lr_to_dense(rhs), False, layout.mask),
+                                  (Q, _embedded(Z, layout.mask), True, slice(None))):
         assert _orth_defect(out) <= 1e-12
-        ref = oracle.dense_forward(L, grid.m_scale, tg.tau, lp.lr_to_dense(F),
-                                   adjoint=adjoint)[rows]
+        ref = oracle.dense_forward(L, grid.m_scale, tg.tau, F, adjoint=adjoint)[rows]
         assert np.linalg.norm(lp.lr_to_dense(out) - ref) <= POL.eps0 * np.linalg.norm(ref)
 
 
@@ -242,7 +252,7 @@ def test_restricted_sweep_keeps_the_observed_rows(case):
     assert np.linalg.norm(got - full[mask]) <= POL.eps0 * np.linalg.norm(full)
     # each flush drops at most eps0 of the restricted pane, and the running
     # column is never truncated, so the errors of the flushes only add up
-    flushes = -(-tg.n_t // 4)
+    flushes = -(-tg.n_t // lp.forward.COMPRESS_EVERY)
     ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, lp.lr_to_dense(rhs))[mask]
     assert np.linalg.norm(got - ref) <= flushes * POL.eps0 * np.linalg.norm(ref)
 
@@ -471,23 +481,31 @@ def test_modal_solves_refuse_a_wrong_height_and_report_kernel_failures(monkeypat
 @pytest.mark.parametrize("wind", STEP_WINDS)
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
-    # every step solver's sweep, with and without the observed-row restriction;
-    # at compress_every 4, n_t = 10 leaves a partial last flush of 2 columns.
+    # every step solver's sweep, with and without the observed-row restriction:
+    # a forward sweep keeps the observed rows of its result, and an adjoint
+    # sweep reads an rhs of the observed rows and returns every row.  At
+    # compress_every 4, n_t = 10 leaves a partial last flush of 2 columns.
     # A flush every step and one flush for the whole sweep would expose a
     # running column that a flush overwrote in the block it works in.
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(10)
     op = _spatial(grid, wind)
     K = lp.SpaceTimeOperator(op, tg)
-    rhs = _rand_lr(np.random.default_rng(20), grid.n_x, tg.n_t, 3)
-    ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, lp.lr_to_dense(rhs),
-                               adjoint=adjoint)
+    full = _rand_lr(np.random.default_rng(20), grid.n_x, tg.n_t, 3)
+    mask = lp.make_sensor_layout_3x3(grid).mask
+    cases = []
+    for rows in (None, mask):
+        rhs, F = full, lp.lr_to_dense(full)
+        if rows is not None and adjoint:
+            rhs = lp.LowRankMat(full.W1[rows], full.W2)
+            F = _embedded(rhs, rows)
+        ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, F, adjoint=adjoint)
+        cases.append((rows, rhs, ref if rows is None or adjoint else ref[rows]))
     for compress_every in (1, 4, tg.n_t):
         flushes = -(-tg.n_t // compress_every)
-        for rows in (None, lp.make_sensor_layout_3x3(grid).mask):
+        for rows, rhs, want in cases:
             Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every,
                                   rows=rows)
-            want = ref if rows is None else ref[rows]
             assert Y.shape == want.shape
             err = np.linalg.norm(lp.lr_to_dense(Y) - want)
             assert err <= flushes * POL.eps0 * np.linalg.norm(want)
@@ -569,8 +587,9 @@ def test_flush_truncates_only_the_small_coefficient_field(monkeypatch, adjoint, 
     rhs = _rand_lr(np.random.default_rng(9), grid.n_x, tg.n_t, 3)
     lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every)
     assert len(calls) == -(-tg.n_t // compress_every)  # one truncation per flush
-    assert calls[0][0] == grid.n_x  # the first flush meets an empty pane
-    for (_, r_prev), (rows, _) in zip(calls, calls[1:]):
+    # the first flush meets an empty pane (r_prev = 0) and truncates its c × n_t field
+    r_prevs = [0] + [r for _, r in calls[:-1]]
+    for r_prev, (rows, _) in zip(r_prevs, calls):
         assert rows <= r_prev + compress_every < grid.n_x
 
 
@@ -588,21 +607,60 @@ def test_step_lu_uses_symmetric_fill_reducing_ordering():
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("compress_every", [3, 4])
 def test_restricted_flushes_see_only_the_observed_rows(monkeypatch, adjoint, compress_every):
+    # a forward sweep's flushes see the observed rows only; an adjoint sweep
+    # reads an rhs of the observed rows and flushes panes of every row
     grid = lp.build_grid(31)
     tg = lp.build_time_grid(20)
-    K = lp.SpaceTimeOperator(lp.assemble_heat(grid), tg)
+    op = lp.assemble_heat(grid)
+    K = lp.SpaceTimeOperator(op, tg)
     mask = lp.make_sensor_layout_3x3(grid).mask
-    calls = []
+    flushes, truncations = [], []
 
-    def spy(A, pol):
-        calls.append(A.shape[0])
+    def spy_flush(pane, W, idx, pol):
+        flushes.append((pane.shape[0], W.shape[0]))
+        return extend(pane, W, idx, pol)
+
+    def spy_truncate(A, pol):
+        truncations.append(A.shape[0])
         return lp.lr_truncate(A, pol)
 
-    monkeypatch.setattr(lp.forward, "lr_truncate", spy)
-    rhs = _rand_lr(np.random.default_rng(12), grid.n_x, tg.n_t, 3)
-    lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every, rows=mask)
-    assert len(calls) == -(-tg.n_t // compress_every)  # one truncation per flush
-    assert calls[0] == mask.sum() and max(calls) <= mask.sum()
+    extend = lp.forward._extend_pane
+    monkeypatch.setattr(lp.forward, "_extend_pane", spy_flush)
+    monkeypatch.setattr(lp.forward, "lr_truncate", spy_truncate)
+    full = _rand_lr(np.random.default_rng(12), grid.n_x, tg.n_t, 3)
+    rhs = lp.LowRankMat(full.W1[mask], full.W2) if adjoint else full
+    Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every,
+                          rows=mask)
+    n_flushes = -(-tg.n_t // compress_every)
+    n_rows = grid.n_x if adjoint else int(mask.sum())
+    assert flushes == [(n_rows, n_rows)] * n_flushes
+    assert len(truncations) == n_flushes  # one truncation per flush
+    F = _embedded(rhs, mask) if adjoint else lp.lr_to_dense(rhs)
+    ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, F, adjoint=adjoint)
+    want = ref if adjoint else ref[mask]
+    assert Y.shape == want.shape
+    err = np.linalg.norm(lp.lr_to_dense(Y) - want)
+    assert err <= n_flushes * POL.eps0 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("wind", [None, (1.0, 0.0), (0.3, -0.7)])
+def test_adjoint_sweep_of_observed_rows_is_the_sweep_of_their_embedding(wind):
+    # the adjoint sweep embeds an rhs of the observed rows itself, so the
+    # result is the full-row sweep of that embedding, bit for bit
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(10)
+    K = lp.SpaceTimeOperator(_spatial(grid, wind), tg)
+    mask = lp.make_sensor_layout_3x3(grid).mask
+    full = _rand_lr(np.random.default_rng(22), grid.n_x, tg.n_t, 3)
+    rhs = lp.LowRankMat(full.W1[mask], full.W2)
+    W1 = np.zeros((grid.n_x, rhs.r))
+    W1[mask] = rhs.W1
+    Q = lp.st_solve_adjoint_sweep(K, rhs, POL, rows=mask)
+    ref = lp.st_solve_adjoint_sweep(K, lp.LowRankMat(W1, rhs.W2), POL)
+    assert Q.shape == (grid.n_x, tg.n_t)
+    assert np.array_equal(Q.W1, ref.W1) and np.array_equal(Q.W2, ref.W2)
+    with pytest.raises(ValueError, match="rhs shape"):  # an n_x-row rhs is not the observed rows
+        lp.st_solve_adjoint_sweep(K, lp.LowRankMat(W1, rhs.W2), POL, rows=mask)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -76,14 +76,14 @@ class TestSensorLayout:
 
 
 class TestObsWeight:
-    # the field holds the observed rows only; the output has n_x rows
+    # the field and the output hold the observed rows only
     def test_empty_layout_gives_zero_field(self):
         grid = lp.build_grid(5)
         tg = lp.build_time_grid(4)
         cov = hs.CovarianceSpec(1.0, 1.0, 1.0)
         empty = hs.SensorLayout(patches=(), mask=np.zeros(grid.n_x, bool))
         out = hs.apply_obs_weight(lp.LowRankMat.zeros(0, 4), empty, cov, tg, grid.m_scale)
-        assert out.r == 0 and out.shape == (grid.n_x, 4)
+        assert out.r == 0 and out.shape == (0, 4)
 
     def test_unit_weight_full_domain_is_identity(self):
         grid = lp.build_grid(5)
@@ -104,11 +104,10 @@ class TestObsWeight:
         Y = lp.LowRankMat(rng.standard_normal((layout.n_active, 1)),
                           rng.standard_normal((6, 1)))
         out = hs.apply_obs_weight(Y, layout, cov, tg, grid.m_scale)
-        assert out.r <= 1
-        dense = lp.lr_to_dense(out)
-        assert not dense[~layout.mask].any()  # zero off the mask
+        assert out.r == 1 and out.shape == Y.shape
+        assert out.W1 is Y.W1  # only the time factor is scaled
         w = cov.beta_noise * tg.tau * grid.m_scale
-        assert_allclose(dense[layout.mask], w * lp.lr_to_dense(Y), rtol=1e-12)
+        assert_allclose(lp.lr_to_dense(out), w * lp.lr_to_dense(Y), rtol=1e-12)
 
     def test_rejects_a_field_with_unobserved_rows(self):
         grid = lp.build_grid(15)
