@@ -1,8 +1,9 @@
 """Low-rank Arnoldi iteration with full reorthogonalization.
 
-The iteration is generic over the vector representation: dense spatial
-vectors (initial-condition and steady modes) or low-rank space-time fields
-(distributed-source mode).  Orthogonalization is classical Gram-Schmidt
+The iteration is generic over the vector representation: dense vectors
+(initial-condition and steady modes, and the distributed source's data
+side) or low-rank space-time fields (the distributed source under full
+observation).  Orthogonalization is classical Gram-Schmidt
 with one reorthogonalization pass (CGS2): each pass takes every coefficient
 from the current vector and subtracts the whole projection as one exact
 combination.  In low-rank mode that combination is recompressed once per
@@ -77,7 +78,7 @@ class ArnoldiResult:
     H: np.ndarray                 # (m+1, m) Hessenberg matrix
     basis: list                   # m (or m+1) orthonormal vectors
     ritz_values: np.ndarray       # real, descending
-    ritz_vectors: list            # same representation as the basis
+    ritz_vectors: list            # the representation of the basis, or of ritz_basis
     converged_count: int          # final Ritz values >= eps_eig
     stop_reason: str              # why the run ended: "stable", "breakdown" or "cap"
     step_seconds: list[float]     # wall time of each iteration
@@ -263,6 +264,7 @@ def lr_arnoldi(
     v1,
     pol: TruncationPolicy,
     stop: StopRule,
+    ritz_basis: list | None = None,
 ) -> ArnoldiResult:
     """Arnoldi iteration for a self-adjoint-up-to-truncation operator action.
 
@@ -280,6 +282,11 @@ def lr_arnoldi(
         Recompression policy for basis updates (low-rank mode).
     stop : StopRule
         Iteration cap and Ritz stopping thresholds.
+    ritz_basis : list, optional
+        The vectors the Ritz vectors are combined from, entry j standing
+        for basis vector j, as ``apply`` fills it in while it runs; the
+        basis itself when None.  Source mode's data side passes each
+        apply's parameter-side image here.
     """
     ops = _ops_for(v1, pol)
     nrm = ops.norm(v1)
@@ -336,7 +343,7 @@ def lr_arnoldi(
                 break
 
     Hout = H[: j + 2, : j + 1]  # iterations 1 .. j + 1 ran
-    pairs = ritz_pairs(Hout, basis, pol)
+    pairs = ritz_pairs(Hout, basis if ritz_basis is None else ritz_basis, pol)
     vals = np.array([p[0] for p in pairs])
 
     return ArnoldiResult(

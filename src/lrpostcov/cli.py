@@ -212,7 +212,11 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 
 def start_vector(cfg: RunConfig, problem: Problem):
-    """Deterministic all-ones start by default; seeded Gaussian otherwise."""
+    """Deterministic all-ones start by default; seeded Gaussian otherwise.
+
+    In source mode it is a rank-1 field, and on the data side the dense
+    column-major vector of that field's observed rows.
+    """
     n_x = problem.grid.n_x
     if cfg.mode == hessian.MODE_SOURCE:
         n_t = problem.time.n_t
@@ -225,6 +229,8 @@ def start_vector(cfg: RunConfig, problem: Problem):
             w2 = rng.standard_normal((n_t, 1))
             w1 /= np.linalg.norm(w1)
             w2 /= np.linalg.norm(w2)
+        if problem.ctx.data_side:
+            return np.outer(w1[problem.layout.mask], w2).ravel(order="F")
         return LowRankMat(w1, w2)
     if cfg.start == "ones":
         v = np.ones(n_x)
@@ -247,16 +253,25 @@ class EigsRun:
 
 
 def run_eigs(cfg: RunConfig, exhaustive: bool = False) -> EigsRun:
-    """Arnoldi on the configured Hessian; see StopRule for ``exhaustive``."""
+    """Arnoldi on the configured Hessian; see StopRule for ``exhaustive``.
+
+    On the data side (``HessianContext.data_side``) Arnoldi runs on D, and
+    the Ritz vectors are combined from each apply's parameter-side image,
+    which lives only as long as this call.
+    """
     problem = build_problem(cfg)
-    # Krylov cannot exceed the parameter dimension; breakdown restarts
+    ctx = problem.ctx
+    # Krylov cannot exceed the dimension of its space; breakdown restarts
     # consume iteration slots without adding spectral columns, hence the slack
     slack = 8 if exhaustive else 0
-    m_a = min(cfg.m_a, problem.ctx.n_param + slack)
+    m_a = min(cfg.m_a, ctx.krylov_dim + slack)
     stop = StopRule(m_a=m_a, eps_eig=cfg.eps_eig, exhaustive=exhaustive, restart_seed=cfg.seed)
     v1 = start_vector(cfg, problem)
-    result = lr_arnoldi(problem.ctx.apply, v1, problem.pol, stop)
-    return EigsRun(problem=problem, result=result)
+    if not ctx.data_side:
+        return EigsRun(problem, lr_arnoldi(ctx.apply, v1, problem.pol, stop))
+    images: list[LowRankMat] = []
+    return EigsRun(problem, lr_arnoldi(lambda u: ctx.apply(u, images), v1, problem.pol,
+                                       stop, images))
 
 
 def run_variance(cfg: RunConfig, retain: float | None = None, exhaustive: bool = False):

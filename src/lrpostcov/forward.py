@@ -101,18 +101,33 @@ class SeparableSolver:
             raise NumericalError(
                 f"stacked tridiagonal factorization failed ({kernel} info={info})")
 
-    def to_modal(self, B: np.ndarray) -> np.ndarray:
+    def to_modal(self, B: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
         """B (n_x × c) in modal coordinates: a fresh Fortran-ordered n_x × c block.
 
         Column by column, Vᵀ acts along the diagonalized axis, and the dofs
         are reordered so that each eigen-index owns one contiguous block of
         the stacked tridiagonal system.  The map is orthogonal.
+
+        With ``keep`` (dof indices) B holds only those rows, len(keep) × c,
+        and stands for the field that is zero off them: only the grid lines
+        along the diagonalized axis that hold a kept dof are transformed,
+        and the other modal entries are zero.
         """
-        n, c = self.n, B.shape[1]
-        G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
-        if self.x1_diag:
-            G = G.swapaxes(1, 2)  # the diagonalized axis first
-        return (self.V.T @ G).reshape(c, n * n).T  # (column, eigen-index k, tridiagonal axis)
+        n, c, V = self.n, B.shape[1], self.V
+        if keep is None:
+            G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
+            if self.x1_diag:
+                G = G.swapaxes(1, 2)  # the diagonalized axis first
+            return (V.T @ G).reshape(c, n * n).T  # (column, eigen-index k, tridiagonal axis)
+        x2, x1 = np.divmod(keep, n)
+        # per column, the kept lines with the diagonalized axis first
+        diag, other = (x1, x2) if self.x1_diag else (x2, x1)
+        lines, at = np.unique(other, return_inverse=True)
+        G = np.zeros((c, n, len(lines)))
+        G[:, diag, at] = B.T
+        out = np.zeros((c, n, n))
+        out[:, :, lines] = V.T @ G
+        return out.reshape(c, n * n).T
 
     def from_modal(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
         """The inverse of ``to_modal``: W (n_x × c, modal) back on the grid.
@@ -162,8 +177,8 @@ class _SparseLU:
     """The two-axis-wind step solver: SuperLU behind ``SeparableSolver``'s interface.
 
     Its modal coordinates are the physical ones, so ``to_modal`` is a
-    Fortran-ordered copy and ``from_modal`` returns its input, or the kept
-    rows of it.
+    Fortran-ordered copy, or the embedding of the kept rows, and
+    ``from_modal`` returns its input, or the kept rows of it.
     """
 
     def __init__(self, A: sp.csc_matrix):
@@ -172,8 +187,12 @@ class _SparseLU:
         except RuntimeError as exc:  # singular factorization surfaces to callers
             raise NumericalError(f"step matrix factorization failed: {exc}") from exc
 
-    def to_modal(self, B: np.ndarray) -> np.ndarray:
-        return np.array(B, dtype=float, order="F")
+    def to_modal(self, B: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        if keep is None:
+            return np.array(B, dtype=float, order="F")
+        W = np.zeros((self.lu.shape[0], B.shape[1]), order="F")
+        W[keep] = B
+        return W
 
     def from_modal(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
         return W if keep is None else np.asfortranarray(W[keep])
@@ -335,9 +354,10 @@ def st_solve_sweep(
     y_k[rows]: the running column stays at full length, because the
     recursion needs it, but the pane stores only those rows.  An adjoint
     sweep reads an rhs of only those rows, as ``hessian.apply_obs_weight``
-    returns it, embeds it into n_x rows for its one transform into modal
-    coordinates, and returns every row.  A pane of every row is flushed in
-    modal coordinates, and its basis is transformed back once at the end:
+    returns it, takes it into modal coordinates by ``to_modal(…, keep)``,
+    which transforms only the grid lines that hold them, and returns
+    every row.  A pane of every row is flushed in modal coordinates, and
+    its basis is transformed back once at the end:
     the transform is orthogonal, so the truncations are those of the
     physical pane.  A forward pane of some rows is physical; each flush
     transforms only the grid lines that hold its rows.
@@ -355,14 +375,9 @@ def st_solve_sweep(
         return LowRankMat.zeros(n_out, n_t)
 
     S = K.solver
-    W1 = rhs.W1
-    if adjoint and keep is not None:  # the rhs rows, embedded for the transform only
-        W1 = np.zeros((n_x, rhs.r))
-        W1[keep] = rhs.W1
-        keep = None  # the pane holds every row
-    B = S.to_modal(W1)
-    del W1  # not held through the sweep
-    B = K.solve_step(B, adjoint)  # step⁻¹·rhs factor
+    B = K.solve_step(S.to_modal(rhs.W1, keep if adjoint else None), adjoint)  # step⁻¹·rhs
+    if adjoint:
+        keep = None  # an adjoint pane holds every row
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
     pane = LowRankMat.zeros(n_out, n_t)

@@ -10,7 +10,9 @@ beta_noise·tau·M_scale on the sensor mask and Γ_prior = gamma_prior·I.
 Three parameter modes are supported: the initial condition (spatial
 vectors), a distributed space-time source (low-rank fields), and a steady
 Poisson validation mode where the Hessian reduces to
-(beta_prior/beta_noise)·L⁻².
+(beta_prior/beta_noise)·L⁻².  Under a layout that observes a strict subset
+of the dofs, the source mode's Krylov space moves to the data side, where
+the same two sweeps run in the other order.
 """
 
 from __future__ import annotations
@@ -191,8 +193,27 @@ class HessianContext:
             return self.operator.n_x * self.operator.n_t
         return self.operator.n_x
 
-    def apply(self, v):
-        """H̃·v: a dense vector in and out, a LowRankMat field in source mode.
+    @property
+    def data_side(self) -> bool:
+        """Source mode under a layout that observes a strict subset of the dofs."""
+        return self.mode == MODE_SOURCE and self.layout.n_active < self.operator.n_x
+
+    @property
+    def krylov_dim(self) -> int:
+        """Dimension of the space Arnoldi runs in: n_active·n_t on the data side."""
+        if self.data_side:
+            return self.layout.n_active * self.operator.n_t
+        return self.n_param
+
+    def apply(self, v, images: list | None = None):
+        """H̃·v, or D·v for a data-side vector in source mode.
+
+        ``v`` is a dense n_x-vector in IC and steady mode, and the result
+        is one too.  In source mode a ``LowRankMat`` with n_x rows gets
+        H̃·v as a ``LowRankMat``, under any layout, and on the data side a
+        dense vector of length n_active·n_t (an n_active × n_t field,
+        column-major) gets D·v as one (see ``_apply_data``, which appends
+        the apply's image to ``images`` if a list is given).
 
         Both time-dependent modes run the same forward sweep, observation and
         adjoint sweep.  They differ only in the injection of the parameter
@@ -210,6 +231,8 @@ class HessianContext:
             x = S.from_modal(S.solve_modal(S.solve_modal(x)))
             self.rank_trace.append(0)
             return (self.cov.beta_prior / self.cov.beta_noise) * x[:, 0]
+        if self.mode == MODE_SOURCE and not isinstance(v, LowRankMat):
+            return self._apply_data(v, images)
         K = self.operator
         sqrt_g = math.sqrt(self.cov.gamma_prior)
         if self.mode == MODE_IC:
@@ -228,3 +251,32 @@ class HessianContext:
         if self.mode == MODE_IC:
             return sqrt_g * (K.m_scale * Q.column(0))
         return lr_scale(lr_scale(Q, K.time.tau * K.m_scale), sqrt_g)
+
+    def _apply_data(self, u, images: list | None) -> np.ndarray:
+        """D·u = a·P·(a·Pᵀu): the adjoint sweep, then the forward sweep.
+
+        With P = S·K⁻¹ (a parameter field's observed rows) and
+        c = γ·(τ·M_scale)²·β_noise·τ·M_scale (injection and extraction, and
+        the observation weight), H̃ = c·PᵀP, and D = c·P·Pᵀ has H̃'s nonzero
+        spectrum on n_active × n_t fields (Bui-Thanh, Ghattas, Martin &
+        Stadler, SISC 2013).  The adjoint sweep reads u's field U as the rhs
+        U·Iᵀ on the observed rows; its scaled output, the image a·Pᵀu, is a
+        parameter-side field.  Since H̃·Pᵀ = Pᵀ·D, the images combined with
+        the coefficients of a Ritz vector of D make a Ritz vector of H̃ with
+        the same value.
+        """
+        K, n_active, mask = self.operator, self.layout.n_active, self.layout.mask
+        if not self.data_side or np.shape(u) != (n_active * K.n_t,):
+            raise ValueError("a dense source-mode vector needs a strict-subset layout and "
+                             f"length {n_active * K.n_t}, got shape {np.shape(u)}")
+        cov, scale = self.cov, K.time.tau * K.m_scale
+        a = math.sqrt(cov.gamma_prior * scale**2 * cov.beta_noise * scale)
+        U = np.asarray(u, dtype=float).reshape((n_active, K.n_t), order="F")
+        image = st_solve_adjoint_sweep(K, LowRankMat(U, np.eye(K.n_t)), self.pol,
+                                       compress_every=self.compress_every, rows=mask)
+        image = lr_scale(image, a)
+        if images is not None:
+            images.append(image)
+        Y = st_solve_sweep(K, image, self.pol, compress_every=self.compress_every, rows=mask)
+        self.rank_trace.append(max(Y.r, image.r))
+        return a * (Y.W1 @ Y.W2.T).ravel(order="F")

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 import lrpostcov as lp
@@ -517,6 +518,48 @@ def test_oracle_passes_when_top_k_ends_inside_a_degenerate_pair(tmp_path):
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
 
 
+@pytest.mark.parametrize("wind", [None, (1.0, 0.0)])
+def test_data_side_source_run_holds_against_the_dense_hessian(wind):
+    # Arnoldi runs on the 9 × 5 data side; its Ritz vectors, combined from the
+    # applies' images, are n_x × n_t fields that the parameter-side apply certifies
+    problem = dict(problem="heat") if wind is None else dict(problem="convdiff", wind=wind)
+    cfg = cli.RunConfig(**problem, mode="source", n_side=15, nt=5, sensors="grid3x3", m_a=200)
+    run = cli.run_eigs(cfg, exhaustive=True)
+    problem, res = run.problem, run.result
+    ctx, n_x, n_t = problem.ctx, problem.grid.n_x, problem.time.n_t
+    assert ctx.data_side and ctx.krylov_dim == 45
+    assert res.iterations == 45 and res.stop_reason == "breakdown" and res.restarts == 0
+    assert all(isinstance(v, np.ndarray) and v.shape == (45,) for v in res.basis)
+    assert all(isinstance(v, lp.LowRankMat) and v.shape == (n_x, n_t)
+               for v in res.ritz_vectors)
+    Hd, _ = cli._oracle_dense_side(problem)
+    dn_vals, dn_vecs = np.linalg.eigh(Hd)
+    dn_vals, dn_vecs = dn_vals[::-1], dn_vecs[:, ::-1]
+    lam1 = dn_vals[0]
+    assert np.abs(res.ritz_values[:12] - dn_vals[:12]).max() <= 1e-10 * lam1
+    lr_vecs = np.column_stack([lp.lr_to_dense(v).reshape(-1, order="F")
+                               for v in res.ritz_vectors[:12]])
+    groups = [g for g in lp.oracle.clusters(dn_vals[:13]) if g.stop <= 12]
+    assert groups[-1].stop >= 10
+    for g in groups:
+        assert la.subspace_angles(lr_vecs[:, g], dn_vecs[:, g]).max() <= 1e-6
+    for lam, v in zip(res.ritz_values[:10], res.ritz_vectors[:10]):
+        hv = ctx.apply(v)  # the parameter-side H̃
+        assert isinstance(hv, lp.LowRankMat)
+        resid = lp.lr_norm(lp.lr_truncate(lp.lr_add(hv, lp.lr_scale(v, -lam)), problem.pol))
+        assert resid <= 1e-7 * lam1
+
+
+def test_full_observation_source_run_keeps_a_low_rank_basis():
+    cfg = cli.RunConfig(problem="heat", mode="source", n_side=7, nt=5, sensors="none", m_a=12)
+    run = cli.run_eigs(cfg)
+    assert not run.problem.ctx.data_side
+    assert run.problem.ctx.krylov_dim == run.problem.ctx.n_param == 49 * 5
+    basis = run.result.basis
+    assert len(basis) == 13 and all(isinstance(v, lp.LowRankMat) and v.shape == (49, 5)
+                                     for v in basis)
+
+
 def test_source_mode_eigs_writes_rank_trace(tmp_path):
     out = tmp_path / "src_eigs"
     rc = cli.main(["eigs", "--problem", "heat", "--n-side", "9", "--nt", "6",
@@ -559,8 +602,9 @@ def test_rank_files_read_the_stored_ranks(tmp_path, case):
         assert expect == [0] * res.iterations
     else:
         assert min(expect) >= 1
-    if case == "source":  # some rows come from the stored basis vector alone
-        assert any(b > a for a, b in zip(applies, stored))
+    if case == "source":  # a dense data-side basis: each row is its apply's image and pane rank
+        assert run.problem.ctx.data_side and stored == [0] * res.iterations
+        assert expect == applies
     # diagnostics.log restates H's subdiagonal and ranks.csv, one line per iteration
     lines = (tmp_path / "diagnostics.log").read_text().splitlines()[1:]
     assert len(lines) == res.iterations

@@ -527,6 +527,26 @@ def test_restricted_back_transform_is_the_rows_of_the_full_one(wind):
         assert_allclose(got, full[keep], rtol=0, atol=1e-15 * np.abs(full).max())
 
 
+@pytest.mark.parametrize("wind", STEP_WINDS)
+def test_restricted_transform_is_that_of_the_embedded_rows(wind):
+    # an rhs of the kept rows goes into modal coordinates as its zero-embedded
+    # n_x-row field would, as a fresh Fortran-ordered block a modal solve accepts
+    grid = lp.build_grid(15)
+    K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(5))
+    rng = np.random.default_rng(22)
+    for keep in (np.flatnonzero(lp.make_sensor_layout_3x3(grid).mask),
+                 np.sort(rng.permutation(grid.n_x)[:30]), np.arange(grid.n_x)):
+        B = rng.standard_normal((len(keep), 4))
+        embedded = np.zeros((grid.n_x, 4))
+        embedded[keep] = B
+        want = K.solver.to_modal(embedded)
+        got = K.solver.to_modal(B, keep)
+        assert got.shape == (grid.n_x, 4) and got.flags.f_contiguous
+        assert not np.shares_memory(got, B)
+        assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        K.solve_step(got)
+
+
 def test_steady_solves_match_spsolve_on_pttrf(monkeypatch):
     # steady mode solves with L itself, as HessianContext builds it
     built = _spy_tridiagonal_factorizations(monkeypatch)

@@ -219,6 +219,97 @@ class TestMisfitSpaceTimeSource:
         assert oracle.hv_agreement(apply_stacked, Hd, n_probe=10, seed=1) <= 1e-7
 
 
+DATA_SIDE_PROBLEMS = {"heat": None, "convdiff-x1": (1.0, 0.0)}
+
+
+class TestDataSide:
+    """Source mode under a strict-subset layout: D = c·S·K⁻¹·K⁻ᵀ·Sᵀ on the observed rows."""
+
+    @pytest.fixture(params=sorted(DATA_SIDE_PROBLEMS))
+    def setup(self, request):
+        wind = DATA_SIDE_PROBLEMS[request.param]
+        grid = lp.build_grid(7)
+        op = lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
+        K = lp.SpaceTimeOperator(op, lp.build_time_grid(4))
+        layout = hs.make_sensor_layout([(0.3, 0.4, 0.3), (0.75, 0.7, 0.15)], grid)
+        cov = hs.CovarianceSpec.from_gamma(10.0, 1e4, grid)
+        ctx = hs.HessianContext(mode=hs.MODE_SOURCE, operator=K, layout=layout, cov=cov,
+                                pol=POL)
+        scale = K.time.tau * grid.m_scale
+        a = np.sqrt(cov.gamma_prior * scale**2 * cov.beta_noise * scale)
+        return ctx, op.L.toarray(), a
+
+    @staticmethod
+    def _dense(ctx, L, F, adjoint):
+        return oracle.dense_forward(L, ctx.operator.m_scale, ctx.operator.time.tau, F,
+                                    adjoint=adjoint)
+
+    def _embed(self, ctx, U):
+        """Sᵀ: data-side fields (n_active, n_t, ...) as zero-embedded n_x-row fields."""
+        F = np.zeros((ctx.operator.n_x, *U.shape[1:]))
+        F[ctx.layout.mask] = U
+        return F
+
+    def test_the_context_runs_on_the_data_side(self, setup):
+        ctx, _, _ = setup
+        n_active, n_t = ctx.layout.n_active, ctx.operator.n_t
+        assert ctx.data_side and 0 < n_active < ctx.operator.n_x
+        assert ctx.krylov_dim == n_active * n_t and ctx.n_param == ctx.operator.n_x * n_t
+
+    def test_apply_matches_the_dense_data_side_operator(self, setup):
+        ctx, L, a = setup
+        n_active, n_t = ctx.layout.n_active, ctx.operator.n_t
+        dim = n_active * n_t
+        E = np.eye(dim).reshape((n_active, n_t, dim), order="F")
+        Y = self._dense(ctx, L, self._dense(ctx, L, self._embed(ctx, E), True), False)
+        D = a**2 * Y[ctx.layout.mask].reshape((dim, dim), order="F")
+        assert np.abs(D - D.T).max() <= 1e-12 * np.abs(D).max()
+        assert oracle.hv_agreement(ctx.apply, D, n_probe=10, seed=2) <= 1e-7
+        assert len(ctx.rank_trace) == 10 and min(ctx.rank_trace) >= 1
+
+    def test_each_recorded_image_is_the_scaled_adjoint_of_its_vector(self, setup):
+        ctx, L, a = setup
+        n_active, n_t = ctx.layout.n_active, ctx.operator.n_t
+        rng = np.random.default_rng(3)
+        us = [rng.standard_normal(n_active * n_t) for _ in range(3)]
+        images = []
+        for u in us:
+            ctx.apply(u, images)
+        ctx.apply(us[0])  # no list given: nothing recorded
+        assert len(images) == 3
+        for u, image in zip(us, images):
+            U = u.reshape((n_active, n_t), order="F")
+            want = a * self._dense(ctx, L, self._embed(ctx, U), True)
+            assert isinstance(image, lp.LowRankMat) and image.shape == want.shape
+            assert np.linalg.norm(lp.lr_to_dense(image) - want) <= 1e-7 * np.linalg.norm(want)
+
+    def test_a_low_rank_field_still_gets_the_parameter_side_hessian(self, setup):
+        ctx, L, _ = setup
+        K = ctx.operator
+        Hd, _ = oracle.dense_misfit_source(L, K.m_scale, K.time.tau, K.n_t, ctx.layout.mask,
+                                           ctx.cov.beta_noise, ctx.cov.gamma_prior)
+
+        def apply_stacked(v):
+            X = v.reshape((K.n_x, K.n_t), order="F")
+            out = ctx.apply(lp.lr_from_dense(X, POL))
+            assert isinstance(out, lp.LowRankMat)
+            return lp.lr_to_dense(out).reshape(-1, order="F")
+
+        assert oracle.hv_agreement(apply_stacked, Hd, n_probe=10, seed=4) <= 1e-7
+
+    def test_refuses_a_vector_of_the_wrong_side_or_length(self, setup):
+        ctx, _, _ = setup
+        K = ctx.operator
+        with pytest.raises(ValueError):
+            ctx.apply(np.ones(ctx.layout.n_active * K.n_t + 1))
+        full = hs.HessianContext(mode=hs.MODE_SOURCE, operator=K,
+                                 layout=hs.full_observation(K.spatial.grid), cov=ctx.cov,
+                                 pol=POL)
+        assert not full.data_side and full.krylov_dim == full.n_param
+        with pytest.raises(ValueError):
+            full.apply(np.ones(K.n_x * K.n_t))
+
+
 def _steady_ctx(grid):
     cov = hs.CovarianceSpec(beta_noise=1e4, beta_prior=1.0, gamma_prior=1.0)
     return hs.HessianContext(mode=hs.MODE_STEADY, operator=None, layout=None, cov=cov,
