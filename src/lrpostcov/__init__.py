@@ -8,7 +8,7 @@ skinny factor pairs, bringing computation and storage from O(n_x·n_t) down
 to O(n_x + n_t).
 """
 
-from .arnoldi import ArnoldiResult, StopRule, lr_arnoldi, rank_one_check, ritz_pairs
+from .arnoldi import ArnoldiResult, StopRule, lr_arnoldi, ritz_pairs
 from .discretize import (
     Grid,
     SpatialOperator,
@@ -48,7 +48,7 @@ from .posterior import PosteriorSummary, build_summary, lambda_tilde, posterior_
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArnoldiResult", "StopRule", "lr_arnoldi", "rank_one_check", "ritz_pairs",
+    "ArnoldiResult", "StopRule", "lr_arnoldi", "ritz_pairs",
     "Grid", "SpatialOperator", "TimeGrid", "analytic_poisson_eig",
     "assemble_convdiff", "assemble_heat", "build_grid", "build_time_grid",
     "discrete_fd_eig", "eigvec_dense",

@@ -34,11 +34,9 @@ from .errors import InvalidConfigError, NumericalError, check_count, check_real
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
-    _rank_cut,
     lr_dot,
     lr_norm,
     lr_scale,
-    lr_singular_values,
     lr_sums,
     lr_truncate,
 )
@@ -46,7 +44,6 @@ from .lowrank import (
 BREAKDOWN_TOL = 1e-14
 CHECK_EVERY = 10        # Arnoldi steps between Ritz refreshes of a default run
 STABILITY_RTOL = 1e-3   # refresh-to-refresh drift allowed of a retained Ritz value
-RANK_TAIL_TOL = 1e-6    # relative singular tail that rank_one_check ignores
 
 
 @dataclass(frozen=True)
@@ -356,23 +353,3 @@ def lr_arnoldi(
         step_seconds=step_seconds,
         restarts=restarts,
     )
-
-
-def rank_one_check(vec, reshape: tuple[int, int] | None = None) -> tuple[int, float]:
-    """Numerical separation rank of a vector under its natural 2-way layout.
-
-    Dense vectors are reshaped to ``reshape`` (e.g. (n_side, n_side) for
-    spatial modes); LowRankMat inputs use their own factorization.  Returns
-    (smallest r with relative singular tail <= RANK_TAIL_TOL, sigma_2/sigma_1).
-    """
-    if isinstance(vec, LowRankMat):
-        s = lr_singular_values(vec)
-    else:
-        if reshape is None:
-            raise ValueError("dense input needs an explicit 2-way reshape")
-        s = np.linalg.svd(np.asarray(vec, dtype=float).reshape(reshape),
-                          compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, 0.0
-    ratio = float(s[1] / s[0]) if s.size > 1 else 0.0
-    return _rank_cut(s, TruncationPolicy(eps0=RANK_TAIL_TOL)), ratio

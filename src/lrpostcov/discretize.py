@@ -36,9 +36,6 @@ class Grid:
     def ij_to_dof(self, i: int, j: int) -> int:
         return j * self.n_side + i
 
-    def dof_to_ij(self, k: int) -> tuple[int, int]:
-        return k % self.n_side, k // self.n_side
-
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(x1, x2) coordinates of every dof, each of length n_x."""
         pts = self.h * np.arange(1, self.n_side + 1)
@@ -124,9 +121,10 @@ def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> Spati
         raise InvalidConfigError(f"wind must be two finite numbers, got {wind!r}")
     n, h, w1, w2 = grid.n_side, grid.h, float(w[0]), float(w[1])
     diffusion = nu * _laplacian_1d(n, h)
-    return SpatialOperator(kind="convdiff", grid=grid,
-                           A1=(diffusion + _upwind_1d(n, h, w1)).tocsr(),
-                           A2=(diffusion + _upwind_1d(n, h, w2)).tocsr(), wind=(w1, w2))
+    A1 = (diffusion + _upwind_1d(n, h, w1)).tocsr()
+    # equal winds give equal factors: one object, so a separable solve diagonalizes it once
+    A2 = A1 if w2 == w1 else (diffusion + _upwind_1d(n, h, w2)).tocsr()
+    return SpatialOperator(kind="convdiff", grid=grid, A1=A1, A2=A2, wind=(w1, w2))
 
 
 def analytic_poisson_eig(m: int, n: int) -> float:

@@ -15,17 +15,17 @@ per (operator, tau) pair and reused for every solve, including transposed
 ones.
 
 L = I⊗A1 + A2⊗I is a Kronecker sum of tridiagonal 1-D factors, and a factor
-whose axis carries no wind is symmetric.  With one such factor the step
-matrix is solved by the fast diagonalization method (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964): the symmetric factor's orthogonal eigenvectors turn
-it into n_side independent tridiagonal systems along the other axis,
-stacked into one and factored by LAPACK (``SeparableSolver``): pttrf when
-that axis carries no wind either, so the stack is symmetric positive
-definite, and gttrf with partial pivoting otherwise.  This covers heat,
-convection-diffusion without wind and wind along one axis.  Wind along
-both axes leaves no symmetric factor; that step matrix is factored by a
-sparse LU under a symmetric minimum-degree ordering, which never pivots off
-the diagonal because the matrix is strictly diagonally dominant.
+whose axis carries no wind is symmetric.  The step matrix is solved by the
+fast diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964)
+along every such axis (``SeparableSolver``).  Without wind (heat and
+convection-diffusion at zero wind) both factors are diagonalized, and a
+step solve is one diagonal scale in their 2-D eigenbasis.  With wind along
+one axis, the symmetric factor's eigenvectors turn the step matrix into
+n_side independent tridiagonal systems along the windy axis, stacked into
+one and factored by LAPACK gttrf with partial pivoting.  Wind along both
+axes leaves no symmetric factor; that step matrix is factored by a sparse
+LU under a symmetric minimum-degree ordering, which never pivots off the
+diagonal because the matrix is strictly diagonally dominant.
 
 Both solvers share one interface (``to_modal``, ``solve_modal``,
 ``from_modal``), exposed as ``SpaceTimeOperator.solver``.  M = M_scale·I
@@ -58,23 +58,27 @@ COMPRESS_EVERY = 8  # default sweep steps between recompressions
 class SeparableSolver:
     """Direct solver for a·I + b·L, L = I⊗A1 + A2⊗I with a symmetric factor.
 
-    The symmetric factor A_d = V·diag(λ)·Vᵀ is diagonalized once by a dense
-    ``eigh``.  Along its eigenvector k the system reduces to the tridiagonal
-    (a + b·λ_k)·I + b·A_t on the other axis; the n_side of them are stacked
-    into one block-diagonal tridiagonal matrix and factored once.  A solve
-    is then one V-transform (``to_modal``), one tridiagonal solve
-    (``solve_modal``, in place) and one back-transform (``from_modal``),
-    for any number of columns; the sweeps and steady mode chain solves and
-    transform only at the ends.  x1 is diagonalized when it carries no
-    wind, else x2; the second case is the first on the transposed grid.
+    A factor whose axis carries no wind is symmetric, A = V·diag(λ)·Vᵀ,
+    and is diagonalized once by a dense ``eigh``.  When neither axis
+    carries wind, both are, and in the 2-D eigenbasis V2⊗V1 the system is
+    diagonal: entry (l, k) is a + b·(λ2_l + λ1_k).  A solve is then one
+    transform (``to_modal``), one in-place scale by the reciprocal
+    diagonal (``solve_modal``, the same in both directions) and one
+    back-transform (``from_modal``), for any number of columns; the sweeps
+    and steady mode chain solves and transform only at the ends.  The two
+    factors share one ``eigh`` when they are one object, as heat's are.
 
-    When A_t's axis carries no wind too, the stacked matrix is symmetric,
-    and positive definite for the step and steady operators: pttrf factors
-    it as L·D·Lᵀ, and pttrs serves both solve directions.  Otherwise gttrf
-    factors it with partial pivoting, and the transpose solve differs only
-    in gttrs's ``trans``.  A factorization that fails, an indefinite
-    symmetric matrix included, raises ``NumericalError``, and so does a
-    solve whose kernel reports failure.
+    With wind along one axis only the other is diagonalized: along its
+    eigenvector k the system reduces to the tridiagonal (a + b·λ_k)·I +
+    b·A_t on the windy axis.  The n_side of them are stacked into one
+    block-diagonal tridiagonal matrix that gttrf factors once with partial
+    pivoting, and the transpose solve differs only in gttrs's ``trans``.
+    x1 is diagonalized when it carries no wind, else x2; the second case is
+    the first on the transposed grid.
+
+    A modal diagonal that is not positive and finite (the step and steady
+    operators' always is) raises ``NumericalError``, and so do a failed
+    factorization and a solve whose kernel reports failure.
     """
 
     def __init__(self, spatial: SpatialOperator, a: float, b: float):
@@ -82,44 +86,54 @@ class SeparableSolver:
         self.x1_diag = spatial.wind[0] == 0.0
         if not (self.x1_diag or spatial.wind[1] == 0.0):
             raise ValueError("wind along both axes leaves no symmetric factor")
-        self.spd = self.x1_diag and spatial.wind[1] == 0.0  # no wind on either axis
         A_d, A_t = (spatial.A1, spatial.A2) if self.x1_diag else (spatial.A2, spatial.A1)
         lam, self.V = sla.eigh(A_d.toarray())
+        self.V2 = None  # x2's eigenvectors, when both axes are diagonalized
+        if self.x1_diag and spatial.wind[1] == 0.0:
+            lam2, self.V2 = (lam, self.V) if A_t is A_d else sla.eigh(A_t.toarray())
+            d = a + b * (lam2[:, None] + lam)  # the modal field is x2 mode × x1 mode
+            if not np.all(np.isfinite(d) & (d > 0.0)):
+                raise NumericalError(
+                    f"modal diagonal is not positive and finite (min {d.min():.3g})")
+            self._scale = (1.0 / d).ravel()[:, None]
+            return
         # block k (contiguous, the diagonalized index k slowest) couples only
         # along the other axis; the off-diagonals are zero between blocks
         d = ((a + b * lam)[:, None] + b * A_t.diagonal()).ravel()
         du = np.tile(np.append(b * A_t.diagonal(1), 0.0), self.n)[:-1]
-        if self.spd:
-            *self._factors, info = lapack.dpttrf(d, du, overwrite_d=True, overwrite_e=True)
-            kernel = "pttrf"
-        else:
-            dl = np.tile(np.append(b * A_t.diagonal(-1), 0.0), self.n)[:-1]
-            *self._factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=True,
-                                                 overwrite_d=True, overwrite_du=True)
-            kernel = "gttrf"
+        dl = np.tile(np.append(b * A_t.diagonal(-1), 0.0), self.n)[:-1]
+        *self._factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=True,
+                                             overwrite_d=True, overwrite_du=True)
         if info != 0:
-            raise NumericalError(
-                f"stacked tridiagonal factorization failed ({kernel} info={info})")
+            raise NumericalError(f"stacked tridiagonal factorization failed (gttrf info={info})")
 
     def to_modal(self, B: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
         """B (n_x × c) in modal coordinates: a fresh Fortran-ordered n_x × c block.
 
-        Column by column, Vᵀ acts along the diagonalized axis, and the dofs
-        are reordered so that each eigen-index owns one contiguous block of
-        the stacked tridiagonal system.  The map is orthogonal.
+        Column by column, the eigenvector transforms act along the
+        diagonalized axes; with one such axis the dofs are reordered so
+        that each eigen-index owns one contiguous block of the stacked
+        tridiagonal system.  The map is orthogonal.
 
         With ``keep`` (dof indices) B holds only those rows, len(keep) × c,
         and stands for the field that is zero off them: only the grid lines
-        along the diagonalized axis that hold a kept dof are transformed,
-        and the other modal entries are zero.
+        that hold a kept dof are transformed, and with one diagonalized axis
+        the other modal entries are zero.
         """
-        n, c, V = self.n, B.shape[1], self.V
+        n, c, V, V2 = self.n, B.shape[1], self.V, self.V2
         if keep is None:
             G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
+            if V2 is not None:
+                return (V2.T @ G @ V).reshape(c, n * n).T
             if self.x1_diag:
                 G = G.swapaxes(1, 2)  # the diagonalized axis first
             return (V.T @ G).reshape(c, n * n).T  # (column, eigen-index k, tridiagonal axis)
         x2, x1 = np.divmod(keep, n)
+        if V2 is not None:  # the field on the kept rows × kept columns of the grid
+            (rows, at_r), (cols, at_c) = (np.unique(x, return_inverse=True) for x in (x2, x1))
+            G = np.zeros((c, len(rows), len(cols)))
+            G[:, at_r, at_c] = B.T
+            return (V2[rows].T @ G @ V[cols]).reshape(c, n * n).T
         # per column, the kept lines with the diagonalized axis first
         diag, other = (x1, x2) if self.x1_diag else (x2, x1)
         lines, at = np.unique(other, return_inverse=True)
@@ -133,16 +147,22 @@ class SeparableSolver:
         """The inverse of ``to_modal``: W (n_x × c, modal) back on the grid.
 
         With ``keep`` (dof indices) only those rows are returned, as a
-        Fortran-ordered len(keep) × c block, and only the grid lines along
-        the diagonalized axis that hold a kept dof are transformed.
+        Fortran-ordered len(keep) × c block, and only the grid lines that
+        hold a kept dof are transformed.
         """
-        n, c, V = self.n, W.shape[1], self.V
-        W = W.T.reshape(c, n, n)  # per column, eigen-index × the other axis
+        n, c, V, V2 = self.n, W.shape[1], self.V, self.V2
+        W = W.T.reshape(c, n, n)  # per column, the modal field
         if keep is None:
-            X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
+            if V2 is not None:
+                X = V2 @ W @ V.T
+            else:
+                X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
             return X.reshape(c, n * n).T
         x2, x1 = np.divmod(keep, n)
-        if self.x1_diag:  # lines of constant x2, each transformed along x1
+        if V2 is not None:  # the kept rows × kept columns of the grid
+            (rows, at_r), (cols, at_c) = (np.unique(x, return_inverse=True) for x in (x2, x1))
+            X, flat = V2[rows] @ W @ V[cols].T, at_r * len(cols) + at_c
+        elif self.x1_diag:  # lines of constant x2, each transformed along x1
             lines, at = np.unique(x2, return_inverse=True)
             X, flat = W[:, :, lines].swapaxes(1, 2) @ V.T, at * n + x1
         else:  # lines of constant x1, each transformed along x2
@@ -152,24 +172,23 @@ class SeparableSolver:
         return np.take(X.reshape(c, -1), flat, axis=1).T
 
     def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Overwrite the modal block W with the stacked tridiagonal solve, and return it.
+        """Overwrite the modal block W with the step's modal solve, and return it.
 
         W must be a Fortran-ordered float64 n_x × c array (a column slice
-        of one qualifies); LAPACK then solves in its memory.
+        of one qualifies): the diagonal scale and LAPACK solve in its memory.
         """
         if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
             raise ValueError("a modal solve needs a Fortran-ordered float64 block")
-        if W.shape[0] != self.n * self.n:  # LAPACK would refuse it silently or solve a prefix
+        if W.shape[0] != self.n * self.n:  # gttrs would refuse it silently or solve a prefix
             raise ValueError(f"a modal solve needs {self.n * self.n} rows, not {W.shape[0]}")
+        if self.V2 is not None:  # diagonal: the transpose solve is the same scale
+            W *= self._scale
+            return W
         if W.shape[1] == 0:  # gttrs corrupts the heap on zero right-hand sides
             return W
-        if self.spd:
-            X, info = lapack.dpttrs(*self._factors, W, overwrite_b=True)
-        else:
-            X, info = lapack.dgttrs(*self._factors, W, trans=trans, overwrite_b=True)
+        X, info = lapack.dgttrs(*self._factors, W, trans=trans, overwrite_b=True)
         if info != 0:
-            kernel = "pttrs" if self.spd else "gttrs"
-            raise NumericalError(f"stacked tridiagonal solve failed ({kernel} info={info})")
+            raise NumericalError(f"stacked tridiagonal solve failed (gttrs info={info})")
         return X
 
 

@@ -9,7 +9,7 @@ import lrpostcov as lp
 from lrpostcov import arnoldi, cli
 from lrpostcov import hessian as hs
 from lrpostcov import lowrank, oracle
-from lrpostcov.arnoldi import StopRule, lr_arnoldi, rank_one_check, ritz_pairs
+from lrpostcov.arnoldi import StopRule, lr_arnoldi, ritz_pairs
 
 POL = lp.TruncationPolicy(eps0=1e-8)
 
@@ -402,6 +402,29 @@ def test_stop_rule_validation():
         StopRule(m_a=5, eps_eig=0.0)
     with pytest.raises(ValueError):
         lr_arnoldi(lambda x: x, np.zeros(4), POL, StopRule(m_a=3))
+
+
+RANK_TAIL_TOL = 1e-6  # relative singular tail that rank_one_check ignores
+
+
+def rank_one_check(vec, reshape: tuple[int, int] | None = None) -> tuple[int, float]:
+    """Numerical separation rank of a vector under its natural 2-way layout.
+
+    Dense vectors are reshaped to ``reshape`` (e.g. (n_side, n_side) for
+    spatial modes); LowRankMat inputs use their own factorization.  Returns
+    (smallest r with relative singular tail <= RANK_TAIL_TOL, sigma_2/sigma_1).
+    """
+    if isinstance(vec, lp.LowRankMat):
+        s = lowrank.lr_singular_values(vec)
+    else:
+        if reshape is None:
+            raise ValueError("dense input needs an explicit 2-way reshape")
+        s = np.linalg.svd(np.asarray(vec, dtype=float).reshape(reshape),
+                          compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0, 0.0
+    ratio = float(s[1] / s[0]) if s.size > 1 else 0.0
+    return lowrank._rank_cut(s, lp.TruncationPolicy(eps0=RANK_TAIL_TOL)), ratio
 
 
 class TestRankOneCheck:

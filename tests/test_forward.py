@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack
@@ -380,12 +381,17 @@ def test_rank1_initial_condition_stays_rank1_over_many_flushes(monkeypatch):
 STEP_WINDS = [None, (0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.3, -0.7), (-0.5, 1.0)]
 
 
+def _one_axis_wind(wind):
+    """The winds whose step matrix is the stacked tridiagonal that gttrf factors."""
+    return wind is not None and 0.0 in wind and wind != (0.0, 0.0)
+
+
 def _spatial(grid, wind):
     return lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
 
 
 def _spy_tridiagonal_factorizations(monkeypatch):
-    """Record the name of every stacked tridiagonal factorization built."""
+    """Record the name of every LAPACK tridiagonal factorization built."""
     built = []
     for name in ("dpttrf", "dgttrf"):
         def spy(*args, _f=getattr(lapack, name), _name=name[1:], **kwargs):
@@ -401,11 +407,10 @@ def _refuse_zero_column_solves(monkeypatch):
     gttrs corrupts the heap on a block of zero columns, and the interpreter
     crashes later, so the real kernel must never see one.
     """
-    for name in ("dpttrs", "dgttrs"):
-        def spy(*args, _f=getattr(lapack, name), **kwargs):
-            assert args[-1].shape[1] > 0, "a zero-column block reached LAPACK"
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(lapack, name, spy)
+    def spy(*args, _f=lapack.dgttrs, **kwargs):
+        assert args[-1].shape[1] > 0, "a zero-column block reached LAPACK"
+        return _f(*args, **kwargs)
+    monkeypatch.setattr(lapack, "dgttrs", spy)
 
 
 def _assert_solves_match_spsolve(solver, solve, S, n_x):
@@ -425,8 +430,9 @@ def _assert_solves_match_spsolve(solver, solve, S, n_x):
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
 def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
-    # without wind the stacked tridiagonal is SPD and pttrf factors it; one
-    # axis of wind keeps the pivoted gttrf; two axes build the sparse LU
+    # without wind the step matrix is diagonal in the 2-D eigenbasis, so no
+    # LAPACK tridiagonal factorization is built; one axis of wind keeps the
+    # pivoted gttrf; two axes build the sparse LU
     built = _spy_tridiagonal_factorizations(monkeypatch)
     _refuse_zero_column_solves(monkeypatch)
     # n_side 63 with nt 30 are the benchmark workloads' step matrices
@@ -434,8 +440,7 @@ def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
         grid = lp.build_grid(n_side)
         K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(n_t))
         _assert_solves_match_spsolve(K.solver, K.solve_step, K.step_matrix, grid.n_x)
-    kernel = "pttrf" if wind in (None, (0.0, 0.0)) else "gttrf" if 0.0 in wind else None
-    assert built == ([kernel] * 2 if kernel else [])
+    assert built == (["gttrf"] * 2 if _one_axis_wind(wind) else [])
 
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
@@ -462,19 +467,21 @@ def test_modal_step_solves_run_in_place_in_a_fortran_block(wind):
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
 def test_modal_solves_refuse_a_wrong_height_and_report_kernel_failures(monkeypatch, wind):
-    # on a block of the wrong height pttrs and gttrs either refuse it with a
-    # negative info or solve only its first n_x rows; neither may pass silently
+    # on a block of the wrong height gttrs either refuses it with a negative
+    # info or solves only its first n_x rows, and the diagonal scale would
+    # broadcast or fail; none may pass silently, nor write the block
     grid = lp.build_grid(15)
     K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(5))
     separable = wind is None or 0.0 in wind
     for n_rows in (grid.n_x - 3, grid.n_x + 3):
         for trans in "NT":
+            W = np.ones((n_rows, 2), order="F")
             with pytest.raises(ValueError, match="rows" if separable else None):
-                K.solver.solve_modal(np.zeros((n_rows, 2), order="F"), trans)
-    if separable:
-        kernel = "pttrs" if wind in (None, (0.0, 0.0)) else "gttrs"
-        monkeypatch.setattr(lapack, "d" + kernel, lambda *args, **kwargs: (args[-1], -6))
-        with pytest.raises(lp.NumericalError, match=f"{kernel} info=-6"):
+                K.solver.solve_modal(W, trans)
+            assert (W == 1.0).all()
+    if _one_axis_wind(wind):
+        monkeypatch.setattr(lapack, "dgttrs", lambda *args, **kwargs: (args[-1], -6))
+        with pytest.raises(lp.NumericalError, match="gttrs info=-6"):
             K.solve_step(K.solver.to_modal(np.ones((grid.n_x, 2))))
 
 
@@ -547,7 +554,7 @@ def test_restricted_transform_is_that_of_the_embedded_rows(wind):
         K.solve_step(got)
 
 
-def test_steady_solves_match_spsolve_on_pttrf(monkeypatch):
+def test_steady_solves_match_spsolve_on_the_modal_diagonal(monkeypatch):
     # steady mode solves with L itself, as HessianContext builds it
     built = _spy_tridiagonal_factorizations(monkeypatch)
     _refuse_zero_column_solves(monkeypatch)
@@ -558,16 +565,84 @@ def test_steady_solves_match_spsolve_on_pttrf(monkeypatch):
         _assert_solves_match_spsolve(
             solver, lambda W, adjoint: solver.solve_modal(W, "T" if adjoint else "N"),
             op.L.tocsc(), grid.n_x)
-    assert built == ["pttrf"] * 2
+    assert built == []
 
 
 def test_indefinite_symmetric_stack_raises():
     # a shift below -λ_min(L) leaves a·I + L nonsingular but indefinite, so
-    # the stacked tridiagonal has no L·D·Lᵀ factorization with positive D
+    # its modal diagonal has negative entries; a NaN shift leaves none finite
     grid = lp.build_grid(15)
     lam_min = lp.discrete_fd_eig(1, 1, grid)
-    with pytest.raises(lp.NumericalError, match="pttrf"):
-        lp.forward.SeparableSolver(lp.assemble_heat(grid), -1.5 * lam_min, 1.0)
+    for shift in (-1.5 * lam_min, np.nan):
+        with pytest.raises(lp.NumericalError, match="modal diagonal is not positive and finite"):
+            lp.forward.SeparableSolver(lp.assemble_heat(grid), shift, 1.0)
+
+
+@pytest.mark.parametrize("n_side", [15, 63])
+@pytest.mark.parametrize("nu", [None, 1e-2])  # heat, and convdiff at zero wind
+def test_wind_free_step_is_the_closed_form_modal_diagonal(n_side, nu):
+    # M_scale·(I + τ·ν·L₀), with L₀ the FD Laplacian, is diagonal in the 2-D
+    # eigenbasis: FD mode (m, n) is one modal unit vector, scaled by
+    # M_scale·(1 + τ·ν·(μ_m + μ_n)) with μ_m + μ_n = discrete_fd_eig(m, n)
+    grid = lp.build_grid(n_side)
+    op = lp.assemble_heat(grid) if nu is None else lp.assemble_convdiff(grid, nu, (0.0, 0.0))
+    tg = lp.build_time_grid(30)
+    K = lp.SpaceTimeOperator(op, tg)
+    S, nu = K.solver, nu or 1.0
+
+    def closed_form(m, n):
+        return grid.m_scale * (1.0 + tg.tau * nu * lp.discrete_fd_eig(m, n, grid))
+
+    modes = range(1, n_side + 1)
+    diagonal = 1.0 / K.solve_step(np.ones((grid.n_x, 1), order="F"))[:, 0]
+    want = sorted(closed_form(m, n) for m in modes for n in modes)
+    # eigh is backward stable: its eigenvalues err by rounding of the largest
+    tol = 1e-14 * want[-1]
+    assert_allclose(np.sort(diagonal), want, rtol=0, atol=tol)
+    for m, n in ((1, 1), (1, 2), (n_side // 2, 3), (n_side, n_side)):
+        v = lp.eigvec_dense(m, n, grid)[:, None]
+        z = S.to_modal(v)[:, 0]
+        at = np.argmax(np.abs(z))
+        assert_allclose(np.abs(z), np.arange(grid.n_x) == at, rtol=0, atol=1e-12)
+        assert_allclose(diagonal[at], closed_form(m, n), rtol=0, atol=tol)
+        got = S.from_modal(K.solve_step(S.to_modal(v)))
+        assert_allclose(got, v / closed_form(m, n), rtol=0, atol=1e-12 * np.abs(got).max())
+    # under the nine-patch mask the restricted transforms on the 2-D basis
+    # are the kept rows of the full ones
+    rng = np.random.default_rng(23)
+    keep = np.flatnonzero(lp.make_sensor_layout_3x3(grid).mask)
+    W = S.to_modal(rng.standard_normal((grid.n_x, 3)))
+    full = S.from_modal(W)
+    assert_allclose(S.from_modal(W, keep), full[keep], rtol=0, atol=1e-14 * np.abs(full).max())
+    B = rng.standard_normal((len(keep), 3))
+    embedded = np.zeros((grid.n_x, 3))
+    embedded[keep] = B
+    want = S.to_modal(embedded)
+    assert_allclose(S.to_modal(B, keep), want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_wind_free_factors_share_one_eigh_only_when_they_are_one(monkeypatch):
+    # heat and zero-wind convdiff pass one object as A1 and A2, so one eigh
+    # serves both axes; unequal symmetric factors (A2 = 2·A1, an anisotropic
+    # diffusion) are diagonalized each, and the 2-D modal diagonal pairs
+    # their eigenvalues along the right axes
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    eigh = sla.eigh
+    monkeypatch.setattr(sla, "eigh", spy)
+    grid = lp.build_grid(15)
+    heat = lp.assemble_heat(grid)
+    anisotropic = lp.SpatialOperator(kind="convdiff", grid=grid, A1=heat.A1, A2=2.0 * heat.A1)
+    for op, n_eigh in ((heat, 1), (lp.assemble_convdiff(grid, 1e-2, (0.0, 0.0)), 1),
+                       (anisotropic, 2)):
+        calls.clear()
+        K = lp.SpaceTimeOperator(op, lp.build_time_grid(5))
+        assert calls == [(grid.n_side, grid.n_side)] * n_eigh
+        _assert_solves_match_spsolve(K.solver, K.solve_step, K.step_matrix, grid.n_x)
 
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
