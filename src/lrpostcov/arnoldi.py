@@ -29,6 +29,7 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import InvalidConfigError, NumericalError, check_count, check_real
 from .lowrank import (
@@ -143,11 +144,15 @@ class _DenseOps(_VectorOps):
 
     @staticmethod
     def combinations(basis, C):
-        """Yield basis·C[:, k] for each column k, each by its own loop over the basis."""
+        """Yield basis·C[:, k] for each column k, each by its own loop over the basis.
+
+        Each term is one daxpy, in place in the contiguous float64 ``out``,
+        which makes no temporary for c·v.
+        """
         for coeffs in C.T:
             out = np.zeros_like(basis[0], dtype=float)
             for v, c in zip(basis, coeffs):
-                out += float(c) * v
+                out = blas.daxpy(v, out, a=c)
             yield out
 
 

@@ -21,21 +21,26 @@ along every such axis (``SeparableSolver``).  Without wind (heat and
 convection-diffusion at zero wind) both factors are diagonalized, and a
 step solve is one diagonal scale in their 2-D eigenbasis.  With wind along
 one axis, the symmetric factor's eigenvectors turn the step matrix into
-n_side independent tridiagonal systems along the windy axis, stacked into
-one and factored by LAPACK gttrf with partial pivoting.  Wind along both
-axes leaves no symmetric factor; that step matrix is factored by a sparse
-LU under a symmetric minimum-degree ordering, which never pivots off the
-diagonal because the matrix is strictly diagonally dominant.
+n_side independent tridiagonal systems along the windy axis.  The upwind
+factor's off-diagonals share one sign, so one diagonal similarity G makes
+every system symmetric positive definite; they are stacked into one and
+factored by LAPACK pttrf, and a solve is pttrs between elementwise scales
+by g.  Wind along both axes leaves no symmetric factor, and neither does a
+windy factor whose G would span more than ``MAX_SCALE_DECADES`` decades
+(at n_side 63, a cell Péclet number w·h/ν above about 5e9); that step
+matrix is factored by a sparse LU under a symmetric minimum-degree
+ordering, which never pivots off the diagonal because the matrix is
+strictly diagonally dominant.
 
-Both solvers share one interface (``to_modal``, ``solve_modal``,
-``from_modal``), exposed as ``SpaceTimeOperator.solver``.  M = M_scale·I
-commutes with the orthogonal eigenvector transform, so a sweep runs in the
-solver's modal coordinates: it transforms the rhs factor once and pays one
-in-place step solve (``solve_step``) per step.  A pane of every row is
-recompressed in modal coordinates too, and only its basis is transformed
-back; a pane of some rows transforms the grid lines that hold them at each
-flush.  For the sparse LU the transform is the identity, so the same sweep
-serves it.
+Both solvers share one interface (``restrict``, ``to_modal``,
+``solve_modal``, ``from_modal``), exposed as ``SpaceTimeOperator.solver``.
+M = M_scale·I commutes with the orthogonal eigenvector transform, so a
+sweep runs in the solver's modal coordinates: it transforms the rhs
+factor once and pays one in-place step solve (``solve_step``) per step.
+A pane of every row is recompressed in modal coordinates too, and only
+its basis is transformed back; a pane of some rows transforms the grid
+lines that hold them at each flush.  For the sparse LU the transform is
+the identity, so the same sweep serves it.
 """
 
 from __future__ import annotations
@@ -53,6 +58,32 @@ from .errors import NumericalError, check_count
 from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
 
 COMPRESS_EVERY = 8  # default sweep steps between recompressions
+MAX_SCALE_DECADES = 300.0  # widest log10(max g / min g) of a symmetrizer a solve scales by
+
+
+def _symmetrizer(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """(g, e): G = diag(g) with A = G·A_s·G⁻¹ and A_s symmetric, and A_s's off-diagonal e.
+
+    A tridiagonal A whose off-diagonal pairs share one sign (lo_i·up_i > 0,
+    lo the sub- and up the superdiagonal) is made symmetric by the ratios
+    g_i/g_{i-1} = √(lo_i/up_i): A_s keeps A's diagonal, and its off-diagonal
+    is sign(lo)·√(lo·up).  The logs of g are centred about their mid-range,
+    so max(g)·min(g) = 1.  None when some lo·up ≤ 0, or when g spans more
+    than ``MAX_SCALE_DECADES`` decades, where scaling a vector by g or 1/g
+    would leave the floating-point range.
+    """
+    lo, up = A.diagonal(-1), A.diagonal(1)
+    if not (lo * up > 0.0).all():
+        return None
+    log_g = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(np.abs(lo)) - np.log(np.abs(up))))))
+    low, high = log_g.min(), log_g.max()
+    if high - low > MAX_SCALE_DECADES * np.log(10.0):
+        return None
+    return np.exp(log_g - 0.5 * (low + high)), np.copysign(np.sqrt(lo * up), lo)
+
+
+class NotSeparable(ValueError):
+    """``SeparableSolver`` does not take the operator: the step takes ``_SparseLU``."""
 
 
 class SeparableSolver:
@@ -70,26 +101,37 @@ class SeparableSolver:
 
     With wind along one axis only the other is diagonalized: along its
     eigenvector k the system reduces to the tridiagonal (a + b·λ_k)·I +
-    b·A_t on the windy axis.  The n_side of them are stacked into one
-    block-diagonal tridiagonal matrix that gttrf factors once with partial
-    pivoting, and the transpose solve differs only in gttrs's ``trans``.
-    x1 is diagonalized when it carries no wind, else x2; the second case is
-    the first on the transposed grid.
+    b·A_t on the windy axis.  The upwind factor A_t has off-diagonals of
+    one sign, so a diagonal similarity makes it symmetric, A_t =
+    G·A_s·G⁻¹ (``_symmetrizer``), and each block is G·S_k·G⁻¹ with S_k =
+    (a + b·λ_k)·I + b·A_s symmetric positive definite.  The n_side S_k are
+    stacked into one block-diagonal tridiagonal matrix that pttrf factors
+    once as L·D·Lᵀ.  A solve scales by 1/g, runs pttrs and scales by g;
+    the transpose solve swaps the two scales.  G acts elementwise around
+    the solve and never enters the orthogonal transforms.  x1 is
+    diagonalized when it carries no wind, else x2; the second case is the
+    first on the transposed grid.  Wind along both axes, or a windy
+    factor without a ``_symmetrizer``, raises ``NotSeparable``.
 
-    A modal diagonal that is not positive and finite (the step and steady
-    operators' always is) raises ``NumericalError``, and so do a failed
-    factorization and a solve whose kernel reports failure.
+    A modal diagonal or stacked system that is not positive definite and
+    finite (the step and steady operators' always is) raises
+    ``NumericalError``, and so does a solve whose kernel reports failure.
     """
 
     def __init__(self, spatial: SpatialOperator, a: float, b: float):
+        w1, w2 = spatial.wind
+        if w1 != 0.0 and w2 != 0.0:
+            raise NotSeparable("wind along both axes leaves no symmetric factor")
         self.n = spatial.grid.n_side
-        self.x1_diag = spatial.wind[0] == 0.0
-        if not (self.x1_diag or spatial.wind[1] == 0.0):
-            raise ValueError("wind along both axes leaves no symmetric factor")
+        self.x1_diag = w1 == 0.0
         A_d, A_t = (spatial.A1, spatial.A2) if self.x1_diag else (spatial.A2, spatial.A1)
+        symmetrizer = None if w1 == w2 else _symmetrizer(A_t)  # w1 == w2: no wind at all
+        if w1 != w2 and symmetrizer is None:
+            raise NotSeparable("the windy factor has no diagonal symmetrizer within "
+                               f"{MAX_SCALE_DECADES:g} decades")
         lam, self.V = sla.eigh(A_d.toarray())
         self.V2 = None  # x2's eigenvectors, when both axes are diagonalized
-        if self.x1_diag and spatial.wind[1] == 0.0:
+        if symmetrizer is None:
             lam2, self.V2 = (lam, self.V) if A_t is A_d else sla.eigh(A_t.toarray())
             d = a + b * (lam2[:, None] + lam)  # the modal field is x2 mode × x1 mode
             if not np.all(np.isfinite(d) & (d > 0.0)):
@@ -97,17 +139,37 @@ class SeparableSolver:
                     f"modal diagonal is not positive and finite (min {d.min():.3g})")
             self._scale = (1.0 / d).ravel()[:, None]
             return
+        g, e = symmetrizer
         # block k (contiguous, the diagonalized index k slowest) couples only
         # along the other axis; the off-diagonals are zero between blocks
         d = ((a + b * lam)[:, None] + b * A_t.diagonal()).ravel()
-        du = np.tile(np.append(b * A_t.diagonal(1), 0.0), self.n)[:-1]
-        dl = np.tile(np.append(b * A_t.diagonal(-1), 0.0), self.n)[:-1]
-        *self._factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=True,
-                                             overwrite_d=True, overwrite_du=True)
-        if info != 0:
-            raise NumericalError(f"stacked tridiagonal factorization failed (gttrf info={info})")
+        e = np.tile(np.append(b * e, 0.0), self.n)[:-1]
+        self._d, self._e, info = lapack.dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+        if info != 0 or not np.isfinite(self._d).all():  # a NaN passes pttrf's pivot test
+            raise NumericalError("stacked tridiagonal system is not positive definite "
+                                 f"and finite (pttrf info={info})")
+        self._g = np.tile(g, self.n)[:, None]
+        self._g_inv = 1.0 / self._g
 
-    def to_modal(self, B: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    def restrict(self, keep: np.ndarray) -> tuple:
+        """The bookkeeping of the transforms restricted to the dofs ``keep``.
+
+        It depends only on ``keep``, so a sweep computes it once and hands
+        it to every ``to_modal``/``from_modal`` call on those rows: the
+        grid lines that hold a kept dof, where each kept dof sits among
+        them, and the eigenvector rows on them.
+        """
+        n = self.n
+        x2, x1 = np.divmod(keep, n)
+        if self.V2 is not None:  # the kept rows × kept columns of the grid
+            (rows, at_r), (cols, at_c) = (np.unique(x, return_inverse=True) for x in (x2, x1))
+            return at_r, at_c, self.V2[rows], self.V[cols], at_r * len(cols) + at_c
+        # lines along the tridiagonal axis, each transformed along the diagonalized one
+        diag, other = (x1, x2) if self.x1_diag else (x2, x1)
+        lines, at = np.unique(other, return_inverse=True)
+        return diag, lines, at, (at * n + x1 if self.x1_diag else x2 * len(lines) + at)
+
+    def to_modal(self, B: np.ndarray, restriction: tuple | None = None) -> np.ndarray:
         """B (n_x × c) in modal coordinates: a fresh Fortran-ordered n_x × c block.
 
         Column by column, the eigenvector transforms act along the
@@ -115,59 +177,56 @@ class SeparableSolver:
         that each eigen-index owns one contiguous block of the stacked
         tridiagonal system.  The map is orthogonal.
 
-        With ``keep`` (dof indices) B holds only those rows, len(keep) × c,
-        and stands for the field that is zero off them: only the grid lines
-        that hold a kept dof are transformed, and with one diagonalized axis
-        the other modal entries are zero.
+        With ``restriction = restrict(keep)`` B holds only the rows ``keep``,
+        len(keep) × c, and stands for the field that is zero off them: only
+        the grid lines that hold a kept dof are transformed, and with one
+        diagonalized axis the other modal entries are zero.
         """
         n, c, V, V2 = self.n, B.shape[1], self.V, self.V2
-        if keep is None:
+        if restriction is None:
             G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
             if V2 is not None:
                 return (V2.T @ G @ V).reshape(c, n * n).T
             if self.x1_diag:
                 G = G.swapaxes(1, 2)  # the diagonalized axis first
             return (V.T @ G).reshape(c, n * n).T  # (column, eigen-index k, tridiagonal axis)
-        x2, x1 = np.divmod(keep, n)
         if V2 is not None:  # the field on the kept rows × kept columns of the grid
-            (rows, at_r), (cols, at_c) = (np.unique(x, return_inverse=True) for x in (x2, x1))
-            G = np.zeros((c, len(rows), len(cols)))
+            at_r, at_c, V2_rows, V_cols, _ = restriction
+            G = np.zeros((c, len(V2_rows), len(V_cols)))
             G[:, at_r, at_c] = B.T
-            return (V2[rows].T @ G @ V[cols]).reshape(c, n * n).T
+            return (V2_rows.T @ G @ V_cols).reshape(c, n * n).T
         # per column, the kept lines with the diagonalized axis first
-        diag, other = (x1, x2) if self.x1_diag else (x2, x1)
-        lines, at = np.unique(other, return_inverse=True)
+        diag, lines, at, _ = restriction
         G = np.zeros((c, n, len(lines)))
         G[:, diag, at] = B.T
         out = np.zeros((c, n, n))
         out[:, :, lines] = V.T @ G
         return out.reshape(c, n * n).T
 
-    def from_modal(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    def from_modal(self, W: np.ndarray, restriction: tuple | None = None) -> np.ndarray:
         """The inverse of ``to_modal``: W (n_x × c, modal) back on the grid.
 
-        With ``keep`` (dof indices) only those rows are returned, as a
-        Fortran-ordered len(keep) × c block, and only the grid lines that
-        hold a kept dof are transformed.
+        With ``restriction = restrict(keep)`` only the rows ``keep`` are returned,
+        as a Fortran-ordered len(keep) × c block, and only the grid lines
+        that hold a kept dof are transformed.
         """
         n, c, V, V2 = self.n, W.shape[1], self.V, self.V2
         W = W.T.reshape(c, n, n)  # per column, the modal field
-        if keep is None:
+        if restriction is None:
             if V2 is not None:
                 X = V2 @ W @ V.T
             else:
                 X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
             return X.reshape(c, n * n).T
-        x2, x1 = np.divmod(keep, n)
         if V2 is not None:  # the kept rows × kept columns of the grid
-            (rows, at_r), (cols, at_c) = (np.unique(x, return_inverse=True) for x in (x2, x1))
-            X, flat = V2[rows] @ W @ V[cols].T, at_r * len(cols) + at_c
-        elif self.x1_diag:  # lines of constant x2, each transformed along x1
-            lines, at = np.unique(x2, return_inverse=True)
-            X, flat = W[:, :, lines].swapaxes(1, 2) @ V.T, at * n + x1
-        else:  # lines of constant x1, each transformed along x2
-            lines, at = np.unique(x1, return_inverse=True)
-            X, flat = V @ W[:, :, lines], x2 * len(lines) + at
+            _, _, V2_rows, V_cols, flat = restriction
+            X = V2_rows @ W @ V_cols.T
+        else:
+            _, lines, _, flat = restriction
+            if self.x1_diag:  # lines of constant x2, each transformed along x1
+                X = W[:, :, lines].swapaxes(1, 2) @ V.T
+            else:  # lines of constant x1, each transformed along x2
+                X = V @ W[:, :, lines]
         # take gives a C-ordered c × len(keep) array, so its transpose is Fortran-ordered
         return np.take(X.reshape(c, -1), flat, axis=1).T
 
@@ -175,29 +234,34 @@ class SeparableSolver:
         """Overwrite the modal block W with the step's modal solve, and return it.
 
         W must be a Fortran-ordered float64 n_x × c array (a column slice
-        of one qualifies): the diagonal scale and LAPACK solve in its memory.
+        of one qualifies): the scales and the LAPACK solve run in its memory.
         """
         if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
             raise ValueError("a modal solve needs a Fortran-ordered float64 block")
-        if W.shape[0] != self.n * self.n:  # gttrs would refuse it silently or solve a prefix
+        if W.shape[0] != self.n * self.n:  # pttrs would refuse it or solve a prefix
             raise ValueError(f"a modal solve needs {self.n * self.n} rows, not {W.shape[0]}")
         if self.V2 is not None:  # diagonal: the transpose solve is the same scale
             W *= self._scale
             return W
-        if W.shape[1] == 0:  # gttrs corrupts the heap on zero right-hand sides
+        if W.shape[1] == 0:  # LAPACK is never handed zero right-hand sides
             return W
-        X, info = lapack.dgttrs(*self._factors, W, trans=trans, overwrite_b=True)
+        # A = G·S·G⁻¹ solves as g ⊙ S⁻¹(W / g), and Aᵀ = G⁻¹·S·G as S⁻¹(g ⊙ W) / g
+        pre, post = (self._g_inv, self._g) if trans == "N" else (self._g, self._g_inv)
+        W *= pre
+        X, info = lapack.dpttrs(self._d, self._e, W, overwrite_b=True)
         if info != 0:
-            raise NumericalError(f"stacked tridiagonal solve failed (gttrs info={info})")
+            raise NumericalError(f"stacked tridiagonal solve failed (pttrs info={info})")
+        X *= post
         return X
 
 
 class _SparseLU:
-    """The two-axis-wind step solver: SuperLU behind ``SeparableSolver``'s interface.
+    """The step solver when ``SeparableSolver`` does not fit: SuperLU behind its interface.
 
     Its modal coordinates are the physical ones, so ``to_modal`` is a
     Fortran-ordered copy, or the embedding of the kept rows, and
-    ``from_modal`` returns its input, or the kept rows of it.
+    ``from_modal`` returns its input, or the kept rows of it; its
+    restriction is the kept dofs themselves.
     """
 
     def __init__(self, A: sp.csc_matrix):
@@ -206,15 +270,19 @@ class _SparseLU:
         except RuntimeError as exc:  # singular factorization surfaces to callers
             raise NumericalError(f"step matrix factorization failed: {exc}") from exc
 
-    def to_modal(self, B: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-        if keep is None:
+    @staticmethod
+    def restrict(keep: np.ndarray) -> np.ndarray:
+        return keep
+
+    def to_modal(self, B: np.ndarray, restriction: np.ndarray | None = None) -> np.ndarray:
+        if restriction is None:
             return np.array(B, dtype=float, order="F")
         W = np.zeros((self.lu.shape[0], B.shape[1]), order="F")
-        W[keep] = B
+        W[restriction] = B
         return W
 
-    def from_modal(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-        return W if keep is None else np.asfortranarray(W[keep])
+    def from_modal(self, W: np.ndarray, restriction: np.ndarray | None = None) -> np.ndarray:
+        return W if restriction is None else np.asfortranarray(W[restriction])
 
     def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
         """Overwrite W with SuperLU's solve, and return it."""
@@ -225,18 +293,18 @@ class _SparseLU:
 class SpaceTimeOperator:
     """Block-bidiagonal implicit-Euler operator with a cached step factorization.
 
-    ``solver`` is a ``SeparableSolver`` when an axis carries no wind, and a
-    sparse LU of ``step_matrix`` when both axes do; ``solve_step`` solves
-    in its modal coordinates.
+    ``solver`` is a ``SeparableSolver`` when it takes the operator (an axis
+    without wind, and a windy factor it can symmetrize), else a sparse LU
+    of ``step_matrix``; ``solve_step`` solves in its modal coordinates.
     """
 
     def __init__(self, spatial: SpatialOperator, time: TimeGrid):
         self.spatial = spatial
         self.time = time
         self.m_scale = spatial.grid.m_scale
-        if 0.0 in spatial.wind:
+        try:
             self.solver = SeparableSolver(spatial, self.m_scale, self.m_scale * time.tau)
-        else:
+        except NotSeparable:
             self.solver = _SparseLU(self.step_matrix)
 
     @cached_property
@@ -373,8 +441,8 @@ def st_solve_sweep(
     y_k[rows]: the running column stays at full length, because the
     recursion needs it, but the pane stores only those rows.  An adjoint
     sweep reads an rhs of only those rows, as ``hessian.apply_obs_weight``
-    returns it, takes it into modal coordinates by ``to_modal(…, keep)``,
-    which transforms only the grid lines that hold them, and returns
+    returns it, takes it into modal coordinates by ``to_modal`` restricted
+    to them, which transforms only the grid lines that hold them, and returns
     every row.  A pane of every row is flushed in modal coordinates, and
     its basis is transformed back once at the end:
     the transform is orthogonal, so the truncations are those of the
@@ -394,9 +462,10 @@ def st_solve_sweep(
         return LowRankMat.zeros(n_out, n_t)
 
     S = K.solver
-    B = K.solve_step(S.to_modal(rhs.W1, keep if adjoint else None), adjoint)  # step⁻¹·rhs
+    part = None if keep is None else S.restrict(keep)  # once for every restricted transform
+    B = K.solve_step(S.to_modal(rhs.W1, part if adjoint else None), adjoint)  # step⁻¹·rhs
     if adjoint:
-        keep = None  # an adjoint pane holds every row
+        part = None  # an adjoint pane holds every row
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
     pane = LowRankMat.zeros(n_out, n_t)
@@ -414,9 +483,9 @@ def st_solve_sweep(
             blas.dgemv(1.0, B, rhs.W2[k, :], beta=1.0, y=y_prev, overwrite_y=True)
         y_run[:] = y_prev
         W = block[:, :len(idx)]
-        pane = _extend_pane(pane, W if keep is None else S.from_modal(W, keep), idx, pol)
+        pane = _extend_pane(pane, W if part is None else S.from_modal(W, part), idx, pol)
     del block, W, y_prev, B  # not held through the back-transform
-    if keep is None:
+    if part is None:
         pane = LowRankMat(S.from_modal(pane.W1), pane.W2)
     return pane
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 from numpy.testing import assert_allclose
+from scipy.linalg import blas
 
 import lrpostcov as lp
 from lrpostcov import arnoldi, cli
@@ -101,7 +102,7 @@ def test_dense_ritz_vectors_are_bitwise_the_per_column_loop():
     for (_, v), y in zip(ritz_pairs(H, basis), Y.T):
         ref = np.zeros(50)
         for b, c in zip(basis, y):
-            ref += float(c) * b
+            ref = blas.daxpy(b, ref, a=c)
         assert np.array_equal(v, np.multiply(ref, 1.0 / np.linalg.norm(ref)))
 
 

@@ -377,12 +377,15 @@ def test_rank1_initial_condition_stays_rank1_over_many_flushes(monkeypatch):
 
 
 # heat, no wind, wind along x2 only (the default), along x1 only (the
-# transposed separable case), and wind along both axes (the sparse LU)
-STEP_WINDS = [None, (0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.3, -0.7), (-0.5, 1.0)]
+# transposed separable case), wind along both axes (the sparse LU), and
+# last the reversed one-axis winds, whose upwind factor has the larger
+# off-diagonal above the diagonal, so the symmetrizer's ratios √(lo/up) < 1
+STEP_WINDS = [None, (0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.3, -0.7), (-0.5, 1.0),
+              (0.0, -1.0), (-1.0, 0.0)]
 
 
 def _one_axis_wind(wind):
-    """The winds whose step matrix is the stacked tridiagonal that gttrf factors."""
+    """The winds whose step matrix is the stacked symmetrized tridiagonal that pttrf factors."""
     return wind is not None and 0.0 in wind and wind != (0.0, 0.0)
 
 
@@ -404,13 +407,14 @@ def _spy_tridiagonal_factorizations(monkeypatch):
 def _refuse_zero_column_solves(monkeypatch):
     """Fail at once if a stacked tridiagonal solve is handed no right-hand sides.
 
-    gttrs corrupts the heap on a block of zero columns, and the interpreter
-    crashes later, so the real kernel must never see one.
+    A LAPACK solve on a block of zero columns can corrupt the heap (gttrs
+    did), and the interpreter crashes later, so the real kernel must never
+    see one.
     """
-    def spy(*args, _f=lapack.dgttrs, **kwargs):
+    def spy(*args, _f=lapack.dpttrs, **kwargs):
         assert args[-1].shape[1] > 0, "a zero-column block reached LAPACK"
         return _f(*args, **kwargs)
-    monkeypatch.setattr(lapack, "dgttrs", spy)
+    monkeypatch.setattr(lapack, "dpttrs", spy)
 
 
 def _assert_solves_match_spsolve(solver, solve, S, n_x):
@@ -431,8 +435,8 @@ def _assert_solves_match_spsolve(solver, solve, S, n_x):
 @pytest.mark.parametrize("wind", STEP_WINDS)
 def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
     # without wind the step matrix is diagonal in the 2-D eigenbasis, so no
-    # LAPACK tridiagonal factorization is built; one axis of wind keeps the
-    # pivoted gttrf; two axes build the sparse LU
+    # LAPACK tridiagonal factorization is built; one axis of wind factors the
+    # symmetrized stack by pttrf; two axes build the sparse LU
     built = _spy_tridiagonal_factorizations(monkeypatch)
     _refuse_zero_column_solves(monkeypatch)
     # n_side 63 with nt 30 are the benchmark workloads' step matrices
@@ -440,7 +444,7 @@ def test_step_solves_match_spsolve_in_both_directions(monkeypatch, wind):
         grid = lp.build_grid(n_side)
         K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(n_t))
         _assert_solves_match_spsolve(K.solver, K.solve_step, K.step_matrix, grid.n_x)
-    assert built == (["gttrf"] * 2 if _one_axis_wind(wind) else [])
+    assert built == (["pttrf"] * 2 if _one_axis_wind(wind) else [])
 
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
@@ -467,7 +471,7 @@ def test_modal_step_solves_run_in_place_in_a_fortran_block(wind):
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
 def test_modal_solves_refuse_a_wrong_height_and_report_kernel_failures(monkeypatch, wind):
-    # on a block of the wrong height gttrs either refuses it with a negative
+    # on a block of the wrong height pttrs either refuses it with a negative
     # info or solves only its first n_x rows, and the diagonal scale would
     # broadcast or fail; none may pass silently, nor write the block
     grid = lp.build_grid(15)
@@ -480,8 +484,8 @@ def test_modal_solves_refuse_a_wrong_height_and_report_kernel_failures(monkeypat
                 K.solver.solve_modal(W, trans)
             assert (W == 1.0).all()
     if _one_axis_wind(wind):
-        monkeypatch.setattr(lapack, "dgttrs", lambda *args, **kwargs: (args[-1], -6))
-        with pytest.raises(lp.NumericalError, match="gttrs info=-6"):
+        monkeypatch.setattr(lapack, "dpttrs", lambda *args, **kwargs: (args[-1], -6))
+        with pytest.raises(lp.NumericalError, match="pttrs info=-6"):
             K.solve_step(K.solver.to_modal(np.ones((grid.n_x, 2))))
 
 
@@ -529,7 +533,7 @@ def test_restricted_back_transform_is_the_rows_of_the_full_one(wind):
     full = K.solver.from_modal(W)
     for keep in (np.flatnonzero(lp.make_sensor_layout_3x3(grid).mask),
                  rng.permutation(grid.n_x)[:30], np.arange(grid.n_x)):
-        got = K.solver.from_modal(W, keep)
+        got = K.solver.from_modal(W, K.solver.restrict(keep))
         assert got.shape == (len(keep), 4) and got.flags.f_contiguous
         assert_allclose(got, full[keep], rtol=0, atol=1e-15 * np.abs(full).max())
 
@@ -547,7 +551,7 @@ def test_restricted_transform_is_that_of_the_embedded_rows(wind):
         embedded = np.zeros((grid.n_x, 4))
         embedded[keep] = B
         want = K.solver.to_modal(embedded)
-        got = K.solver.to_modal(B, keep)
+        got = K.solver.to_modal(B, K.solver.restrict(keep))
         assert got.shape == (grid.n_x, 4) and got.flags.f_contiguous
         assert not np.shares_memory(got, B)
         assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
@@ -576,6 +580,59 @@ def test_indefinite_symmetric_stack_raises():
     for shift in (-1.5 * lam_min, np.nan):
         with pytest.raises(lp.NumericalError, match="modal diagonal is not positive and finite"):
             lp.forward.SeparableSolver(lp.assemble_heat(grid), shift, 1.0)
+
+
+@pytest.mark.parametrize("wind", [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0)])
+def test_indefinite_symmetrized_stack_raises(wind):
+    # the same shifts with one axis of wind: pttrf meets a non-positive pivot,
+    # and a NaN shift passes its pivot test but leaves no pivot finite
+    grid = lp.build_grid(15)
+    op = lp.assemble_convdiff(grid, 1e-2, wind)
+    lam_min = np.linalg.eigvals(op.L.toarray()).real.min()
+    for shift in (-1.5 * lam_min, np.nan):
+        with pytest.raises(lp.NumericalError, match="not positive definite and finite"):
+            lp.forward.SeparableSolver(op, shift, 1.0)
+
+
+@pytest.mark.parametrize("n_side", [15, 63])
+@pytest.mark.parametrize("w", [1.0, -1.0])
+def test_upwind_factor_symmetrizer_is_the_closed_form(n_side, w):
+    # ν·(1-D Laplacian) + upwind w·d/dx has constant off-diagonals: with
+    # p = ν/h² and q = |w|/h, lo = -(p + q), up = -p for w > 0 and the two
+    # swap for w < 0.  So g_i = ρ^(i - (n-1)/2) with ρ = √(lo/up), and the
+    # symmetric A_s = G⁻¹·A·G keeps A's diagonal and has off-diagonal -√(lo·up)
+    grid = lp.build_grid(n_side)
+    A = lp.assemble_convdiff(grid, 1e-2, (0.0, w)).A2
+    g, e = lp.forward._symmetrizer(A)
+    p, q = 1e-2 / grid.h**2, abs(w) / grid.h
+    lo, up = (-(p + q), -p) if w > 0 else (-p, -(p + q))
+    rho = np.sqrt(lo / up)
+    assert_allclose(g, rho ** (np.arange(n_side) - (n_side - 1) / 2), rtol=1e-13, atol=0)
+    assert_allclose(g.max() * g.min(), 1.0, rtol=1e-14)
+    assert_allclose(e, np.full(n_side - 1, -np.sqrt(lo * up)), rtol=1e-14)
+    dense = A.toarray()
+    A_s = dense * g[None, :] / g[:, None]
+    scale = np.abs(dense).max()
+    assert_allclose(A_s, A_s.T, rtol=0, atol=1e-14 * scale)
+    assert_allclose(np.diag(A_s), np.diag(dense), rtol=0, atol=1e-14 * scale)
+    assert_allclose(np.diag(A_s, -1), e, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("n_side, nu, separable", [(63, 1e-6, True), (15, 1e-50, False)])
+def test_wide_symmetrizer_range_falls_back_to_the_sparse_lu(monkeypatch, n_side, nu, separable):
+    # at n_side 63 and ν 1e-6, g spans 130 decades and the symmetrized stack
+    # still solves to spsolve's accuracy; at ν 1e-50 it would span over
+    # MAX_SCALE_DECADES, so the step takes the sparse LU, as two-axis wind does
+    _refuse_zero_column_solves(monkeypatch)
+    grid = lp.build_grid(n_side)
+    op = lp.assemble_convdiff(grid, nu, (0.0, 1.0))
+    assert (lp.forward._symmetrizer(op.A2) is not None) == separable
+    K = lp.SpaceTimeOperator(op, lp.build_time_grid(5))
+    assert isinstance(K.solver, lp.forward.SeparableSolver if separable else lp.forward._SparseLU)
+    if not separable:
+        with pytest.raises(lp.forward.NotSeparable, match="no diagonal symmetrizer"):
+            lp.forward.SeparableSolver(op, 1.0, 1.0)
+    _assert_solves_match_spsolve(K.solver, K.solve_step, K.step_matrix, grid.n_x)
 
 
 @pytest.mark.parametrize("n_side", [15, 63])
@@ -611,14 +668,15 @@ def test_wind_free_step_is_the_closed_form_modal_diagonal(n_side, nu):
     # are the kept rows of the full ones
     rng = np.random.default_rng(23)
     keep = np.flatnonzero(lp.make_sensor_layout_3x3(grid).mask)
+    part = S.restrict(keep)
     W = S.to_modal(rng.standard_normal((grid.n_x, 3)))
     full = S.from_modal(W)
-    assert_allclose(S.from_modal(W, keep), full[keep], rtol=0, atol=1e-14 * np.abs(full).max())
+    assert_allclose(S.from_modal(W, part), full[keep], rtol=0, atol=1e-14 * np.abs(full).max())
     B = rng.standard_normal((len(keep), 3))
     embedded = np.zeros((grid.n_x, 3))
     embedded[keep] = B
     want = S.to_modal(embedded)
-    assert_allclose(S.to_modal(B, keep), want, rtol=0, atol=1e-14 * np.abs(want).max())
+    assert_allclose(S.to_modal(B, part), want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_wind_free_factors_share_one_eigh_only_when_they_are_one(monkeypatch):
