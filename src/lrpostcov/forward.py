@@ -48,7 +48,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
@@ -59,6 +58,10 @@ from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
 
 COMPRESS_EVERY = 8  # default sweep steps between recompressions
 MAX_SCALE_DECADES = 300.0  # widest log10(max g / min g) of a symmetrizer a solve scales by
+# A flush projects its new columns once; when the bound on the orthonormality
+# its basis would then lose exceeds this (the loss is at most its square), the
+# remainder basis is projected and orthonormalized a second time
+REORTH_BOUND = 1e-6
 
 
 def _symmetrizer(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray] | None:
@@ -129,10 +132,10 @@ class SeparableSolver:
         if w1 != w2 and symmetrizer is None:
             raise NotSeparable("the windy factor has no diagonal symmetrizer within "
                                f"{MAX_SCALE_DECADES:g} decades")
-        lam, self.V = sla.eigh(A_d.toarray())
+        lam, self.V = np.linalg.eigh(A_d.toarray())
         self.V2 = None  # x2's eigenvectors, when both axes are diagonalized
         if symmetrizer is None:
-            lam2, self.V2 = (lam, self.V) if A_t is A_d else sla.eigh(A_t.toarray())
+            lam2, self.V2 = (lam, self.V) if A_t is A_d else np.linalg.eigh(A_t.toarray())
             d = a + b * (lam2[:, None] + lam)  # the modal field is x2 mode × x1 mode
             if not np.all(np.isfinite(d) & (d > 0.0)):
                 raise NumericalError(
@@ -349,41 +352,34 @@ def _add_product(W: np.ndarray, alpha: float, Q: np.ndarray, C: np.ndarray) -> N
         blas.dgemm(alpha, Q, C, beta=1.0, c=W, overwrite_c=True)
 
 
-def _split_off(Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W = Q·C + Qb·Rb with Qb orthonormal and orthogonal to the orthonormal Q.
-
-    CGS2 projects W against Q in W's memory, and a thin QR of the remainder
-    then takes that memory for Qb.
-    """
-    C = blas.dgemm(1.0, Q, W, trans_a=True)
-    _add_product(W, -1.0, Q, C)
-    C2 = blas.dgemm(1.0, Q, W, trans_a=True)
-    _add_product(W, -1.0, Q, C2)
-    C += C2
-    Qb, Rb = _qr(W, overwrite_a=True)
-    # a remainder at rounding level leaves the normalized Qb visibly
-    # non-orthogonal to Q; one more projection restores it
-    D = blas.dgemm(1.0, Q, Qb, trans_a=True)
-    _add_product(Qb, -1.0, Q, D)
-    Qb, Rd = _qr(Qb, overwrite_a=True)
-    C += D @ Rb
-    return C, Qb, Rd @ Rb
-
-
 def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
                  pol: TruncationPolicy) -> LowRankMat:
     """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
 
-    The pane is canonical, so its basis Q = pane.W1 is orthonormal: the new
-    columns split as W = Q·C + Qb·Rb (CGS2, then a thin QR of the
-    remainder), and the sum is [Q Qb]·[[I, C], [0, Rb]]·[pane.W2 E]ᵀ.  Only
-    the (r + c) × n_t coefficient field is truncated, and the basis is
-    rotated once; no QR of an n_x × (r + c) factor is formed.  The first
-    flush meets an empty pane (r = 0): it has nothing to project against,
-    so W's thin QR alone gives Qb and Rb, and the field truncated is Rb·Eᵀ.
+    The pane is canonical: its basis Q = pane.W1 is orthonormal and pane.W2
+    = Q2·diag(σ).  One projection splits the new columns as W = Q·C + Qb·Rb,
+    with C = QᵀW and Qb·Rb the thin QR of the remainder.  With D = QᵀQb and
+    P = Qb − Q·D, which is orthogonal to Q, the sum is [Q P]·core·[Q2 E]ᵀ,
+    core = [[diag(σ), C + D·Rb], [0, Rb]].  The core carries σ, so the
+    truncation's noise test scales with the field.  Only the (r + c) × n_t
+    coefficient field is truncated, and the basis is rotated once, U =
+    Q·(X1 − D·X2) + Qb·X2 for the kept left factor split at row r; no QR of
+    an n_x × (r + c) factor is formed.
+
+    PᵀP = I − DᵀD, so UᵀU = I − (D·X2)ᵀ(D·X2) exactly.  The rank
+    cut keeps only singular values above eps0·‖A‖/√(r + c), ‖A‖ the field's
+    norm, and X2 = Rb·(…)·S⁻¹ with a factor of norm ≤ 1, so ‖D·X2‖ ≤ β =
+    ‖D·Rb‖·√(r + c)/(eps0·‖A‖).  Only when β exceeds ``REORTH_BOUND`` is Qb
+    projected again and re-orthonormalized, which leaves D = 0: a bound in
+    the spirit of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976),
+    who reorthogonalize only when a projection has cancelled too much.  The
+    second pass truncates nothing, so a flush is one ``lr_truncate`` either
+    way.  The first flush meets an empty pane (r = 0): it has nothing to
+    project against, so W's thin QR alone gives Qb and Rb, and the field
+    truncated is Rb·Eᵀ.
 
     The flush works in the caller's block: W must be a Fortran-ordered
-    float64 array, which the projections overwrite with the remainder and
+    float64 array, which the projection overwrites with the remainder and
     its QR with Qb, so the caller must not read W afterwards.  The rotated
     basis is a fresh Fortran-ordered array, so the pane's basis stays one.
     """
@@ -392,20 +388,40 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     n_t, c = pane.shape[1], len(idx)
     Q, r = pane.W1, pane.r
     if r:
-        C, Qb, Rb = _split_off(Q, W)
-    else:
-        C, (Qb, Rb) = np.zeros((0, c)), _qr(W, overwrite_a=True)
+        C = blas.dgemm(1.0, Q, W, trans_a=True)
+        _add_product(W, -1.0, Q, C)
+    Qb, Rb = _qr(W, overwrite_a=True)
     k = len(Rb)
     core = np.zeros((r + k, r + c))
-    core[range(r), range(r)] = 1.0
-    core[:r, r:] = C
-    core[r:, r:] = Rb
     T = np.zeros((n_t, r + c))
-    T[:, :r] = pane.W2
     T[idx, range(r, r + c)] = 1.0
+    D = None
+    if r:
+        W2 = pane.W2
+        sigma = np.linalg.norm(W2, axis=0)
+        sigma[sigma == 0.0] = 1.0  # a column norm that underflowed stays unscaled
+        np.divide(W2, sigma, out=T[:, :r])
+        core.flat[:r * (r + c + 1):r + c + 1] = sigma  # the top-left block's diagonal
+        D = blas.dgemm(1.0, Q, Qb, trans_a=True)
+        DRb = D @ Rb
+        # ‖A‖² of the field the core holds, pane + (Q·C + Qb·Rb)·Eᵀ, with its cross term
+        CT = C.T
+        norm2 = np.vdot(W2, W2) + 2.0 * np.vdot(W2[idx], CT) + np.vdot(CT, CT) + np.vdot(Rb, Rb)
+        # β > REORTH_BOUND, compared in squares, so a zero field takes the pass
+        if np.vdot(DRb, DRb) * (r + c) > (REORTH_BOUND * pol.eps0) ** 2 * norm2:
+            _add_product(Qb, -1.0, Q, D)
+            Qb, Rd = _qr(Qb, overwrite_a=True)
+            Rb = Rd @ Rb
+            D = None  # Qb is orthogonal to Q now
+        C += DRb  # the remainder's part along Q, Q·D·Rb
+        core[:r, r:] = C
+    core[r:, r:] = Rb
     small = lr_truncate(LowRankMat(core, T), pol)
-    U = blas.dgemm(1.0, Q, small.W1[:r])  # zero when the pane was empty
-    _add_product(U, 1.0, Qb, small.W1[r:])
+    X1, X2 = small.W1[:r], small.W1[r:]
+    if D is not None:
+        X1 = X1 - D @ X2
+    U = blas.dgemm(1.0, Q, X1)  # zero when the pane was empty
+    _add_product(U, 1.0, Qb, X2)
     return LowRankMat(U, small.W2)
 
 
@@ -423,9 +439,12 @@ def st_solve_sweep(
     n_t, 0)``.  One step solve per step on the running column plus one
     multi-column solve for the rhs factor; the growing solution pane is
     recompressed every ``compress_every`` steps (8 by default, so n_t = 30
-    takes 4 flushes) so storage stays O((n_x + n_t)·r).  The returned pane
-    is canonical, as ``lr_truncate`` leaves it, so callers read its rank
-    and need not recompress it.
+    takes 4 flushes) so storage stays O((n_x + n_t)·r).  A flush
+    (``_extend_pane``) projects the new columns once onto the pane's basis,
+    takes one thin QR of the remainder and truncates a small core; a second
+    projection runs only where its bound says the basis needs it.  The
+    returned pane is canonical, as ``lr_truncate`` leaves it, so callers
+    read its rank and need not recompress it.
 
     The recursion runs in the step solver's modal coordinates: the rhs
     factor is transformed once, and each step writes M_scale·y_{k-1} into

@@ -145,27 +145,18 @@ def test_oracle_pass_convdiff(tmp_path):
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
 
 
-def test_sensor_oracle_passes_through_flushes_that_truncate_to_nothing(tmp_path, monkeypatch):
+def test_sensor_oracle_passes_with_wind_along_x1_and_two_step_flushes(tmp_path):
     # nine observed rows: once the Krylov vectors leave the observed range,
-    # a forward pane's flush truncates to rank 0, and its basis rotation
-    # then has no column to write.  Only a later flush can empty a pane that
-    # holds something, so the 5 steps are flushed 2 at a time.
-    emptied = []
-
-    def spy(pane, W, idx, pol):
-        out = extend(pane, W, idx, pol)
-        emptied.append(pane.r > 0 and out.r == 0)
-        return out
-
-    extend = lp.forward._extend_pane
-    monkeypatch.setattr(lp.forward, "_extend_pane", spy)
+    # a forward pane holds only the rounding noise of their sweeps, and a
+    # flush keeps it at its own scale rather than emptying the pane.  The 5
+    # steps are flushed 2 at a time, so panes that hold something are
+    # flushed again.
     out = tmp_path / "orc_sensors"
     rc = cli.main(["oracle", "--problem", "convdiff", "--wind", "1,0", "--n-side", "15",
                    "--nt", "5", "--sensors", "grid3x3", "--m-a", "100", "--compress-every", "2",
                    "--out", str(out)])
     assert rc == 0
     assert (out / "oracle_report.txt").read_text().splitlines()[-1] == "result=PASS"
-    assert any(emptied)
 
 
 def test_oracle_corrupted_truncation_fails(tmp_path):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack
@@ -274,9 +273,9 @@ def test_pane_stays_orthonormal_when_new_columns_are_dependent(adjoint):
     # A mode entering at step 4 spans one new direction; the other columns of
     # its flush are multiples of it, so their remainders are rounding noise.
     # Normalized, that noise is far from orthogonal to the pane basis, and
-    # the weak 1e-7 mode it couples to would carry it into the basis
-    # (7e-12 forward, 4e-11 adjoint) without the second projection of the
-    # remainder basis.
+    # the weak 1e-7 mode it couples to would carry it into the basis (4e-12
+    # both ways) if the rotation dropped its −D·X2 term.  The flush's bound
+    # takes no second pass here: the term alone keeps the basis orthonormal.
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(20)
     op = lp.assemble_heat(grid)
@@ -301,7 +300,8 @@ def test_flush_of_a_chunk_inside_the_pane_span_stays_orthonormal(n_rows):
     # the pane's span, so past its first column the remainder lies in
     # span(pane, g) up to rounding.  Its QR then normalizes rounding noise
     # that is far from orthogonal to the pane basis, and the 1e-7 pane mode
-    # carries that into the result (defect ~1e-10) unless Qb is reprojected.
+    # carries that into the result (defect ~1e-10) unless the rotation
+    # subtracts the Q·D·X2 that Qb holds along the pane basis.
     # The rows are the observed pane of ic-sensors and a full 63² pane.
     rng = np.random.default_rng(7)
     n_t, r, idx = 30, 6, [8, 9, 10, 11]
@@ -319,6 +319,67 @@ def test_flush_of_a_chunk_inside_the_pane_span_stays_orthonormal(n_rows):
     assert out.r == dense.r
     err = np.linalg.norm(lp.lr_to_dense(out) - lp.lr_to_dense(dense))
     assert err <= POL.eps0 * np.linalg.norm(X)
+
+
+def _bound_case(kind):
+    """A convdiff sweep whose pane reaches rank ~20: (operator, rhs, adjoint, rows).
+
+    With one projection and no second pass, its pane basis loses 3e-11 to
+    7.5e-5 of orthonormality at eps0 1e-13 and 1e-15 (at most 2.1e-13 at
+    1e-11).
+    """
+    grid = lp.build_grid(31)
+    tg = lp.build_time_grid(20)
+    K = lp.SpaceTimeOperator(lp.assemble_convdiff(grid, 1e-2, (0.0, 1.0)), tg)
+    u = np.random.default_rng(0).standard_normal(grid.n_x)
+    if kind == "adjoint":  # the final time is where an adjoint sweep starts
+        return K, lp.LowRankMat.from_column(K.m_scale * u, tg.n_t, tg.n_t - 1), True, None
+    rows = lp.make_sensor_layout_3x3(grid).mask if kind == "rows" else None
+    return K, _ic_rhs(K, u), False, rows
+
+
+@pytest.mark.parametrize("kind", ["forward", "adjoint", "rows"])
+@pytest.mark.parametrize("eps0", [1e-11, 1e-13, 1e-15])
+def test_pane_stays_orthonormal_at_small_eps0(kind, eps0):
+    # the rank cut keeps singular values down to eps0·|A|/√(r + c), so the
+    # smaller eps0, the more a single projection's D is amplified in the
+    # basis; the flush's bound takes the second pass before that reaches 1e-12
+    K, rhs, adjoint, rows = _bound_case(kind)
+    pol = lp.TruncationPolicy(eps0=eps0)
+    Y = lp.st_solve_sweep(K, rhs, pol, adjoint=adjoint, rows=rows)
+    assert Y.r >= 16
+    assert _orth_defect(Y) <= 1e-12
+
+
+@pytest.mark.parametrize("eps0, second_pass", [(1e-8, False), (1e-15, True)])
+def test_second_pass_runs_only_when_the_bound_asks(monkeypatch, eps0, second_pass):
+    # at the default eps0 every flush projects once; at 1e-15 some flush
+    # needs the second pass, and the pane is orthonormal either way.  A flush
+    # runs one thin QR, or two with the second pass.
+    qrs, per_flush = [], []
+
+    def spy_qr(*args, **kwargs):
+        qrs.append(1)
+        return qr(*args, **kwargs)
+
+    def spy_flush(*args):
+        qrs.clear()
+        out = extend(*args)
+        per_flush.append(len(qrs))
+        return out
+
+    qr, extend = lp.forward._qr, lp.forward._extend_pane
+    monkeypatch.setattr(lp.forward, "_qr", spy_qr)
+    monkeypatch.setattr(lp.forward, "_extend_pane", spy_flush)
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(20)
+    K = lp.SpaceTimeOperator(lp.assemble_heat(grid), tg)
+    u = np.random.default_rng(0).standard_normal(grid.n_x)
+    Y = lp.st_solve_sweep(K, _ic_rhs(K, u), lp.TruncationPolicy(eps0=eps0))
+    assert len(per_flush) == -(-tg.n_t // lp.forward.COMPRESS_EVERY)
+    assert set(per_flush) <= {1, 2}
+    assert (2 in per_flush) == second_pass
+    assert _orth_defect(Y) <= 1e-12
 
 
 def _pane_and_block(rng, n_rows, n_t, r, c):
@@ -690,8 +751,8 @@ def test_wind_free_factors_share_one_eigh_only_when_they_are_one(monkeypatch):
         calls.append(args[0].shape)
         return eigh(*args, **kwargs)
 
-    eigh = sla.eigh
-    monkeypatch.setattr(sla, "eigh", spy)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     grid = lp.build_grid(15)
     heat = lp.assemble_heat(grid)
     anisotropic = lp.SpatialOperator(kind="convdiff", grid=grid, A1=heat.A1, A2=2.0 * heat.A1)
@@ -816,12 +877,9 @@ def test_adjoint_sweep_of_observed_rows_is_the_sweep_of_their_embedding(wind):
         lp.st_solve_adjoint_sweep(K, lp.LowRankMat(W1, rhs.W2), POL, rows=mask)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a flush judges noise against its core's O(1) identity block, not against the field: "
-    "at s = 1, 1e-10 and 1e-14 the sweep keeps rank 6 with |Y|/s = 0.46806, at s = 1e-16 "
-    "it keeps rank 2 with |Y|/s = 1.27e-5"))
 def test_a_tiny_field_sweeps_like_a_unit_one():
-    # the sweep is linear, so scaling the rhs by s should scale the pane by s
+    # the sweep is linear, so scaling the rhs by s scales the pane by s: the
+    # flush core carries the pane's σ, so its noise test scales with the field
     grid = lp.build_grid(15)
     K = lp.SpaceTimeOperator(lp.assemble_heat(grid), lp.build_time_grid(10))
     u = np.random.default_rng(0).standard_normal(grid.n_x)
