@@ -27,7 +27,6 @@ from .hessian import (
     CovarianceSpec,
     HessianContext,
     SensorLayout,
-    apply_obs_weight,
     full_observation,
     make_sensor_layout,
     make_sensor_layout_3x3,
@@ -54,8 +53,8 @@ __all__ = [
     "discrete_fd_eig", "eigvec_dense",
     "InvalidConfigError", "NumericalError",
     "SpaceTimeOperator", "st_solve_adjoint_sweep", "st_solve_sweep",
-    "CovarianceSpec", "HessianContext", "SensorLayout", "apply_obs_weight",
-    "full_observation", "make_sensor_layout", "make_sensor_layout_3x3",
+    "CovarianceSpec", "HessianContext", "SensorLayout", "full_observation",
+    "make_sensor_layout", "make_sensor_layout_3x3",
     "LowRankMat", "TruncationPolicy", "lr_add", "lr_dot", "lr_from_dense",
     "lr_norm", "lr_scale", "lr_to_dense", "lr_truncate",
     "PosteriorSummary", "build_summary", "lambda_tilde", "posterior_apply",

@@ -15,6 +15,7 @@ Exit codes: 0 success/PASS, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -65,6 +66,8 @@ class RunConfig:
         hessian.check_mode(self.mode, self.problem)
         if self.start not in ("ones", "random"):
             raise InvalidConfigError(f"start must be ones or random, got {self.start!r}")
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise InvalidConfigError(f"out must be a path, got {self.out!r}")
         # every range (finiteness too) is checked once, by building the object
         # that owns it; a count is kept as the int its owner made (31.0 is 31)
         counts = {key: check_count(key, getattr(self, key), least)
@@ -182,7 +185,7 @@ def _build_layout(cfg: RunConfig, grid: discretize.Grid) -> hessian.SensorLayout
         return hessian.full_observation(grid)
     if cfg.sensors == "grid3x3":
         return hessian.make_sensor_layout_3x3(grid)
-    if cfg.sensors.startswith("custom:"):
+    if isinstance(cfg.sensors, str) and cfg.sensors.startswith("custom:"):
         return hessian.make_sensor_layout(_custom_patches(cfg.sensors), grid)
     raise InvalidConfigError(f"unknown sensors setting {cfg.sensors!r}")
 

@@ -33,9 +33,6 @@ class Grid:
         """Lumped mass coefficient h²."""
         return self.h**2
 
-    def ij_to_dof(self, i: int, j: int) -> int:
-        return j * self.n_side + i
-
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(x1, x2) coordinates of every dof, each of length n_x."""
         pts = self.h * np.arange(1, self.n_side + 1)

@@ -459,12 +459,12 @@ def st_solve_sweep(
     all of them) names the observed rows.  A forward sweep returns only
     y_k[rows]: the running column stays at full length, because the
     recursion needs it, but the pane stores only those rows.  An adjoint
-    sweep reads an rhs of only those rows, as ``hessian.apply_obs_weight``
-    returns it, takes it into modal coordinates by ``to_modal`` restricted
-    to them, which transforms only the grid lines that hold them, and returns
-    every row.  A pane of every row is flushed in modal coordinates, and
-    its basis is transformed back once at the end:
-    the transform is orthogonal, so the truncations are those of the
+    sweep reads an rhs of only those rows (a Hessian apply passes the
+    forward sweep's pane as it is), takes it into modal coordinates by
+    ``to_modal`` restricted to them, which transforms only the grid lines
+    that hold them, and returns every row.  A pane of every row is flushed
+    in modal coordinates, and its basis is transformed back once at the
+    end: the transform is orthogonal, so the truncations are those of the
     physical pane.  A forward pane of some rows is physical; each flush
     transforms only the grid lines that hold its rows.
     """

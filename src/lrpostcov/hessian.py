@@ -1,18 +1,17 @@
 """Observation operator, covariance scalings, and the misfit Hessian action.
 
-The prior-preconditioned data-misfit Hessian is applied matrix-free as
-
-    scale -> inject -> forward sweep -> observe/weight -> adjoint sweep
-          -> extract -> scale,
-
-with Γ_noise⁻¹ realized as the quadrature-consistent scalar weight
-beta_noise·tau·M_scale on the sensor mask and Γ_prior = gamma_prior·I.
-Three parameter modes are supported: the initial condition (spatial
-vectors), a distributed space-time source (low-rank fields), and a steady
-Poisson validation mode where the Hessian reduces to
+The prior-preconditioned data-misfit Hessian is applied matrix-free.  With
+Γ_prior = gamma_prior·I and Γ_noise⁻¹ realized as the quadrature-consistent
+scalar weight beta_noise·tau·M_scale on the sensor mask, it is H̃ = a²·PᵀP,
+where P = S·K⁻¹ takes the injected parameter to the observed rows of its
+forward solution and the one scalar a carries every scaling.  An apply is
+a·Pᵀ(P(a·v)): the adjoint sweep reads the forward sweep's observed rows as
+they are.  Three parameter modes are supported: the initial condition
+(spatial vectors), a distributed space-time source (low-rank fields), and a
+steady Poisson validation mode where the Hessian reduces to
 (beta_prior/beta_noise)·L⁻².  Under a layout that observes a strict subset
 of the dofs, the source mode's Krylov space moves to the data side, where
-the same two sweeps run in the other order.
+D = a²·P·Pᵀ is applied as a·P(a·Pᵀu), the same two sweeps in the other order.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import Grid, SpatialOperator, TimeGrid
+from .discretize import Grid, SpatialOperator
 from .errors import InvalidConfigError, check_real
 from .forward import COMPRESS_EVERY, SeparableSolver, SpaceTimeOperator
 from .forward import st_solve_adjoint_sweep, st_solve_sweep
@@ -135,27 +134,6 @@ def full_observation(grid: Grid) -> SensorLayout:
     return SensorLayout(patches=(), mask=np.ones(grid.n_x, dtype=bool))
 
 
-def apply_obs_weight(
-    Y: LowRankMat,
-    layout: SensorLayout,
-    cov: CovarianceSpec,
-    time: TimeGrid,
-    m_scale: float,
-) -> LowRankMat:
-    """BᵀΓ_noise⁻¹B applied to the observed rows of a field.
-
-    ``Y`` holds only the rows ``layout.mask`` selects, as the forward sweep
-    returns them with ``rows=layout.mask``, and so does the result: the
-    adjoint sweep reads it with the same ``rows`` and embeds it into n_x
-    rows, zero off the mask, only for its transform into modal coordinates.
-    The time factor is scaled by the uniform positive weight, so a
-    canonical field stays canonical.
-    """
-    if Y.shape[0] != layout.n_active:
-        raise ValueError(f"field has {Y.shape[0]} rows, the layout observes {layout.n_active}")
-    return lr_scale(Y, cov.beta_noise * time.tau * m_scale)
-
-
 @dataclass
 class HessianContext:
     """Everything needed to apply the prior-preconditioned misfit Hessian.
@@ -205,6 +183,17 @@ class HessianContext:
             return self.layout.n_active * self.operator.n_t
         return self.n_param
 
+    @property
+    def _a(self) -> float:
+        """The one scale a of H̃ = a²·PᵀP: a² = γ·inj²·β_noise·τ·M_scale.
+
+        The injection inj is M_scale for an initial condition and τ·M_scale
+        for a source; β_noise·τ·M_scale is the observation weight.
+        """
+        K, cov = self.operator, self.cov
+        inj = K.m_scale if self.mode == MODE_IC else K.time.tau * K.m_scale
+        return math.sqrt(cov.gamma_prior * inj**2 * cov.beta_noise * (K.time.tau * K.m_scale))
+
     def apply(self, v, images: list | None = None):
         """H̃·v, or D·v for a data-side vector in source mode.
 
@@ -215,13 +204,13 @@ class HessianContext:
         column-major) gets D·v as one (see ``_apply_data``, which appends
         the apply's image to ``images`` if a list is given).
 
-        Both time-dependent modes run the same forward sweep, observation and
-        adjoint sweep.  They differ only in the injection of the parameter
-        (an initial condition M_scale·u at time 0, or a source tau·M_scale·u)
-        and the matching adjoint extraction.  The forward sweep's pane and
-        the adjoint sweep's rhs hold only the observed rows,
-        (n_active + n_t)·r floats each; full observation is the mask of all
-        rows.
+        Both time-dependent modes apply a·Pᵀ(P(a·v)), with P = S·K⁻¹ taking
+        the parameter, injected at unit scale, to the observed rows of its
+        forward solution.  They differ only in the injection (an initial
+        condition at time 0, or a source) and the matching adjoint
+        extraction.  The forward sweep's pane holds only the observed rows,
+        (n_active + n_t)·r floats, and the adjoint sweep reads it as it is;
+        full observation is the mask of all rows.
         """
         if self.mode == MODE_STEADY:
             # (beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L is symmetric, so adjoint = forward.
@@ -233,44 +222,36 @@ class HessianContext:
             return (self.cov.beta_prior / self.cov.beta_noise) * x[:, 0]
         if self.mode == MODE_SOURCE and not isinstance(v, LowRankMat):
             return self._apply_data(v, images)
-        K = self.operator
-        sqrt_g = math.sqrt(self.cov.gamma_prior)
+        K, a = self.operator, self._a
         if self.mode == MODE_IC:
-            rhs = LowRankMat.from_column(K.m_scale * (sqrt_g * np.asarray(v, dtype=float)),
-                                         K.n_t, 0)
+            rhs = LowRankMat.from_column(a * np.asarray(v, dtype=float), K.n_t, 0)
         else:
-            rhs = lr_scale(lr_scale(v, sqrt_g), K.time.tau * K.m_scale)
-
+            rhs = lr_scale(v, a)
         Y = st_solve_sweep(K, rhs, self.pol, compress_every=self.compress_every,
                            rows=self.layout.mask)
         del rhs  # not held through the adjoint sweep
-        Z = apply_obs_weight(Y, self.layout, self.cov, K.time, K.m_scale)
-        Q = st_solve_adjoint_sweep(K, Z, self.pol, compress_every=self.compress_every,
+        Q = st_solve_adjoint_sweep(K, Y, self.pol, compress_every=self.compress_every,
                                    rows=self.layout.mask)
         self.rank_trace.append(max(Y.r, Q.r))
         if self.mode == MODE_IC:
-            return sqrt_g * (K.m_scale * Q.column(0))
-        return lr_scale(lr_scale(Q, K.time.tau * K.m_scale), sqrt_g)
+            return a * Q.column(0)
+        return lr_scale(Q, a)
 
     def _apply_data(self, u, images: list | None) -> np.ndarray:
         """D·u = a·P·(a·Pᵀu): the adjoint sweep, then the forward sweep.
 
-        With P = S·K⁻¹ (a parameter field's observed rows) and
-        c = γ·(τ·M_scale)²·β_noise·τ·M_scale (injection and extraction, and
-        the observation weight), H̃ = c·PᵀP, and D = c·P·Pᵀ has H̃'s nonzero
-        spectrum on n_active × n_t fields (Bui-Thanh, Ghattas, Martin &
-        Stadler, SISC 2013).  The adjoint sweep reads u's field U as the rhs
-        U·Iᵀ on the observed rows; its scaled output, the image a·Pᵀu, is a
-        parameter-side field.  Since H̃·Pᵀ = Pᵀ·D, the images combined with
-        the coefficients of a Ritz vector of D make a Ritz vector of H̃ with
-        the same value.
+        D = a²·P·Pᵀ has H̃'s nonzero spectrum on n_active × n_t fields
+        (Bui-Thanh, Ghattas, Martin & Stadler, SISC 2013).  The adjoint sweep
+        reads u's field U as the rhs U·Iᵀ on the observed rows; its scaled
+        output, the image a·Pᵀu, is a parameter-side field.  Since
+        H̃·Pᵀ = Pᵀ·D, the images combined with the coefficients of a Ritz
+        vector of D make a Ritz vector of H̃ with the same value.
         """
         K, n_active, mask = self.operator, self.layout.n_active, self.layout.mask
         if not self.data_side or np.shape(u) != (n_active * K.n_t,):
             raise ValueError("a dense source-mode vector needs a strict-subset layout and "
                              f"length {n_active * K.n_t}, got shape {np.shape(u)}")
-        cov, scale = self.cov, K.time.tau * K.m_scale
-        a = math.sqrt(cov.gamma_prior * scale**2 * cov.beta_noise * scale)
+        a = self._a
         U = np.asarray(u, dtype=float).reshape((n_active, K.n_t), order="F")
         image = st_solve_adjoint_sweep(K, LowRankMat(U, np.eye(K.n_t)), self.pol,
                                        compress_every=self.compress_every, rows=mask)

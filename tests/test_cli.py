@@ -1,3 +1,4 @@
+import pathlib
 import re
 from dataclasses import fields, replace
 
@@ -255,6 +256,15 @@ def test_invalid_config_exit_code(tmp_path):
     ({"n_side": 31.5}, False),
     ({"nt": 5.5, "n_side": 7, "sensors": "none"}, False),
     ({"n_side": 31.0, "nt": np.int64(30)}, True),
+    # a sensors setting that is not a string, steady mode too, and an out
+    # that is not a path used to raise a raw AttributeError or TypeError
+    ({"sensors": None}, False),
+    ({"sensors": 5}, False),
+    ({"sensors": b"none"}, False),
+    ({"sensors": None, "mode": "steady"}, False),
+    ({"out": None}, False),
+    ({"out": 5}, False),
+    ({"out": pathlib.Path("out")}, True),
 ])
 def test_run_config_is_checked_when_built(updates, ok):
     # the constructor and dataclasses.replace both check, so no unchecked config exists
@@ -627,7 +637,7 @@ def test_negative_wind_as_two_tokens_matches_equals_form(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_numerics_exit_3_without_output(tmp_path):
-    # beta_ratio=1e305 overflows the noise-weighted field's norm in truncation
+    # beta_ratio=1e305 overflows the first Hessian image's norm in Arnoldi (h = inf)
     out = tmp_path / "out"
     rc = cli.main(["eigs", "--n-side", "15", "--nt", "3", "--beta-ratio", "1e305",
                    "--out", str(out)])

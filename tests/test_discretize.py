@@ -41,18 +41,10 @@ def test_builders_take_an_integral_float_or_a_numpy_integer_as_the_int():
         == dz.build_time_grid(5, 2.0)
 
 
-def test_dof_index_bijection():
-    g = dz.build_grid(5)
-    for k in range(g.n_x):
-        j, i = divmod(k, g.n_side)  # x1 runs fastest
-        assert 0 <= i < g.n_side and 0 <= j < g.n_side
-        assert g.ij_to_dof(i, j) == k
-
-
 def test_grid_coords_match_indexing():
     g = dz.build_grid(4)
     x1, x2 = g.coords()
-    k = g.ij_to_dof(2, 1)
+    k = 1 * g.n_side + 2  # dof (i, j) = (2, 1): x1 runs fastest
     assert_allclose([x1[k], x2[k]], [3 * g.h, 2 * g.h])
 
 

@@ -201,7 +201,7 @@ def _embedded(F, mask):
 
 @pytest.mark.parametrize("case", ["heat-ic-grid3x3", "convdiff-ic-full", "heat-source"])
 def test_sweeps_keep_canonical_pane_and_match_oracle(case):
-    # forward sweep, observation weight, adjoint sweep: the Hessian apply's path
+    # forward sweep, then the adjoint sweep on its pane: the Hessian apply's path
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(20)
     rng = np.random.default_rng(8)
@@ -216,17 +216,14 @@ def test_sweeps_keep_canonical_pane_and_match_oracle(case):
         rhs = _rand_lr(rng, grid.n_x, tg.n_t, 2)
     else:
         rhs = _ic_rhs(K, rng.standard_normal(grid.n_x))
-    cov = lp.CovarianceSpec.from_gamma(1.0, 1e4, grid)
     Y = lp.st_solve_sweep(K, rhs, POL, rows=layout.mask)
-    Z = lp.apply_obs_weight(Y, layout, cov, tg, grid.m_scale)
-    Q = lp.st_solve_adjoint_sweep(K, Z, POL, rows=layout.mask)
-    # the weighted pane keeps the observed rows and stays canonical; the
-    # adjoint sweep reads it as its rhs and returns every row
-    assert Z.shape == Y.shape and _orth_defect(Z) <= 1e-12
+    Q = lp.st_solve_adjoint_sweep(K, Y, POL, rows=layout.mask)
+    # the adjoint sweep reads the forward pane's observed rows as its rhs and
+    # returns every row
     assert Q.shape == (grid.n_x, tg.n_t)
     L = op.L.toarray()
     for out, F, adjoint, rows in ((Y, lp.lr_to_dense(rhs), False, layout.mask),
-                                  (Q, _embedded(Z, layout.mask), True, slice(None))):
+                                  (Q, _embedded(Y, layout.mask), True, slice(None))):
         assert _orth_defect(out) <= 1e-12
         ref = oracle.dense_forward(L, grid.m_scale, tg.tau, F, adjoint=adjoint)[rows]
         assert np.linalg.norm(lp.lr_to_dense(out) - ref) <= POL.eps0 * np.linalg.norm(ref)

@@ -75,49 +75,6 @@ class TestSensorLayout:
             hs.make_sensor_layout([(1.2, 0.5, 0.1)], lp.build_grid(15))
 
 
-class TestObsWeight:
-    # the field and the output hold the observed rows only
-    def test_empty_layout_gives_zero_field(self):
-        grid = lp.build_grid(5)
-        tg = lp.build_time_grid(4)
-        cov = hs.CovarianceSpec(1.0, 1.0, 1.0)
-        empty = hs.SensorLayout(patches=(), mask=np.zeros(grid.n_x, bool))
-        out = hs.apply_obs_weight(lp.LowRankMat.zeros(0, 4), empty, cov, tg, grid.m_scale)
-        assert out.r == 0 and out.shape == (0, 4)
-
-    def test_unit_weight_full_domain_is_identity(self):
-        grid = lp.build_grid(5)
-        tg = lp.build_time_grid(4)
-        # pick beta_noise so that beta_noise * tau * m_scale = 1
-        cov = hs.CovarianceSpec(1.0 / (tg.tau * grid.m_scale), 1.0, 1.0)
-        rng = np.random.default_rng(1)
-        Y = lp.lr_from_dense(rng.standard_normal((grid.n_x, 4)), POL)
-        out = hs.apply_obs_weight(Y, hs.full_observation(grid), cov, tg, grid.m_scale)
-        assert np.abs(lp.lr_to_dense(out) - lp.lr_to_dense(Y)).max() < 1e-13
-
-    def test_masking_preserves_rank(self):
-        grid = lp.build_grid(15)
-        tg = lp.build_time_grid(6)
-        cov = hs.CovarianceSpec.from_gamma(10.0, 1e4, grid)
-        layout = hs.make_sensor_layout_3x3(grid)
-        rng = np.random.default_rng(2)
-        Y = lp.LowRankMat(rng.standard_normal((layout.n_active, 1)),
-                          rng.standard_normal((6, 1)))
-        out = hs.apply_obs_weight(Y, layout, cov, tg, grid.m_scale)
-        assert out.r == 1 and out.shape == Y.shape
-        assert out.W1 is Y.W1  # only the time factor is scaled
-        w = cov.beta_noise * tg.tau * grid.m_scale
-        assert_allclose(lp.lr_to_dense(out), w * lp.lr_to_dense(Y), rtol=1e-12)
-
-    def test_rejects_a_field_with_unobserved_rows(self):
-        grid = lp.build_grid(15)
-        tg = lp.build_time_grid(6)
-        cov = hs.CovarianceSpec.from_gamma(10.0, 1e4, grid)
-        Y = lp.LowRankMat(np.ones((grid.n_x, 1)), np.ones((6, 1)))
-        with pytest.raises(ValueError):
-            hs.apply_obs_weight(Y, hs.make_sensor_layout_3x3(grid), cov, tg, grid.m_scale)
-
-
 class TestMisfitInitialCondition:
     def test_zero_maps_to_zero(self):
         grid, op, K, ctx = _heat_ctx(5, 3)

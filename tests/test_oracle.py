@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lrpostcov as lp
+from lrpostcov import cli, forward, oracle
 from lrpostcov import hessian as hs
-from lrpostcov import oracle
 from lrpostcov.errors import InvalidConfigError
 
 POL = lp.TruncationPolicy(eps0=1e-8)
@@ -274,3 +274,24 @@ def test_steady_dense_matches_formula():
     v = lp.eigvec_dense(1, 1, grid)
     mu = 1e-4 / lp.discrete_fd_eig(1, 1, grid) ** 2
     assert np.linalg.norm(Hd @ v - mu * v) <= 1e-10 * mu
+
+
+def test_every_flush_of_the_eps15_oracle_run_keeps_an_orthonormal_basis(monkeypatch):
+    # oracle.compare cannot see a pane basis that has lost orthonormality, so
+    # this runs the CI line oracle-sensors-eps15 (singular values down to
+    # rounding level, where flushes need the second projection) and checks
+    # the basis every flush returns
+    defects = []
+    extend = forward._extend_pane
+
+    def spy(*args):
+        pane = extend(*args)
+        defects.append(np.abs(pane.W1.T @ pane.W1 - np.eye(pane.r)).max(initial=0.0))
+        return pane
+
+    monkeypatch.setattr(forward, "_extend_pane", spy)
+    cfg = cli.RunConfig(problem="heat", n_side=15, nt=20, sensors="grid3x3", m_a=100,
+                        eps0=1e-15)
+    _, _, report = cli.run_oracle(cfg)
+    assert defects and max(defects) <= 1e-12
+    assert report.passed
