@@ -76,14 +76,15 @@ class SpatialOperator:
 def build_grid(n_side: int) -> Grid:
     """Interior grid with mesh size h = 1/(n_side+1)."""
     n_side = check_count("n_side", n_side, 2)
-    return Grid(n_side=n_side, h=1.0 / (n_side + 1))
+    # check_real refuses a count too large to convert to a float (10**400)
+    return Grid(n_side=n_side, h=1.0 / check_real("n_side", n_side + 1))
 
 
 def build_time_grid(n_t: int, T: float = 1.0) -> TimeGrid:
     n_t = check_count("n_t", n_t, 1)
     if not 0 < check_real("final time T", T) < np.inf:  # NaN fails every comparison
         raise InvalidConfigError(f"final time T must be finite and positive, got {T}")
-    return TimeGrid(n_t=n_t, tau=T / n_t, T=T)
+    return TimeGrid(n_t=n_t, tau=T / check_real("n_t", n_t), T=T)  # as h in build_grid
 
 
 def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
@@ -113,10 +114,13 @@ def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> Spati
     """nu·(5-point Laplacian) + first-order upwind wind·∇; nonsymmetric for wind ≠ 0."""
     if not 0 < check_real("viscosity nu", nu) < np.inf:  # NaN fails every comparison
         raise InvalidConfigError(f"viscosity nu must be finite and positive, got {nu}")
-    w = np.asarray(wind, dtype=float)
-    if w.shape != (2,) or not np.isfinite(w).all():
+    try:  # InvalidConfigError from check_real is a ValueError too
+        w1, w2 = (check_real("wind", x) for x in wind)
+    except (TypeError, ValueError):  # not two real components
+        w1 = w2 = np.nan
+    if not (np.isfinite(w1) and np.isfinite(w2)):
         raise InvalidConfigError(f"wind must be two finite numbers, got {wind!r}")
-    n, h, w1, w2 = grid.n_side, grid.h, float(w[0]), float(w[1])
+    n, h = grid.n_side, grid.h
     diffusion = nu * _laplacian_1d(n, h)
     A1 = (diffusion + _upwind_1d(n, h, w1)).tocsr()
     # equal winds give equal factors: one object, so a separable solve diagonalizes it once

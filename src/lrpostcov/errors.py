@@ -31,8 +31,12 @@ def check_real(name: str, value) -> float:
     """``value`` as a float if it is a real number, else InvalidConfigError.
 
     Ints, floats and numpy reals qualify, NaN and ±inf too, since the owner
-    checks the range; a bool, a string or None does not.
+    checks the range; a bool, a string, None or an int beyond the float
+    range (10**400) does not.
     """
     if isinstance(value, Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # its repr may be too long to print
+            raise InvalidConfigError(f"{name} lies beyond the float range") from None
     raise InvalidConfigError(f"{name} must be a real number, got {value!r}")

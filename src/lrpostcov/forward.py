@@ -56,7 +56,7 @@ from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError, check_count
 from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
 
-COMPRESS_EVERY = 8  # default sweep steps between recompressions
+COMPRESS_EVERY = 16  # default sweep steps between recompressions (2 flushes at n_t 30)
 MAX_SCALE_DECADES = 300.0  # widest log10(max g / min g) of a symmetrizer a solve scales by
 # A flush projects its new columns once; when the bound on the orthonormality
 # its basis would then lose exceeds this (the loss is at most its square), the
@@ -332,19 +332,6 @@ class SpaceTimeOperator:
         """
         return self.solver.solve_modal(W, "T" if adjoint else "N")
 
-    def apply(self, Y: LowRankMat, adjoint: bool = False) -> LowRankMat:
-        """K·vec(Y) (Kᵀ·vec(Y) if adjoint) in factor form; rank at most doubles, not truncated."""
-        if Y.r == 0:
-            return Y
-        shifted = np.zeros_like(Y.W2)
-        if adjoint:
-            shifted[:-1] = Y.W2[1:]
-        else:
-            shifted[1:] = Y.W2[:-1]
-        A = self.step_matrix.T if adjoint else self.step_matrix
-        return LowRankMat(np.hstack([A @ Y.W1, -self.m_scale * Y.W1]),
-                          np.hstack([Y.W2, shifted]))
-
 
 def _add_product(W: np.ndarray, alpha: float, Q: np.ndarray, C: np.ndarray) -> None:
     """W += alpha·Q·C in W's memory; W is a Fortran-ordered float64 block."""
@@ -438,22 +425,25 @@ def st_solve_sweep(
     An initial condition u enters as ``LowRankMat.from_column(M_scale·u,
     n_t, 0)``.  One step solve per step on the running column plus one
     multi-column solve for the rhs factor; the growing solution pane is
-    recompressed every ``compress_every`` steps (8 by default, so n_t = 30
-    takes 4 flushes) so storage stays O((n_x + n_t)·r).  A flush
+    recompressed every ``compress_every`` steps (16 by default, so n_t = 30
+    takes 2 flushes) so storage stays O((n_x + n_t)·r).  A flush
     (``_extend_pane``) projects the new columns once onto the pane's basis,
     takes one thin QR of the remainder and truncates a small core; a second
     projection runs only where its bound says the basis needs it.  The
     returned pane is canonical, as ``lr_truncate`` leaves it, so callers
     read its rank and need not recompress it.
 
-    The recursion runs in the step solver's modal coordinates: the rhs
-    factor is transformed once, and each step writes M_scale·y_{k-1} into
-    the next column of a Fortran-ordered n_x × ``compress_every`` flush
-    block, where one modal step solve overwrites it and the rhs term is
-    added in place.  The running column is copied out before each flush,
-    which works in the block's memory, the first flush included.  The
-    block and the transformed rhs factor are freed before the pane's basis
-    is transformed back.
+    The recursion y_k = step⁻¹·M_scale·y_{k-1} + B·W2[k] runs in the step
+    solver's modal coordinates, with B = step⁻¹·rhs.W1 the rhs factor
+    transformed and solved once.  Each chunk of steps starts with one GEMM
+    that writes its rhs terms B·W2[idx]ᵀ into a Fortran-ordered flush block
+    of min(``compress_every``, n_t) columns; then, per step, the running
+    column is scaled by M_scale, solved in place by one ``solve_step`` and
+    added into its block column.  B is released once the last chunk's
+    product is written, so the last flush does not hold it.  The running
+    column is copied out before each flush, which works in the block's
+    memory, the first flush included, and the block is freed before the
+    pane's basis is transformed back.
 
     ``rows`` (a boolean mask or index array over the n_x dofs; None means
     all of them) names the observed rows.  A forward sweep returns only
@@ -488,22 +478,23 @@ def st_solve_sweep(
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
 
     pane = LowRankMat.zeros(n_out, n_t)
-    block = np.empty((n_x, compress_every), order="F")
-    y_run = np.zeros(n_x)
+    block = np.empty((n_x, min(compress_every, n_t)), order="F")
+    y_run = np.zeros((n_x, 1), order="F")
     for start in range(0, n_t, compress_every):
         idx = list(steps[start:start + compress_every])
-        y_prev = y_run
-        for j, k in enumerate(idx):
-            np.multiply(y_prev, K.m_scale, out=block[:, j])
-            K.solve_step(block[:, j:j + 1], adjoint)
-            y_prev = block[:, j]
-            # y_prev += B·W2[k] in place; matmul of a one-column B takes numpy's
-            # slow non-BLAS loop (~27 µs against ~4 at n_side 63)
-            blas.dgemv(1.0, B, rhs.W2[k, :], beta=1.0, y=y_prev, overwrite_y=True)
-        y_run[:] = y_prev
         W = block[:, :len(idx)]
+        # the chunk's rhs terms B·W2[idx]ᵀ, written into the block (beta 0 reads none of it)
+        blas.dgemm(1.0, B, rhs.W2[idx].T, c=W, overwrite_c=True)
+        if start + compress_every >= n_t:
+            del B  # the last product is written: B is not held through the last flush
+        y_prev = y_run  # the previous chunk's last step
+        for j in range(len(idx)):
+            np.multiply(y_prev, K.m_scale, out=y_run)
+            W[:, j:j + 1] += K.solve_step(y_run, adjoint)
+            y_prev = W[:, j:j + 1]
+        y_run[:] = y_prev
         pane = _extend_pane(pane, W if part is None else S.from_modal(W, part), idx, pol)
-    del block, W, y_prev, B  # not held through the back-transform
+    del block, W, y_prev  # not held through the back-transform
     if part is None:
         pane = LowRankMat(S.from_modal(pane.W1), pane.W2)
     return pane

@@ -265,6 +265,17 @@ def test_invalid_config_exit_code(tmp_path):
     ({"out": None}, False),
     ({"out": 5}, False),
     ({"out": pathlib.Path("out")}, True),
+    # a wind of strings or complex numbers, and an int beyond the float range,
+    # used to raise a raw ValueError, TypeError or OverflowError
+    ({"wind": "0,1"}, False),
+    ({"wind": ("a", "b")}, False),
+    ({"wind": 1j}, False),
+    ({"wind": (1j, 0)}, False),
+    ({"nt": 10**310}, False),
+    ({"n_side": 10**400}, False),
+    ({"eps0": 10**400}, False),
+    ({"nu": 10**400}, False),
+    ({"wind": [0, 1.0], "problem": "convdiff"}, True),
 ])
 def test_run_config_is_checked_when_built(updates, ok):
     # the constructor and dataclasses.replace both check, so no unchecked config exists

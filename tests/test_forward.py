@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -27,6 +29,17 @@ def _rand_lr(rng, n_x, n_t, r):
     return lp.lr_truncate(
         lp.LowRankMat(rng.standard_normal((n_x, r)), rng.standard_normal((n_t, r))), POL
     )
+
+
+def _apply(K, Y, adjoint=False):
+    """K·vec(Y) (Kᵀ·vec(Y) if adjoint) in factor form; rank at most doubles, not truncated."""
+    shifted = np.zeros_like(Y.W2)
+    if adjoint:
+        shifted[:-1] = Y.W2[1:]
+    else:
+        shifted[1:] = Y.W2[:-1]
+    A = K.step_matrix.T if adjoint else K.step_matrix
+    return lp.LowRankMat(np.hstack([A @ Y.W1, -K.m_scale * Y.W1]), np.hstack([Y.W2, shifted]))
 
 
 def test_pure_mass_limit_keeps_initial_condition():
@@ -112,10 +125,10 @@ def test_apply_is_the_dense_operator(heat7):
     A = K.step_matrix.toarray()
     ref = A @ Yd
     ref[:, 1:] -= grid.m_scale * Yd[:, :-1]
-    assert np.abs(lp.lr_to_dense(K.apply(Y)) - ref).max() < 1e-12 * np.abs(ref).max()
+    assert np.abs(lp.lr_to_dense(_apply(K, Y)) - ref).max() < 1e-12 * np.abs(ref).max()
     ref_t = A.T @ Yd
     ref_t[:, :-1] -= grid.m_scale * Yd[:, 1:]
-    got_t = lp.lr_to_dense(K.apply(Y, adjoint=True))
+    got_t = lp.lr_to_dense(_apply(K, Y, adjoint=True))
     assert np.abs(got_t - ref_t).max() < 1e-12 * np.abs(ref_t).max()
 
 
@@ -140,8 +153,8 @@ def test_residual_contract_heat_and_convdiff():
     for op, n_t in cases:
         K = lp.SpaceTimeOperator(op, lp.build_time_grid(n_t))
         rhs = _rand_lr(rng, op.grid.n_x, n_t, 3)
-        Y = lp.st_solve_sweep(K, rhs, POL)
-        resid = np.linalg.norm(lp.lr_to_dense(K.apply(Y)) - lp.lr_to_dense(rhs))
+        Y = lp.st_solve_sweep(K, rhs, POL, compress_every=8)  # 3 and 2 flushes
+        resid = np.linalg.norm(lp.lr_to_dense(_apply(K, Y)) - lp.lr_to_dense(rhs))
         assert resid <= 10 * POL.eps0 * n_t * lp.lr_norm(rhs)
 
 
@@ -273,6 +286,8 @@ def test_pane_stays_orthonormal_when_new_columns_are_dependent(adjoint):
     # the weak 1e-7 mode it couples to would carry it into the basis (4e-12
     # both ways) if the rotation dropped its −D·X2 term.  The flush's bound
     # takes no second pass here: the term alone keeps the basis orthonormal.
+    # The flush width is pinned at 8, where that defect shows; in flushes of
+    # 16 columns it is 2e-15.
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(20)
     op = lp.assemble_heat(grid)
@@ -283,7 +298,7 @@ def test_pane_stays_orthonormal_when_new_columns_are_dependent(adjoint):
     E = np.zeros((tg.n_t, 3))
     E[first, :2] = E[late, 2] = 1.0
     rhs = lp.LowRankMat(np.column_stack(modes), E)
-    Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint)
+    Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=8)
     assert Y.r == 3
     assert _orth_defect(Y) <= 1e-12
     ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, lp.lr_to_dense(rhs),
@@ -377,6 +392,42 @@ def test_second_pass_runs_only_when_the_bound_asks(monkeypatch, eps0, second_pas
     assert set(per_flush) <= {1, 2}
     assert (2 in per_flush) == second_pass
     assert _orth_defect(Y) <= 1e-12
+
+
+@pytest.mark.parametrize("wind", [None, (0.0, 1.0), (0.3, -0.7)])
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_presolved_rhs_factor_is_released_before_the_last_flush(monkeypatch, wind, restricted,
+                                                                adjoint):
+    # A sweep's first step solve is the presolve B = step⁻¹·rhs.W1.  Once the
+    # last chunk's product B·W2[idx]ᵀ is in the flush block, B is released,
+    # so the last flush does not hold it: at nt 20 the default width flushes
+    # 16 and 4 columns, and B is alive only at the first.  Each step solver
+    # is covered: the 2-D diagonal scale, the stacked pttrs and the sparse LU.
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(20)
+    K = lp.SpaceTimeOperator(_spatial(grid, wind), tg)
+    mask = lp.make_sensor_layout_3x3(grid).mask if restricted else None
+    n_keep = int(mask.sum()) if restricted else grid.n_x
+    rhs = _rand_lr(np.random.default_rng(23), n_keep if adjoint else grid.n_x, tg.n_t, 3)
+    factor, alive = [], []
+    solve, extend = K.solve_step, lp.forward._extend_pane
+
+    def spy_solve(W, adjoint=False):
+        out = solve(W, adjoint)
+        if not factor:
+            factor.append(weakref.ref(out))
+        return out
+
+    def spy_flush(*args):
+        alive.append(factor[0]() is not None)
+        return extend(*args)
+
+    monkeypatch.setattr(K, "solve_step", spy_solve)
+    monkeypatch.setattr(lp.forward, "_extend_pane", spy_flush)
+    Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, rows=mask)
+    assert alive == [True, False]
+    assert Y.shape == (grid.n_x if adjoint else n_keep, tg.n_t)
 
 
 def _pane_and_block(rng, n_rows, n_t, r, c):
@@ -881,8 +932,9 @@ def test_a_tiny_field_sweeps_like_a_unit_one():
     K = lp.SpaceTimeOperator(lp.assemble_heat(grid), lp.build_time_grid(10))
     u = np.random.default_rng(0).standard_normal(grid.n_x)
 
-    def sweep(s):
-        Y = lp.st_solve_sweep(K, lp.LowRankMat.from_column(K.m_scale * s * u, K.n_t, 0), POL)
+    def sweep(s):  # two flushes, so the second one's core carries σ
+        Y = lp.st_solve_sweep(K, lp.LowRankMat.from_column(K.m_scale * s * u, K.n_t, 0), POL,
+                              compress_every=8)
         return Y.r, lp.lr_norm(Y) / s
 
     r_unit, norm_unit = sweep(1.0)
