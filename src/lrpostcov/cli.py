@@ -25,7 +25,7 @@ import numpy as np
 
 from . import discretize, hessian, oracle, posterior
 from .arnoldi import ArnoldiResult, StopRule, lr_arnoldi
-from .errors import InvalidConfigError, NumericalError, check_count
+from .errors import InvalidConfigError, NumericalError, check_count, shown
 from .forward import COMPRESS_EVERY, SpaceTimeOperator
 from .lowrank import (
     LowRankMat,
@@ -62,12 +62,12 @@ class RunConfig:
     def __post_init__(self):
         """Reject a bad setting when the config is built (``replace`` builds anew)."""
         if self.problem not in PROBLEMS:
-            raise InvalidConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
+            raise InvalidConfigError(f"problem must be one of {PROBLEMS}, got {shown(self.problem)}")
         hessian.check_mode(self.mode, self.problem)
         if self.start not in ("ones", "random"):
-            raise InvalidConfigError(f"start must be ones or random, got {self.start!r}")
+            raise InvalidConfigError(f"start must be ones or random, got {shown(self.start)}")
         if not isinstance(self.out, (str, os.PathLike)):
-            raise InvalidConfigError(f"out must be a path, got {self.out!r}")
+            raise InvalidConfigError(f"out must be a path, got {shown(self.out)}")
         # every range (finiteness too) is checked once, by building the object
         # that owns it; a count is kept as the int its owner made (31.0 is 31)
         counts = {key: check_count(key, getattr(self, key), least)
@@ -93,7 +93,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _parse_value(key: str, raw: str):
     if key not in _FIELD_TYPES:
-        raise InvalidConfigError(f"unknown configuration key {key!r}")
+        raise InvalidConfigError(f"unknown configuration key {shown(key)}")
     raw = raw.strip()
     kind = _FIELD_TYPES[key]
     try:
@@ -105,7 +105,7 @@ def _parse_value(key: str, raw: str):
         if kind == "float":
             return float(raw)
     except ValueError as exc:
-        raise InvalidConfigError(f"bad value for {key}: {raw!r}") from exc
+        raise InvalidConfigError(f"bad value for {key}: {shown(raw)}") from exc
     return raw
 
 
@@ -128,10 +128,10 @@ def load_config_file(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise InvalidConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise InvalidConfigError(f"{path}:{lineno}: expected key=value, got {shown(line)}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key in updates:  # a later line would silently win
-            raise InvalidConfigError(f"{path}:{lineno}: repeated key {key!r}")
+            raise InvalidConfigError(f"{path}:{lineno}: repeated key {shown(key)}")
         updates[key] = _parse_value(key, raw)
     return updates
 
@@ -153,7 +153,7 @@ def _custom_patches(sensors: str) -> list[tuple[float, float, float]]:
         except ValueError:
             triple = ()
         if len(triple) != 3:
-            raise InvalidConfigError(f"custom sensor patch needs cx,cy,side, got {chunk!r}")
+            raise InvalidConfigError(f"custom sensor patch needs cx,cy,side, got {shown(chunk)}")
         triples.append(triple)
     return triples
 
@@ -187,7 +187,7 @@ def _build_layout(cfg: RunConfig, grid: discretize.Grid) -> hessian.SensorLayout
         return hessian.make_sensor_layout_3x3(grid)
     if isinstance(cfg.sensors, str) and cfg.sensors.startswith("custom:"):
         return hessian.make_sensor_layout(_custom_patches(cfg.sensors), grid)
-    raise InvalidConfigError(f"unknown sensors setting {cfg.sensors!r}")
+    raise InvalidConfigError(f"unknown sensors setting {shown(cfg.sensors)}")
 
 
 def build_problem(cfg: RunConfig) -> Problem:
@@ -463,7 +463,7 @@ SWEEP_FIELDS = ("nt", "n_side", "nu", "beta_ratio", "eps0", "eps_eig")  # --axis
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
     axes = [_flag(key) for key in SWEEP_FIELDS]
     if axis not in axes:
-        raise InvalidConfigError(f"sweep axis must be one of {sorted(axes)}, got {axis!r}")
+        raise InvalidConfigError(f"sweep axis must be one of {sorted(axes)}, got {shown(axis)}")
     if not values:
         raise InvalidConfigError("sweep needs a nonempty list of axis values")
     key = SWEEP_FIELDS[axes.index(axis)]

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidConfigError, check_count, check_real
+from .errors import InvalidConfigError, check_count, check_real, shown
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def assemble_convdiff(grid: Grid, nu: float, wind: tuple[float, float]) -> Spati
     except (TypeError, ValueError):  # not two real components
         w1 = w2 = np.nan
     if not (np.isfinite(w1) and np.isfinite(w2)):
-        raise InvalidConfigError(f"wind must be two finite numbers, got {wind!r}")
+        raise InvalidConfigError(f"wind must be two finite numbers, got {shown(wind)}")
     n, h = grid.n_side, grid.h
     diffusion = nu * _laplacian_1d(n, h)
     A1 = (diffusion + _upwind_1d(n, h, w1)).tocsr()

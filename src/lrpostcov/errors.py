@@ -13,6 +13,20 @@ class NumericalError(RuntimeError):
     """A solver or factorization failed (CLI exit code 3)."""
 
 
+def shown(value) -> str:
+    """repr(value) for a refusal message, cut to 80 characters.
+
+    An int past Python's str conversion limit (4300 digits), alone or inside
+    a container, has no repr; a stand-in takes its place, so the refusal
+    still raises the error it means.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        return "a value too long to print"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def check_count(name: str, value, least: int) -> int:
     """``value`` as an int if it is a whole number >= least, else InvalidConfigError.
 
@@ -24,7 +38,7 @@ def check_count(name: str, value, least: int) -> int:
             return int(value)
     except (TypeError, ValueError, OverflowError):  # not a number, NaN, ±inf
         pass
-    raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    raise InvalidConfigError(f"{name} must be an integer >= {least}, got {shown(value)}")
 
 
 def check_real(name: str, value) -> float:
@@ -39,4 +53,4 @@ def check_real(name: str, value) -> float:
             return float(value)
         except OverflowError:  # its repr may be too long to print
             raise InvalidConfigError(f"{name} lies beyond the float range") from None
-    raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+    raise InvalidConfigError(f"{name} must be a real number, got {shown(value)}")

@@ -35,8 +35,8 @@ strictly diagonally dominant.
 Both solvers share one interface (``restrict``, ``to_modal``,
 ``solve_modal``, ``from_modal``), exposed as ``SpaceTimeOperator.solver``.
 M = M_scale·I commutes with the orthogonal eigenvector transform, so a
-sweep runs in the solver's modal coordinates: it transforms the rhs
-factor once and pays one in-place step solve (``solve_step``) per step.
+sweep's time march (``_march``) runs in the solver's modal coordinates: it
+transforms the rhs factor once and pays one in-place step solve per step.
 A pane of every row is recompressed in modal coordinates too, and only
 its basis is transformed back; a pane of some rows transforms the grid
 lines that hold them at each flush.  For the sparse LU the transform is
@@ -412,6 +412,43 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     return LowRankMat(U, small.W2)
 
 
+def _march(K: SpaceTimeOperator, rhs: LowRankMat, adjoint: bool, width: int,
+           part: tuple | np.ndarray | None):
+    """Yield (idx, W), the modal y_k for k in idx, per chunk of ≤ ``width`` steps in time order.
+
+    The recursion y_k = step⁻¹·M_scale·y_{k-1} + B·W2[k] (backward in time,
+    with the transposed solve, when adjoint) runs in the step solver's modal
+    coordinates, with B = step⁻¹·rhs.W1 the rhs factor transformed (by
+    ``to_modal`` restricted by ``part``) and solved once: one step solve per
+    step on the running column plus one multi-column solve for the rhs factor.
+    Each chunk starts with one GEMM that writes its rhs terms B·W2[idx]ᵀ into a
+    Fortran-ordered block of min(``width``, n_t) columns; then, per step, the
+    running column is scaled by M_scale, solved in place by one ``solve_step``
+    and added into its block column.  B is released once the last product is
+    written.  The running column is copied out before W is yielded, so the
+    consumer may overwrite W; the next chunk reuses its memory.
+    """
+    n_t = K.n_t
+    B = K.solve_step(K.solver.to_modal(rhs.W1, part), adjoint)  # step⁻¹·rhs
+    steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
+    block = np.empty((K.n_x, min(width, n_t)), order="F")
+    y_run = np.zeros((K.n_x, 1), order="F")
+    for start in range(0, n_t, width):
+        idx = list(steps[start:start + width])
+        W = block[:, :len(idx)]
+        # the chunk's rhs terms B·W2[idx]ᵀ, written into the block (beta 0 reads none of it)
+        blas.dgemm(1.0, B, rhs.W2[idx].T, c=W, overwrite_c=True)
+        if start + width >= n_t:
+            del B  # the last product is written: B is not held through the last consumer
+        y_prev = y_run  # the previous chunk's last step
+        for j in range(len(idx)):
+            np.multiply(y_prev, K.m_scale, out=y_run)
+            W[:, j:j + 1] += K.solve_step(y_run, adjoint)
+            y_prev = W[:, j:j + 1]
+        y_run[:] = y_prev
+        yield idx, W
+
+
 def st_solve_sweep(
     K: SpaceTimeOperator,
     rhs: LowRankMat,
@@ -423,40 +460,26 @@ def st_solve_sweep(
     """Solve K·vec(Y) = vec(rhs) (or Kᵀ for adjoint=True) by time substitution.
 
     An initial condition u enters as ``LowRankMat.from_column(M_scale·u,
-    n_t, 0)``.  One step solve per step on the running column plus one
-    multi-column solve for the rhs factor; the growing solution pane is
-    recompressed every ``compress_every`` steps (16 by default, so n_t = 30
-    takes 2 flushes) so storage stays O((n_x + n_t)·r).  A flush
-    (``_extend_pane``) projects the new columns once onto the pane's basis,
-    takes one thin QR of the remainder and truncates a small core; a second
-    projection runs only where its bound says the basis needs it.  The
-    returned pane is canonical, as ``lr_truncate`` leaves it, so callers
-    read its rank and need not recompress it.
-
-    The recursion y_k = step⁻¹·M_scale·y_{k-1} + B·W2[k] runs in the step
-    solver's modal coordinates, with B = step⁻¹·rhs.W1 the rhs factor
-    transformed and solved once.  Each chunk of steps starts with one GEMM
-    that writes its rhs terms B·W2[idx]ᵀ into a Fortran-ordered flush block
-    of min(``compress_every``, n_t) columns; then, per step, the running
-    column is scaled by M_scale, solved in place by one ``solve_step`` and
-    added into its block column.  B is released once the last chunk's
-    product is written, so the last flush does not hold it.  The running
-    column is copied out before each flush, which works in the block's
-    memory, the first flush included, and the block is freed before the
-    pane's basis is transformed back.
+    n_t, 0)``.  ``_march`` runs the recursion, and the growing solution
+    pane is recompressed after each of its chunks of ``compress_every``
+    steps (16 by default, so n_t = 30 takes 2 flushes) so storage stays
+    O((n_x + n_t)·r).  A flush (``_extend_pane``) projects the new columns
+    once onto the pane's basis, takes one thin QR of the remainder and
+    truncates a small core; a second projection runs only where its bound
+    says the basis needs it.  The returned pane is canonical, as
+    ``lr_truncate`` leaves it, so callers read its rank and need not
+    recompress it.
 
     ``rows`` (a boolean mask or index array over the n_x dofs; None means
-    all of them) names the observed rows.  A forward sweep returns only
-    y_k[rows]: the running column stays at full length, because the
-    recursion needs it, but the pane stores only those rows.  An adjoint
-    sweep reads an rhs of only those rows (a Hessian apply passes the
-    forward sweep's pane as it is), takes it into modal coordinates by
-    ``to_modal`` restricted to them, which transforms only the grid lines
-    that hold them, and returns every row.  A pane of every row is flushed
-    in modal coordinates, and its basis is transformed back once at the
-    end: the transform is orthogonal, so the truncations are those of the
-    physical pane.  A forward pane of some rows is physical; each flush
-    transforms only the grid lines that hold its rows.
+    all of them) is the observation S: a forward sweep returns S·Y, and an
+    adjoint sweep reads Sᵀ·Z, an rhs Z of only those rows (a Hessian apply
+    passes the forward sweep's pane as it is), and returns every row.  So
+    the restriction applies to the adjoint's rhs, which the march reads
+    through it, or to the forward's flushed chunks.  A pane of every row is
+    flushed in modal coordinates, and its basis is transformed back once
+    at the end: the transform is orthogonal, so the truncations are those
+    of the physical pane.  A forward pane of some rows is physical; each
+    flush transforms only the grid lines that hold its rows.
     """
     n_x, n_t = K.n_x, K.n_t
     compress_every = check_count("compress_every", compress_every, 1)
@@ -472,29 +495,11 @@ def st_solve_sweep(
 
     S = K.solver
     part = None if keep is None else S.restrict(keep)  # once for every restricted transform
-    B = K.solve_step(S.to_modal(rhs.W1, part if adjoint else None), adjoint)  # step⁻¹·rhs
-    if adjoint:
-        part = None  # an adjoint pane holds every row
-    steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
-
+    rhs_part, part = (part, None) if adjoint else (None, part)  # restricts the rhs or the chunks
     pane = LowRankMat.zeros(n_out, n_t)
-    block = np.empty((n_x, min(compress_every, n_t)), order="F")
-    y_run = np.zeros((n_x, 1), order="F")
-    for start in range(0, n_t, compress_every):
-        idx = list(steps[start:start + compress_every])
-        W = block[:, :len(idx)]
-        # the chunk's rhs terms B·W2[idx]ᵀ, written into the block (beta 0 reads none of it)
-        blas.dgemm(1.0, B, rhs.W2[idx].T, c=W, overwrite_c=True)
-        if start + compress_every >= n_t:
-            del B  # the last product is written: B is not held through the last flush
-        y_prev = y_run  # the previous chunk's last step
-        for j in range(len(idx)):
-            np.multiply(y_prev, K.m_scale, out=y_run)
-            W[:, j:j + 1] += K.solve_step(y_run, adjoint)
-            y_prev = W[:, j:j + 1]
-        y_run[:] = y_prev
+    for idx, W in _march(K, rhs, adjoint, compress_every, rhs_part):
         pane = _extend_pane(pane, W if part is None else S.from_modal(W, part), idx, pol)
-    del block, W, y_prev  # not held through the back-transform
+    del W  # the march's block is not held through the back-transform
     if part is None:
         pane = LowRankMat(S.from_modal(pane.W1), pane.W2)
     return pane

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import Grid, SpatialOperator
-from .errors import InvalidConfigError, check_real
+from .errors import InvalidConfigError, check_real, shown
 from .forward import COMPRESS_EVERY, SeparableSolver, SpaceTimeOperator
 from .forward import st_solve_adjoint_sweep, st_solve_sweep
 from .lowrank import LowRankMat, TruncationPolicy, lr_scale
@@ -37,7 +37,7 @@ def check_mode(mode: str, kind: str | None) -> None:
     """The mode rule: one of the three parameter modes, steady only on the heat operator."""
     modes = (MODE_IC, MODE_SOURCE, MODE_STEADY)
     if mode not in modes:
-        raise InvalidConfigError(f"mode must be one of {modes}, got {mode!r}")
+        raise InvalidConfigError(f"mode must be one of {modes}, got {shown(mode)}")
     if mode == MODE_STEADY and kind != "heat":
         raise InvalidConfigError("mode=steady requires problem=heat")
 
@@ -160,7 +160,7 @@ class HessianContext:
         if self.mode == MODE_STEADY:
             self._steady = SeparableSolver(self.spatial, 0.0, 1.0)  # L itself, no time shift
         elif self.operator is None or self.layout is None:
-            raise InvalidConfigError(f"mode {self.mode!r} needs operator and layout")
+            raise InvalidConfigError(f"mode {shown(self.mode)} needs operator and layout")
 
     @property
     def n_param(self) -> int:

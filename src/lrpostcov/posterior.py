@@ -89,14 +89,9 @@ def posterior_apply(v: np.ndarray, summary: PosteriorSummary) -> np.ndarray:
     return summary.gamma_prior * (v - summary.V @ (summary.filters * (summary.V.T @ v)))
 
 
-def variance_to_grid(field: np.ndarray, n_side: int) -> np.ndarray:
-    """Reshape a dof-ordered variance field to an (x2, x1)-indexed grid."""
-    return np.asarray(field, dtype=float).reshape(n_side, n_side)
-
-
 def write_variance_csv(field: np.ndarray, n_side: int, path) -> None:
     """n_side × n_side CSV grid, row j = x2 level j, 17 significant digits."""
-    grid = variance_to_grid(field, n_side)
+    grid = np.asarray(field, dtype=float).reshape(n_side, n_side)
     with open(path, "w") as fh:
         fh.write(",".join(f"c{i}" for i in range(n_side)) + "\n")
         for row in grid:
@@ -105,7 +100,7 @@ def write_variance_csv(field: np.ndarray, n_side: int, path) -> None:
 
 def write_variance_pgm(field: np.ndarray, n_side: int, gamma_prior: float, path) -> None:
     """Plain-text 8-bit PGM: field minimum maps to 0, gamma_prior to 255."""
-    grid = variance_to_grid(field, n_side)
+    grid = np.asarray(field, dtype=float).reshape(n_side, n_side)  # row j = x2 level j
     lo = float(grid.min())
     span = gamma_prior - lo
     if span <= 0:

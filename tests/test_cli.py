@@ -287,6 +287,26 @@ def test_run_config_is_checked_when_built(updates, ok):
                 build()
 
 
+# one odd value of each kind: missing, strings, a bool, non-finite and
+# out-of-range numbers, a list, bytes, a complex number, ints beyond the float
+# range and past the str conversion limit (4300 digits), alone and in a list
+_ODD_VALUES = {"None": None, "'x'": "x", "'3'": "3", "True": True, "nan": np.nan, "inf": np.inf,
+               "-1": -1, "0": 0, "[1]": [1], "b'1'": b"1", "1j": 1j, "10**400": 10**400,
+               "-10**5000": -10**5000, "10**5000": 10**5000, "[10**5000]": [10**5000]}
+
+
+@pytest.mark.parametrize("value", list(_ODD_VALUES.values()), ids=list(_ODD_VALUES))
+@pytest.mark.parametrize("key", [f.name for f in fields(cli.RunConfig)])
+def test_every_field_builds_or_refuses_every_odd_value(key, value):
+    # no value reaches a raw exception: it is taken, or refused as a
+    # configuration error whose message is short, with a stand-in for a value
+    # that cannot be printed
+    try:
+        cli.RunConfig(**{key: value})
+    except lp.InvalidConfigError as exc:
+        assert len(str(exc)) < 200
+
+
 @pytest.mark.parametrize("key", ["n_side", "nt", "m_a", "seed", "compress_every", "k"])
 @pytest.mark.parametrize("value", [5.5, True, "5"])
 def test_run_config_refuses_a_count_that_is_not_a_whole_number(key, value):
@@ -415,13 +435,16 @@ def test_run_config_keeps_a_whole_float_count_as_an_int(tmp_path):
     ["--k", "0"],
     ["--k", "-2"],
     ["--problem", "heat", "--nu", "-1"],  # nu is checked whatever the problem
+    ["--nt", "-1" + "0" * 5000],  # past int()'s 4300-digit limit: its echo is cut short
 ])
-def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, flags):
+def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, capsys, flags):
     out = tmp_path / "out"
     rc = cli.main(["eigs", "--n-side", "15", "--nt", "5", "--m-a", "5",
                    "--out", str(out), *flags])
     assert rc == 2
     assert not out.exists()
+    err = capsys.readouterr().err  # one short line
+    assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
 def test_precedence_flag_file(tmp_path):

@@ -404,14 +404,16 @@ def test_presolved_rhs_factor_is_released_before_the_last_flush(monkeypatch, win
     # so the last flush does not hold it: at nt 20 the default width flushes
     # 16 and 4 columns, and B is alive only at the first.  Each step solver
     # is covered: the 2-D diagonal scale, the stacked pttrs and the sparse LU.
+    # The block the flushes worked in is freed before a full-row pane's basis
+    # is transformed back.
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(20)
     K = lp.SpaceTimeOperator(_spatial(grid, wind), tg)
     mask = lp.make_sensor_layout_3x3(grid).mask if restricted else None
     n_keep = int(mask.sum()) if restricted else grid.n_x
     rhs = _rand_lr(np.random.default_rng(23), n_keep if adjoint else grid.n_x, tg.n_t, 3)
-    factor, alive = [], []
-    solve, extend = K.solve_step, lp.forward._extend_pane
+    factor, alive, blocks, dead = [], [], [], []
+    solve, extend, from_modal = K.solve_step, lp.forward._extend_pane, K.solver.from_modal
 
     def spy_solve(W, adjoint=False):
         out = solve(W, adjoint)
@@ -419,14 +421,23 @@ def test_presolved_rhs_factor_is_released_before_the_last_flush(monkeypatch, win
             factor.append(weakref.ref(out))
         return out
 
-    def spy_flush(*args):
+    def spy_flush(pane, W, *args):
         alive.append(factor[0]() is not None)
-        return extend(*args)
+        blocks.append(weakref.ref(W if W.base is None else W.base))
+        return extend(pane, W, *args)
+
+    def spy_from_modal(W, restriction=None):
+        if restriction is None:  # a full-row pane's back-transform
+            dead.append([block() is None for block in blocks])
+        return from_modal(W, restriction)
 
     monkeypatch.setattr(K, "solve_step", spy_solve)
+    monkeypatch.setattr(K.solver, "from_modal", spy_from_modal)
     monkeypatch.setattr(lp.forward, "_extend_pane", spy_flush)
     Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, rows=mask)
     assert alive == [True, False]
+    # nor is the flush block held through the back-transform of a full-row pane
+    assert dead == ([] if restricted and not adjoint else [[True, True]])
     assert Y.shape == (grid.n_x if adjoint else n_keep, tg.n_t)
 
 
@@ -606,7 +617,8 @@ def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
     # sweep reads an rhs of the observed rows and returns every row.  At
     # compress_every 4, n_t = 10 leaves a partial last flush of 2 columns.
     # A flush every step and one flush for the whole sweep would expose a
-    # running column that a flush overwrote in the block it works in.
+    # running column that a flush overwrote in the block it works in.  The
+    # march under the sweep is checked on its own too.
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(10)
     op = _spatial(grid, wind)
@@ -629,6 +641,17 @@ def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
             assert Y.shape == want.shape
             err = np.linalg.norm(lp.lr_to_dense(Y) - want)
             assert err <= flushes * POL.eps0 * np.linalg.norm(want)
+            # the march alone truncates nothing: its chunks arrive in time
+            # order, min(compress_every, steps left) wide, and hold the field
+            part = None if rows is None or not adjoint else K.solver.restrict(np.flatnonzero(rows))
+            Z, order = np.empty((grid.n_x, tg.n_t)), []
+            for idx, W in lp.forward._march(K, rhs, adjoint, compress_every, part):
+                assert len(idx) == min(compress_every, tg.n_t - len(order))
+                order += idx
+                Z[:, idx] = K.solver.from_modal(W)
+            assert order == (list(range(tg.n_t))[::-1] if adjoint else list(range(tg.n_t)))
+            Z = Z if rows is None or adjoint else Z[rows]
+            assert np.linalg.norm(Z - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
