@@ -1,7 +1,9 @@
-"""Experiment configuration and command-line orchestration.
+"""Experiment configuration, the one run path, and the command line.
 
 Configuration is a flat set of key=value pairs with precedence
-flag > config file > default.  Every command
+flag > config file > default.  Every solve is one ``run_eigs`` call
+(``oracle`` runs it exhaustively), and the commands here write every output
+file.  Every command
 writes a manifest echoing the fully resolved configuration into the output
 directory; re-running with --config pointing at that manifest reproduces
 the CSV/PGM outputs bitwise.  Wall-clock timings only ever go to
@@ -217,29 +219,23 @@ def build_problem(cfg: RunConfig) -> Problem:
 def start_vector(cfg: RunConfig, problem: Problem):
     """Deterministic all-ones start by default; seeded Gaussian otherwise.
 
-    In source mode it is a rank-1 field, and on the data side the dense
-    column-major vector of that field's observed rows.
+    In source mode it is the rank-1 field of two such unit vectors, one in
+    space and then one in time, and on the data side the dense column-major
+    vector of that field's observed rows.
     """
-    n_x = problem.grid.n_x
-    if cfg.mode == hessian.MODE_SOURCE:
-        n_t = problem.time.n_t
-        if cfg.start == "ones":
-            w1 = np.ones((n_x, 1)) / np.sqrt(n_x)
-            w2 = np.ones((n_t, 1)) / np.sqrt(n_t)
-        else:
-            rng = np.random.default_rng(cfg.seed)
-            w1 = rng.standard_normal((n_x, 1))
-            w2 = rng.standard_normal((n_t, 1))
-            w1 /= np.linalg.norm(w1)
-            w2 /= np.linalg.norm(w2)
-        if problem.ctx.data_side:
-            return np.outer(w1[problem.layout.mask], w2).ravel(order="F")
-        return LowRankMat(w1, w2)
-    if cfg.start == "ones":
-        v = np.ones(n_x)
-    else:
-        v = np.random.default_rng(cfg.seed).standard_normal(n_x)
-    return v / np.linalg.norm(v)
+    rng = np.random.default_rng(cfg.seed)
+
+    def draw(n: int) -> np.ndarray:
+        v = np.ones(n) if cfg.start == "ones" else rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    w1 = draw(problem.grid.n_x)
+    if cfg.mode != hessian.MODE_SOURCE:
+        return w1
+    w2 = draw(problem.time.n_t)
+    if problem.ctx.data_side:
+        return np.outer(w1[problem.layout.mask], w2).ravel(order="F")
+    return LowRankMat(w1.reshape(-1, 1), w2.reshape(-1, 1))
 
 
 @dataclass
@@ -264,32 +260,23 @@ def run_eigs(cfg: RunConfig, exhaustive: bool = False) -> EigsRun:
     """
     problem = build_problem(cfg)
     ctx = problem.ctx
-    # Krylov cannot exceed the dimension of its space; breakdown restarts
-    # consume iteration slots without adding spectral columns, hence the slack
-    slack = 8 if exhaustive else 0
-    m_a = min(cfg.m_a, ctx.krylov_dim + slack)
-    stop = StopRule(m_a=m_a, eps_eig=cfg.eps_eig, exhaustive=exhaustive, restart_seed=cfg.seed)
-    v1 = start_vector(cfg, problem)
-    if not ctx.data_side:
-        return EigsRun(problem, lr_arnoldi(ctx.apply, v1, problem.pol, stop))
-    images: list[LowRankMat] = []
-    return EigsRun(problem, lr_arnoldi(lambda u: ctx.apply(u, images), v1, problem.pol,
-                                       stop, images))
+    # Krylov cannot exceed the dimension of its space; a restart past an
+    # invariant subspace fills one dimension of it too
+    stop = StopRule(m_a=min(cfg.m_a, ctx.krylov_dim), eps_eig=cfg.eps_eig,
+                    exhaustive=exhaustive, restart_seed=cfg.seed)
+    images = [] if ctx.data_side else None
+    return EigsRun(problem, lr_arnoldi(lambda u: ctx.apply(u, images),
+                                       start_vector(cfg, problem), problem.pol, stop, images))
 
 
-def run_variance(cfg: RunConfig, retain: float | None = None, exhaustive: bool = False):
+def run_variance(cfg: RunConfig):
     if cfg.mode == hessian.MODE_SOURCE:
         raise InvalidConfigError(
             "the variance field is defined for spatial parameter modes (ic, steady)")
-    run = run_eigs(cfg, exhaustive)
-    retain = cfg.eps_eig if retain is None else retain
-    summary = posterior.build_summary(
-        run.result.ritz_values,
-        [np.asarray(v) for v in run.result.ritz_vectors],
-        gamma_prior=run.problem.cov.gamma_prior,
-        eps_eig=retain,
-    )
-    return run, summary
+    run = run_eigs(cfg)
+    return run, posterior.build_summary(run.result.ritz_values, run.result.ritz_vectors,
+                                        gamma_prior=run.problem.cov.gamma_prior,
+                                        eps_eig=cfg.eps_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -362,41 +349,21 @@ def cmd_eigs(cfg: RunConfig) -> int:
 def cmd_variance(cfg: RunConfig) -> int:
     run, summary = run_variance(cfg)
     outdir = _save_eigs(run)
-    posterior.write_variance_csv(summary.variance_field, cfg.n_side, outdir / "variance.csv")
-    posterior.write_variance_pgm(summary.variance_field, cfg.n_side,
-                                 summary.gamma_prior, outdir / "variance.pgm")
+    n = cfg.n_side
+    grid = summary.variance_field.reshape(n, n)  # row j = x2 level j
+    _write_rows(outdir / "variance.csv", ",".join(f"c{i}" for i in range(n)),
+                (",".join(f"{v:.17g}" for v in row) for row in grid))
+    # plain 8-bit PGM: the field minimum maps to 0, gamma_prior to 255
+    lo = grid.min()
+    span = summary.gamma_prior - lo
+    pix = np.full_like(grid, 255.0) if span <= 0 else np.clip(255.0 * (grid - lo) / span, 0, 255)
+    _write_rows(outdir / "variance.pgm", f"P2\n{n} {n}\n255",
+                (" ".join(map(str, row)) for row in np.rint(pix).astype(int)))
     _write_rows(
         outdir / "retained.csv", "lambda,lambda_tilde",
         (f"{lam:.17g},{f:.17g}" for lam, f in zip(summary.eigenvalues, summary.filters)),
     )
     return 0
-
-
-def _oracle_dense_side(problem: Problem):
-    """Dense misfit Hessian for the configured instance (oracle path)."""
-    cfg = problem.config
-    L_dense = problem.spatial.L.toarray()
-    if cfg.mode == hessian.MODE_STEADY:
-        return oracle.dense_misfit_steady(L_dense, problem.cov.beta_noise,
-                                          problem.cov.beta_prior)
-    dense = oracle.dense_misfit_ic if cfg.mode == hessian.MODE_IC else oracle.dense_misfit_source
-    return dense(L_dense, problem.grid.m_scale, problem.time.tau, problem.time.n_t,
-                 problem.layout.mask, problem.cov.beta_noise, problem.cov.gamma_prior)
-
-
-def _dense_apply_wrapper(problem: Problem):
-    """Matrix-free apply acting on stacked dense vectors (for the hv gate)."""
-    cfg = problem.config
-    if cfg.mode != hessian.MODE_SOURCE:
-        return problem.ctx.apply
-    n_x, n_t = problem.grid.n_x, problem.time.n_t
-
-    def apply_stacked(v):
-        X = np.asarray(v, dtype=float).reshape((n_x, n_t), order="F")
-        Y = problem.ctx.apply(lr_from_dense(X, problem.pol))
-        return lr_to_dense(Y).reshape(-1, order="F")
-
-    return apply_stacked
 
 
 ORACLE_RETAIN = 1e-8  # retention threshold of the compared variance field
@@ -409,13 +376,22 @@ def run_oracle(cfg: RunConfig):
     oracle.check_cap(cfg.n_side**2 * (cfg.nt if source else 1))
     # the dense side has the complete spectrum, so the low-rank side runs
     # exhaustively: no refresh stop, and a reseed through each multiplicity
-    if source:
-        run, summary = run_eigs(cfg, exhaustive=True), None
+    run = run_eigs(cfg, exhaustive=True)
+    problem, result, cov = run.problem, run.result, run.problem.cov
+    L_dense = problem.spatial.L.toarray()
+    if cfg.mode == hessian.MODE_STEADY:
+        Hd, asymmetry = oracle.dense_misfit_steady(L_dense, cov.beta_noise, cov.beta_prior)
     else:
-        run, summary = run_variance(cfg, ORACLE_RETAIN, exhaustive=True)
-    problem, result = run.problem, run.result
-    Hd, asymmetry = _oracle_dense_side(problem)
-    hv_err = oracle.hv_agreement(_dense_apply_wrapper(problem), Hd,
+        dense = oracle.dense_misfit_source if source else oracle.dense_misfit_ic
+        Hd, asymmetry = dense(L_dense, problem.grid.m_scale, problem.time.tau, problem.time.n_t,
+                              problem.layout.mask, cov.beta_noise, cov.gamma_prior)
+    # the dense view of a parameter: a source field is stacked column-major
+    view = lift = np.asarray
+    if source:
+        shape = (problem.grid.n_x, problem.time.n_t)
+        view = lambda v: lr_to_dense(v).reshape(-1, order="F")
+        lift = lambda x: lr_from_dense(x.reshape(shape, order="F"), problem.pol)
+    hv_err = oracle.hv_agreement(lambda x: view(problem.ctx.apply(lift(x))), Hd,
                                  n_probe=20, seed=cfg.seed)
 
     # extend the top-k to the end of the cluster holding eigenvalue k, as far
@@ -429,17 +405,14 @@ def run_oracle(cfg: RunConfig):
         k = n_angle = last.stop
     else:
         n_angle = last.start
-    if source:
-        lr_vecs = np.column_stack([
-            lr_to_dense(v).reshape(-1, order="F") for v in result.ritz_vectors[:k]
-        ])
-    else:
-        lr_vecs = np.column_stack(result.ritz_vectors[:k])
+    lr_vecs = np.column_stack([view(v) for v in result.ritz_vectors[:k]])
 
     lr_var = dn_var = None
-    if summary is not None:
-        lr_var = summary.variance_field
-        dn_var = oracle.dense_posterior_diag(Hd, problem.cov.gamma_prior)
+    if not source:
+        lr_var = posterior.build_summary(result.ritz_values, result.ritz_vectors,
+                                         gamma_prior=cov.gamma_prior,
+                                         eps_eig=ORACLE_RETAIN).variance_field
+        dn_var = oracle.dense_posterior_diag(Hd, cov.gamma_prior)
 
     report = oracle.compare(
         result.ritz_values, lr_vecs, dn_vals[:k], dn_vecs[:, :n_angle], Hd=Hd,

@@ -31,11 +31,14 @@ def check_count(name: str, value, least: int) -> int:
     """``value`` as an int if it is a whole number >= least, else InvalidConfigError.
 
     31.0 and numpy integers qualify; a bool does not, although it compares
-    equal to 0 or 1.
+    equal to 0 or 1, nor an int past Python's str conversion limit, which
+    no manifest could record.
     """
     try:
         if not isinstance(value, (bool, np.bool_)) and value == int(value) and value >= least:
-            return int(value)
+            count = int(value)
+            str(count)  # raises ValueError past the limit
+            return count
     except (TypeError, ValueError, OverflowError):  # not a number, NaN, ±inf
         pass
     raise InvalidConfigError(f"{name} must be an integer >= {least}, got {shown(value)}")

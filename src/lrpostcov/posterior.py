@@ -7,7 +7,8 @@ scalar prior Γ_prior = γ·I, the posterior covariance action and diagonal are
     diag(Γ_post) = γ·(1 - Σ_i λ̃_i·V[:,i]²).
 
 The full matrix is never materialized; only its diagonal and its action are
-exposed.  All functions here are pure; summaries are safe to share.
+exposed.  All functions here are pure; summaries are safe to share, and
+``lrpostcov variance`` writes the field to its CSV and PGM files.
 """
 
 from __future__ import annotations
@@ -87,28 +88,3 @@ def posterior_apply(v: np.ndarray, summary: PosteriorSummary) -> np.ndarray:
     if summary.k == 0:
         return summary.gamma_prior * v
     return summary.gamma_prior * (v - summary.V @ (summary.filters * (summary.V.T @ v)))
-
-
-def write_variance_csv(field: np.ndarray, n_side: int, path) -> None:
-    """n_side × n_side CSV grid, row j = x2 level j, 17 significant digits."""
-    grid = np.asarray(field, dtype=float).reshape(n_side, n_side)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"c{i}" for i in range(n_side)) + "\n")
-        for row in grid:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def write_variance_pgm(field: np.ndarray, n_side: int, gamma_prior: float, path) -> None:
-    """Plain-text 8-bit PGM: field minimum maps to 0, gamma_prior to 255."""
-    grid = np.asarray(field, dtype=float).reshape(n_side, n_side)  # row j = x2 level j
-    lo = float(grid.min())
-    span = gamma_prior - lo
-    if span <= 0:
-        pix = np.full_like(grid, 255.0)
-    else:
-        pix = np.clip(255.0 * (grid - lo) / span, 0.0, 255.0)
-    pix = np.rint(pix).astype(int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{n_side} {n_side}\n255\n")
-        for row in pix:
-            fh.write(" ".join(str(v) for v in row) + "\n")

@@ -69,18 +69,31 @@ def test_runs_are_bitwise_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_manifest_rerun_reproduces_bitwise(tmp_path):
+_SMALL = ["--n-side", "7", "--sensors", "none"]
+_DATA_SIDE = ["--n-side", "15", "--sensors", "grid3x3", "--mode", "source", "--nt", "3"]
+_RANDOM = ["--seed", "3", "--start", "random"]
+
+
+@pytest.mark.parametrize("flags", [
+    [*_SMALL, "--nt", "4", "--m-a", "15", "--eps-eig", "1e-10"],
+    [*_SMALL, "--nt", "4", "--m-a", "15", "--eps-eig", "1e-10", *_RANDOM],
+    [*_DATA_SIDE, "--m-a", "12"],
+    [*_DATA_SIDE, "--m-a", "12", *_RANDOM],
+    [*_SMALL, "--mode", "source", "--nt", "4", "--m-a", "12", *_RANDOM],
+    [*_SMALL, "--mode", "steady", "--m-a", "15", "--eps-eig", "1e-10"],
+], ids=["ic-ones", "ic-random", "data-side-ones", "data-side-random", "source-random", "steady"])
+def test_manifest_rerun_reproduces_bitwise(tmp_path, flags):
+    # every start path: IC, the data side and the full-observation source
     first = tmp_path / "first"
-    rc = cli.main(["eigs", "--problem", "heat", "--n-side", "7", "--nt", "4",
-                   "--sensors", "none", "--m-a", "15", "--eps-eig", "1e-10",
-                   "--seed", "3", "--start", "random",
-                   "--out", str(first)])
-    assert rc == 0
+    assert cli.main(["eigs", "--problem", "heat", *flags, "--out", str(first)]) == 0
     second = tmp_path / "second"
     rc = cli.main(["eigs", "--config", str(first / "manifest.cfg"),
                    "--out", str(second)])
     assert rc == 0
-    for name in ("eigenvalues.csv", "ranks.csv", "hessenberg.csv"):
+    written = sorted(p.name for p in first.glob("*.csv"))
+    assert written == sorted(p.name for p in second.glob("*.csv"))
+    assert ("singular_values.csv" in written) == ("source" in flags)
+    for name in written:
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
@@ -97,6 +110,9 @@ def test_variance_empty_retention_is_prior_constant(tmp_path):
     assert_allclose(values, 10.0, rtol=1e-12)
     _, retained = _read_csv(out / "retained.csv")
     assert retained == []
+    # a constant field has no span to map, so every pixel is white
+    pgm = (out / "variance.pgm").read_text().split()
+    assert pgm[:4] == ["P2", "7", "7", "255"] and set(pgm[4:]) == {"255"}
 
 
 def test_variance_minimum_at_sensor_dof(tmp_path):
@@ -105,13 +121,21 @@ def test_variance_minimum_at_sensor_dof(tmp_path):
                    "--m-a", "25", "--eps-eig", "1e-1", "--out", str(out)])
     assert rc == 0
     header, rows = _read_csv(out / "variance.csv")
-    values = np.array([[float(x) for x in row] for row in rows])
-    field = values.ravel()  # row j is the x2 level, matching dof order
+    assert header == [f"c{i}" for i in range(31)]
+    field = np.array([[float(x) for x in row] for row in rows]).ravel()  # row j = x2 level j
+    # the CSV holds the library's field to 17 significant digits, so exactly
+    _, summary = cli.run_variance(cli.resolve_config(out / "manifest.cfg"))
+    assert np.array_equal(field, summary.variance_field)
     grid = lp.build_grid(31)
     from lrpostcov.hessian import make_sensor_layout_3x3
     mask = make_sensor_layout_3x3(grid).mask
     assert mask[np.argmin(field)]
-    assert (out / "variance.pgm").read_text().startswith("P2\n31 31\n255\n")
+    # the field's minimum maps to black, and only the prior variance to white
+    pgm = (out / "variance.pgm").read_text()
+    assert pgm.startswith("P2\n31 31\n255\n")
+    pix = np.array([int(x) for x in pgm.split()[4:]])
+    assert pix.size == 31 * 31 and pix.min() == 0 and pix.max() <= 255
+    assert pix[np.argmin(field)] == 0
 
 
 def test_oracle_pass_heat(tmp_path):
@@ -300,11 +324,14 @@ _ODD_VALUES = {"None": None, "'x'": "x", "'3'": "3", "True": True, "nan": np.nan
 def test_every_field_builds_or_refuses_every_odd_value(key, value):
     # no value reaches a raw exception: it is taken, or refused as a
     # configuration error whose message is short, with a stand-in for a value
-    # that cannot be printed
+    # that cannot be printed; a config that is taken can write its manifest
     try:
-        cli.RunConfig(**{key: value})
+        cfg = cli.RunConfig(**{key: value})
     except lp.InvalidConfigError as exc:
         assert len(str(exc)) < 200
+    else:
+        for f in fields(cfg):
+            cli._format_value(f.name, getattr(cfg, f.name))
 
 
 @pytest.mark.parametrize("key", ["n_side", "nt", "m_a", "seed", "compress_every", "k"])
@@ -567,7 +594,9 @@ def test_data_side_source_run_holds_against_the_dense_hessian(wind):
     assert all(isinstance(v, np.ndarray) and v.shape == (45,) for v in res.basis)
     assert all(isinstance(v, lp.LowRankMat) and v.shape == (n_x, n_t)
                for v in res.ritz_vectors)
-    Hd, _ = cli._oracle_dense_side(problem)
+    Hd, _ = lp.oracle.dense_misfit_source(
+        problem.spatial.L.toarray(), problem.grid.m_scale, problem.time.tau, n_t,
+        problem.layout.mask, problem.cov.beta_noise, problem.cov.gamma_prior)
     dn_vals, dn_vecs = np.linalg.eigh(Hd)
     dn_vals, dn_vecs = dn_vals[::-1], dn_vecs[:, ::-1]
     lam1 = dn_vals[0]

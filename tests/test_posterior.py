@@ -185,32 +185,3 @@ def test_run_variance_rejects_source_mode():
     cfg = cli.RunConfig(problem="heat", n_side=7, nt=4, mode="source", m_a=5, sensors="none")
     with pytest.raises(lp.InvalidConfigError):
         cli.run_variance(cfg)
-
-
-def test_variance_csv_and_pgm_export(tmp_path):
-    rng = np.random.default_rng(7)
-    n_side = 6
-    field = rng.uniform(2.0, 10.0, n_side * n_side)
-    field[13] = 1.0  # unique minimum
-    csv_path = tmp_path / "variance.csv"
-    pgm_path = tmp_path / "variance.pgm"
-    posterior.write_variance_csv(field, n_side, csv_path)
-    posterior.write_variance_pgm(field, n_side, 10.0, pgm_path)
-
-    rows = csv_path.read_text().strip().splitlines()
-    assert len(rows) == n_side + 1  # header + grid
-    grid = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
-    assert_allclose(grid.ravel(), field, rtol=1e-15)
-
-    pgm = pgm_path.read_text().split()
-    assert pgm[0] == "P2" and pgm[1] == str(n_side) and pgm[3] == "255"
-    pix = np.array([int(x) for x in pgm[4:]])
-    assert pix.min() == 0 and pix[13] == 0  # minimum maps to black
-    assert pix.max() <= 255
-
-
-def test_pgm_constant_field_is_white(tmp_path):
-    path = tmp_path / "flat.pgm"
-    posterior.write_variance_pgm(np.full(9, 10.0), 3, 10.0, path)
-    pix = [int(x) for x in path.read_text().split()[4:]]
-    assert all(p == 255 for p in pix)
