@@ -1,16 +1,22 @@
 """Low-rank Arnoldi iteration with full reorthogonalization.
 
-The iteration is generic over the vector representation: dense vectors
+The iteration runs on either vector representation: dense vectors
 (initial-condition and steady modes, and the distributed source's data
 side) or low-rank space-time fields (the distributed source under full
-observation).  Orthogonalization is classical Gram-Schmidt
-with one reorthogonalization pass (CGS2): each pass takes every coefficient
-from the current vector and subtracts the whole projection as one exact
-combination.  In low-rank mode that combination is recompressed once per
-pass, and each Ritz vector once, which keeps storage at O(n_x + n_t) per
-vector without a truncation per basis vector.  The m Ritz vectors are the
-columns of one product basis·Y (``combinations``), which in low-rank mode
-shares each basis vector's long-side product across a block of them.
+observation).  Each vector operation is one module function (``_dot``,
+``_norm``, ``_scale``, ``_finite``, ``_combinations``) that dispatches on
+the vector type; ``lr_dot`` and ``lr_truncate`` are looked up by module
+name on every call, so a caller that rebinds ``arnoldi.lr_dot`` or
+``arnoldi.lr_truncate`` (a tracer) sees each call.
+
+Orthogonalization is classical Gram-Schmidt with one reorthogonalization
+pass (CGS2): each pass takes every coefficient from the current vector and
+subtracts the whole projection as one exact combination.  In low-rank
+mode that combination is recompressed once per pass, and each Ritz vector
+once, which keeps storage at O(n_x + n_t) per vector without a truncation
+per basis vector.  The m Ritz vectors are the columns of one product basis·Y
+(``_combinations``), which in low-rank mode shares each basis vector's
+long-side product across a block of them.
 
 A default run combines a hard iteration cap with a Ritz refresh every
 CHECK_EVERY steps; it ends early once every Ritz value above the retention
@@ -93,12 +99,11 @@ class ArnoldiResult:
 
     def gram_defect(self) -> float:
         """max |<v_i, v_j> - δ_ij| over the stored basis."""
-        ops = _ops_for(self.basis[0])
         m = len(self.basis)
         worst = 0.0
         for i in range(m):
             for j in range(i, m):
-                g = ops.dot(self.basis[i], self.basis[j])
+                g = _dot(self.basis[i], self.basis[j])
                 worst = max(worst, abs(g - (1.0 if i == j else 0.0)))
         return worst
 
@@ -110,75 +115,56 @@ class ArnoldiResult:
         return float(np.abs(Hm - Hm.T).max()) / scale if scale > 0 else 0.0
 
 
-class _VectorOps:
-    """Operations shared by both iterate representations."""
-
-    def __init__(self, pol: TruncationPolicy):
-        self.pol = pol
-
-    def project(self, w, basis):
-        """One classical Gram-Schmidt pass: (coefficients, w minus its projection).
-
-        Every coefficient is taken from the incoming w, so the update is a
-        single combination (one truncation in low-rank mode).
-        """
-        h = np.array([self.dot(w, v) for v in basis])
-        return h, self.combine([w, *basis], np.concatenate(([1.0], -h)))
-
-    def combine(self, basis, coeffs):
-        """Σ c_i·basis_i, the one-column case of ``combinations``."""
-        (out,) = self.combinations(basis, np.asarray(coeffs, dtype=float)[:, None])
-        return out
+def _dot(a, b) -> float:
+    return lr_dot(a, b) if isinstance(a, LowRankMat) else np.dot(a, b)
 
 
-class _DenseOps(_VectorOps):
-    """Vector operations for dense ndarray iterates."""
-
-    dot = staticmethod(np.dot)
-    norm = staticmethod(np.linalg.norm)
-    scale = staticmethod(np.multiply)
-
-    @staticmethod
-    def finite(w) -> bool:
-        return bool(np.isfinite(w).all())
-
-    @staticmethod
-    def combinations(basis, C):
-        """Yield basis·C[:, k] for each column k, each by its own loop over the basis.
-
-        Each term is one daxpy, in place in the contiguous float64 ``out``,
-        which makes no temporary for c·v.
-        """
-        for coeffs in C.T:
-            out = np.zeros_like(basis[0], dtype=float)
-            for v, c in zip(basis, coeffs):
-                out = blas.daxpy(v, out, a=c)
-            yield out
+def _norm(v) -> float:
+    return lr_norm(v) if isinstance(v, LowRankMat) else np.linalg.norm(v)
 
 
-class _LowRankOps(_VectorOps):
-    """Vector operations for LowRankMat iterates; one truncation per combination."""
-
-    norm = staticmethod(lr_norm)
-    scale = staticmethod(lr_scale)
-
-    @staticmethod
-    def dot(a, b) -> float:
-        return lr_dot(a, b)  # resolved per call, so a rebound module name is seen
-
-    @staticmethod
-    def finite(w) -> bool:
-        return bool(np.isfinite(w.W1).all() and np.isfinite(w.W2).all())
-
-    def combinations(self, basis, C):
-        """Each column's combination, truncated; the exact sums share their products."""
-        # map keeps no exact sum once its truncation is handed on
-        return map(lambda S: lr_truncate(S, self.pol), lr_sums(basis, C))
+def _scale(v, c: float):
+    return lr_scale(v, c) if isinstance(v, LowRankMat) else np.multiply(v, c)
 
 
-def _ops_for(v, pol: TruncationPolicy | None = None):
-    pol = pol or TruncationPolicy()
-    return _LowRankOps(pol) if isinstance(v, LowRankMat) else _DenseOps(pol)
+def _finite(v) -> bool:
+    parts = (v.W1, v.W2) if isinstance(v, LowRankMat) else (v,)
+    return all(np.isfinite(p).all() for p in parts)
+
+
+def _combinations(basis, C, pol: TruncationPolicy):
+    """Yield basis·C[:, k] for each column k of C, in order.
+
+    Low-rank: each column's exact sum from ``lr_sums``, which shares the
+    long-side products between columns, truncated once; map keeps no exact
+    sum once its truncation is handed on.  Dense: each column by its own
+    loop over the basis, one daxpy per term in place in the contiguous
+    float64 ``out``, which makes no temporary for c·v.
+    """
+    if isinstance(basis[0], LowRankMat):
+        yield from map(lambda S: lr_truncate(S, pol), lr_sums(basis, C))
+        return
+    for coeffs in C.T:
+        out = np.zeros_like(basis[0], dtype=float)
+        for v, c in zip(basis, coeffs):
+            out = blas.daxpy(v, out, a=c)
+        yield out
+
+
+def _combine(basis, coeffs, pol: TruncationPolicy):
+    """Σ c_i·basis_i, the one-column case of ``_combinations``."""
+    (out,) = _combinations(basis, np.asarray(coeffs, dtype=float)[:, None], pol)
+    return out
+
+
+def _project(w, basis, pol: TruncationPolicy):
+    """One classical Gram-Schmidt pass: (coefficients, w minus its projection).
+
+    Every coefficient is taken from the incoming w, so the update is a
+    single combination (one truncation in low-rank mode).
+    """
+    h = np.array([_dot(w, v) for v in basis])
+    return h, _combine([w, *basis], np.concatenate(([1.0], -h)), pol)
 
 
 def _hessenberg_eigs(Hm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,22 +188,22 @@ def ritz_pairs(H: np.ndarray, basis: list, pol: TruncationPolicy | None = None) 
 
     Values and combination coefficients Y come from the same symmetric
     eigensolve.  The vectors are the columns of basis·Y, made together by
-    ``combinations`` (in low-rank mode one truncation each, and products
-    shared between columns), then normalized.
+    ``_combinations`` (in low-rank mode one truncation each under ``pol``,
+    TruncationPolicy() when None, and products shared between columns),
+    then normalized.
     """
     m = H.shape[1]
     vals, vecs = _hessenberg_eigs(H[:m, :m])
-    ops = _ops_for(basis[0], pol)
     pairs = []
-    for val, v in zip(vals, ops.combinations(basis[:m], vecs)):
-        nrm = ops.norm(v)
+    for val, v in zip(vals, _combinations(basis[:m], vecs, pol or TruncationPolicy())):
+        nrm = _norm(v)
         if nrm > 0:
-            v = ops.scale(v, 1.0 / nrm)
+            v = _scale(v, 1.0 / nrm)
         pairs.append((float(val), v))
     return pairs
 
 
-def _fresh_direction(basis: list, ops, seed: int):
+def _fresh_direction(basis: list, pol: TruncationPolicy, seed: int):
     """Seeded random direction orthogonalized against the basis, or None.
 
     Used by breakdown restarts to reach eigenspace copies that a single
@@ -231,13 +217,13 @@ def _fresh_direction(basis: list, ops, seed: int):
         w = LowRankMat(rng.standard_normal((n_x, 2)), rng.standard_normal((n_t, 2)))
     else:
         w = rng.standard_normal(proto.shape[0])
-    w = ops.scale(w, 1.0 / ops.norm(w))
+    w = _scale(w, 1.0 / _norm(w))
     for _pass in range(2):
-        _, w = ops.project(w, basis)
-    nrm = ops.norm(w)
+        _, w = _project(w, basis, pol)
+    nrm = _norm(w)
     if nrm <= 1e-6:
         return None
-    return ops.scale(w, 1.0 / nrm)
+    return _scale(w, 1.0 / nrm)
 
 
 def _stop_ready(vals: np.ndarray, prev: np.ndarray | None, stop: StopRule) -> bool:
@@ -290,13 +276,12 @@ def lr_arnoldi(
         basis itself when None.  Source mode's data side passes each
         apply's parameter-side image here.
     """
-    ops = _ops_for(v1, pol)
-    nrm = ops.norm(v1)
+    nrm = _norm(v1)
     if not np.isfinite(nrm):
         raise NumericalError(f"Arnoldi start vector has norm {nrm}")
     if nrm == 0:
         raise ValueError("start vector must be nonzero")
-    v1 = ops.combine([v1], [1.0 / nrm])
+    v1 = _combine([v1], [1.0 / nrm], pol)
 
     basis = [v1]
     H = np.zeros((stop.m_a + 1, stop.m_a))
@@ -309,14 +294,14 @@ def lr_arnoldi(
     for j in range(stop.m_a):
         t0 = _time.perf_counter()
         w = apply(basis[j])
-        if not ops.finite(w):
+        if not _finite(w):
             raise NumericalError(f"Arnoldi iteration {j + 1}: operator output is not finite")
 
         for _pass in range(2):  # CGS with one reorthogonalization pass
-            h, w = ops.project(w, basis[: j + 1])
+            h, w = _project(w, basis[: j + 1], pol)
             H[: j + 1, j] += h
 
-        h_sub = ops.norm(w)
+        h_sub = _norm(w)
         if not np.isfinite(h_sub):
             raise NumericalError(f"Arnoldi iteration {j + 1}: h_(j+1,j) = {h_sub}")
         H[j + 1, j] = h_sub
@@ -327,14 +312,14 @@ def lr_arnoldi(
             fresh = None
             if stop.exhaustive and j + 1 < stop.m_a:
                 H[j + 1, j] = 0.0
-                fresh = _fresh_direction(basis, ops, stop.restart_seed + restarts)
+                fresh = _fresh_direction(basis, pol, stop.restart_seed + restarts)
             if fresh is None:  # not restarting, or orthogonal complement exhausted
                 stop_reason = "breakdown"
                 break
             restarts += 1
             basis.append(fresh)
             continue
-        basis.append(ops.scale(w, 1.0 / h_sub))  # project's output is already compressed
+        basis.append(_scale(w, 1.0 / h_sub))  # _project's output is already compressed
 
         if not stop.exhaustive and (j + 1) % CHECK_EVERY == 0 and j + 1 < stop.m_a:
             vals, _ = _hessenberg_eigs(H[: j + 1, : j + 1])

@@ -146,7 +146,7 @@ def lr_to_dense(A: LowRankMat) -> np.ndarray:
 
 
 def lr_from_dense(X: np.ndarray, pol: TruncationPolicy) -> LowRankMat:
-    """Compress a dense matrix via full SVD and the truncation policy."""
+    """Compress a dense matrix via full SVD and the scale-free rank cut (σ/σ₁)."""
     X = np.asarray(X, dtype=float)
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     r = _rank_cut(s, pol)
@@ -154,10 +154,14 @@ def lr_from_dense(X: np.ndarray, pol: TruncationPolicy) -> LowRankMat:
 
 
 def _rank_cut(s: np.ndarray, pol: TruncationPolicy) -> int:
-    """Smallest r with sqrt(sum of discarded σ²) <= eps0 * ||σ||."""
+    """Smallest r with sqrt(sum of discarded σ²) <= eps0 * ||σ||, at least 1 if σ₁ > 0.
+
+    Taken on σ/σ₁, so scale-free: σ² itself overflows once σ₁ passes ~1e154.
+    """
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    s = np.where(s < NOISE_FLOOR * s[0], 0.0, s)
+    s = s / s[0]
+    s = np.where(s < NOISE_FLOOR, 0.0, s)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||(σ_r, σ_{r+1}, ...)||
     total = tail[0]
     # Smallest r with tail[r] <= eps0*total; tail is descending so search the
@@ -168,8 +172,6 @@ def _rank_cut(s: np.ndarray, pol: TruncationPolicy) -> int:
 
 def _svd_flip(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic sign convention: largest-|entry| of each U column positive."""
-    if U.shape[1] == 0:
-        return U, V
     idx = np.argmax(np.abs(U), axis=0)
     signs = np.sign(U[idx, np.arange(U.shape[1])])
     signs[signs == 0] = 1.0
@@ -181,7 +183,8 @@ def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
 
     Thin QR of each tall factor (a factor with no more rows than columns is
     its own R), SVD of the small core, rank cut by the relative Frobenius
-    tail.  Guarantees ||A - out||_F <= eps0 * ||A||_F.
+    tail of σ/σ₁, which is scale-free.  Guarantees ||A - out||_F <= eps0 *
+    ||A||_F.
     """
     n_x, n_t = A.shape
     if A.r == 0:
@@ -195,9 +198,7 @@ def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
     U, s, Vt = np.linalg.svd(R1 @ R2.T)
     if s.size == 0 or s[0] <= NOISE_FLOOR * factor_scale:
         return LowRankMat.zeros(n_x, n_t)
-    r = _rank_cut(s, pol)
-    if r == 0:
-        return LowRankMat.zeros(n_x, n_t)
+    r = _rank_cut(s, pol)  # at least 1, since s[0] > 0
     U, V = U[:, :r], Vt[:r, :].T
     U, V = _svd_flip(U if Q1 is None else Q1 @ U, V if Q2 is None else Q2 @ V)
     return LowRankMat(U, V * s[:r])

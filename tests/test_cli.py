@@ -8,7 +8,7 @@ import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 import lrpostcov as lp
-from lrpostcov import cli, hessian
+from lrpostcov import cli, hessian, oracle
 
 
 def _read_csv(path):
@@ -243,14 +243,16 @@ def test_sweep_records_point_failure_and_continues(tmp_path):
     ["--final-time", "0"],
     ["--problem", "convdiff", "--nu", "-0.1"],
     ["--sensors", "custom:2,2,0.1"],
+    ["--values", ","],  # no point at all
 ])
-def test_sweep_rejects_a_bad_base_value_without_output(tmp_path, flags):
+def test_sweep_rejects_a_bad_base_value_without_output(tmp_path, capsys, flags):
     # the base configuration is checked once, before any point runs
     out = tmp_path / "sweep"
     rc = cli.main(["sweep", "--axis", "nt", "--values", "4,5", "--n-side", "7",
                    "--sensors", "none", "--m-a", "5", "--out", str(out), *flags])
     assert rc == 2
     assert not out.exists()
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):
@@ -474,6 +476,21 @@ def test_non_finite_or_malformed_value_exits_2_without_output(tmp_path, capsys, 
     assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("name, message", [
+    ("no-such.cfg", "cannot read config file"),
+    ("", "cannot read config file"),  # the directory itself
+    ("no-equals.cfg", "no-equals.cfg:2: expected key=value"),
+])
+def test_unreadable_or_malformed_config_file_exits_2_without_output(tmp_path, capsys, name,
+                                                                    message):
+    (tmp_path / "no-equals.cfg").write_text("n_side=7\nnt 5\n")
+    out = tmp_path / "out"
+    assert cli.main(["eigs", "--config", str(tmp_path / name), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err  # one line
+    assert err.count("\n") == 1 and message in err
+
+
 def test_precedence_flag_file(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("n_side=9\nnt=7\nnu=0.5\nsensors=none\n")
@@ -578,6 +595,24 @@ def test_oracle_passes_when_top_k_ends_inside_a_degenerate_pair(tmp_path):
                    "--out", str(out)])
     assert rc == 0
     assert "result=PASS" in (out / "oracle_report.txt").read_text()
+
+
+def test_oracle_leaves_a_pair_the_ritz_values_end_inside_out_of_the_angle_check(
+        tmp_path, monkeypatch):
+    # the same pair at m_a 10: Ritz pairs 1..10 end inside it, so compare gets
+    # 10 eigenvalues but only the 9 dense vectors before the pair; 10 Krylov
+    # steps do not converge, so the report's verdict is not checked here
+    seen = []
+    compare = oracle.compare
+
+    def spy(lr_values, lr_vectors, dense_values, dense_vectors, **kw):
+        seen.append((len(dense_values), lr_vectors.shape, dense_vectors.shape))
+        return compare(lr_values, lr_vectors, dense_values, dense_vectors, **kw)
+
+    monkeypatch.setattr(oracle, "compare", spy)
+    cli.main(["oracle", "--problem", "heat", "--mode", "source", "--n-side", "7", "--nt", "5",
+              "--sensors", "none", "--m-a", "10", "--out", str(tmp_path / "cut")])
+    assert seen == [(10, (245, 10), (245, 9))]
 
 
 @pytest.mark.parametrize("wind", [None, (1.0, 0.0)])

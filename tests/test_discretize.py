@@ -113,6 +113,9 @@ def test_convdiff_bandwidth():
 def test_analytic_poisson_eig_values():
     assert_allclose(dz.analytic_poisson_eig(1, 1), 2 * np.pi**2, rtol=1e-15)
     assert_allclose(dz.analytic_poisson_eig(2, 1), 5 * np.pi**2, rtol=1e-15)
+    for m, n in [(0, 1), (1, 0)]:
+        with pytest.raises(InvalidConfigError, match="need m, n >= 1"):
+            dz.analytic_poisson_eig(m, n)
 
 
 def test_discrete_eig_matches_dense_eigensolve():

@@ -312,6 +312,17 @@ class TestSteadyPoisson:
         want = 1e-4 * spla.spsolve(L, spla.spsolve(L, v))
         assert_allclose(ctx.apply(v), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    def test_context_without_its_operators_is_refused(self):
+        grid, _, K, ctx = _heat_ctx(5, 3)
+        cov = hs.CovarianceSpec(1e4, 1.0, 1.0)
+        with pytest.raises(InvalidConfigError, match="steady mode needs a spatial operator"):
+            hs.HessianContext(mode=hs.MODE_STEADY, operator=None, layout=None,
+                              cov=cov, pol=POL, spatial=None)
+        for operator, layout in [(None, ctx.layout), (K, None)]:
+            with pytest.raises(InvalidConfigError, match="needs operator and layout"):
+                hs.HessianContext(mode=hs.MODE_IC, operator=operator, layout=layout,
+                                  cov=cov, pol=POL)
+
     def test_steady_mode_requires_heat(self):
         grid = lp.build_grid(5)
         cd = lp.assemble_convdiff(grid, 1e-2, (0.0, 1.0))

@@ -109,6 +109,18 @@ def test_truncate_zero_matrix():
     assert lr_truncate(LowRankMat.zeros(10, 8), POL).r == 0
 
 
+def test_rank_cut_keeps_a_field_whose_squared_singular_values_overflow():
+    # σ₁² overflows past σ₁ ~ 1.3e154; a cut on σ² would read every tail as
+    # inf and keep no term, though the factor norms of the 1e77 pair are finite
+    rng = np.random.default_rng(15)
+    W1, W2 = rng.standard_normal((50, 3)), rng.standard_normal((20, 3))
+    X = W1 @ W2.T
+    for A, scale in [(lr_from_dense(1e160 * X, POL), 1e160),
+                     (lr_truncate(LowRankMat(1e77 * W1, 1e77 * W2), POL), 1e154)]:
+        assert A.r == 3
+        assert np.linalg.norm(lr_to_dense(A) / scale - X) <= 1e-14 * np.linalg.norm(X)
+
+
 def test_add_is_exact_concatenation():
     rng = np.random.default_rng(6)
     A = _random_lowrank(rng, 25, 18, 3)
