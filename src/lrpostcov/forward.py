@@ -54,7 +54,8 @@ from scipy.linalg import blas, lapack
 
 from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError, check_count
-from .lowrank import LowRankMat, TruncationPolicy, _qr, lr_truncate
+from .lowrank import (LowRankMat, TruncationPolicy, _add_reflector_product, _qr,
+                      _qr_reflectors, _reflector_q, lr_truncate)
 
 COMPRESS_EVERY = 16  # default sweep steps between recompressions (2 flushes at n_t 30)
 MAX_SCALE_DECADES = 300.0  # widest log10(max g / min g) of a symmetrizer a solve scales by
@@ -353,22 +354,30 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     Q·(X1 − D·X2) + Qb·X2 for the kept left factor split at row r; no QR of
     an n_x × (r + c) factor is formed.
 
+    Qb enters only those two products, so it is kept as the remainder's
+    Householder reflectors, Qb = E_k − V·S (``lowrank._qr_reflectors``, E_k
+    the identity's first k columns): D = Q[:k]ᵀ − (QᵀV)·S takes one GEMM
+    with V where QᵀQb took one with Qb, and Qb·X2 is one GEMM with V into
+    U plus X2 added to U's top k rows.  So Qb itself, which orgqr forms at
+    about the cost of the QR, is formed only for a second pass.
+
     PᵀP = I − DᵀD, so UᵀU = I − (D·X2)ᵀ(D·X2) exactly.  The rank
     cut keeps only singular values above eps0·‖A‖/√(r + c), ‖A‖ the field's
-    norm, and X2 = Rb·(…)·S⁻¹ with a factor of norm ≤ 1, so ‖D·X2‖ ≤ β =
+    norm, and X2 = Rb·(…)·Σ⁻¹ with a factor of norm ≤ 1, so ‖D·X2‖ ≤ β =
     ‖D·Rb‖·√(r + c)/(eps0·‖A‖).  Only when β exceeds ``REORTH_BOUND`` is Qb
-    projected again and re-orthonormalized, which leaves D = 0: a bound in
-    the spirit of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976),
-    who reorthogonalize only when a projection has cancelled too much.  The
-    second pass truncates nothing, so a flush is one ``lr_truncate`` either
-    way.  The first flush meets an empty pane (r = 0): it has nothing to
-    project against, so W's thin QR alone gives Qb and Rb, and the field
-    truncated is Rb·Eᵀ.
+    formed, projected again and re-orthonormalized, which leaves D = 0: a
+    bound in the spirit of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30,
+    1976), who reorthogonalize only when a projection has cancelled too
+    much.  The second pass truncates nothing, so a flush is one
+    ``lr_truncate`` either way.  The first flush meets an empty pane (r =
+    0): it has nothing to project against, so W's thin QR alone gives Qb
+    and Rb, and the field truncated is Rb·Eᵀ.
 
     The flush works in the caller's block: W must be a Fortran-ordered
-    float64 array, which the projection overwrites with the remainder and
-    its QR with Qb, so the caller must not read W afterwards.  The rotated
-    basis is a fresh Fortran-ordered array, so the pane's basis stays one.
+    float64 array, which the projection overwrites with the remainder, its
+    QR with V and a second pass with Qb, so the caller must not read W
+    afterwards.  Beyond small arrays it allocates only the rotated basis,
+    a fresh Fortran-ordered array, so the pane's basis stays one.
     """
     if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
         raise ValueError("a flush needs a Fortran-ordered float64 block")
@@ -377,8 +386,8 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     if r:
         C = blas.dgemm(1.0, Q, W, trans_a=True)
         _add_product(W, -1.0, Q, C)
-    Qb, Rb = _qr(W, overwrite_a=True)
-    k = len(Rb)
+    V, S, Rb = _qr_reflectors(W)  # Qb = E_k − V·S, formed only by a second pass
+    k, Qb = len(Rb), None
     core = np.zeros((r + k, r + c))
     T = np.zeros((n_t, r + c))
     T[idx, range(r, r + c)] = 1.0
@@ -389,13 +398,14 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
         sigma[sigma == 0.0] = 1.0  # a column norm that underflowed stays unscaled
         np.divide(W2, sigma, out=T[:, :r])
         core.flat[:r * (r + c + 1):r + c + 1] = sigma  # the top-left block's diagonal
-        D = blas.dgemm(1.0, Q, Qb, trans_a=True)
+        D = Q[:k].T - blas.dgemm(1.0, Q, V, trans_a=True) @ S  # QᵀQb
         DRb = D @ Rb
         # ‖A‖² of the field the core holds, pane + (Q·C + Qb·Rb)·Eᵀ, with its cross term
         CT = C.T
         norm2 = np.vdot(W2, W2) + 2.0 * np.vdot(W2[idx], CT) + np.vdot(CT, CT) + np.vdot(Rb, Rb)
         # β > REORTH_BOUND, compared in squares, so a zero field takes the pass
         if np.vdot(DRb, DRb) * (r + c) > (REORTH_BOUND * pol.eps0) ** 2 * norm2:
+            Qb = _reflector_q(V, S)
             _add_product(Qb, -1.0, Q, D)
             Qb, Rd = _qr(Qb, overwrite_a=True)
             Rb = Rd @ Rb
@@ -408,7 +418,10 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     if D is not None:
         X1 = X1 - D @ X2
     U = blas.dgemm(1.0, Q, X1)  # zero when the pane was empty
-    _add_product(U, 1.0, Qb, X2)
+    if Qb is None:
+        _add_reflector_product(U, V, S, X2)
+    else:
+        _add_product(U, 1.0, Qb, X2)
     return LowRankMat(U, small.W2)
 
 
@@ -464,11 +477,11 @@ def st_solve_sweep(
     pane is recompressed after each of its chunks of ``compress_every``
     steps (16 by default, so n_t = 30 takes 2 flushes) so storage stays
     O((n_x + n_t)·r).  A flush (``_extend_pane``) projects the new columns
-    once onto the pane's basis, takes one thin QR of the remainder and
-    truncates a small core; a second projection runs only where its bound
-    says the basis needs it.  The returned pane is canonical, as
-    ``lr_truncate`` leaves it, so callers read its rank and need not
-    recompress it.
+    once onto the pane's basis, takes one thin QR of the remainder, whose Q
+    it keeps as Householder reflectors, and truncates a small core; a second
+    projection runs only where its bound says the basis needs it.  The
+    returned pane is canonical, as ``lr_truncate`` leaves it, so callers
+    read its rank and need not recompress it.
 
     ``rows`` (a boolean mask or index array over the n_x dofs; None means
     all of them) is the observation S: a forward sweep returns S·Y, and an

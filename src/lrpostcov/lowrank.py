@@ -6,11 +6,17 @@ O((n_x + n_t)·r) instead of O(n_x·n_t).  All operations are pure: inputs
 are never mutated and results are freshly allocated, so values can be
 shared freely across threads.
 
-Every thin QR here and in ``forward`` and ``posterior`` goes through one
-kernel, ``_qr``, which calls LAPACK's geqrf and orgqr directly.  With one
-BLAS thread it gives the (Q, R) of ``np.linalg.qr`` bit for bit, at about
-half numpy's per-call cost on the small blocks recompression feeds it, and
-a caller that owns a Fortran-ordered buffer can let Q take its memory.
+Thin QRs call LAPACK directly, through three kernels that form only what
+their callers read.  ``_qr`` calls geqrf and orgqr: with one BLAS thread it
+gives the (Q, R) of ``np.linalg.qr`` bit for bit, at about half numpy's
+per-call cost on the small blocks recompression feeds it, and a caller
+that owns a Fortran-ordered buffer can let Q take its memory.  It serves
+``lr_truncate``, ``lr_sums``, ``posterior`` and a flush's rare second pass.
+A sweep flush reads its remainder's Q only through products, so
+``_qr_reflectors`` factors the remainder with geqrt in its own memory and
+keeps Q as compact-WY reflectors, which ``_add_reflector_product``
+applies; Q is formed (``_reflector_q``) only for a second pass.
+``lr_singular_values`` reads only R, which ``_geqrf`` gives alone.
 
 Exact linear combinations go through one kernel too, ``lr_sums``: it
 makes every column of basis·C from one QR of the stacked shorter-side
@@ -100,6 +106,22 @@ class LowRankMat:
         return f"LowRankMat(shape={self.shape}, r={self.r})"
 
 
+def _lwork(m: int, n: int) -> int:
+    """The workspace geqrf and orgqr get for an m × n block (see ``QR_UNBLOCKED_MAX``)."""
+    return int(lapack.dgeqrf_lwork(m, n)[0]) if min(m, n) > QR_UNBLOCKED_MAX else n
+
+
+def _geqrf(A: np.ndarray, overwrite_a: bool = False) -> tuple:
+    """LAPACK geqrf of A: (its output, τ, R), with the k × n triangle R copied out."""
+    qr, tau, _, info = lapack.dgeqrf(A, lwork=_lwork(*A.shape), overwrite_a=overwrite_a)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (geqrf info={info})")
+    R = qr[:len(tau)].copy()
+    for i in range(1, len(tau)):  # below the diagonal geqrf leaves its reflectors
+        R[i, :i] = 0.0
+    return qr, tau, R
+
+
 def _qr(A: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR A = Q·R with Q m × k, R k × n and k = min(m, n).
 
@@ -111,18 +133,65 @@ def _qr(A: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarra
     k = min(m, n)
     if k == 0:
         return np.zeros((m, 0)), np.zeros((0, n))
-    lwork = int(lapack.dgeqrf_lwork(m, n)[0]) if k > QR_UNBLOCKED_MAX else n
-    qr, tau, _, info = lapack.dgeqrf(A, lwork=lwork, overwrite_a=overwrite_a)
-    if info != 0:
-        raise NumericalError(f"QR factorization failed (geqrf info={info})")
-    R = qr[:k].copy()
-    for i in range(1, k):  # below the diagonal geqrf leaves its reflectors
-        R[i, :i] = 0.0
+    qr, tau, R = _geqrf(A, overwrite_a)
     # a wide A's Q is copied out, so it does not keep the m × n buffer alive
-    Q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=lwork, overwrite_a=k == n)
+    Q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=_lwork(m, n), overwrite_a=k == n)
     if info != 0:
         raise NumericalError(f"QR factorization failed (orgqr info={info})")
     return Q, R
+
+
+def _qr_reflectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin QR of A in A's memory, its Q kept as Householder reflectors: (V, S, R).
+
+    A must be a Fortran-ordered float64 m × n array, and k = min(m, n).
+    LAPACK's geqrt factors it in one block of k reflectors, I − V·T·Vᵀ in
+    compact-WY form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
+    1989), V m × k unit lower trapezoidal and T k × k upper triangular.  R
+    (k × n) is copied out, and V's unit lower triangle is written over A's
+    top k × k, so V is A's first k columns and no product with it carries
+    R: a product that took R in and subtracted it back would cancel at
+    rounding of ‖R‖.  The thin Q, of the identity's first k columns E_k, is
+    E_k − V·S with S = T·V[:k]ᵀ, upper triangular with τ on its diagonal:
+    ``_add_reflector_product`` applies it, and only ``_reflector_q`` forms it.
+    """
+    m, n = A.shape
+    k = min(m, n)
+    if k == 0:
+        return A[:, :0], np.zeros((0, 0)), np.zeros((0, n))
+    qr, T, info = lapack.dgeqrt(k, A, overwrite_a=True)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (geqrt info={info})")
+    # trmm reads only the triangle it is told of: times the identity, the top
+    # k × k gives R's upper triangle and V's unit lower one, each exactly
+    top, eye = qr[:k, :k], np.eye(k)
+    R = blas.dtrmm(1.0, top, eye)
+    if n > k:  # a wide block's R has columns right of its triangle too
+        R = np.hstack((R, qr[:k, k:]))
+    L = blas.dtrmm(1.0, top, eye, lower=1, diag=1)
+    V = qr[:, :k]
+    V[:k] = L
+    return V, blas.dtrmm(1.0, T, L.T), R  # S = T·Lᵀ, reading T's upper triangle only
+
+
+def _add_reflector_product(out: np.ndarray, V: np.ndarray, S: np.ndarray,
+                           X: np.ndarray) -> None:
+    """out ← out + Q·X for the Q = E_k − V·S of ``_qr_reflectors``, in out's memory.
+
+    out must be a Fortran-ordered float64 block: one GEMM subtracts V·(S·X)
+    from it, and X is added into its top k rows.
+    """
+    if out.size and len(S):  # dgemm refuses an empty output block
+        blas.dgemm(-1.0, V, S @ X, beta=1.0, c=out, overwrite_c=True)
+    out[:len(S)] += X
+
+
+def _reflector_q(V: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The thin Q = E_k − V·S of ``_qr_reflectors``, formed by LAPACK orgqr in V's memory."""
+    Q, _, info = lapack.dorgqr(V, np.diag(S), lwork=_lwork(*V.shape), overwrite_a=True)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (orgqr info={info})")
+    return Q
 
 
 def _qr_tall(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
@@ -317,9 +386,9 @@ def lr_norm(A: LowRankMat) -> float:
 
 
 def lr_singular_values(A: LowRankMat) -> np.ndarray:
-    """Singular values of the represented matrix (descending)."""
+    """Singular values of the represented matrix (descending), from the factors' R alone."""
     if A.r == 0:
         return np.zeros(0)
-    R1 = _qr(A.W1)[1]
-    R2 = _qr(A.W2)[1]
+    R1 = _geqrf(A.W1)[2]
+    R2 = _geqrf(A.W2)[2]
     return np.linalg.svd(R1 @ R2.T, compute_uv=False)

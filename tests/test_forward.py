@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -367,21 +368,22 @@ def test_pane_stays_orthonormal_at_small_eps0(kind, eps0):
 def test_second_pass_runs_only_when_the_bound_asks(monkeypatch, eps0, second_pass):
     # at the default eps0 every flush projects once; at 1e-15 some flush
     # needs the second pass, and the pane is orthonormal either way.  A flush
-    # runs one thin QR, or two with the second pass.
-    qrs, per_flush = [], []
+    # keeps its remainder's Q as reflectors and forms it explicitly only for
+    # the second pass: 0 times per flush, or 1.
+    formed, per_flush = [], []
 
-    def spy_qr(*args, **kwargs):
-        qrs.append(1)
-        return qr(*args, **kwargs)
+    def spy_q(*args):
+        formed.append(1)
+        return reflector_q(*args)
 
     def spy_flush(*args):
-        qrs.clear()
+        formed.clear()
         out = extend(*args)
-        per_flush.append(len(qrs))
+        per_flush.append(len(formed))
         return out
 
-    qr, extend = lp.forward._qr, lp.forward._extend_pane
-    monkeypatch.setattr(lp.forward, "_qr", spy_qr)
+    reflector_q, extend = lp.forward._reflector_q, lp.forward._extend_pane
+    monkeypatch.setattr(lp.forward, "_reflector_q", spy_q)
     monkeypatch.setattr(lp.forward, "_extend_pane", spy_flush)
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(20)
@@ -389,9 +391,32 @@ def test_second_pass_runs_only_when_the_bound_asks(monkeypatch, eps0, second_pas
     u = np.random.default_rng(0).standard_normal(grid.n_x)
     Y = lp.st_solve_sweep(K, _ic_rhs(K, u), lp.TruncationPolicy(eps0=eps0))
     assert len(per_flush) == -(-tg.n_t // lp.forward.COMPRESS_EVERY)
-    assert set(per_flush) <= {1, 2}
-    assert (2 in per_flush) == second_pass
+    assert set(per_flush) <= {0, 1}
+    assert (1 in per_flush) == second_pass
     assert _orth_defect(Y) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0, 4])
+def test_full_row_flush_allocates_no_block_but_the_rotated_basis(r):
+    # The flush works in the caller's block: the projection, the reflector
+    # QR and the products with Q and V write into it or into small arrays.
+    # So beyond the rotated basis U, a 3969-row flush allocates less than one
+    # 3969-row column.  Core and time factor are kept small, so that their
+    # arrays stay far below that too.
+    rng = np.random.default_rng(33)
+    n_x, n_t, c = 3969, 12, 8
+    pane = _rand_lr(rng, n_x, n_t, r)
+    pane = lp.LowRankMat(np.asfortranarray(pane.W1), pane.W2)  # as a sweep's flushes leave it
+    W = np.asfortranarray(rng.standard_normal((n_x, c)))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = lp.forward._extend_pane(pane, W, list(range(2, 2 + c)), POL)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert out.r == r + c
+    assert peak - out.W1.nbytes < n_x * 8
 
 
 @pytest.mark.parametrize("wind", [None, (0.0, 1.0), (0.3, -0.7)])
@@ -511,6 +536,58 @@ def _one_axis_wind(wind):
 
 def _spatial(grid, wind):
     return lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
+
+
+def _explicit_q_flush(pane, W, idx, pol):
+    """The flush of ``_extend_pane`` with the remainder's Q formed: two projections and QRs."""
+    Q, r, c = pane.W1, pane.r, len(idx)
+    C = Q.T @ W
+    Qb, Rb = np.linalg.qr(W - Q @ C)
+    D = Q.T @ Qb
+    Qb, Rd = np.linalg.qr(Qb - Q @ D)
+    sigma = np.linalg.norm(pane.W2, axis=0)
+    T = np.zeros((pane.shape[1], r + c))
+    T[:, :r] = pane.W2 / sigma
+    T[idx, range(r, r + c)] = 1.0
+    core = np.block([[np.diag(sigma), C + D @ Rb], [np.zeros((len(Rb), r)), Rd @ Rb]])
+    small = lp.lr_truncate(lp.LowRankMat(core, T), pol)
+    return lp.LowRankMat(np.hstack([Q, Qb]) @ small.W1, small.W2)
+
+
+@pytest.mark.parametrize("wind", STEP_WINDS)
+def test_reflector_flush_matches_an_explicit_q_flush_on_ill_conditioned_blocks(wind):
+    # A flush keeps its remainder's Q as Householder reflectors, and the
+    # block's top k × k holds V's unit triangle, not R.  A V product that took
+    # R in and subtracted it back would cancel at rounding of ‖R‖: on blocks
+    # of norm ~1e5 and condition ≥ 1e10 the rotated basis would lose its
+    # orthonormality.  The blocks are the march's 12-step chunks of each step
+    # solver: modal on every row (225 × 12), and transformed back on every
+    # fourth row (57 × 12) and on the nine observed rows (9 × 12, wider than
+    # tall).  Each chunk is flushed into an empty pane, and the second into
+    # the pane the first leaves.
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(24)
+    K = lp.SpaceTimeOperator(_spatial(grid, wind), tg)
+    S = K.solver
+    rhs = _rand_lr(np.random.default_rng(31), grid.n_x, tg.n_t, 3)
+    chunks = [(idx, W.copy(order="F")) for idx, W in lp.forward._march(K, rhs, False, 12, None)]
+    for keep in (None, np.arange(0, grid.n_x, 4),
+                 np.flatnonzero(lp.make_sensor_layout_3x3(grid).mask)):
+        blocks = []
+        for idx, W in chunks:
+            B = W if keep is None else S.from_modal(W, S.restrict(keep))
+            B = np.asfortranarray(9e4 * B * np.logspace(0, -14, B.shape[1]))
+            assert np.linalg.cond(B) >= 1e10
+            blocks.append((idx, B))
+        pane = lp.LowRankMat.zeros(len(B), tg.n_t)
+        for idx, B in blocks:  # an empty pane, then the pane the first flush leaves
+            out = lp.forward._extend_pane(pane, B.copy(order="F"), idx, POL)
+            ref = _explicit_q_flush(pane, B, idx, POL)
+            assert out.r == ref.r
+            want = lp.lr_to_dense(ref)
+            assert np.linalg.norm(lp.lr_to_dense(out) - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.linalg.norm(out.W1.T @ out.W1 - np.eye(out.r)) <= 1e-13
+            pane = out
 
 
 def _spy_tridiagonal_factorizations(monkeypatch):
