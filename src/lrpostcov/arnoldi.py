@@ -41,6 +41,7 @@ from .errors import InvalidConfigError, NumericalError, check_count, check_real
 from .lowrank import (
     LowRankMat,
     TruncationPolicy,
+    _fro,
     lr_dot,
     lr_norm,
     lr_scale,
@@ -120,7 +121,12 @@ def _dot(a, b) -> float:
 
 
 def _norm(v) -> float:
-    return lr_norm(v) if isinstance(v, LowRankMat) else np.linalg.norm(v)
+    """‖v‖; a dense v's is numpy's, or ``_fro``'s where numpy's squaring overflows."""
+    if isinstance(v, LowRankMat):
+        return lr_norm(v)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    return nrm if nrm < np.inf else _fro(v)
 
 
 def _scale(v, c: float):

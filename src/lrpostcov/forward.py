@@ -15,32 +15,29 @@ per (operator, tau) pair and reused for every solve, including transposed
 ones.
 
 L = I⊗A1 + A2⊗I is a Kronecker sum of tridiagonal 1-D factors, and a factor
-whose axis carries no wind is symmetric.  The step matrix is solved by the
-fast diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964)
-along every such axis (``SeparableSolver``).  Without wind (heat and
-convection-diffusion at zero wind) both factors are diagonalized, and a
-step solve is one diagonal scale in their 2-D eigenbasis.  With wind along
-one axis, the symmetric factor's eigenvectors turn the step matrix into
-n_side independent tridiagonal systems along the windy axis.  The upwind
-factor's off-diagonals share one sign, so one diagonal similarity G makes
-every system symmetric positive definite; they are stacked into one and
-factored by LAPACK pttrf, and a solve is pttrs between elementwise scales
-by g.  Wind along both axes leaves no symmetric factor, and neither does a
-windy factor whose G would span more than ``MAX_SCALE_DECADES`` decades
-(at n_side 63, a cell Péclet number w·h/ν above about 5e9); that step
-matrix is factored by a sparse LU under a symmetric minimum-degree
-ordering, which never pivots off the diagonal because the matrix is
-strictly diagonally dominant.
+whose axis carries no wind is symmetric.  One solver class, ``StepSolver``,
+solves the step matrix by the fast diagonalization method (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964) along every such axis, with one modal map for
+every wind: V2ᵀ·X·V1 per column, with an identity on an axis that keeps its
+wind.  Without wind (heat and convection-diffusion at zero wind) both
+factors are diagonalized, and a step solve is one diagonal scale in their
+2-D eigenbasis.  With wind along one axis, the symmetric factor's
+eigenvectors turn the step matrix into n_side independent tridiagonal
+systems along the windy axis, which one diagonal similarity G makes
+symmetric positive definite; they are stacked into one and factored by
+LAPACK pttrf, and a solve is pttrs between elementwise scales by g.  Wind
+along both axes, or a windy factor whose G would span more than
+``MAX_SCALE_DECADES`` decades, leaves no axis diagonalized: the map is the
+identity, and the step matrix is factored by a sparse LU.
 
-Both solvers share one interface (``restrict``, ``to_modal``,
-``solve_modal``, ``from_modal``), exposed as ``SpaceTimeOperator.solver``.
-M = M_scale·I commutes with the orthogonal eigenvector transform, so a
-sweep's time march (``_march``) runs in the solver's modal coordinates: it
+The solver's interface (``restrict``, ``to_modal``, ``solve_modal``,
+``from_modal``) is exposed as ``SpaceTimeOperator.solver``.  M =
+M_scale·I commutes with the orthogonal eigenvector transform, so a sweep's
+time march (``_march``) runs in the solver's modal coordinates: it
 transforms the rhs factor once and pays one in-place step solve per step.
-A pane of every row is recompressed in modal coordinates too, and only
-its basis is transformed back; a pane of some rows transforms the grid
-lines that hold them at each flush.  For the sparse LU the transform is
-the identity, so the same sweep serves it.
+A pane of every row is recompressed in modal coordinates too, and only its
+basis is transformed back; a pane of some rows transforms the grid lines
+that hold them at each flush.
 """
 
 from __future__ import annotations
@@ -86,168 +83,160 @@ def _symmetrizer(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray] | None:
     return np.exp(log_g - 0.5 * (low + high)), np.copysign(np.sqrt(lo * up), lo)
 
 
-class NotSeparable(ValueError):
-    """``SeparableSolver`` does not take the operator: the step takes ``_SparseLU``."""
+class StepSolver:
+    """Direct solver for a·I + b·L, L = I⊗A1 + A2⊗I, factored once.
 
+    A factor whose axis carries no wind is symmetric, A = V·diag(λ)·Vᵀ, and
+    is diagonalized once by a dense ``eigh`` (one for both axes when A1 and
+    A2 are one object, as heat's are).  ``V1``/``V2`` hold x1's and x2's
+    eigenvectors, or None for an axis that keeps its wind.  Per column, a
+    field X laid out as x2 × x1 has the modal field V2ᵀ·X·V1, with the
+    identity for a None; the map is orthogonal.  It is stored transposed
+    (``transposed``) only when x1 alone is diagonalized, so that the windy
+    axis runs contiguously.  ``solve_modal`` chooses the kernel by how many
+    axes were diagonalized (``axes``):
 
-class SeparableSolver:
-    """Direct solver for a·I + b·L, L = I⊗A1 + A2⊗I with a symmetric factor.
-
-    A factor whose axis carries no wind is symmetric, A = V·diag(λ)·Vᵀ,
-    and is diagonalized once by a dense ``eigh``.  When neither axis
-    carries wind, both are, and in the 2-D eigenbasis V2⊗V1 the system is
-    diagonal: entry (l, k) is a + b·(λ2_l + λ1_k).  A solve is then one
-    transform (``to_modal``), one in-place scale by the reciprocal
-    diagonal (``solve_modal``, the same in both directions) and one
-    back-transform (``from_modal``), for any number of columns; the sweeps
-    and steady mode chain solves and transform only at the ends.  The two
-    factors share one ``eigh`` when they are one object, as heat's are.
-
-    With wind along one axis only the other is diagonalized: along its
-    eigenvector k the system reduces to the tridiagonal (a + b·λ_k)·I +
-    b·A_t on the windy axis.  The upwind factor A_t has off-diagonals of
-    one sign, so a diagonal similarity makes it symmetric, A_t =
-    G·A_s·G⁻¹ (``_symmetrizer``), and each block is G·S_k·G⁻¹ with S_k =
-    (a + b·λ_k)·I + b·A_s symmetric positive definite.  The n_side S_k are
-    stacked into one block-diagonal tridiagonal matrix that pttrf factors
-    once as L·D·Lᵀ.  A solve scales by 1/g, runs pttrs and scales by g;
-    the transpose solve swaps the two scales.  G acts elementwise around
-    the solve and never enters the orthogonal transforms.  x1 is
-    diagonalized when it carries no wind, else x2; the second case is the
-    first on the transposed grid.  Wind along both axes, or a windy
-    factor without a ``_symmetrizer``, raises ``NotSeparable``.
+    - two: entry (l, k) of the system is a + b·(λ2_l + λ1_k), and a solve is
+      one in-place scale by its reciprocal, the same in both directions;
+    - one: along mode k of the diagonalized axis the system is the
+      tridiagonal (a + b·λ_k)·I + b·A_t on the windy axis.  The upwind A_t
+      has off-diagonals of one sign, so a diagonal similarity makes it
+      symmetric, A_t = G·A_s·G⁻¹ (``_symmetrizer``), and each block is
+      G·S_k·G⁻¹ with S_k = (a + b·λ_k)·I + b·A_s symmetric positive
+      definite.  The n_side blocks are stacked into one tridiagonal matrix
+      that pttrf factors once; a solve is pttrs between elementwise scales
+      by 1/g and g (the transpose solve swaps them), so G never enters the
+      orthogonal transforms;
+    - none: SuperLU of a·I + b·L under a symmetric minimum-degree ordering,
+      which never pivots off the diagonal because the matrix is strictly
+      diagonally dominant.  It serves wind along both axes, and one-axis
+      wind whose g would span more than ``MAX_SCALE_DECADES`` decades (at
+      n_side 63, a cell Péclet number w·h/ν above about 5e9).
 
     A modal diagonal or stacked system that is not positive definite and
     finite (the step and steady operators' always is) raises
-    ``NumericalError``, and so does a solve whose kernel reports failure.
+    ``NumericalError``, and so does a failed factorization or a solve whose
+    kernel reports failure.
     """
 
     def __init__(self, spatial: SpatialOperator, a: float, b: float):
+        n = self.n = spatial.grid.n_side
+        A1, A2 = spatial.A1, spatial.A2
         w1, w2 = spatial.wind
-        if w1 != 0.0 and w2 != 0.0:
-            raise NotSeparable("wind along both axes leaves no symmetric factor")
-        self.n = spatial.grid.n_side
-        self.x1_diag = w1 == 0.0
-        A_d, A_t = (spatial.A1, spatial.A2) if self.x1_diag else (spatial.A2, spatial.A1)
-        symmetrizer = None if w1 == w2 else _symmetrizer(A_t)  # w1 == w2: no wind at all
-        if w1 != w2 and symmetrizer is None:
-            raise NotSeparable("the windy factor has no diagonal symmetrizer within "
-                               f"{MAX_SCALE_DECADES:g} decades")
-        lam, self.V = np.linalg.eigh(A_d.toarray())
-        self.V2 = None  # x2's eigenvectors, when both axes are diagonalized
-        if symmetrizer is None:
-            lam2, self.V2 = (lam, self.V) if A_t is A_d else np.linalg.eigh(A_t.toarray())
-            d = a + b * (lam2[:, None] + lam)  # the modal field is x2 mode × x1 mode
+        windy = A2 if w1 == 0.0 else A1  # the factor that carries one-axis wind
+        symmetrizer = _symmetrizer(windy) if (w1 == 0.0) != (w2 == 0.0) else None
+        fdm = symmetrizer is not None or w1 == w2 == 0.0  # else no axis is diagonalized
+        lam1, self.V1 = np.linalg.eigh(A1.toarray()) if fdm and w1 == 0.0 else (None, None)
+        lam2, self.V2 = None, None
+        if fdm and w2 == 0.0:
+            lam2, self.V2 = (lam1, self.V1) if A2 is A1 else np.linalg.eigh(A2.toarray())
+        self.axes = (self.V1 is not None) + (self.V2 is not None)  # how many are diagonalized
+        self.transposed = self.axes == 1 and self.V2 is None
+        if self.axes == 2:
+            d = a + b * (lam2[:, None] + lam1)  # the modal field is x2 mode × x1 mode
             if not np.all(np.isfinite(d) & (d > 0.0)):
                 raise NumericalError(
                     f"modal diagonal is not positive and finite (min {d.min():.3g})")
             self._scale = (1.0 / d).ravel()[:, None]
-            return
-        g, e = symmetrizer
-        # block k (contiguous, the diagonalized index k slowest) couples only
-        # along the other axis; the off-diagonals are zero between blocks
-        d = ((a + b * lam)[:, None] + b * A_t.diagonal()).ravel()
-        e = np.tile(np.append(b * e, 0.0), self.n)[:-1]
-        self._d, self._e, info = lapack.dpttrf(d, e, overwrite_d=True, overwrite_e=True)
-        if info != 0 or not np.isfinite(self._d).all():  # a NaN passes pttrf's pivot test
-            raise NumericalError("stacked tridiagonal system is not positive definite "
-                                 f"and finite (pttrf info={info})")
-        self._g = np.tile(g, self.n)[:, None]
-        self._g_inv = 1.0 / self._g
+        elif self.axes == 1:
+            # block k (contiguous, the diagonalized index k slowest) couples only
+            # along the windy axis; the off-diagonals are zero between blocks
+            g, e = symmetrizer
+            lam = lam2 if self.V1 is None else lam1
+            d = ((a + b * lam)[:, None] + b * windy.diagonal()).ravel()
+            e = np.tile(np.append(b * e, 0.0), n)[:-1]
+            self._d, self._e, info = lapack.dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+            if info != 0 or not np.isfinite(self._d).all():  # a NaN passes pttrf's pivot test
+                raise NumericalError("stacked tridiagonal system is not positive definite "
+                                     f"and finite (pttrf info={info})")
+            self._g = np.tile(g, n)[:, None]
+            self._g_inv = 1.0 / self._g
+        else:
+            A = (a * sp.identity(n * n, format="csr") + b * spatial.L).tocsc()
+            try:
+                self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:  # singular factorization surfaces to callers
+                raise NumericalError(f"step matrix factorization failed: {exc}") from exc
 
     def restrict(self, keep: np.ndarray) -> tuple:
-        """The bookkeeping of the transforms restricted to the dofs ``keep``.
+        """The transforms' bookkeeping on the dofs ``keep``: (V2, V1, at).
 
-        It depends only on ``keep``, so a sweep computes it once and hands
-        it to every ``to_modal``/``from_modal`` call on those rows: the
-        grid lines that hold a kept dof, where each kept dof sits among
-        them, and the eigenvector rows on them.
+        It depends only on ``keep``, so a sweep computes it once for every
+        ``to_modal``/``from_modal`` call on those rows.  Each transform acts
+        only on the grid lines that hold a kept dof: V2 and V1 are its
+        eigenvector rows on them, or None for an axis without a transform,
+        which stays at full length.  ``at`` places each kept dof in the
+        field on those lines, flattened with x2 slow and x1 fast.
         """
-        n = self.n
-        x2, x1 = np.divmod(keep, n)
-        if self.V2 is not None:  # the kept rows × kept columns of the grid
-            (rows, at_r), (cols, at_c) = (np.unique(x, return_inverse=True) for x in (x2, x1))
-            return at_r, at_c, self.V2[rows], self.V[cols], at_r * len(cols) + at_c
-        # lines along the tridiagonal axis, each transformed along the diagonalized one
-        diag, other = (x1, x2) if self.x1_diag else (x2, x1)
-        lines, at = np.unique(other, return_inverse=True)
-        return diag, lines, at, (at * n + x1 if self.x1_diag else x2 * len(lines) + at)
+        (rows, at_r), (cols, at_c) = (np.unique(x, return_inverse=True)
+                                      for x in np.divmod(keep, self.n))
+        V2 = None if self.V2 is None else self.V2[rows]
+        V1 = None if self.V1 is None else self.V1[cols]
+        i2 = rows[at_r] if V2 is None else at_r
+        i1, width = (cols[at_c], self.n) if V1 is None else (at_c, len(cols))
+        return V2, V1, i2 * width + i1
 
     def to_modal(self, B: np.ndarray, restriction: tuple | None = None) -> np.ndarray:
         """B (n_x × c) in modal coordinates: a fresh Fortran-ordered n_x × c block.
 
-        Column by column, the eigenvector transforms act along the
-        diagonalized axes; with one such axis the dofs are reordered so
-        that each eigen-index owns one contiguous block of the stacked
-        tridiagonal system.  The map is orthogonal.
-
         With ``restriction = restrict(keep)`` B holds only the rows ``keep``,
         len(keep) × c, and stands for the field that is zero off them: only
-        the grid lines that hold a kept dof are transformed, and with one
-        diagonalized axis the other modal entries are zero.
+        the kept lines of a diagonalized axis are transformed, and an axis
+        without a transform is embedded at full length.
         """
-        n, c, V, V2 = self.n, B.shape[1], self.V, self.V2
+        n, c, V2, V1 = self.n, B.shape[1], self.V2, self.V1
         if restriction is None:
-            G = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
-            if V2 is not None:
-                return (V2.T @ G @ V).reshape(c, n * n).T
-            if self.x1_diag:
-                G = G.swapaxes(1, 2)  # the diagonalized axis first
-            return (V.T @ G).reshape(c, n * n).T  # (column, eigen-index k, tridiagonal axis)
-        if V2 is not None:  # the field on the kept rows × kept columns of the grid
-            at_r, at_c, V2_rows, V_cols, _ = restriction
-            G = np.zeros((c, len(V2_rows), len(V_cols)))
-            G[:, at_r, at_c] = B.T
-            return (V2_rows.T @ G @ V_cols).reshape(c, n * n).T
-        # per column, the kept lines with the diagonalized axis first
-        diag, lines, at, _ = restriction
-        G = np.zeros((c, n, len(lines)))
-        G[:, diag, at] = B.T
-        out = np.zeros((c, n, n))
-        out[:, :, lines] = V.T @ G
-        return out.reshape(c, n * n).T
+            X = B.T.reshape(c, n, n)  # per column, the field as x2 × x1; a view of B
+        else:
+            V2, V1, at = restriction
+            X = np.zeros((c, n if V2 is None else len(V2), n if V1 is None else len(V1)))
+            X.reshape(c, -1)[:, at] = B.T
+        if self.transposed:
+            M = V1.T @ X.swapaxes(1, 2)  # (column, x1 mode, x2): each block runs along x2
+        else:
+            M = X if V2 is None else V2.T @ X
+            M = M if V1 is None else M @ V1
+        if M is X and restriction is None:  # no transform: the block is still a fresh one
+            M = X.copy()
+        return M.reshape(c, n * n).T
 
     def from_modal(self, W: np.ndarray, restriction: tuple | None = None) -> np.ndarray:
         """The inverse of ``to_modal``: W (n_x × c, modal) back on the grid.
 
-        With ``restriction = restrict(keep)`` only the rows ``keep`` are returned,
-        as a Fortran-ordered len(keep) × c block, and only the grid lines
-        that hold a kept dof are transformed.
+        With ``restriction = restrict(keep)`` only the rows ``keep`` are
+        returned, as a Fortran-ordered len(keep) × c block, and only the
+        kept lines of a diagonalized axis are transformed.
         """
-        n, c, V, V2 = self.n, W.shape[1], self.V, self.V2
-        W = W.T.reshape(c, n, n)  # per column, the modal field
+        n, c, V2, V1 = self.n, W.shape[1], self.V2, self.V1
+        M = W.T.reshape(c, n, n)  # per column, the modal field as stored
+        if self.transposed:
+            M = M.swapaxes(1, 2)  # x2 × x1 mode
+        if restriction is not None:
+            V2, V1, at = restriction
+        X = M if V2 is None else V2 @ M
+        X = X if V1 is None else X @ V1.T  # per column, x2 × x1
         if restriction is None:
-            if V2 is not None:
-                X = V2 @ W @ V.T
-            else:
-                X = W.swapaxes(1, 2) @ V.T if self.x1_diag else V @ W  # per column, x2 × x1
             return X.reshape(c, n * n).T
-        if V2 is not None:  # the kept rows × kept columns of the grid
-            _, _, V2_rows, V_cols, flat = restriction
-            X = V2_rows @ W @ V_cols.T
-        else:
-            _, lines, _, flat = restriction
-            if self.x1_diag:  # lines of constant x2, each transformed along x1
-                X = W[:, :, lines].swapaxes(1, 2) @ V.T
-            else:  # lines of constant x1, each transformed along x2
-                X = V @ W[:, :, lines]
         # take gives a C-ordered c × len(keep) array, so its transpose is Fortran-ordered
-        return np.take(X.reshape(c, -1), flat, axis=1).T
+        return np.take(X.reshape(c, -1), at, axis=1).T
 
     def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Overwrite the modal block W with the step's modal solve, and return it.
+        """Overwrite the modal block W with the modal solve, and return it.
 
         W must be a Fortran-ordered float64 n_x × c array (a column slice
-        of one qualifies): the scales and the LAPACK solve run in its memory.
+        of one qualifies): the kernel runs in its memory.
         """
         if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
             raise ValueError("a modal solve needs a Fortran-ordered float64 block")
         if W.shape[0] != self.n * self.n:  # pttrs would refuse it or solve a prefix
             raise ValueError(f"a modal solve needs {self.n * self.n} rows, not {W.shape[0]}")
-        if self.V2 is not None:  # diagonal: the transpose solve is the same scale
+        if self.axes == 2:  # diagonal: the transpose solve is the same scale
             W *= self._scale
             return W
         if W.shape[1] == 0:  # LAPACK is never handed zero right-hand sides
+            return W
+        if self.axes == 0:
+            W[...] = self.lu.solve(W, trans=trans)
             return W
         # A = G·S·G⁻¹ solves as g ⊙ S⁻¹(W / g), and Aᵀ = G⁻¹·S·G as S⁻¹(g ⊙ W) / g
         pre, post = (self._g_inv, self._g) if trans == "N" else (self._g, self._g_inv)
@@ -259,61 +248,22 @@ class SeparableSolver:
         return X
 
 
-class _SparseLU:
-    """The step solver when ``SeparableSolver`` does not fit: SuperLU behind its interface.
-
-    Its modal coordinates are the physical ones, so ``to_modal`` is a
-    Fortran-ordered copy, or the embedding of the kept rows, and
-    ``from_modal`` returns its input, or the kept rows of it; its
-    restriction is the kept dofs themselves.
-    """
-
-    def __init__(self, A: sp.csc_matrix):
-        try:
-            self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # singular factorization surfaces to callers
-            raise NumericalError(f"step matrix factorization failed: {exc}") from exc
-
-    @staticmethod
-    def restrict(keep: np.ndarray) -> np.ndarray:
-        return keep
-
-    def to_modal(self, B: np.ndarray, restriction: np.ndarray | None = None) -> np.ndarray:
-        if restriction is None:
-            return np.array(B, dtype=float, order="F")
-        W = np.zeros((self.lu.shape[0], B.shape[1]), order="F")
-        W[restriction] = B
-        return W
-
-    def from_modal(self, W: np.ndarray, restriction: np.ndarray | None = None) -> np.ndarray:
-        return W if restriction is None else np.asfortranarray(W[restriction])
-
-    def solve_modal(self, W: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Overwrite W with SuperLU's solve, and return it."""
-        W[...] = self.lu.solve(W, trans=trans)
-        return W
-
-
 class SpaceTimeOperator:
     """Block-bidiagonal implicit-Euler operator with a cached step factorization.
 
-    ``solver`` is a ``SeparableSolver`` when it takes the operator (an axis
-    without wind, and a windy factor it can symmetrize), else a sparse LU
-    of ``step_matrix``; ``solve_step`` solves in its modal coordinates.
+    ``solver`` is the ``StepSolver`` of ``step_matrix``; ``solve_step``
+    solves in its modal coordinates.
     """
 
     def __init__(self, spatial: SpatialOperator, time: TimeGrid):
         self.spatial = spatial
         self.time = time
         self.m_scale = spatial.grid.m_scale
-        try:
-            self.solver = SeparableSolver(spatial, self.m_scale, self.m_scale * time.tau)
-        except NotSeparable:
-            self.solver = _SparseLU(self.step_matrix)
+        self.solver = StepSolver(spatial, self.m_scale, self.m_scale * time.tau)
 
     @cached_property
     def step_matrix(self) -> sp.csc_matrix:
-        """M_scale·(I + tau·L), assembled on first use; a separable solve never reads it."""
+        """M_scale·(I + tau·L), assembled on first use; the step solver never reads it."""
         eye = sp.identity(self.n_x, format="csr")
         return (self.m_scale * (eye + self.time.tau * self.spatial.L)).tocsc()
 
@@ -426,7 +376,7 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
 
 
 def _march(K: SpaceTimeOperator, rhs: LowRankMat, adjoint: bool, width: int,
-           part: tuple | np.ndarray | None):
+           part: tuple | None):
     """Yield (idx, W), the modal y_k for k in idx, per chunk of ≤ ``width`` steps in time order.
 
     The recursion y_k = step⁻¹·M_scale·y_{k-1} + B·W2[k] (backward in time,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .discretize import Grid, SpatialOperator
 from .errors import InvalidConfigError, check_real, shown
-from .forward import COMPRESS_EVERY, SeparableSolver, SpaceTimeOperator
+from .forward import COMPRESS_EVERY, SpaceTimeOperator, StepSolver
 from .forward import st_solve_adjoint_sweep, st_solve_sweep
 from .lowrank import LowRankMat, TruncationPolicy, lr_scale
 from .lowrank import lr_truncate  # noqa: F401  bench/tracing.py wraps hessian.lr_truncate by name
@@ -158,7 +158,7 @@ class HessianContext:
             raise InvalidConfigError("steady mode needs a spatial operator")
         check_mode(self.mode, getattr(self.spatial, "kind", None))
         if self.mode == MODE_STEADY:
-            self._steady = SeparableSolver(self.spatial, 0.0, 1.0)  # L itself, no time shift
+            self._steady = StepSolver(self.spatial, 0.0, 1.0)  # L itself, no time shift
         elif self.operator is None or self.layout is None:
             raise InvalidConfigError(f"mode {shown(self.mode)} needs operator and layout")
 

@@ -2,9 +2,12 @@
 
 A field over n_x spatial dofs and n_t time steps is stored as two skinny
 factors W1 (n_x × r) and W2 (n_t × r) so that storage and arithmetic cost
-O((n_x + n_t)·r) instead of O(n_x·n_t).  All operations are pure: inputs
-are never mutated and results are freshly allocated, so values can be
-shared freely across threads.
+O((n_x + n_t)·r) instead of O(n_x·n_t).  The public ``lr_*`` functions
+never mutate their inputs, so values can be shared freely across threads;
+a result may share a factor with an input (``lr_add`` of a zero-rank
+term, ``lr_scale``'s W1).  Three private kernels write into arrays their
+callers own: ``_qr(overwrite_a=True)``, ``_qr_reflectors`` and
+``_add_reflector_product``.
 
 Thin QRs call LAPACK directly, through three kernels that form only what
 their callers read.  ``_qr`` calls geqrf and orgqr: with one BLAS thread it
@@ -239,6 +242,16 @@ def _rank_cut(s: np.ndarray, pol: TruncationPolicy) -> int:
     return min(keep, int(np.count_nonzero(s)))
 
 
+def _fro(X: np.ndarray) -> float:
+    """‖X‖_F by BLAS dnrm2, a Python float.
+
+    dnrm2 scales where numpy's norm squares, so a finite X gets its norm
+    while that lies in the float range, and inf beyond it, without an
+    overflow warning; a NaN entry gives NaN.
+    """
+    return blas.dnrm2(X.ravel(order="K")) if X.size else 0.0
+
+
 def _svd_flip(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic sign convention: largest-|entry| of each U column positive."""
     idx = np.argmax(np.abs(U), axis=0)
@@ -261,7 +274,7 @@ def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
     Q1, R1 = _qr_tall(A.W1)
     Q2, R2 = _qr_tall(A.W2)
     # a product that cancels to rounding noise of the factor magnitudes is zero
-    factor_scale = np.linalg.norm(R1) * np.linalg.norm(R2)
+    factor_scale = _fro(R1) * _fro(R2)
     if not np.isfinite(factor_scale):
         raise NumericalError(f"truncation: factor norms multiply to {factor_scale}")
     U, s, Vt = np.linalg.svd(R1 @ R2.T)
@@ -325,7 +338,7 @@ def lr_sums(terms, C):
     Q, R = _qr(np.hstack([A.W2 if time_short else A.W1 for A in live]))
     R = np.split(R, np.cumsum([A.r for A in live])[:-1], axis=1)
     longs = [A.W1 if time_short else A.W2 for A in live]
-    norms = np.array([np.linalg.norm(A.W1) * np.linalg.norm(A.W2) for A in live])
+    norms = np.array([_fro(A.W1) * _fro(A.W2) for A in live])
     shape = (n_x if time_short else n_t, Q.shape[1])
     starts = range(0, C.shape[1], SUMS_BLOCK)
     for start in starts:
@@ -345,7 +358,7 @@ def lr_sums(terms, C):
 def _sum_output(acc: np.ndarray, Q: np.ndarray, time_short: bool, scale: float) -> LowRankMat:
     """The field with long-side factor acc and short-side Q, or zero if acc is noise of scale."""
     S = LowRankMat(acc, Q) if time_short else LowRankMat(Q, acc)
-    if np.linalg.norm(acc) <= NOISE_FLOOR * scale:
+    if _fro(acc) <= NOISE_FLOOR * scale:
         return LowRankMat.zeros(*S.shape)
     return S
 
@@ -381,8 +394,16 @@ def lr_dot(A: LowRankMat, B: LowRankMat) -> float:
 
 
 def lr_norm(A: LowRankMat) -> float:
-    """Frobenius norm; computed from the Gram product, clamped at zero."""
-    return float(np.sqrt(max(lr_dot(A, A), 0.0)))
+    """Frobenius norm; computed from the Gram product, clamped at zero.
+
+    Where the Gram product overflows, it is ``_fro`` of R1·R2ᵀ, the factors'
+    R: the norm itself, or inf if that lies beyond the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or NaN
+        gram = lr_dot(A, A)
+        if np.isfinite(gram):
+            return float(np.sqrt(max(gram, 0.0)))
+        return _fro(_geqrf(A.W1)[2] @ _geqrf(A.W2)[2].T)
 
 
 def lr_singular_values(A: LowRankMat) -> np.ndarray:

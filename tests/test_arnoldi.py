@@ -477,12 +477,16 @@ def test_non_finite_operator_output_raises_numerical_error(low_rank):
         lr_arnoldi(apply, v1, POL, StopRule(m_a=6, eps_eig=1e-12))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_subdiagonal_raises_numerical_error():
-    # finite entries whose squared norm overflows: h_{j+1,j} comes out inf
-    v1 = np.array([1.0, 0.0])
+    # finite entries whose norm lies past the float range: h_{j+1,j} comes out
+    # inf, with no overflow warning on the way
+    v1 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(lp.NumericalError, match=r"iteration 1: h_\(j\+1,j\) = inf"):
-        lr_arnoldi(lambda x: np.array([0.0, 1e200]) * x.sum(), v1, POL, StopRule(m_a=2))
+        lr_arnoldi(lambda x: np.array([0.0, 1.5e308, 1.5e308]) * x.sum(), v1, POL,
+                   StopRule(m_a=2))
+    # a norm whose square alone overflows is kept
+    res = lr_arnoldi(lambda x: np.array([0.0, 1e200, 0.0]) * x.sum(), v1, POL, StopRule(m_a=2))
+    assert res.H[1, 0] == 1e200
 
 
 def test_non_finite_start_vector_raises_numerical_error():

@@ -1,5 +1,8 @@
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -733,11 +736,47 @@ def test_negative_wind_as_two_tokens_matches_equals_form(monkeypatch):
     assert seen[0] == seen[1] == seen[2] and seen[0].wind == (-0.5, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_overflowing_numerics_exit_3_without_output(tmp_path):
-    # beta_ratio=1e305 overflows the first Hessian image's norm in Arnoldi (h = inf)
+# the three Arnoldi paths: IC, the data side of a source under sensors, and
+# the low-rank source on every row
+OVERFLOW_MODES = {"ic": {}, "source-data-side": {"mode": "source"},
+                  "source-low-rank": {"mode": "source", "sensors": "none"}}
+
+
+@pytest.mark.parametrize("path", [
+    "ic",
+    pytest.param("source-data-side", marks=pytest.mark.xfail(
+        strict=True, reason="the data side's forward sweep overflows to inf inside its "
+                            "march, and the NaN of the next transform raises a numpy warning")),
+    "source-low-rank"])
+def test_overflowing_numerics_exit_3_without_output(tmp_path, path):
+    # At ν 1e-30 and T 1e4 nothing damps the field, so the Hessian's
+    # eigenvalues are about β·T = 1e309, past the float range: the first
+    # image's norm or its factor norms overflow, and the run exits 3 with its
+    # one-line refusal.  The command runs in its own interpreter under
+    # warnings-as-errors, so a numpy warning would end it in a traceback.
     out = tmp_path / "out"
-    rc = cli.main(["eigs", "--n-side", "15", "--nt", "3", "--beta-ratio", "1e305",
-                   "--out", str(out)])
-    assert rc == 3
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lrpostcov.cli", "eigs", "--problem", "convdiff",
+         "--wind", "0,0", "--nu", "1e-30", "--final-time", "1e4", "--n-side", "15", "--nt", "3",
+         "--beta-ratio", "1e305",
+         *(t for key, v in OVERFLOW_MODES[path].items() for t in ("--" + key, v)),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
     assert not out.exists()
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("path", OVERFLOW_MODES)
+def test_a_hessian_whose_squared_norms_overflow_still_solves(path):
+    # At beta_ratio 1e305 the Hessian's images have norms near 1e301, whose
+    # squares overflow; the norms are taken by dnrm2, so the run solves, and
+    # its leading eigenvalues are those of beta_ratio 1 scaled by 1e305
+    runs = [cli.run_eigs(cli.RunConfig(n_side=15, nt=3, m_a=20, beta_ratio=b,
+                                       **OVERFLOW_MODES[path]))
+            for b in (1.0, 1e305)]
+    unit, large = (run.result.ritz_values[:3] for run in runs)
+    assert_allclose(large, 1e305 * unit, rtol=1e-12)

@@ -427,7 +427,7 @@ def test_presolved_rhs_factor_is_released_before_the_last_flush(monkeypatch, win
     # A sweep's first step solve is the presolve B = step⁻¹·rhs.W1.  Once the
     # last chunk's product B·W2[idx]ᵀ is in the flush block, B is released,
     # so the last flush does not hold it: at nt 20 the default width flushes
-    # 16 and 4 columns, and B is alive only at the first.  Each step solver
+    # 16 and 4 columns, and B is alive only at the first.  Each kernel
     # is covered: the 2-D diagonal scale, the stacked pttrs and the sparse LU.
     # The block the flushes worked in is freed before a full-row pane's basis
     # is transformed back.
@@ -521,12 +521,15 @@ def test_rank1_initial_condition_stays_rank1_over_many_flushes(monkeypatch):
     assert np.linalg.norm(lp.lr_to_dense(Y) - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
-# heat, no wind, wind along x2 only (the default), along x1 only (the
-# transposed separable case), wind along both axes (the sparse LU), and
+# heat, no wind, wind along x2 only (the default, whose modal field is stored
+# transposed), along x1 only, wind along both axes (the sparse LU), and
 # last the reversed one-axis winds, whose upwind factor has the larger
 # off-diagonal above the diagonal, so the symmetrizer's ratios √(lo/up) < 1
 STEP_WINDS = [None, (0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.3, -0.7), (-0.5, 1.0),
               (0.0, -1.0), (-1.0, 0.0)]
+# wind along x2 at ν 1e-50, whose symmetrizer would span over MAX_SCALE_DECADES:
+# a one-axis wind that takes the sparse LU
+WIDE_SYMMETRIZER = "wide-symmetrizer"
 
 
 def _one_axis_wind(wind):
@@ -535,6 +538,8 @@ def _one_axis_wind(wind):
 
 
 def _spatial(grid, wind):
+    if wind == WIDE_SYMMETRIZER:
+        return lp.assemble_convdiff(grid, 1e-50, (0.0, 1.0))
     return lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
 
 
@@ -601,6 +606,18 @@ def _spy_tridiagonal_factorizations(monkeypatch):
     return built
 
 
+def _spy_shapes(monkeypatch, module, name):
+    """Record the shape of the first argument of every call of ``module.name``."""
+    calls = []
+
+    def spy(*args, _f=getattr(module, name), **kwargs):
+        calls.append(args[0].shape)
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def _refuse_zero_column_solves(monkeypatch):
     """Fail at once if a stacked tridiagonal solve is handed no right-hand sides.
 
@@ -661,9 +678,9 @@ def test_modal_step_solves_run_in_place_in_a_fortran_block(wind):
         assert np.shares_memory(out, block)
         assert_allclose(block[:, 1:2], want[:, 1:2], rtol=1e-12, atol=1e-12 * np.abs(want).max())
         assert np.array_equal(block[:, ::2], before[:, ::2])  # the other columns are untouched
-    if wind is None or 0.0 in wind:  # LAPACK solves in place only in a Fortran-ordered block
-        with pytest.raises(ValueError, match="Fortran"):
-            K.solve_step(np.ascontiguousarray(K.solver.to_modal(B)))
+    # every kernel solves in place only in a Fortran-ordered block
+    with pytest.raises(ValueError, match="Fortran"):
+        K.solve_step(np.ascontiguousarray(K.solver.to_modal(B)))
 
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
@@ -673,11 +690,10 @@ def test_modal_solves_refuse_a_wrong_height_and_report_kernel_failures(monkeypat
     # broadcast or fail; none may pass silently, nor write the block
     grid = lp.build_grid(15)
     K = lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(5))
-    separable = wind is None or 0.0 in wind
     for n_rows in (grid.n_x - 3, grid.n_x + 3):
         for trans in "NT":
             W = np.ones((n_rows, 2), order="F")
-            with pytest.raises(ValueError, match="rows" if separable else None):
+            with pytest.raises(ValueError, match="rows"):
                 K.solver.solve_modal(W, trans)
             assert (W == 1.0).all()
     if _one_axis_wind(wind):
@@ -686,10 +702,10 @@ def test_modal_solves_refuse_a_wrong_height_and_report_kernel_failures(monkeypat
             K.solve_step(K.solver.to_modal(np.ones((grid.n_x, 2))))
 
 
-@pytest.mark.parametrize("wind", STEP_WINDS)
+@pytest.mark.parametrize("wind", STEP_WINDS + [WIDE_SYMMETRIZER])
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
-    # every step solver's sweep, with and without the observed-row restriction:
+    # every kernel's sweep, with and without the observed-row restriction:
     # a forward sweep keeps the observed rows of its result, and an adjoint
     # sweep reads an rhs of the observed rows and returns every row.  At
     # compress_every 4, n_t = 10 leaves a partial last flush of 2 columns.
@@ -731,7 +747,7 @@ def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
             assert np.linalg.norm(Z - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("wind", STEP_WINDS)
+@pytest.mark.parametrize("wind", STEP_WINDS + [WIDE_SYMMETRIZER])
 def test_restricted_back_transform_is_the_rows_of_the_full_one(wind):
     # only the grid lines holding a kept dof are transformed; the kept rows
     # come back in the order asked, as a Fortran-ordered block the flush accepts
@@ -747,7 +763,7 @@ def test_restricted_back_transform_is_the_rows_of_the_full_one(wind):
         assert_allclose(got, full[keep], rtol=0, atol=1e-15 * np.abs(full).max())
 
 
-@pytest.mark.parametrize("wind", STEP_WINDS)
+@pytest.mark.parametrize("wind", STEP_WINDS + [WIDE_SYMMETRIZER])
 def test_restricted_transform_is_that_of_the_embedded_rows(wind):
     # an rhs of the kept rows goes into modal coordinates as its zero-embedded
     # n_x-row field would, as a fresh Fortran-ordered block a modal solve accepts
@@ -774,7 +790,7 @@ def test_steady_solves_match_spsolve_on_the_modal_diagonal(monkeypatch):
     for n_side in (15, 63):
         grid = lp.build_grid(n_side)
         op = lp.assemble_heat(grid)
-        solver = lp.forward.SeparableSolver(op, 0.0, 1.0)
+        solver = lp.forward.StepSolver(op, 0.0, 1.0)
         _assert_solves_match_spsolve(
             solver, lambda W, adjoint: solver.solve_modal(W, "T" if adjoint else "N"),
             op.L.tocsc(), grid.n_x)
@@ -788,7 +804,7 @@ def test_indefinite_symmetric_stack_raises():
     lam_min = lp.discrete_fd_eig(1, 1, grid)
     for shift in (-1.5 * lam_min, np.nan):
         with pytest.raises(lp.NumericalError, match="modal diagonal is not positive and finite"):
-            lp.forward.SeparableSolver(lp.assemble_heat(grid), shift, 1.0)
+            lp.forward.StepSolver(lp.assemble_heat(grid), shift, 1.0)
 
 
 @pytest.mark.parametrize("wind", [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0)])
@@ -800,7 +816,7 @@ def test_indefinite_symmetrized_stack_raises(wind):
     lam_min = np.linalg.eigvals(op.L.toarray()).real.min()
     for shift in (-1.5 * lam_min, np.nan):
         with pytest.raises(lp.NumericalError, match="not positive definite and finite"):
-            lp.forward.SeparableSolver(op, shift, 1.0)
+            lp.forward.StepSolver(op, shift, 1.0)
 
 
 @pytest.mark.parametrize("n_side", [15, 63])
@@ -831,16 +847,17 @@ def test_upwind_factor_symmetrizer_is_the_closed_form(n_side, w):
 def test_wide_symmetrizer_range_falls_back_to_the_sparse_lu(monkeypatch, n_side, nu, separable):
     # at n_side 63 and ν 1e-6, g spans 130 decades and the symmetrized stack
     # still solves to spsolve's accuracy; at ν 1e-50 it would span over
-    # MAX_SCALE_DECADES, so the step takes the sparse LU, as two-axis wind does
+    # MAX_SCALE_DECADES, so no axis is diagonalized and the step takes the
+    # sparse LU, as two-axis wind does
     _refuse_zero_column_solves(monkeypatch)
+    eighs = _spy_shapes(monkeypatch, np.linalg, "eigh")
+    lus = _spy_shapes(monkeypatch, spla, "splu")
     grid = lp.build_grid(n_side)
     op = lp.assemble_convdiff(grid, nu, (0.0, 1.0))
     assert (lp.forward._symmetrizer(op.A2) is not None) == separable
     K = lp.SpaceTimeOperator(op, lp.build_time_grid(5))
-    assert isinstance(K.solver, lp.forward.SeparableSolver if separable else lp.forward._SparseLU)
-    if not separable:
-        with pytest.raises(lp.forward.NotSeparable, match="no diagonal symmetrizer"):
-            lp.forward.SeparableSolver(op, 1.0, 1.0)
+    assert eighs == ([(n_side, n_side)] if separable else [])  # the wind-free x1, or none
+    assert lus == ([] if separable else [(grid.n_x, grid.n_x)])
     _assert_solves_match_spsolve(K.solver, K.solve_step, K.step_matrix, grid.n_x)
 
 
@@ -893,14 +910,7 @@ def test_wind_free_factors_share_one_eigh_only_when_they_are_one(monkeypatch):
     # serves both axes; unequal symmetric factors (A2 = 2·A1, an anisotropic
     # diffusion) are diagonalized each, and the 2-D modal diagonal pairs
     # their eigenvalues along the right axes
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
-
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    calls = _spy_shapes(monkeypatch, np.linalg, "eigh")
     grid = lp.build_grid(15)
     heat = lp.assemble_heat(grid)
     anisotropic = lp.SpatialOperator(kind="convdiff", grid=grid, A1=heat.A1, A2=2.0 * heat.A1)
@@ -914,22 +924,15 @@ def test_wind_free_factors_share_one_eigh_only_when_they_are_one(monkeypatch):
 
 @pytest.mark.parametrize("wind", STEP_WINDS)
 def test_only_wind_along_both_axes_builds_a_sparse_lu(monkeypatch, wind):
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
-
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", spy)
+    # neither factor is symmetric, so no axis is diagonalized and the LU is
+    # the one factorization; any other wind diagonalizes an axis and builds none
+    eighs = _spy_shapes(monkeypatch, np.linalg, "eigh")
+    lus = _spy_shapes(monkeypatch, spla, "splu")
     grid = lp.build_grid(15)
-    op = _spatial(grid, wind)
-    lp.SpaceTimeOperator(op, lp.build_time_grid(5))
+    lp.SpaceTimeOperator(_spatial(grid, wind), lp.build_time_grid(5))
     two_axis = wind is not None and 0.0 not in wind
-    assert calls == ([(grid.n_x, grid.n_x)] if two_axis else [])
-    if two_axis:  # neither factor is symmetric, so there is nothing to diagonalize
-        with pytest.raises(ValueError):
-            lp.forward.SeparableSolver(op, 1.0, 1.0)
+    assert lus == ([(grid.n_x, grid.n_x)] if two_axis else [])
+    assert (eighs == []) == two_axis
 
 
 @pytest.mark.parametrize("adjoint", [False, True])

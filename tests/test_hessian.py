@@ -305,7 +305,7 @@ class TestSteadyPoisson:
 
     def test_apply_matches_two_sparse_solves(self, monkeypatch):
         grid = lp.build_grid(31)
-        monkeypatch.setattr(spla, "splu", None)  # the separable solver builds no LU
+        monkeypatch.setattr(spla, "splu", None)  # the diagonal kernel builds no LU
         ctx = _steady_ctx(grid)
         v = np.random.default_rng(30).standard_normal(grid.n_x)
         L = ctx.spatial.L.tocsc()

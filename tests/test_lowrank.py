@@ -258,7 +258,6 @@ def test_sums_one_column_cancels_to_zero_while_the_others_do_not():
         assert np.linalg.norm(lr_to_dense(S) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [1e200, np.nan])
 def test_sums_raise_numerical_error_at_the_first_column_that_overflows(bad):
     A = _random_lowrank(np.random.default_rng(22), 2, 2, 1)
@@ -342,7 +341,15 @@ def test_column_extraction():
     assert_allclose(A.column(4), lr_to_dense(A)[:, 4], rtol=1e-13)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_of_a_field_whose_gram_product_overflows():
+    # the entries reach 1e200, so the Gram product overflows: the norm comes
+    # from the factors' R instead, and past the float range it is inf
+    A = LowRankMat(np.array([[1e100], [1e100]]), np.array([[1e100], [0.0]]))
+    assert_allclose(lr_norm(A), np.sqrt(2.0) * 1e200, rtol=1e-15)
+    assert lr_norm(lr_scale(A, 1e109)) == np.inf
+    assert np.isnan(lr_norm(LowRankMat(np.array([[np.nan], [1.0]]), np.ones((2, 1)))))
+
+
 @pytest.mark.parametrize("bad", [1e200, np.nan])
 def test_overflowing_or_nan_factors_raise_numerical_error(bad):
     # an overflowing norm product would pass the noise-floor test and turn
