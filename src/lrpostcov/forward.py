@@ -37,7 +37,9 @@ time march (``_march``) runs in the solver's modal coordinates: it
 transforms the rhs factor once and pays one in-place step solve per step.
 A pane of every row is recompressed in modal coordinates too, and only its
 basis is transformed back; a pane of some rows transforms the grid lines
-that hold them at each flush.
+that hold them at each flush.  A flush (``_extend_pane``) keeps its
+remainder's Q as Householder reflectors, its second pass included, and only
+``_qr_reflectors`` and ``_add_reflector_product`` know their format.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from scipy.linalg import blas, lapack
 
 from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError, check_count
-from .lowrank import (LowRankMat, TruncationPolicy, _add_reflector_product, _qr,
-                      _qr_reflectors, _reflector_q, lr_truncate)
+from .lowrank import LowRankMat, TruncationPolicy, lr_truncate
 
 COMPRESS_EVERY = 16  # default sweep steps between recompressions (2 flushes at n_t 30)
 MAX_SCALE_DECADES = 300.0  # widest log10(max g / min g) of a symmetrizer a solve scales by
@@ -290,6 +291,49 @@ def _add_product(W: np.ndarray, alpha: float, Q: np.ndarray, C: np.ndarray) -> N
         blas.dgemm(alpha, Q, C, beta=1.0, c=W, overwrite_c=True)
 
 
+def _qr_reflectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin QR of A in A's memory, its Q kept as Householder reflectors: (V, S, R).
+
+    A must be a Fortran-ordered float64 m × n array, and k = min(m, n).
+    LAPACK's geqrt factors it in one block of k reflectors, I − V·T·Vᵀ in
+    compact-WY form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
+    1989), V m × k unit lower trapezoidal and T k × k upper triangular.  R
+    (k × n) is copied out, and V's unit lower triangle is written over A's
+    top k × k, so V is A's first k columns and no product with it carries
+    R: a product that took R in and subtracted it back would cancel at
+    rounding of ‖R‖.  The thin Q, of the identity's first k columns E_k, is
+    E_k − V·S with S = T·V[:k]ᵀ, upper triangular with τ on its diagonal.
+    """
+    m, n = A.shape
+    k = min(m, n)
+    if k == 0:
+        return A[:, :0], np.zeros((0, 0)), np.zeros((0, n))
+    qr, T, info = lapack.dgeqrt(k, A, overwrite_a=True)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (geqrt info={info})")
+    # trmm reads only the triangle it is told of: times the identity, the top
+    # k × k gives R's upper triangle and V's unit lower one, each exactly
+    top, eye = qr[:k, :k], np.eye(k)
+    R = blas.dtrmm(1.0, top, eye)
+    if n > k:  # a wide block's R has columns right of its triangle too
+        R = np.hstack((R, qr[:k, k:]))
+    L = blas.dtrmm(1.0, top, eye, lower=1, diag=1)
+    V = qr[:, :k]
+    V[:k] = L
+    return V, blas.dtrmm(1.0, T, L.T), R  # S = T·Lᵀ, reading T's upper triangle only
+
+
+def _add_reflector_product(out: np.ndarray, V: np.ndarray, S: np.ndarray,
+                           X: np.ndarray) -> None:
+    """out ← out + Q·X for the Q = E_k − V·S of ``_qr_reflectors``, in out's memory.
+
+    out must be a Fortran-ordered float64 block: one GEMM subtracts V·(S·X)
+    from it, and X is added into its top k rows.
+    """
+    _add_product(out, -1.0, V, S @ X)
+    out[:len(S)] += X
+
+
 def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
                  pol: TruncationPolicy) -> LowRankMat:
     """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
@@ -305,17 +349,17 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     an n_x × (r + c) factor is formed.
 
     Qb enters only those two products, so it is kept as the remainder's
-    Householder reflectors, Qb = E_k − V·S (``lowrank._qr_reflectors``, E_k
-    the identity's first k columns): D = Q[:k]ᵀ − (QᵀV)·S takes one GEMM
-    with V where QᵀQb took one with Qb, and Qb·X2 is one GEMM with V into
-    U plus X2 added to U's top k rows.  So Qb itself, which orgqr forms at
-    about the cost of the QR, is formed only for a second pass.
+    Householder reflectors, Qb = E_k − V·S (``_qr_reflectors``, E_k the
+    identity's first k columns).  D = Q[:k]ᵀ − (QᵀV)·S takes one
+    GEMM with V where QᵀQb took one with Qb, and Qb·X2 is one GEMM with V
+    into U plus X2 added to U's top k rows (``_add_reflector_product``).
 
     PᵀP = I − DᵀD, so UᵀU = I − (D·X2)ᵀ(D·X2) exactly.  The rank
     cut keeps only singular values above eps0·‖A‖/√(r + c), ‖A‖ the field's
     norm, and X2 = Rb·(…)·Σ⁻¹ with a factor of norm ≤ 1, so ‖D·X2‖ ≤ β =
-    ‖D·Rb‖·√(r + c)/(eps0·‖A‖).  Only when β exceeds ``REORTH_BOUND`` is Qb
-    formed, projected again and re-orthonormalized, which leaves D = 0: a
+    ‖D·Rb‖·√(r + c)/(eps0·‖A‖).  Only when β exceeds ``REORTH_BOUND`` does a
+    second pass run, in V's memory: it forms Qb over V, projects it again
+    and factors it into new reflectors, which leaves D = 0.  That is a
     bound in the spirit of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30,
     1976), who reorthogonalize only when a projection has cancelled too
     much.  The second pass truncates nothing, so a flush is one
@@ -324,8 +368,8 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     and Rb, and the field truncated is Rb·Eᵀ.
 
     The flush works in the caller's block: W must be a Fortran-ordered
-    float64 array, which the projection overwrites with the remainder, its
-    QR with V and a second pass with Qb, so the caller must not read W
+    float64 array, which the projection overwrites with the remainder and
+    its QR (and a second pass) with V, so the caller must not read W
     afterwards.  Beyond small arrays it allocates only the rotated basis,
     a fresh Fortran-ordered array, so the pane's basis stays one.
     """
@@ -336,8 +380,8 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     if r:
         C = blas.dgemm(1.0, Q, W, trans_a=True)
         _add_product(W, -1.0, Q, C)
-    V, S, Rb = _qr_reflectors(W)  # Qb = E_k − V·S, formed only by a second pass
-    k, Qb = len(Rb), None
+    V, S, Rb = _qr_reflectors(W)  # Qb = E_k − V·S
+    k = len(Rb)
     core = np.zeros((r + k, r + c))
     T = np.zeros((n_t, r + c))
     T[idx, range(r, r + c)] = 1.0
@@ -350,16 +394,16 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
         core.flat[:r * (r + c + 1):r + c + 1] = sigma  # the top-left block's diagonal
         D = Q[:k].T - blas.dgemm(1.0, Q, V, trans_a=True) @ S  # QᵀQb
         DRb = D @ Rb
-        # ‖A‖² of the field the core holds, pane + (Q·C + Qb·Rb)·Eᵀ, with its cross term
-        CT = C.T
-        norm2 = np.vdot(W2, W2) + 2.0 * np.vdot(W2[idx], CT) + np.vdot(CT, CT) + np.vdot(Rb, Rb)
-        # β > REORTH_BOUND, compared in squares, so a zero field takes the pass
+        # ‖A‖² of pane + (Q·C + Qb·Rb)·Eᵀ: the pane is zero at the chunk's new times
+        norm2 = np.vdot(W2, W2) + np.vdot(C, C) + np.vdot(Rb, Rb)
+        # β > REORTH_BOUND, compared in squares
         if np.vdot(DRb, DRb) * (r + c) > (REORTH_BOUND * pol.eps0) ** 2 * norm2:
-            Qb = _reflector_q(V, S)
+            Qb = blas.dtrmm(-1.0, S, V, side=1, overwrite_b=1)  # −V·S, in V's memory
+            Qb[:k] += np.eye(k)
             _add_product(Qb, -1.0, Q, D)
-            Qb, Rd = _qr(Qb, overwrite_a=True)
+            V, S, Rd = _qr_reflectors(Qb)
             Rb = Rd @ Rb
-            D = None  # Qb is orthogonal to Q now
+            D = None  # the new Qb is orthogonal to Q
         C += DRb  # the remainder's part along Q, Q·D·Rb
         core[:r, r:] = C
     core[r:, r:] = Rb
@@ -368,10 +412,7 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     if D is not None:
         X1 = X1 - D @ X2
     U = blas.dgemm(1.0, Q, X1)  # zero when the pane was empty
-    if Qb is None:
-        _add_reflector_product(U, V, S, X2)
-    else:
-        _add_product(U, 1.0, Qb, X2)
+    _add_reflector_product(U, V, S, X2)
     return LowRankMat(U, small.W2)
 
 

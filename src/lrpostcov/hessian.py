@@ -194,6 +194,8 @@ class HessianContext:
         inj = K.m_scale if self.mode == MODE_IC else K.time.tau * K.m_scale
         return math.sqrt(cov.gamma_prior * inj**2 * cov.beta_noise * (K.time.tau * K.m_scale))
 
+    # an image past the float range is refused by the finiteness checks, not numpy's warning
+    @np.errstate(over="ignore", invalid="ignore")
     def apply(self, v, images: list | None = None):
         """H̃·v, or D·v for a data-side vector in source mode.
 

@@ -5,21 +5,15 @@ factors W1 (n_x × r) and W2 (n_t × r) so that storage and arithmetic cost
 O((n_x + n_t)·r) instead of O(n_x·n_t).  The public ``lr_*`` functions
 never mutate their inputs, so values can be shared freely across threads;
 a result may share a factor with an input (``lr_add`` of a zero-rank
-term, ``lr_scale``'s W1).  Three private kernels write into arrays their
-callers own: ``_qr(overwrite_a=True)``, ``_qr_reflectors`` and
-``_add_reflector_product``.
+term, ``lr_scale``'s W1).  One private kernel writes into an array its
+caller owns: ``_qr(overwrite_a=True)``.
 
-Thin QRs call LAPACK directly, through three kernels that form only what
-their callers read.  ``_qr`` calls geqrf and orgqr: with one BLAS thread it
-gives the (Q, R) of ``np.linalg.qr`` bit for bit, at about half numpy's
-per-call cost on the small blocks recompression feeds it, and a caller
-that owns a Fortran-ordered buffer can let Q take its memory.  It serves
-``lr_truncate``, ``lr_sums``, ``posterior`` and a flush's rare second pass.
-A sweep flush reads its remainder's Q only through products, so
-``_qr_reflectors`` factors the remainder with geqrt in its own memory and
-keeps Q as compact-WY reflectors, which ``_add_reflector_product``
-applies; Q is formed (``_reflector_q``) only for a second pass.
-``lr_singular_values`` reads only R, which ``_geqrf`` gives alone.
+Thin QRs call LAPACK directly.  ``_qr`` calls geqrf and orgqr: with one
+BLAS thread it gives the (Q, R) of ``np.linalg.qr`` bit for bit, at about
+half numpy's per-call cost on the small blocks recompression feeds it, and
+a caller that owns a Fortran-ordered buffer can let Q take its memory.  It
+serves ``lr_truncate``, ``lr_sums`` and ``posterior``.  ``lr_singular_values``
+reads only R, which ``_geqrf`` gives alone.
 
 Exact linear combinations go through one kernel too, ``lr_sums``: it
 makes every column of basis·C from one QR of the stacked shorter-side
@@ -142,59 +136,6 @@ def _qr(A: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarra
     if info != 0:
         raise NumericalError(f"QR factorization failed (orgqr info={info})")
     return Q, R
-
-
-def _qr_reflectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin QR of A in A's memory, its Q kept as Householder reflectors: (V, S, R).
-
-    A must be a Fortran-ordered float64 m × n array, and k = min(m, n).
-    LAPACK's geqrt factors it in one block of k reflectors, I − V·T·Vᵀ in
-    compact-WY form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
-    1989), V m × k unit lower trapezoidal and T k × k upper triangular.  R
-    (k × n) is copied out, and V's unit lower triangle is written over A's
-    top k × k, so V is A's first k columns and no product with it carries
-    R: a product that took R in and subtracted it back would cancel at
-    rounding of ‖R‖.  The thin Q, of the identity's first k columns E_k, is
-    E_k − V·S with S = T·V[:k]ᵀ, upper triangular with τ on its diagonal:
-    ``_add_reflector_product`` applies it, and only ``_reflector_q`` forms it.
-    """
-    m, n = A.shape
-    k = min(m, n)
-    if k == 0:
-        return A[:, :0], np.zeros((0, 0)), np.zeros((0, n))
-    qr, T, info = lapack.dgeqrt(k, A, overwrite_a=True)
-    if info != 0:
-        raise NumericalError(f"QR factorization failed (geqrt info={info})")
-    # trmm reads only the triangle it is told of: times the identity, the top
-    # k × k gives R's upper triangle and V's unit lower one, each exactly
-    top, eye = qr[:k, :k], np.eye(k)
-    R = blas.dtrmm(1.0, top, eye)
-    if n > k:  # a wide block's R has columns right of its triangle too
-        R = np.hstack((R, qr[:k, k:]))
-    L = blas.dtrmm(1.0, top, eye, lower=1, diag=1)
-    V = qr[:, :k]
-    V[:k] = L
-    return V, blas.dtrmm(1.0, T, L.T), R  # S = T·Lᵀ, reading T's upper triangle only
-
-
-def _add_reflector_product(out: np.ndarray, V: np.ndarray, S: np.ndarray,
-                           X: np.ndarray) -> None:
-    """out ← out + Q·X for the Q = E_k − V·S of ``_qr_reflectors``, in out's memory.
-
-    out must be a Fortran-ordered float64 block: one GEMM subtracts V·(S·X)
-    from it, and X is added into its top k rows.
-    """
-    if out.size and len(S):  # dgemm refuses an empty output block
-        blas.dgemm(-1.0, V, S @ X, beta=1.0, c=out, overwrite_c=True)
-    out[:len(S)] += X
-
-
-def _reflector_q(V: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The thin Q = E_k − V·S of ``_qr_reflectors``, formed by LAPACK orgqr in V's memory."""
-    Q, _, info = lapack.dorgqr(V, np.diag(S), lwork=_lwork(*V.shape), overwrite_a=True)
-    if info != 0:
-        raise NumericalError(f"QR factorization failed (orgqr info={info})")
-    return Q
 
 
 def _qr_tall(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:

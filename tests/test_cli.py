@@ -742,26 +742,25 @@ OVERFLOW_MODES = {"ic": {}, "source-data-side": {"mode": "source"},
                   "source-low-rank": {"mode": "source", "sensors": "none"}}
 
 
-@pytest.mark.parametrize("path", [
-    "ic",
-    pytest.param("source-data-side", marks=pytest.mark.xfail(
-        strict=True, reason="the data side's forward sweep overflows to inf inside its "
-                            "march, and the NaN of the next transform raises a numpy warning")),
-    "source-low-rank"])
-def test_overflowing_numerics_exit_3_without_output(tmp_path, path):
+@pytest.mark.parametrize("path, final_time", [
+    ("ic", "1e4"), ("source-data-side", "1e4"), ("source-low-rank", "1e4"), ("ic", "1e5")],
+    ids=["ic", "source-data-side", "source-low-rank", "ic-final-time-1e5"])
+def test_overflowing_numerics_exit_3_without_output(tmp_path, path, final_time):
     # At ν 1e-30 and T 1e4 nothing damps the field, so the Hessian's
     # eigenvalues are about β·T = 1e309, past the float range: the first
     # image's norm or its factor norms overflow, and the run exits 3 with its
-    # one-line refusal.  The command runs in its own interpreter under
-    # warnings-as-errors, so a numpy warning would end it in a traceback.
+    # one-line refusal.  The data side's forward sweep marches to inf, and at
+    # T 1e5 the IC image's entries pass the float range.  The command runs in
+    # its own interpreter under warnings-as-errors, so a numpy warning would
+    # end it in a traceback.
     out = tmp_path / "out"
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "lrpostcov.cli", "eigs", "--problem", "convdiff",
-         "--wind", "0,0", "--nu", "1e-30", "--final-time", "1e4", "--n-side", "15", "--nt", "3",
-         "--beta-ratio", "1e305",
+         "--wind", "0,0", "--nu", "1e-30", "--final-time", final_time, "--n-side", "15",
+         "--nt", "3", "--beta-ratio", "1e305",
          *(t for key, v in OVERFLOW_MODES[path].items() for t in ("--" + key, v)),
          "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120)

@@ -368,22 +368,22 @@ def test_pane_stays_orthonormal_at_small_eps0(kind, eps0):
 def test_second_pass_runs_only_when_the_bound_asks(monkeypatch, eps0, second_pass):
     # at the default eps0 every flush projects once; at 1e-15 some flush
     # needs the second pass, and the pane is orthonormal either way.  A flush
-    # keeps its remainder's Q as reflectors and forms it explicitly only for
-    # the second pass: 0 times per flush, or 1.
-    formed, per_flush = [], []
+    # factors its remainder into reflectors once, and a second pass factors
+    # the projected Qb once more: 0 extra QRs per flush, or 1.
+    factored, per_flush = [], []
 
-    def spy_q(*args):
-        formed.append(1)
-        return reflector_q(*args)
+    def spy_qr(*args):
+        factored.append(1)
+        return qr_reflectors(*args)
 
     def spy_flush(*args):
-        formed.clear()
+        factored.clear()
         out = extend(*args)
-        per_flush.append(len(formed))
+        per_flush.append(len(factored) - 1)
         return out
 
-    reflector_q, extend = lp.forward._reflector_q, lp.forward._extend_pane
-    monkeypatch.setattr(lp.forward, "_reflector_q", spy_q)
+    qr_reflectors, extend = lp.forward._qr_reflectors, lp.forward._extend_pane
+    monkeypatch.setattr(lp.forward, "_qr_reflectors", spy_qr)
     monkeypatch.setattr(lp.forward, "_extend_pane", spy_flush)
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(20)
@@ -396,27 +396,37 @@ def test_second_pass_runs_only_when_the_bound_asks(monkeypatch, eps0, second_pas
     assert _orth_defect(Y) <= 1e-12
 
 
-@pytest.mark.parametrize("r", [0, 4])
-def test_full_row_flush_allocates_no_block_but_the_rotated_basis(r):
+@pytest.mark.parametrize("r, second_pass", [(0, False), (4, False), (4, True)],
+                         ids=["0", "4", "4-second-pass"])
+def test_full_row_flush_allocates_no_block_but_the_rotated_basis(monkeypatch, r, second_pass):
     # The flush works in the caller's block: the projection, the reflector
     # QR and the products with Q and V write into it or into small arrays.
     # So beyond the rotated basis U, a 3969-row flush allocates less than one
     # 3969-row column.  Core and time factor are kept small, so that their
-    # arrays stay far below that too.
+    # arrays stay far below that too.  A chunk that lies in the pane's span
+    # up to 1e-12 noise takes the second pass at eps0 1e-15, and that pass
+    # forms Qb, projects it and re-factors it in V's memory.
     rng = np.random.default_rng(33)
     n_x, n_t, c = 3969, 12, 8
     pane = _rand_lr(rng, n_x, n_t, r)
     pane = lp.LowRankMat(np.asfortranarray(pane.W1), pane.W2)  # as a sweep's flushes leave it
     W = np.asfortranarray(rng.standard_normal((n_x, c)))
+    pol = POL
+    if second_pass:
+        W = np.asfortranarray(pane.W1 @ rng.standard_normal((r, c)) + 1e-12 * W)
+        pol = lp.TruncationPolicy(eps0=1e-15)
+    factored = _spy_shapes(monkeypatch, lp.forward, "_qr_reflectors")
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        out = lp.forward._extend_pane(pane, W, list(range(2, 2 + c)), POL)
+        out = lp.forward._extend_pane(pane, W, list(range(2, 2 + c)), pol)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
+    assert len(factored) == 1 + second_pass
     assert out.r == r + c
     assert peak - out.W1.nbytes < n_x * 8
+    assert np.linalg.norm(out.W1.T @ out.W1 - np.eye(out.r)) <= 1e-14
 
 
 @pytest.mark.parametrize("wind", [None, (0.0, 1.0), (0.3, -0.7)])
@@ -541,6 +551,39 @@ def _spatial(grid, wind):
     if wind == WIDE_SYMMETRIZER:
         return lp.assemble_convdiff(grid, 1e-50, (0.0, 1.0))
     return lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
+
+
+@pytest.mark.parametrize("shape", [(3969, 16), (144, 16), (9, 16), "repeated", (0, 4), (5, 0)])
+def test_reflector_qr_is_the_thin_qr(shape):
+    # a full-row and an observed-row flush block, a wide one, a dependent
+    # block (one column three times) and empty ones: R is numpy's to
+    # rounding, the Q that the product forms from the identity is
+    # orthonormal with Q·R = A, and the product is that Q's; the block's top
+    # k × k holds V's unit triangle, not R
+    rng = np.random.default_rng(25)
+    if shape == "repeated":
+        col = rng.standard_normal((50, 1))
+        A = np.hstack([col, rng.standard_normal((50, 2)), col, col])
+    else:
+        A = rng.standard_normal(shape)
+    Rn = np.linalg.qr(A)[1]
+    W = np.asfortranarray(A)
+    V, S, R = lp.forward._qr_reflectors(W)
+    k = min(A.shape)
+    assert V.shape == (A.shape[0], k) and S.shape == (k, k) and R.shape == Rn.shape
+    assert np.shares_memory(V, W) or k == 0
+    assert np.array_equal(np.triu(V[:k]), np.eye(k))
+    scale = max(np.linalg.norm(A), 1.0)
+    assert_allclose(R, Rn, rtol=0, atol=1e-13 * scale)
+    Q = np.zeros((A.shape[0], k), order="F")
+    lp.forward._add_reflector_product(Q, V, S, np.eye(k))
+    assert_allclose(Q.T @ Q, np.eye(k), rtol=0, atol=1e-14)
+    assert_allclose(Q @ R, A, rtol=0, atol=1e-13 * scale)
+    X = rng.standard_normal((k, 3))
+    out = np.asfortranarray(rng.standard_normal((A.shape[0], 3)))
+    before = out.copy()
+    lp.forward._add_reflector_product(out, V, S, X)
+    assert_allclose(out, before + Q @ X, rtol=0, atol=1e-13)
 
 
 def _explicit_q_flush(pane, W, idx, pol):
@@ -1006,6 +1049,38 @@ def test_restricted_flushes_see_only_the_observed_rows(monkeypatch, adjoint, com
     assert Y.shape == want.shape
     err = np.linalg.norm(lp.lr_to_dense(Y) - want)
     assert err <= n_flushes * POL.eps0 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("wind", STEP_WINDS)
+def test_a_flushed_chunk_meets_a_pane_that_is_zero_at_its_times(monkeypatch, wind):
+    # A flush's ‖A‖² adds the squares of the pane and of the chunk with no
+    # cross term: the march reaches each time once, so the pane is zero at
+    # the chunk's times up to the rounding of its time factor's QR.  Both
+    # directions, on every row and on the nine observed patches, in chunks of
+    # 1, 2, 5 and 16 steps.
+    grid = lp.build_grid(15)
+    tg = lp.build_time_grid(20)
+    K = lp.SpaceTimeOperator(_spatial(grid, wind), tg)
+    mask = lp.make_sensor_layout_3x3(grid).mask
+    full = _rand_lr(np.random.default_rng(35), grid.n_x, tg.n_t, 3)
+    widths = (1, 2, 5, 16)
+    ratios = []
+
+    def spy_flush(pane, W, idx, pol):
+        if pane.r:
+            ratios.append(np.abs(pane.W2[idx]).max() / np.abs(pane.W2).max())
+        return extend(pane, W, idx, pol)
+
+    extend = lp.forward._extend_pane
+    monkeypatch.setattr(lp.forward, "_extend_pane", spy_flush)
+    for adjoint in (False, True):
+        for rows in (None, mask):
+            rhs = lp.LowRankMat(full.W1[mask], full.W2) if adjoint and rows is not None else full
+            for compress_every in widths:
+                lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every,
+                                  rows=rows)
+    assert len(ratios) == 4 * sum(-(-tg.n_t // width) - 1 for width in widths)
+    assert max(ratios) <= 1e-14
 
 
 @pytest.mark.parametrize("wind", [None, (1.0, 0.0), (0.3, -0.7)])

@@ -7,10 +7,7 @@ from lrpostcov.errors import NumericalError
 from lrpostcov.lowrank import (
     LowRankMat,
     TruncationPolicy,
-    _add_reflector_product,
     _qr,
-    _qr_reflectors,
-    _reflector_q,
     lr_add,
     lr_dot,
     lr_from_dense,
@@ -416,33 +413,6 @@ def test_truncation_skips_the_qr_of_a_factor_with_no_more_rows_than_columns(monk
     scale = np.linalg.norm(ref.W2)
     assert_allclose(out.W1, ref.W1, rtol=0, atol=1e-13)
     assert_allclose(out.W2, ref.W2, rtol=0, atol=1e-13 * scale)
-
-
-@pytest.mark.parametrize("shape", [(3969, 16), (144, 16), (9, 16), "repeated", (0, 4), (5, 0)])
-def test_reflector_qr_is_the_thin_qr(shape):
-    # a full-row and an observed-row flush block, a wide one, a dependent
-    # block and empty ones: R is numpy's to rounding, the formed Q is
-    # orthonormal with Q·R = A, and the product is the formed Q's; the
-    # block's top k × k holds V's unit triangle, not R
-    rng = np.random.default_rng(25)
-    A = _qr_input(rng, shape)
-    Rn = np.linalg.qr(A)[1]
-    W = np.asfortranarray(A)
-    V, S, R = _qr_reflectors(W)
-    k = min(A.shape)
-    assert V.shape == (A.shape[0], k) and S.shape == (k, k) and R.shape == Rn.shape
-    assert np.shares_memory(V, W) or k == 0
-    assert np.array_equal(np.triu(V[:k]), np.eye(k))
-    scale = max(np.linalg.norm(A), 1.0)
-    assert_allclose(R, Rn, rtol=0, atol=1e-13 * scale)
-    X = rng.standard_normal((k, 3))
-    out = np.asfortranarray(rng.standard_normal((A.shape[0], 3)))
-    before = out.copy()
-    _add_reflector_product(out, V, S, X)
-    Q = _reflector_q(V, S) if k else V  # a flush forms no Q of an empty block
-    assert_allclose(Q.T @ Q, np.eye(k), rtol=0, atol=1e-14)
-    assert_allclose(Q @ R, A, rtol=0, atol=1e-13 * scale)
-    assert_allclose(out, before + Q @ X, rtol=0, atol=1e-13)
 
 
 def test_singular_values_read_only_the_factors_r(monkeypatch):
