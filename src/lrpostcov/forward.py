@@ -35,9 +35,12 @@ The solver's interface (``restrict``, ``to_modal``, ``solve_modal``,
 M_scale·I commutes with the orthogonal eigenvector transform, so a sweep's
 time march (``_march``) runs in the solver's modal coordinates: it
 transforms the rhs factor once and pays one in-place step solve per step.
-A pane of every row is recompressed in modal coordinates too, and only its
-basis is transformed back; a pane of some rows transforms the grid lines
-that hold them at each flush.  A flush (``_extend_pane``) keeps its
+A pane of every row is recompressed in modal coordinates too; a pane of
+some rows transforms the grid lines that hold them at each flush.  A
+sweep's full-row sides, its rhs and its pane, are physical by default, and
+modal with ``modal=True``: then a full-row pane passes from one sweep to the
+next with no transform, and the caller transforms only the field it injects
+and the one it reads out.  A flush (``_extend_pane``) keeps its
 remainder's Q as Householder reflectors, its second pass included, and only
 ``_qr_reflectors`` and ``_add_reflector_product`` know their format.
 """
@@ -417,7 +420,7 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
 
 
 def _march(K: SpaceTimeOperator, rhs: LowRankMat, adjoint: bool, width: int,
-           part: tuple | None):
+           part: tuple | None, modal: bool = False):
     """Yield (idx, W), the modal y_k for k in idx, per chunk of ≤ ``width`` steps in time order.
 
     The recursion y_k = step⁻¹·M_scale·y_{k-1} + B·W2[k] (backward in time,
@@ -425,6 +428,9 @@ def _march(K: SpaceTimeOperator, rhs: LowRankMat, adjoint: bool, width: int,
     coordinates, with B = step⁻¹·rhs.W1 the rhs factor transformed (by
     ``to_modal`` restricted by ``part``) and solved once: one step solve per
     step on the running column plus one multi-column solve for the rhs factor.
+    With ``modal`` a full-row rhs factor (``part`` None) is modal already and
+    is not transformed; it is copied into a fresh Fortran block, which the
+    solve overwrites, so the caller's factor is left as it was.
     Each chunk starts with one GEMM that writes its rhs terms B·W2[idx]ᵀ into a
     Fortran-ordered block of min(``width``, n_t) columns; then, per step, the
     running column is scaled by M_scale, solved in place by one ``solve_step``
@@ -433,7 +439,11 @@ def _march(K: SpaceTimeOperator, rhs: LowRankMat, adjoint: bool, width: int,
     consumer may overwrite W; the next chunk reuses its memory.
     """
     n_t = K.n_t
-    B = K.solve_step(K.solver.to_modal(rhs.W1, part), adjoint)  # step⁻¹·rhs
+    if modal and part is None:
+        B = np.array(rhs.W1, dtype=np.float64, order="F")
+    else:
+        B = K.solver.to_modal(rhs.W1, part)
+    B = K.solve_step(B, adjoint)  # step⁻¹·rhs
     steps = range(n_t - 1, -1, -1) if adjoint else range(n_t)
     block = np.empty((K.n_x, min(width, n_t)), order="F")
     y_run = np.zeros((K.n_x, 1), order="F")
@@ -460,6 +470,7 @@ def st_solve_sweep(
     adjoint: bool = False,
     compress_every: int = COMPRESS_EVERY,
     rows: np.ndarray | None = None,
+    modal: bool = False,
 ) -> LowRankMat:
     """Solve K·vec(Y) = vec(rhs) (or Kᵀ for adjoint=True) by time substitution.
 
@@ -480,10 +491,20 @@ def st_solve_sweep(
     passes the forward sweep's pane as it is), and returns every row.  So
     the restriction applies to the adjoint's rhs, which the march reads
     through it, or to the forward's flushed chunks.  A pane of every row is
-    flushed in modal coordinates, and its basis is transformed back once
-    at the end: the transform is orthogonal, so the truncations are those
-    of the physical pane.  A forward pane of some rows is physical; each
-    flush transforms only the grid lines that hold its rows.
+    flushed in modal coordinates: the transform is orthogonal, so the
+    truncations are those of the physical pane.  A forward pane of some
+    rows is physical; each flush transforms only the grid lines that hold
+    its rows.
+
+    ``modal`` chooses the coordinates of every full-row side of the sweep:
+    the rhs of a forward sweep, the rhs of an adjoint sweep without
+    ``rows``, and a result of every row.  By default they are physical, so
+    a full-row rhs is transformed once and a full-row pane's basis is
+    transformed back once at the end.  With ``modal=True`` they are in
+    ``K.solver``'s modal coordinates (V2ᵀ·X·V1 per column, ``to_modal``),
+    and neither transform runs, so a pane can pass from one sweep to the
+    next without a round trip.  A side of some rows stays physical either
+    way.
     """
     n_x, n_t = K.n_x, K.n_t
     compress_every = check_count("compress_every", compress_every, 1)
@@ -501,10 +522,10 @@ def st_solve_sweep(
     part = None if keep is None else S.restrict(keep)  # once for every restricted transform
     rhs_part, part = (part, None) if adjoint else (None, part)  # restricts the rhs or the chunks
     pane = LowRankMat.zeros(n_out, n_t)
-    for idx, W in _march(K, rhs, adjoint, compress_every, rhs_part):
+    for idx, W in _march(K, rhs, adjoint, compress_every, rhs_part, modal):
         pane = _extend_pane(pane, W if part is None else S.from_modal(W, part), idx, pol)
     del W  # the march's block is not held through the back-transform
-    if part is None:
+    if part is None and not modal:
         pane = LowRankMat(S.from_modal(pane.W1), pane.W2)
     return pane
 
@@ -515,10 +536,12 @@ def st_solve_adjoint_sweep(
     pol: TruncationPolicy,
     compress_every: int = COMPRESS_EVERY,
     rows: np.ndarray | None = None,
+    modal: bool = False,
 ) -> LowRankMat:
     """Kᵀ-solve by backward-in-time substitution with the transposed factorization.
 
     With ``rows`` the rhs holds only those rows; the result has every row.
+    ``modal`` is ``st_solve_sweep``'s.
     """
     return st_solve_sweep(K, rhs, pol, adjoint=True, compress_every=compress_every,
-                          rows=rows)
+                          rows=rows, modal=modal)

@@ -212,7 +212,12 @@ class HessianContext:
         condition at time 0, or a source) and the matching adjoint
         extraction.  The forward sweep's pane holds only the observed rows,
         (n_active + n_t)·r floats, and the adjoint sweep reads it as it is;
-        full observation is the mask of all rows.
+        full observation is the mask of all rows.  Both sweeps run with
+        ``modal=True``: the apply injects v in the step solver's modal
+        coordinates (one column for an initial condition, v's basis for a
+        source), a full-row forward pane reaches the adjoint sweep with no
+        transform, and the apply transforms back only what it returns (the
+        adjoint field's one column at time 0, or its basis).
         """
         if self.mode == MODE_STEADY:
             # (beta_prior/beta_noise)·L⁻¹·L⁻¹·v; L is symmetric, so adjoint = forward.
@@ -224,20 +229,21 @@ class HessianContext:
             return (self.cov.beta_prior / self.cov.beta_noise) * x[:, 0]
         if self.mode == MODE_SOURCE and not isinstance(v, LowRankMat):
             return self._apply_data(v, images)
-        K, a = self.operator, self._a
+        K, a, S = self.operator, self._a, self.operator.solver
         if self.mode == MODE_IC:
-            rhs = LowRankMat.from_column(a * np.asarray(v, dtype=float), K.n_t, 0)
+            rhs = LowRankMat.from_column(S.to_modal(a * np.asarray(v, dtype=float)[:, None]),
+                                         K.n_t, 0)
         else:
-            rhs = lr_scale(v, a)
+            rhs = lr_scale(LowRankMat(S.to_modal(v.W1), v.W2), a)
         Y = st_solve_sweep(K, rhs, self.pol, compress_every=self.compress_every,
-                           rows=self.layout.mask)
+                           rows=self.layout.mask, modal=True)
         del rhs  # not held through the adjoint sweep
         Q = st_solve_adjoint_sweep(K, Y, self.pol, compress_every=self.compress_every,
-                                   rows=self.layout.mask)
+                                   rows=self.layout.mask, modal=True)
         self.rank_trace.append(max(Y.r, Q.r))
         if self.mode == MODE_IC:
-            return a * Q.column(0)
-        return lr_scale(Q, a)
+            return a * S.from_modal(Q.column(0)[:, None])[:, 0]
+        return lr_scale(LowRankMat(S.from_modal(Q.W1), Q.W2), a)
 
     def _apply_data(self, u, images: list | None) -> np.ndarray:
         """D·u = a·P·(a·Pᵀu): the adjoint sweep, then the forward sweep.
@@ -247,7 +253,10 @@ class HessianContext:
         reads u's field U as the rhs U·Iᵀ on the observed rows; its scaled
         output, the image a·Pᵀu, is a parameter-side field.  Since
         H̃·Pᵀ = Pᵀ·D, the images combined with the coefficients of a Ritz
-        vector of D make a Ritz vector of H̃ with the same value.
+        vector of D make a Ritz vector of H̃ with the same value.  Both sweeps
+        run with ``modal=True``, so the image passes from one to the other
+        in modal coordinates; it is transformed back to the grid only to be
+        appended to ``images``, whose Ritz vectors stay physical.
         """
         K, n_active, mask = self.operator, self.layout.n_active, self.layout.mask
         if not self.data_side or np.shape(u) != (n_active * K.n_t,):
@@ -256,10 +265,12 @@ class HessianContext:
         a = self._a
         U = np.asarray(u, dtype=float).reshape((n_active, K.n_t), order="F")
         image = st_solve_adjoint_sweep(K, LowRankMat(U, np.eye(K.n_t)), self.pol,
-                                       compress_every=self.compress_every, rows=mask)
+                                       compress_every=self.compress_every, rows=mask,
+                                       modal=True)
         image = lr_scale(image, a)
         if images is not None:
-            images.append(image)
-        Y = st_solve_sweep(K, image, self.pol, compress_every=self.compress_every, rows=mask)
+            images.append(LowRankMat(K.solver.from_modal(image.W1), image.W2))
+        Y = st_solve_sweep(K, image, self.pol, compress_every=self.compress_every, rows=mask,
+                           modal=True)
         self.rank_trace.append(max(Y.r, image.r))
         return a * (Y.W1 @ Y.W2.T).ravel(order="F")

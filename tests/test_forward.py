@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 
@@ -754,7 +755,10 @@ def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
     # compress_every 4, n_t = 10 leaves a partial last flush of 2 columns.
     # A flush every step and one flush for the whole sweep would expose a
     # running column that a flush overwrote in the block it works in.  The
-    # march under the sweep is checked on its own too.
+    # march under the sweep is checked on its own too.  With modal=True every
+    # full-row rhs goes in modal and every full-row result comes out modal,
+    # so it is transformed back before the same comparison; a side of the
+    # observed rows stays physical.  No sweep may write the caller's rhs.
     grid = lp.build_grid(15)
     tg = lp.build_time_grid(10)
     op = _spatial(grid, wind)
@@ -762,32 +766,39 @@ def test_sweeps_match_dense_oracle_for_every_step_solver(wind, adjoint):
     full = _rand_lr(np.random.default_rng(20), grid.n_x, tg.n_t, 3)
     mask = lp.make_sensor_layout_3x3(grid).mask
     cases = []
-    for rows in (None, mask):
+    for rows, modal in itertools.product((None, mask), (False, True)):
         rhs, F = full, lp.lr_to_dense(full)
         if rows is not None and adjoint:
             rhs = lp.LowRankMat(full.W1[rows], full.W2)
             F = _embedded(rhs, rows)
+        elif modal:
+            rhs = lp.LowRankMat(K.solver.to_modal(full.W1), full.W2)
         ref = oracle.dense_forward(op.L.toarray(), grid.m_scale, tg.tau, F, adjoint=adjoint)
-        cases.append((rows, rhs, ref if rows is None or adjoint else ref[rows]))
+        cases.append((rows, modal, rhs, ref if rows is None or adjoint else ref[rows]))
     for compress_every in (1, 4, tg.n_t):
         flushes = -(-tg.n_t // compress_every)
-        for rows, rhs, want in cases:
+        for rows, modal, rhs, want in cases:
+            before = rhs.W1.copy()
             Y = lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every,
-                                  rows=rows)
+                                  rows=rows, modal=modal)
+            assert np.array_equal(rhs.W1, before)
             assert Y.shape == want.shape
+            if modal and (rows is None or adjoint):
+                Y = lp.LowRankMat(K.solver.from_modal(Y.W1), Y.W2)
             err = np.linalg.norm(lp.lr_to_dense(Y) - want)
             assert err <= flushes * POL.eps0 * np.linalg.norm(want)
             # the march alone truncates nothing: its chunks arrive in time
             # order, min(compress_every, steps left) wide, and hold the field
             part = None if rows is None or not adjoint else K.solver.restrict(np.flatnonzero(rows))
             Z, order = np.empty((grid.n_x, tg.n_t)), []
-            for idx, W in lp.forward._march(K, rhs, adjoint, compress_every, part):
+            for idx, W in lp.forward._march(K, rhs, adjoint, compress_every, part, modal):
                 assert len(idx) == min(compress_every, tg.n_t - len(order))
                 order += idx
                 Z[:, idx] = K.solver.from_modal(W)
             assert order == (list(range(tg.n_t))[::-1] if adjoint else list(range(tg.n_t)))
             Z = Z if rows is None or adjoint else Z[rows]
             assert np.linalg.norm(Z - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(rhs.W1, before)
 
 
 @pytest.mark.parametrize("wind", STEP_WINDS + [WIDE_SYMMETRIZER])

@@ -267,6 +267,86 @@ class TestDataSide:
             full.apply(np.ones(K.n_x * K.n_t))
 
 
+def _spy_transforms(monkeypatch):
+    """Record each StepSolver.to_modal / from_modal call as (direction, columns,
+    full-row, sweep), sweep being the hessian sweep it ran inside, or None."""
+    calls, inside = [], [None]
+
+    def spy(name):
+        original = getattr(hs.StepSolver, name)
+
+        def transform(self, B, restriction=None):
+            calls.append((name, B.shape[1], restriction is None, inside[0]))
+            return original(self, B, restriction)
+        return transform
+
+    def tag(name):
+        original = getattr(hs, name)
+
+        def sweep(*args, **kwargs):
+            inside[0] = name
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside[0] = None
+        return sweep
+
+    for name in ("to_modal", "from_modal"):
+        monkeypatch.setattr(hs.StepSolver, name, spy(name))
+    for name in ("st_solve_sweep", "st_solve_adjoint_sweep"):
+        monkeypatch.setattr(hs, name, tag(name))
+    return calls
+
+
+@pytest.mark.parametrize("wind", [None, (0.0, 1.0), (0.3, -0.7)])
+def test_a_full_observation_ic_apply_transforms_one_column_each_way(monkeypatch, wind):
+    # the forward pane reaches the adjoint sweep in modal coordinates, and only
+    # the adjoint field's column at time 0 is transformed back; passing each
+    # full-row pane through the grid would transform 1 + r_Y columns in and
+    # r_Y + r_Q out.  Default wind (0, 1) takes the transposed one-axis
+    # layout, and (0.3, -0.7) the sparse LU, whose transforms are copies.
+    grid = lp.build_grid(15)
+    op = lp.assemble_heat(grid) if wind is None else lp.assemble_convdiff(grid, 1e-2, wind)
+    K = lp.SpaceTimeOperator(op, lp.build_time_grid(12))
+    ctx = hs.HessianContext(mode=hs.MODE_IC, operator=K, layout=hs.full_observation(grid),
+                            cov=hs.CovarianceSpec.from_gamma(10.0, 1e4, grid), pol=POL)
+    v = np.random.default_rng(14).standard_normal(grid.n_x)
+    want = ctx.apply(v)
+    calls = _spy_transforms(monkeypatch)
+    got = ctx.apply(v)
+    assert ctx.rank_trace[-1] >= 2  # both panes hold more than the one column
+    assert [c[:3] for c in calls] == [("to_modal", 1, True), ("from_modal", 1, True)]
+    assert all(sweep is None for *_, sweep in calls)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_a_data_side_apply_hands_its_image_over_in_modal_coordinates(monkeypatch, record):
+    # the adjoint sweep transforms its rhs of the observed rows, and its
+    # full-row image goes to the forward sweep as it is, which transforms back
+    # only the observed rows of its chunks.  The image is transformed back as
+    # a whole only when it is recorded.
+    grid = lp.build_grid(15)
+    K = lp.SpaceTimeOperator(lp.assemble_convdiff(grid, 1e-2, (1.0, 0.0)),
+                             lp.build_time_grid(12))
+    ctx = hs.HessianContext(mode=hs.MODE_SOURCE, operator=K,
+                            layout=hs.make_sensor_layout_3x3(grid),
+                            cov=hs.CovarianceSpec.from_gamma(10.0, 1e4, grid), pol=POL)
+    u = np.random.default_rng(15).standard_normal(ctx.krylov_dim)
+    images = [] if record else None
+    calls = _spy_transforms(monkeypatch)
+    ctx.apply(u, images)
+    to_modal = [c for c in calls if c[0] == "to_modal"]
+    assert to_modal == [("to_modal", K.n_t, False, "st_solve_adjoint_sweep")]
+    full_rows = [c for c in calls if c[0] == "from_modal" and c[2]]
+    if record:
+        assert full_rows == [("from_modal", images[0].r, True, None)]
+    else:
+        assert full_rows == []
+    assert all(sweep == "st_solve_sweep" for name, _, full_row, sweep in calls
+               if name == "from_modal" and not full_row)
+
+
 def _steady_ctx(grid):
     cov = hs.CovarianceSpec(beta_noise=1e4, beta_prior=1.0, gamma_prior=1.0)
     return hs.HessianContext(mode=hs.MODE_STEADY, operator=None, layout=None, cov=cov,
