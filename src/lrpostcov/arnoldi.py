@@ -3,20 +3,20 @@
 The iteration runs on either vector representation: dense vectors
 (initial-condition and steady modes, and the distributed source's data
 side) or low-rank space-time fields (the distributed source under full
-observation).  Each vector operation is one module function (``_dot``,
-``_norm``, ``_scale``, ``_finite``, ``_combinations``) that dispatches on
-the vector type; ``lr_dot`` and ``lr_truncate`` are looked up by module
-name on every call, so a caller that rebinds ``arnoldi.lr_dot`` or
-``arnoldi.lr_truncate`` (a tracer) sees each call.
+observation).  A dense basis is the rows of one float64 block, a low-rank
+one a list.  ``_norm``, ``_scale`` and ``_finite`` dispatch on the vector
+type; ``lr_dot`` and ``lr_truncate`` are looked up by module name on every
+call, so a caller that rebinds ``arnoldi.lr_dot`` or ``arnoldi.lr_truncate``
+(a tracer) sees each call.
 
 Orthogonalization is classical Gram-Schmidt with one reorthogonalization
 pass (CGS2): each pass takes every coefficient from the current vector and
-subtracts the whole projection as one exact combination.  In low-rank
-mode that combination is recompressed once per pass, and each Ritz vector
-once, which keeps storage at O(n_x + n_t) per vector without a truncation
-per basis vector.  The m Ritz vectors are the columns of one product basis·Y
-(``_combinations``), which in low-rank mode shares each basis vector's
-long-side product across a block of them.
+subtracts the whole projection as one exact combination, two GEMVs on a
+dense block.  In low-rank mode that combination is recompressed once per
+pass, and each Ritz vector once, which keeps storage at O(n_x + n_t) per
+vector without a truncation per basis vector.  The m Ritz vectors are one
+product basis·Y: one GEMM on a dense block, and in low-rank mode
+``_combinations``, which shares each long-side product across a block.
 
 A default run combines a hard iteration cap with a Ritz refresh every
 CHECK_EVERY steps; it ends early once every Ritz value above the retention
@@ -81,7 +81,7 @@ class StopRule:
 @dataclass
 class ArnoldiResult:
     H: np.ndarray                 # (m+1, m) Hessenberg matrix
-    basis: list                   # m (or m+1) orthonormal vectors
+    basis: list                   # m (or m+1) orthonormal vectors, rows of one block if dense
     ritz_values: np.ndarray       # real, descending
     ritz_vectors: list            # the representation of the basis, or of ritz_basis
     converged_count: int          # final Ritz values >= eps_eig
@@ -99,12 +99,15 @@ class ArnoldiResult:
         return self.stop_reason == "breakdown" or self.restarts > 0
 
     def gram_defect(self) -> float:
-        """max |<v_i, v_j> - δ_ij| over the stored basis."""
+        """max |<v_i, v_j> - δ_ij| over the stored basis; one Gram product when dense."""
         m = len(self.basis)
+        if not isinstance(self.basis[0], LowRankMat):
+            V = np.asarray(self.basis)
+            return float(np.abs(V @ V.T - np.eye(m)).max())
         worst = 0.0
         for i in range(m):
             for j in range(i, m):
-                g = _dot(self.basis[i], self.basis[j])
+                g = lr_dot(self.basis[i], self.basis[j])
                 worst = max(worst, abs(g - (1.0 if i == j else 0.0)))
         return worst
 
@@ -114,10 +117,6 @@ class ArnoldiResult:
         Hm = self.H[:m, :m]
         scale = float(np.abs(Hm).max())
         return float(np.abs(Hm - Hm.T).max()) / scale if scale > 0 else 0.0
-
-
-def _dot(a, b) -> float:
-    return lr_dot(a, b) if isinstance(a, LowRankMat) else np.dot(a, b)
 
 
 def _norm(v) -> float:
@@ -130,7 +129,8 @@ def _norm(v) -> float:
 
 
 def _scale(v, c: float):
-    return lr_scale(v, c) if isinstance(v, LowRankMat) else np.multiply(v, c)
+    """c·v; a dense v is scaled in place."""
+    return lr_scale(v, c) if isinstance(v, LowRankMat) else np.multiply(v, c, out=v)
 
 
 def _finite(v) -> bool:
@@ -139,22 +139,13 @@ def _finite(v) -> bool:
 
 
 def _combinations(basis, C, pol: TruncationPolicy):
-    """Yield basis·C[:, k] for each column k of C, in order.
+    """basis·C[:, k] for each column k of C, in order, over a low-rank basis.
 
-    Low-rank: each column's exact sum from ``lr_sums``, which shares the
-    long-side products between columns, truncated once; map keeps no exact
-    sum once its truncation is handed on.  Dense: each column by its own
-    loop over the basis, one daxpy per term in place in the contiguous
-    float64 ``out``, which makes no temporary for c·v.
+    Each column's exact sum comes from ``lr_sums``, which shares the
+    long-side products between columns, and is truncated once; map keeps
+    no exact sum once its truncation is handed on.
     """
-    if isinstance(basis[0], LowRankMat):
-        yield from map(lambda S: lr_truncate(S, pol), lr_sums(basis, C))
-        return
-    for coeffs in C.T:
-        out = np.zeros_like(basis[0], dtype=float)
-        for v, c in zip(basis, coeffs):
-            out = blas.daxpy(v, out, a=c)
-        yield out
+    return map(lambda S: lr_truncate(S, pol), lr_sums(basis, C))
 
 
 def _combine(basis, coeffs, pol: TruncationPolicy):
@@ -167,9 +158,13 @@ def _project(w, basis, pol: TruncationPolicy):
     """One classical Gram-Schmidt pass: (coefficients, w minus its projection).
 
     Every coefficient is taken from the incoming w, so the update is a
-    single combination (one truncation in low-rank mode).
+    single combination: on a dense block of rows V, h = V·w and then
+    w − Vᵀ·h into a new vector, two GEMVs; in low-rank mode one truncation.
     """
-    h = np.array([_dot(w, v) for v in basis])
+    if isinstance(basis, np.ndarray):
+        h = basis @ w
+        return h, blas.dgemv(-1.0, basis.T, h, 1.0, w)
+    h = np.array([lr_dot(w, v) for v in basis])
     return h, _combine([w, *basis], np.concatenate(([1.0], -h)), pol)
 
 
@@ -193,15 +188,19 @@ def ritz_pairs(H: np.ndarray, basis: list, pol: TruncationPolicy | None = None) 
     """Real Ritz pairs from the leading m×m Hessenberg block, descending.
 
     Values and combination coefficients Y come from the same symmetric
-    eigensolve.  The vectors are the columns of basis·Y, made together by
-    ``_combinations`` (in low-rank mode one truncation each under ``pol``,
-    TruncationPolicy() when None, and products shared between columns),
-    then normalized.
+    eigensolve.  The vectors are the rows of one GEMM Yᵀ·V over the first m
+    dense basis rows (a list is stacked), or the columns of basis·Y from
+    ``_combinations`` (one truncation each under ``pol``, TruncationPolicy()
+    when None); each is normalized, a dense one in place.
     """
     m = H.shape[1]
-    vals, vecs = _hessenberg_eigs(H[:m, :m])
+    vals, Y = _hessenberg_eigs(H[:m, :m])
+    if isinstance(basis[0], LowRankMat):
+        vectors = _combinations(basis[:m], Y, pol or TruncationPolicy())
+    else:
+        vectors = Y.T @ np.asarray(basis[:m], dtype=float)
     pairs = []
-    for val, v in zip(vals, _combinations(basis[:m], vecs, pol or TruncationPolicy())):
+    for val, v in zip(vals, vectors):
         nrm = _norm(v)
         if nrm > 0:
             v = _scale(v, 1.0 / nrm)
@@ -230,6 +229,18 @@ def _fresh_direction(basis: list, pol: TruncationPolicy, seed: int):
     if nrm <= 1e-6:
         return None
     return _scale(w, 1.0 / nrm)
+
+
+def _store(basis, k: int, v, cap: int):
+    """basis plus v as entry k; a full block first grows by CHECK_EVERY rows, up to cap."""
+    if isinstance(basis, list):
+        return basis + [v]
+    if k == len(basis):
+        grown = np.empty((min(k + CHECK_EVERY, cap), basis.shape[1]))
+        grown[:k] = basis
+        basis = grown
+    basis[k] = v
+    return basis
 
 
 def _stop_ready(vals: np.ndarray, prev: np.ndarray | None, stop: StopRule) -> bool:
@@ -263,6 +274,7 @@ def lr_arnoldi(
     """Arnoldi iteration for a self-adjoint-up-to-truncation operator action.
 
     ``apply`` runs once per iteration, so a per-call trace lines up with them.
+    A dense basis is one block of rows grown by ``_store``, listed as views.
 
     Parameters
     ----------
@@ -287,9 +299,12 @@ def lr_arnoldi(
         raise NumericalError(f"Arnoldi start vector has norm {nrm}")
     if nrm == 0:
         raise ValueError("start vector must be nonzero")
-    v1 = _combine([v1], [1.0 / nrm], pol)
-
-    basis = [v1]
+    if isinstance(v1, LowRankMat):
+        basis = [_combine([v1], [1.0 / nrm], pol)]
+    else:  # row 0 of a block of CHECK_EVERY + 1 rows, grown by _store
+        basis = np.empty((min(CHECK_EVERY, stop.m_a) + 1, len(v1)))
+        np.multiply(v1, 1.0 / nrm, out=basis[0])
+    del v1  # the caller's start vector is not held through the run
     H = np.zeros((stop.m_a + 1, stop.m_a))
     step_seconds: list[float] = []
     prev_vals: np.ndarray | None = None
@@ -318,14 +333,14 @@ def lr_arnoldi(
             fresh = None
             if stop.exhaustive and j + 1 < stop.m_a:
                 H[j + 1, j] = 0.0
-                fresh = _fresh_direction(basis, pol, stop.restart_seed + restarts)
+                fresh = _fresh_direction(basis[: j + 1], pol, stop.restart_seed + restarts)
             if fresh is None:  # not restarting, or orthogonal complement exhausted
                 stop_reason = "breakdown"
                 break
             restarts += 1
-            basis.append(fresh)
+            basis = _store(basis, j + 1, fresh, stop.m_a + 1)
             continue
-        basis.append(_scale(w, 1.0 / h_sub))  # _project's output is already compressed
+        basis = _store(basis, j + 1, _scale(w, 1.0 / h_sub), stop.m_a + 1)  # w is compressed
 
         if not stop.exhaustive and (j + 1) % CHECK_EVERY == 0 and j + 1 < stop.m_a:
             vals, _ = _hessenberg_eigs(H[: j + 1, : j + 1])
@@ -341,7 +356,7 @@ def lr_arnoldi(
 
     return ArnoldiResult(
         H=Hout,
-        basis=basis,
+        basis=list(basis[: j + 1 if stop_reason == "breakdown" else j + 2]),
         ritz_values=vals,
         ritz_vectors=[p[1] for p in pairs],
         converged_count=int(np.sum(vals >= stop.eps_eig)),

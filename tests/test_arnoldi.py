@@ -93,17 +93,79 @@ def test_low_rank_ritz_vectors_are_the_dense_basis_combinations(n_x, n_t):
         assert np.linalg.norm(lp.lr_to_dense(v) - ref) <= 1e-12
 
 
-def test_dense_ritz_vectors_are_bitwise_the_per_column_loop():
+def test_dense_ritz_vectors_are_the_per_column_loop_within_a_product_bound():
+    # One GEMM Yᵀ·V sums in its own order, so each entry is held to the
+    # per-column daxpy loop by the product bound (Higham, Accuracy and
+    # Stability, §3.5) for both sums, plus the normalization.
     rng = np.random.default_rng(41)
     m = 2 * lowrank.SUMS_BLOCK + 4
     basis = list(rng.standard_normal((m + 1, 50)))
     H = rng.standard_normal((m + 1, m))
     _, Y = _ritz_coefficients(H)
+    absB = np.abs(np.array(basis[:m]))
+    eps = np.finfo(float).eps
     for (_, v), y in zip(ritz_pairs(H, basis), Y.T):
         ref = np.zeros(50)
         for b, c in zip(basis, y):
             ref = blas.daxpy(b, ref, a=c)
-        assert np.array_equal(v, np.multiply(ref, 1.0 / np.linalg.norm(ref)))
+        nrm = np.linalg.norm(ref)
+        bound = (2 * m + 4) * eps * (np.abs(y) @ absB) / nrm
+        assert (np.abs(v - ref / nrm) <= bound).all()
+        assert abs(np.linalg.norm(v) - 1.0) <= 4 * eps
+
+
+def test_dense_projection_is_one_classical_gram_schmidt_pass():
+    # _project on a block of rows V is h = V·w, then w − Vᵀ·h: coefficients
+    # and output both match the per-vector pass within a product bound
+    rng = np.random.default_rng(45)
+    k, n = 13, 400
+    V = np.linalg.qr(rng.standard_normal((n, k)))[0].T.copy()
+    w = rng.standard_normal(n)
+    h, out = arnoldi._project(w, V, POL)
+    h_ref = np.array([np.dot(w, v) for v in V])
+    ref = w.copy()
+    for v, c in zip(V, h_ref):
+        ref -= c * v
+    eps = np.finfo(float).eps
+    dh = 2 * n * eps * (np.abs(V) @ np.abs(w))
+    assert (np.abs(h - h_ref) <= dh).all()
+    bound = dh @ np.abs(V) + 2 * (k + 2) * eps * (np.abs(w) + np.abs(h_ref) @ np.abs(V))
+    assert (np.abs(out - ref) <= bound).all()
+    assert np.abs(V @ out).max() <= 1e-13 * np.linalg.norm(w)
+
+
+def test_dense_basis_block_grows_with_the_run_not_to_m_a():
+    # A run that stops stable at 30 of m_a 200 holds its 31 basis rows, its
+    # 30 Ritz vectors and at most one growth copy, not a block of m_a + 1 rows
+    n = 4000
+    d = 0.5 ** np.arange(n)
+    v1 = np.random.default_rng(0).standard_normal(n)
+    tracemalloc.start()
+    try:
+        res = lr_arnoldi(lambda v: d * v, v1, POL, StopRule(m_a=200, eps_eig=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stop_reason == "stable" and res.iterations == 30
+    assert len(res.basis) == 31 and res.basis[0].base.shape == (31, n)
+    assert peak <= (2 * res.iterations + 1 + 2 * arnoldi.CHECK_EVERY) * n * 8 + 64 * 1024
+
+
+def test_gram_defect_of_a_dense_basis_is_the_pairwise_loop():
+    # one Gram product over the rows against the pairwise loop, which the
+    # same vectors take as rank-1 fields
+    rng = np.random.default_rng(46)
+    Q = np.linalg.qr(rng.standard_normal((500, 60)))[0]
+
+    def result(basis):
+        return arnoldi.ArnoldiResult(H=np.zeros((61, 60)), basis=basis,
+                                     ritz_values=np.zeros(60), ritz_vectors=[],
+                                     converged_count=0, stop_reason="cap", step_seconds=[])
+
+    dense = result(list(Q.T)).gram_defect()
+    pairwise = result([lp.LowRankMat(q[:, None], np.ones((1, 1))) for q in Q.T]).gram_defect()
+    assert 0.0 < dense <= 1e-13
+    assert abs(dense - pairwise) <= 1e-15
 
 
 def test_ritz_extraction_holds_one_block_of_exact_sums_not_one_per_vector():
@@ -179,6 +241,18 @@ def test_orthogonality_and_normalization_dense_mode():
     assert res.gram_defect() <= 1e-6
     for v in res.basis:
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-8
+
+
+def test_exhaustive_dense_run_restarts_across_growth_steps():
+    # the steady 15 x 15 space fills all 225 rows through 10 restarts (rows
+    # 215-224), while its block grows CHECK_EVERY rows at a time (at 221 too)
+    ctx = _steady_ctx(15)
+    v1 = np.ones(ctx.n_param) / np.sqrt(ctx.n_param)
+    res = lr_arnoldi(ctx.apply, v1, POL,
+                     StopRule(m_a=ctx.n_param, eps_eig=1e-14, exhaustive=True))
+    assert res.iterations == len(res.basis) == 225
+    assert res.restarts >= 2
+    assert res.gram_defect() <= 1e-13
 
 
 def test_hessenberg_below_first_subdiagonal_exactly_zero():
