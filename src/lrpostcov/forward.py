@@ -56,13 +56,13 @@ from scipy.linalg import blas, lapack
 
 from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError, check_count
-from .lowrank import LowRankMat, TruncationPolicy, lr_truncate
+from .lowrank import LowRankMat, TruncationPolicy, _fro, _rank_cut, _svd, lr_truncate
 
 COMPRESS_EVERY = 16  # default sweep steps between recompressions (2 flushes at n_t 30)
 MAX_SCALE_DECADES = 300.0  # widest log10(max g / min g) of a symmetrizer a solve scales by
-# A flush projects its new columns once; when the bound on the orthonormality
-# its basis would then lose exceeds this (the loss is at most its square), the
-# remainder basis is projected and orthonormalized a second time
+# A flush projects its new columns once; when ‖D·X2‖, whose square bounds the
+# orthonormality its basis would then lose, exceeds this, the remainder basis
+# is projected and orthonormalized a second time
 REORTH_BOUND = 1e-6
 
 
@@ -342,14 +342,21 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
 
     The pane is canonical: its basis Q = pane.W1 is orthonormal and pane.W2
-    = Q2·diag(σ).  One projection splits the new columns as W = Q·C + Qb·Rb,
-    with C = QᵀW and Qb·Rb the thin QR of the remainder.  With D = QᵀQb and
-    P = Qb − Q·D, which is orthogonal to Q, the sum is [Q P]·core·[Q2 E]ᵀ,
-    core = [[diag(σ), C + D·Rb], [0, Rb]].  The core carries σ, so the
-    truncation's noise test scales with the field.  Only the (r + c) × n_t
-    coefficient field is truncated, and the basis is rotated once, U =
-    Q·(X1 − D·X2) + Qb·X2 for the kept left factor split at row r; no QR of
-    an n_x × (r + c) factor is formed.
+    = Q2·diag(σ).  It must be zero at the chunk's times, as a sweep's pane
+    is, since the march reaches each time once; a flush refuses a chunk at a
+    time where it is not.  One projection splits the new columns as W = Q·C
+    + Qb·Rb, with C = QᵀW and Qb·Rb the thin QR of the remainder.  With D =
+    QᵀQb and P = Qb − Q·D, which is orthogonal to Q, the sum is [Q P]·core·
+    [Q2 E]ᵀ, core = [[diag(σ), C + D·Rb], [0, Rb]].  Q2 is zero at the
+    chunk's times, so the time factor T = [Q2 E] has orthonormal columns,
+    and only the (r + k) × (r + c) core is truncated, with an identity time
+    factor: a truncation of T's field would only take a QR of T.  The core
+    carries σ, so the truncation's noise test scales with the field, and
+    ‖T‖_F = ‖I‖_F.  The kept right factor is mapped through T once, Q2
+    times its top r rows plus its last c rows placed at idx, and the basis
+    is rotated once, U = Q·(X1 − D·X2) + Qb·X2 for the kept left factor
+    split at row r; no QR of an n_x × (r + c) or n_t × (r + c) factor is
+    formed.
 
     Qb enters only those two products, so it is kept as the remainder's
     Householder reflectors, Qb = E_k − V·S (``_qr_reflectors``, E_k the
@@ -357,18 +364,20 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     GEMM with V where QᵀQb took one with Qb, and Qb·X2 is one GEMM with V
     into U plus X2 added to U's top k rows (``_add_reflector_product``).
 
-    PᵀP = I − DᵀD, so UᵀU = I − (D·X2)ᵀ(D·X2) exactly.  The rank
-    cut keeps only singular values above eps0·‖A‖/√(r + c), ‖A‖ the field's
-    norm, and X2 = Rb·(…)·Σ⁻¹ with a factor of norm ≤ 1, so ‖D·X2‖ ≤ β =
-    ‖D·Rb‖·√(r + c)/(eps0·‖A‖).  Only when β exceeds ``REORTH_BOUND`` does a
-    second pass run, in V's memory: it forms Qb over V, projects it again
-    and factors it into new reflectors, which leaves D = 0.  That is a
-    bound in the spirit of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30,
-    1976), who reorthogonalize only when a projection has cancelled too
-    much.  The second pass truncates nothing, so a flush is one
-    ``lr_truncate`` either way.  The first flush meets an empty pane (r =
-    0): it has nothing to project against, so W's thin QR alone gives Qb
-    and Rb, and the field truncated is Rb·Eᵀ.
+    PᵀP = I − DᵀD, so UᵀU = I − (D·X2)ᵀ(D·X2) exactly.  The rank cut keeps
+    only singular values above eps0·‖A‖/√(r + c), ‖A‖ the field's norm, and
+    X2 = Rb·(…)·Σ⁻¹ with a factor of norm ≤ 1, so ‖D·X2‖ ≤ β =
+    ‖D·Rb‖·√(r + c)/(eps0·‖A‖).  β costs no SVD, so it filters: where it
+    exceeds ``REORTH_BOUND``, a probe SVD of the same core gives the X2 the
+    truncation would keep, and only when the loss ‖D·X2‖ itself exceeds
+    ``REORTH_BOUND`` does a second pass run, in V's memory: it forms Qb over
+    V, projects it again and factors it into new reflectors, which leaves D
+    = 0.  That is a test in the spirit of Daniel, Gragg, Kaufman & Stewart
+    (Math. Comp. 30, 1976), who reorthogonalize only when a projection has
+    cancelled too much.  Neither the probe nor the second pass truncates,
+    so a flush is one ``lr_truncate`` either way.  The first flush meets an
+    empty pane (r = 0): it has nothing to project against, so W's thin QR
+    alone gives Qb and Rb, and the core is Rb.
 
     The flush works in the caller's block: W must be a Fortran-ordered
     float64 array, which the projection overwrites with the remainder and
@@ -378,6 +387,8 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     """
     if not (W.ndim == 2 and W.flags.f_contiguous and W.dtype == np.float64):
         raise ValueError("a flush needs a Fortran-ordered float64 block")
+    if pane.W2[idx].any():
+        raise ValueError("a flush needs a pane that is zero at the chunk's times")
     n_t, c = pane.shape[1], len(idx)
     Q, r = pane.W1, pane.r
     if r:
@@ -386,37 +397,48 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
     V, S, Rb = _qr_reflectors(W)  # Qb = E_k − V·S
     k = len(Rb)
     core = np.zeros((r + k, r + c))
-    T = np.zeros((n_t, r + c))
-    T[idx, range(r, r + c)] = 1.0
+    core[r:, r:] = Rb
     D = None
     if r:
         W2 = pane.W2
         sigma = np.linalg.norm(W2, axis=0)
         sigma[sigma == 0.0] = 1.0  # a column norm that underflowed stays unscaled
-        np.divide(W2, sigma, out=T[:, :r])
         core.flat[:r * (r + c + 1):r + c + 1] = sigma  # the top-left block's diagonal
         D = Q[:k].T - blas.dgemm(1.0, Q, V, trans_a=True) @ S  # QᵀQb
         DRb = D @ Rb
+        core[:r, r:] = C + DRb  # the remainder's part along Q, Q·D·Rb, joins C
         # ‖A‖² of pane + (Q·C + Qb·Rb)·Eᵀ: the pane is zero at the chunk's new times
         norm2 = np.vdot(W2, W2) + np.vdot(C, C) + np.vdot(Rb, Rb)
-        # β > REORTH_BOUND, compared in squares
-        if np.vdot(DRb, DRb) * (r + c) > (REORTH_BOUND * pol.eps0) ** 2 * norm2:
+        # β > REORTH_BOUND, compared in squares; then the exact loss decides
+        if (np.vdot(DRb, DRb) * (r + c) > (REORTH_BOUND * pol.eps0) ** 2 * norm2
+                and _kept_loss(core, D, r, pol) > REORTH_BOUND):
             Qb = blas.dtrmm(-1.0, S, V, side=1, overwrite_b=1)  # −V·S, in V's memory
             Qb[:k] += np.eye(k)
             _add_product(Qb, -1.0, Q, D)
             V, S, Rd = _qr_reflectors(Qb)
-            Rb = Rd @ Rb
+            core[r:, r:] = Rd @ Rb
             D = None  # the new Qb is orthogonal to Q
-        C += DRb  # the remainder's part along Q, Q·D·Rb
-        core[:r, r:] = C
-    core[r:, r:] = Rb
-    small = lr_truncate(LowRankMat(core, T), pol)
+    small = lr_truncate(LowRankMat(core, np.eye(r + c)), pol)
     X1, X2 = small.W1[:r], small.W1[r:]
     if D is not None:
         X1 = X1 - D @ X2
     U = blas.dgemm(1.0, Q, X1)  # zero when the pane was empty
     _add_reflector_product(U, V, S, X2)
-    return LowRankMat(U, small.W2)
+    # Q2 times the top r rows, and the last c rows at the chunk's times, where Q2 is zero
+    Y2 = (pane.W2 / sigma) @ small.W2[:r] if r else np.zeros((n_t, small.r))
+    Y2[idx] = small.W2[r:]
+    return LowRankMat(U, Y2)
+
+
+def _kept_loss(core: np.ndarray, D: np.ndarray, r: int, pol: TruncationPolicy) -> float:
+    """‖D·X2‖_F for the rows X2 (from row r on) of the left factor that truncating core keeps.
+
+    One thin SVD of the core and the rank cut of ``lr_truncate``, which
+    takes the same SVD of the same core: the basis of a flush without a
+    second pass loses orthonormality by at most the square of this.
+    """
+    U, s, _ = _svd(core)
+    return _fro(D @ U[r:, :_rank_cut(s, pol)])
 
 
 def _march(K: SpaceTimeOperator, rhs: LowRankMat, adjoint: bool, width: int,
@@ -481,7 +503,8 @@ def st_solve_sweep(
     O((n_x + n_t)·r).  A flush (``_extend_pane``) projects the new columns
     once onto the pane's basis, takes one thin QR of the remainder, whose Q
     it keeps as Householder reflectors, and truncates a small core; a second
-    projection runs only where its bound says the basis needs it.  The
+    projection runs only where the basis would otherwise lose more
+    orthonormality than ``REORTH_BOUND`` allows.  The
     returned pane is canonical, as ``lr_truncate`` leaves it, so callers
     read its rank and need not recompress it.
 

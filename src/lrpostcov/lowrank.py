@@ -13,7 +13,9 @@ BLAS thread it gives the (Q, R) of ``np.linalg.qr`` bit for bit, at about
 half numpy's per-call cost on the small blocks recompression feeds it, and
 a caller that owns a Fortran-ordered buffer can let Q take its memory.  It
 serves ``lr_truncate``, ``lr_sums`` and ``posterior``.  ``lr_singular_values``
-reads only R, which ``_geqrf`` gives alone.
+reads only R, which ``_geqrf`` gives alone.  ``lr_truncate`` takes its
+core's thin SVD from one LAPACK gesdd (``_svd``), whose rank cut
+(``_rank_cut``) a sweep flush shares to probe the directions it keeps.
 
 Exact linear combinations go through one kernel too, ``lr_sums``: it
 makes every column of basis·C from one QR of the stacked shorter-side
@@ -142,7 +144,7 @@ def _qr_tall(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """``_qr(A)``, or (None, A) when A has no more rows than columns.
 
     Such a factor is already its own R with Q = I, so a truncation needs
-    no QR of it; a flush core is one, and upper triangular as well.
+    no QR of it; a flush core is one, and so is its square identity time factor.
     """
     if A.shape[0] <= A.shape[1]:
         return None, A
@@ -169,18 +171,17 @@ def lr_from_dense(X: np.ndarray, pol: TruncationPolicy) -> LowRankMat:
 def _rank_cut(s: np.ndarray, pol: TruncationPolicy) -> int:
     """Smallest r with sqrt(sum of discarded σ²) <= eps0 * ||σ||, at least 1 if σ₁ > 0.
 
-    Taken on σ/σ₁, so scale-free: σ² itself overflows once σ₁ passes ~1e154.
+    σ is nonincreasing, and σ_i < NOISE_FLOOR·σ₁ counts as zero, so only
+    the prefix above that floor enters the sums.  Taken on σ/σ₁, so
+    scale-free: σ² itself overflows once σ₁ passes ~1e154.
     """
     if s.size == 0 or s[0] <= 0.0:
         return 0
     s = s / s[0]
-    s = np.where(s < NOISE_FLOOR, 0.0, s)
+    s = s[:np.count_nonzero(s >= NOISE_FLOOR)]
     tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||(σ_r, σ_{r+1}, ...)||
-    total = tail[0]
-    # Smallest r with tail[r] <= eps0*total; tail is descending so search the
-    # negated (ascending) array.
-    keep = int(np.searchsorted(-tail, -pol.eps0 * total, side="left"))
-    return min(keep, int(np.count_nonzero(s)))
+    # tail is nonincreasing, so the r with tail[r] > eps0·||σ|| are 0, ..., keep − 1
+    return int(np.count_nonzero(tail > pol.eps0 * tail[0]))
 
 
 def _fro(X: np.ndarray) -> float:
@@ -191,6 +192,14 @@ def _fro(X: np.ndarray) -> float:
     overflow warning; a NaN entry gives NaN.
     """
     return blas.dnrm2(X.ravel(order="K")) if X.size else 0.0
+
+
+def _svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD A = U·diag(s)·Vt by one LAPACK gesdd, for an A with no empty side."""
+    U, s, Vt, info = lapack.dgesdd(A, full_matrices=0)
+    if info != 0:
+        raise NumericalError(f"SVD failed (gesdd info={info})")
+    return U, s, Vt
 
 
 def _svd_flip(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,12 +214,12 @@ def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
     """Recompress to canonical form within the policy's relative tolerance.
 
     Thin QR of each tall factor (a factor with no more rows than columns is
-    its own R), SVD of the small core, rank cut by the relative Frobenius
-    tail of σ/σ₁, which is scale-free.  Guarantees ||A - out||_F <= eps0 *
-    ||A||_F.
+    its own R), one thin SVD of the small core, rank cut by the relative
+    Frobenius tail of σ/σ₁, which is scale-free.  Guarantees ||A - out||_F
+    <= eps0 * ||A||_F.  A field with no rank, rows or times is zero.
     """
     n_x, n_t = A.shape
-    if A.r == 0:
+    if A.r == 0 or n_x == 0 or n_t == 0:
         return LowRankMat.zeros(n_x, n_t)
     Q1, R1 = _qr_tall(A.W1)
     Q2, R2 = _qr_tall(A.W2)
@@ -218,8 +227,8 @@ def lr_truncate(A: LowRankMat, pol: TruncationPolicy) -> LowRankMat:
     factor_scale = _fro(R1) * _fro(R2)
     if not np.isfinite(factor_scale):
         raise NumericalError(f"truncation: factor norms multiply to {factor_scale}")
-    U, s, Vt = np.linalg.svd(R1 @ R2.T)
-    if s.size == 0 or s[0] <= NOISE_FLOOR * factor_scale:
+    U, s, Vt = _svd(R1 @ R2.T)
+    if s[0] <= NOISE_FLOOR * factor_scale:
         return LowRankMat.zeros(n_x, n_t)
     r = _rank_cut(s, pol)  # at least 1, since s[0] > 0
     U, V = U[:, :r], Vt[:r, :].T

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import lapack
 
 import lrpostcov as lp
-from lrpostcov import oracle
+from lrpostcov import cli, oracle
 
 POL = lp.TruncationPolicy(eps0=1e-8)
 
@@ -316,12 +316,16 @@ def test_flush_of_a_chunk_inside_the_pane_span_stays_orthonormal(n_rows):
     # that is far from orthogonal to the pane basis, and the 1e-7 pane mode
     # carries that into the result (defect ~1e-10) unless the rotation
     # subtracts the Q·D·X2 that Qb holds along the pane basis.
-    # The rows are the observed pane of ic-sensors and a full 63² pane.
+    # The rows are the observed pane of ic-sensors and a full 63² pane.  As
+    # in a sweep, the pane is zero at the chunk's times.
     rng = np.random.default_rng(7)
     n_t, r, idx = 30, 6, [8, 9, 10, 11]
     U, _ = np.linalg.qr(rng.standard_normal((n_rows, r)))
-    V, _ = np.linalg.qr(rng.standard_normal((n_t, r)))
+    V = rng.standard_normal((n_t, r))
+    V[idx] = 0.0
+    V, _ = np.linalg.qr(V)
     pane = lp.lr_truncate(lp.LowRankMat(U * np.logspace(0, -7, r), V), POL)
+    assert not pane.W2[idx].any()
     g = rng.standard_normal(n_rows)
     W = 1e-7 * pane.W1 @ rng.standard_normal((r, len(idx))) + np.outer(g / np.linalg.norm(g),
                                                                        [1.0, 3.0, 5.0, 7.0])
@@ -367,11 +371,14 @@ def test_pane_stays_orthonormal_at_small_eps0(kind, eps0):
 
 @pytest.mark.parametrize("eps0, second_pass", [(1e-8, False), (1e-15, True)])
 def test_second_pass_runs_only_when_the_bound_asks(monkeypatch, eps0, second_pass):
-    # at the default eps0 every flush projects once; at 1e-15 some flush
-    # needs the second pass, and the pane is orthonormal either way.  A flush
-    # factors its remainder into reflectors once, and a second pass factors
-    # the projected Qb once more: 0 extra QRs per flush, or 1.
-    factored, per_flush = [], []
+    # The flushes inside the applies of the CI line oracle-eps15-wind-x1
+    # (convdiff, wind along x1, 7/20): at the default eps0 every flush
+    # projects once; at 1e-15 its panes hold singular values down to
+    # rounding level, and some flush needs the second pass.  Every pane is
+    # orthonormal either way.  A flush factors its remainder into reflectors
+    # once, and a second pass factors the projected Qb once more: 0 extra
+    # QRs per flush, or 1.
+    factored, per_flush, panes = [], [], []
 
     def spy_qr(*args):
         factored.append(1)
@@ -381,20 +388,21 @@ def test_second_pass_runs_only_when_the_bound_asks(monkeypatch, eps0, second_pas
         factored.clear()
         out = extend(*args)
         per_flush.append(len(factored) - 1)
+        panes.append(out)
         return out
 
     qr_reflectors, extend = lp.forward._qr_reflectors, lp.forward._extend_pane
     monkeypatch.setattr(lp.forward, "_qr_reflectors", spy_qr)
     monkeypatch.setattr(lp.forward, "_extend_pane", spy_flush)
-    grid = lp.build_grid(15)
-    tg = lp.build_time_grid(20)
-    K = lp.SpaceTimeOperator(lp.assemble_heat(grid), tg)
-    u = np.random.default_rng(0).standard_normal(grid.n_x)
-    Y = lp.st_solve_sweep(K, _ic_rhs(K, u), lp.TruncationPolicy(eps0=eps0))
-    assert len(per_flush) == -(-tg.n_t // lp.forward.COMPRESS_EVERY)
+    cfg = cli.RunConfig(problem="convdiff", wind=(1.0, 0.0), n_side=7, nt=20,
+                        sensors="none", m_a=100, eps0=eps0)
+    problem, _, report = cli.run_oracle(cfg)
+    flushes = -(-cfg.nt // lp.forward.COMPRESS_EVERY)  # per sweep, two sweeps per apply
+    assert len(per_flush) == 2 * flushes * len(problem.ctx.rank_trace)
     assert set(per_flush) <= {0, 1}
     assert (1 in per_flush) == second_pass
-    assert _orth_defect(Y) <= 1e-12
+    assert max(map(_orth_defect, panes)) <= 1e-12
+    assert report.passed
 
 
 @pytest.mark.parametrize("r, second_pass", [(0, False), (4, False), (4, True)],
@@ -409,7 +417,8 @@ def test_full_row_flush_allocates_no_block_but_the_rotated_basis(monkeypatch, r,
     # forms Qb, projects it and re-factors it in V's memory.
     rng = np.random.default_rng(33)
     n_x, n_t, c = 3969, 12, 8
-    pane = _rand_lr(rng, n_x, n_t, r)
+    idx = list(range(2, 2 + c))
+    pane = _pane_zero_at(rng, n_x, n_t, r, idx)
     pane = lp.LowRankMat(np.asfortranarray(pane.W1), pane.W2)  # as a sweep's flushes leave it
     W = np.asfortranarray(rng.standard_normal((n_x, c)))
     pol = POL
@@ -420,7 +429,7 @@ def test_full_row_flush_allocates_no_block_but_the_rotated_basis(monkeypatch, r,
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        out = lp.forward._extend_pane(pane, W, list(range(2, 2 + c)), pol)
+        out = lp.forward._extend_pane(pane, W, idx, pol)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -477,14 +486,23 @@ def test_presolved_rhs_factor_is_released_before_the_last_flush(monkeypatch, win
     assert Y.shape == (grid.n_x if adjoint else n_keep, tg.n_t)
 
 
-def _pane_and_block(rng, n_rows, n_t, r, c):
-    pane = _rand_lr(rng, n_rows, n_t, r)
-    return pane, np.asfortranarray(rng.standard_normal((n_rows, c)))
+def _pane_zero_at(rng, n_rows, n_t, r, idx):
+    """A random canonical pane of rank r that is zero at the times idx, as a sweep's is."""
+    others = np.setdiff1d(np.arange(n_t), idx)
+    P = _rand_lr(rng, n_rows, len(others), r)
+    W2 = np.zeros((n_t, P.r))
+    W2[others] = P.W2
+    return lp.LowRankMat(P.W1, W2)
+
+
+def _pane_and_block(rng, n_rows, n_t, r, idx):
+    pane = _pane_zero_at(rng, n_rows, n_t, r, idx)
+    return pane, np.asfortranarray(rng.standard_normal((n_rows, len(idx))))
 
 
 def test_flush_refuses_a_block_it_cannot_overwrite():
     # dgemm and the QR would silently work on a copy of any other block
-    pane, W = _pane_and_block(np.random.default_rng(25), 40, 12, 3, 2)
+    pane, W = _pane_and_block(np.random.default_rng(25), 40, 12, 3, [5, 6])
     for bad in (np.ascontiguousarray(W), W.astype(np.float32), W[::2]):
         with pytest.raises(ValueError, match="Fortran"):
             lp.forward._extend_pane(pane, bad, [5, 6], POL)
@@ -493,17 +511,30 @@ def test_flush_refuses_a_block_it_cannot_overwrite():
 
 
 def test_flush_that_truncates_to_nothing_returns_an_empty_pane():
-    # the new column cancels the pane's only nonzero time, so the sum is zero
-    # and the truncation keeps no column for dgemm to rotate
+    # an all-zero chunk meets an empty pane, so the sum is zero and the
+    # truncation keeps no column for dgemm to rotate
+    pane = lp.LowRankMat.zeros(40, 12)
+    out = lp.forward._extend_pane(pane, np.zeros((40, 2), order="F"), [5, 6], POL)
+    assert out.r == 0 and out.shape == (40, 12)
+
+
+@pytest.mark.parametrize("at", [[5], [4, 5], [11, 5]])
+def test_flush_refuses_a_chunk_where_the_pane_is_nonzero(at):
+    # the core is truncated with an identity time factor, which is exact only
+    # where the pane is zero at the chunk's times; a sweep's pane always is
     u = np.random.default_rng(26).standard_normal(40)
     pane = lp.lr_truncate(lp.LowRankMat.from_column(u, 12, 5), POL)
-    out = lp.forward._extend_pane(pane, -u[:, None].copy(order="F"), [5], POL)
-    assert out.r == 0 and out.shape == (40, 12)
+    with pytest.raises(ValueError, match="zero at the chunk's times"):
+        lp.forward._extend_pane(pane, np.ones((40, len(at)), order="F"), at, POL)
+    out = lp.forward._extend_pane(pane, np.ones((40, 2), order="F"), [4, 6], POL)  # beside it
+    X = lp.lr_to_dense(pane)
+    X[:, [4, 6]] += 1.0
+    assert_allclose(lp.lr_to_dense(out), X, rtol=0, atol=1e-14 * np.abs(X).max())
 
 
 def test_flush_of_a_block_without_columns_recompresses_the_pane():
     # a remainder of zero columns leaves dgemm an empty block to update
-    pane, W = _pane_and_block(np.random.default_rng(27), 40, 12, 3, 0)
+    pane, W = _pane_and_block(np.random.default_rng(27), 40, 12, 3, [])
     out = lp.forward._extend_pane(pane, W, [], POL)
     assert out.r == pane.r
     assert_allclose(lp.lr_to_dense(out), lp.lr_to_dense(pane), rtol=0,
@@ -1000,13 +1031,14 @@ def test_flush_truncates_only_the_small_coefficient_field(monkeypatch, adjoint, 
     def spy(A, pol):
         out = lp.lr_truncate(A, pol)
         calls.append((A.shape[0], out.r))
+        assert np.array_equal(A.W2, np.eye(A.r))  # the core alone, not its n_t columns
         return out
 
     monkeypatch.setattr(lp.forward, "lr_truncate", spy)
     rhs = _rand_lr(np.random.default_rng(9), grid.n_x, tg.n_t, 3)
     lp.st_solve_sweep(K, rhs, POL, adjoint=adjoint, compress_every=compress_every)
     assert len(calls) == -(-tg.n_t // compress_every)  # one truncation per flush
-    # the first flush meets an empty pane (r_prev = 0) and truncates its c × n_t field
+    # the first flush meets an empty pane (r_prev = 0) and truncates its k × c core, k ≤ c
     r_prevs = [0] + [r for _, r in calls[:-1]]
     for r_prev, (rows, _) in zip(r_prevs, calls):
         assert rows <= r_prev + compress_every < grid.n_x

@@ -5,9 +5,11 @@ from numpy.testing import assert_allclose
 from lrpostcov import lowrank
 from lrpostcov.errors import NumericalError
 from lrpostcov.lowrank import (
+    NOISE_FLOOR,
     LowRankMat,
     TruncationPolicy,
     _qr,
+    _rank_cut,
     lr_add,
     lr_dot,
     lr_from_dense,
@@ -107,6 +109,87 @@ def test_truncate_zero_matrix():
     A = LowRankMat(np.zeros((10, 2)), np.zeros((8, 2)))
     assert lr_truncate(A, POL).r == 0
     assert lr_truncate(LowRankMat.zeros(10, 8), POL).r == 0
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("eps0", [1e-8, 1e-13])
+@pytest.mark.parametrize("n, m", [(60, 20), (20, 60), (24, 24)], ids=["tall", "wide", "square"])
+def test_truncate_agrees_with_a_dense_svd_on_graded_spectra(n, m, eps0, scale):
+    # singular values graded from 1 down to 1e-14, on a tall, a wide and a
+    # square field whose factors are square or tall (so one, the other or
+    # neither takes a QR), scaled far from 1: the rank, the singular values
+    # and the field are those of numpy's SVD of the dense field cut by the
+    # same rule, up to rounding of σ₁
+    rng = np.random.default_rng(40)
+    p = min(n, m)
+    U = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, p)))[0]
+    A = LowRankMat(scale * U * np.logspace(0, -14, p), V)
+    pol = TruncationPolicy(eps0=eps0)
+    out = lr_truncate(A, pol)
+    X = lr_to_dense(A)
+    Ur, s, Vt = np.linalg.svd(X, full_matrices=False)
+    r = _rank_cut(s, pol)
+    assert out.r == r
+    s = s / scale  # compared at unit scale, where numpy's norms square nothing to 0
+    assert_allclose(np.linalg.norm(out.W2 / scale, axis=0), s[:r], rtol=0, atol=1e-13 * s[0])
+    assert_allclose(out.W1.T @ out.W1, np.eye(r), rtol=0, atol=1e-13)
+    ref = (Ur[:, :r] * s[:r]) @ Vt[:r]
+    assert np.linalg.norm(lr_to_dense(out) / scale - ref) <= 1e-13 * s[0]
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_truncate_of_a_field_with_no_rows_or_times_is_zero(shape):
+    # an empty-mask apply truncates fields of no rows: gesdd refuses an
+    # empty core (info -5), and such a field is zero at any rank
+    A = LowRankMat(np.ones((shape[0], 3)), np.ones((shape[1], 3)))
+    out = lr_truncate(A, POL)
+    assert out.r == 0 and out.shape == shape
+
+
+def test_truncate_raises_numerical_error_when_the_svd_fails(monkeypatch):
+    def failing(a, *args, **kwargs):
+        return np.zeros((len(a), 0)), np.zeros(0), np.zeros((0, a.shape[1])), 3
+
+    monkeypatch.setattr(lowrank.lapack, "dgesdd", failing)
+    with pytest.raises(NumericalError, match="gesdd info=3"):
+        lr_truncate(_random_lowrank(np.random.default_rng(41), 20, 10, 4), POL)
+
+
+def _rank_cut_reference(s, eps0):
+    """The rank cut over the whole spectrum with σ < NOISE_FLOOR·σ₁ set to zero.
+
+    A searchsorted of eps0·‖σ‖ in the descending tail norms, capped at the
+    count of nonzero σ.
+    """
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    s = s / s[0]
+    s = np.where(s < NOISE_FLOOR, 0.0, s)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+    keep = int(np.searchsorted(-tail, -eps0 * tail[0], side="left"))
+    return min(keep, int(np.count_nonzero(s)))
+
+
+RANK_CUT_SPECTRA = [
+    [], [0.0], [0.0, 0.0], [1.0], [1.0, 1.0, 1.0], [1.0, 0.1, 0.0, 0.0],
+    [1.0, 1e-16, 1e-17], [1.0, 1e-15], [1.0, 0.999e-15, 0.5e-15], [3.0, 3e-15, 1e-15],
+    [1.0, 1e-8], [2.0, 2e-8], [1.0, np.nextafter(1e-8, 1.0)], [1.0, np.nextafter(1e-8, 0.0)],
+    [1.0, 1e-2, 1e-2], [1e160, 1e150, 1e140], [1e-300, 1e-305, 1e-310],
+    list(np.logspace(0, -20, 40)), list(np.sort(np.random.default_rng(42).random(30))[::-1]),
+]
+
+
+@pytest.mark.parametrize("eps0", [1e-15, 1e-13, 1e-8, 1e-2, 0.5])
+def test_rank_cut_is_the_cut_over_the_whole_zeroed_spectrum(eps0):
+    # the noise floor and the eps0 boundary included: a tail equal to
+    # eps0·‖σ‖ is discarded, one a rounding step above it is kept
+    pol = TruncationPolicy(eps0=eps0)
+    for s in RANK_CUT_SPECTRA:
+        s = np.array(s, dtype=float)
+        assert _rank_cut(s, pol) == _rank_cut_reference(s, eps0), s
+    assert _rank_cut(np.array([1.0, 1e-8]), TruncationPolicy(eps0=1e-8)) == 1
+    assert _rank_cut(np.array([1.0, np.nextafter(1e-8, 1.0)]), TruncationPolicy(eps0=1e-8)) == 2
 
 
 def test_rank_cut_keeps_a_field_whose_squared_singular_values_overflow():
