@@ -41,8 +41,9 @@ sweep's full-row sides, its rhs and its pane, are physical by default, and
 modal with ``modal=True``: then a full-row pane passes from one sweep to the
 next with no transform, and the caller transforms only the field it injects
 and the one it reads out.  A flush (``_extend_pane``) keeps its
-remainder's Q as Householder reflectors, its second pass included, and only
-``_qr_reflectors`` and ``_add_reflector_product`` know their format.
+remainder's Q as Householder reflectors, its second pass included; they come
+from ``lowrank``'s one geqrt kernel, which serves truncations, sums and the
+posterior too.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from scipy.linalg import blas, lapack
 
 from .discretize import SpatialOperator, TimeGrid
 from .errors import NumericalError, check_count
-from .lowrank import LowRankMat, TruncationPolicy, _fro, _rank_cut, _svd, lr_truncate
+from .lowrank import (LowRankMat, TruncationPolicy, _add_product, _add_reflector_product, _fro,
+                      _qr_reflectors, _rank_cut, _reflector_q, _svd, lr_truncate)
 
 COMPRESS_EVERY = 16  # default sweep steps between recompressions (2 flushes at n_t 30)
 MAX_SCALE_DECADES = 300.0  # widest log10(max g / min g) of a symmetrizer a solve scales by
@@ -288,55 +290,6 @@ class SpaceTimeOperator:
         return self.solver.solve_modal(W, "T" if adjoint else "N")
 
 
-def _add_product(W: np.ndarray, alpha: float, Q: np.ndarray, C: np.ndarray) -> None:
-    """W += alpha·Q·C in W's memory; W is a Fortran-ordered float64 block."""
-    if W.size:  # dgemm refuses an empty output block that ``@`` would accept
-        blas.dgemm(alpha, Q, C, beta=1.0, c=W, overwrite_c=True)
-
-
-def _qr_reflectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin QR of A in A's memory, its Q kept as Householder reflectors: (V, S, R).
-
-    A must be a Fortran-ordered float64 m × n array, and k = min(m, n).
-    LAPACK's geqrt factors it in one block of k reflectors, I − V·T·Vᵀ in
-    compact-WY form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
-    1989), V m × k unit lower trapezoidal and T k × k upper triangular.  R
-    (k × n) is copied out, and V's unit lower triangle is written over A's
-    top k × k, so V is A's first k columns and no product with it carries
-    R: a product that took R in and subtracted it back would cancel at
-    rounding of ‖R‖.  The thin Q, of the identity's first k columns E_k, is
-    E_k − V·S with S = T·V[:k]ᵀ, upper triangular with τ on its diagonal.
-    """
-    m, n = A.shape
-    k = min(m, n)
-    if k == 0:
-        return A[:, :0], np.zeros((0, 0)), np.zeros((0, n))
-    qr, T, info = lapack.dgeqrt(k, A, overwrite_a=True)
-    if info != 0:
-        raise NumericalError(f"QR factorization failed (geqrt info={info})")
-    # trmm reads only the triangle it is told of: times the identity, the top
-    # k × k gives R's upper triangle and V's unit lower one, each exactly
-    top, eye = qr[:k, :k], np.eye(k)
-    R = blas.dtrmm(1.0, top, eye)
-    if n > k:  # a wide block's R has columns right of its triangle too
-        R = np.hstack((R, qr[:k, k:]))
-    L = blas.dtrmm(1.0, top, eye, lower=1, diag=1)
-    V = qr[:, :k]
-    V[:k] = L
-    return V, blas.dtrmm(1.0, T, L.T), R  # S = T·Lᵀ, reading T's upper triangle only
-
-
-def _add_reflector_product(out: np.ndarray, V: np.ndarray, S: np.ndarray,
-                           X: np.ndarray) -> None:
-    """out ← out + Q·X for the Q = E_k − V·S of ``_qr_reflectors``, in out's memory.
-
-    out must be a Fortran-ordered float64 block: one GEMM subtracts V·(S·X)
-    from it, and X is added into its top k rows.
-    """
-    _add_product(out, -1.0, V, S @ X)
-    out[:len(S)] += X
-
-
 def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
                  pol: TruncationPolicy) -> LowRankMat:
     """Truncate pane + W·Eᵀ, where E places column i of W at time idx[i].
@@ -412,8 +365,7 @@ def _extend_pane(pane: LowRankMat, W: np.ndarray, idx: list[int],
         # β > REORTH_BOUND, compared in squares; then the exact loss decides
         if (np.vdot(DRb, DRb) * (r + c) > (REORTH_BOUND * pol.eps0) ** 2 * norm2
                 and _kept_loss(core, D, r, pol) > REORTH_BOUND):
-            Qb = blas.dtrmm(-1.0, S, V, side=1, overwrite_b=1)  # −V·S, in V's memory
-            Qb[:k] += np.eye(k)
+            Qb = _reflector_q(V, S)  # in V's memory
             _add_product(Qb, -1.0, Q, D)
             V, S, Rd = _qr_reflectors(Qb)
             core[r:, r:] = Rd @ Rb

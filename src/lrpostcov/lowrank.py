@@ -5,17 +5,18 @@ factors W1 (n_x × r) and W2 (n_t × r) so that storage and arithmetic cost
 O((n_x + n_t)·r) instead of O(n_x·n_t).  The public ``lr_*`` functions
 never mutate their inputs, so values can be shared freely across threads;
 a result may share a factor with an input (``lr_add`` of a zero-rank
-term, ``lr_scale``'s W1).  One private kernel writes into an array its
-caller owns: ``_qr(overwrite_a=True)``.
+term, ``lr_scale``'s W1).  Only the private QR kernels write into arrays
+their callers own.
 
-Thin QRs call LAPACK directly.  ``_qr`` calls geqrf and orgqr: with one
-BLAS thread it gives the (Q, R) of ``np.linalg.qr`` bit for bit, at about
-half numpy's per-call cost on the small blocks recompression feeds it, and
-a caller that owns a Fortran-ordered buffer can let Q take its memory.  It
-serves ``lr_truncate``, ``lr_sums`` and ``posterior``.  ``lr_singular_values``
-reads only R, which ``_geqrf`` gives alone.  ``lr_truncate`` takes its
-core's thin SVD from one LAPACK gesdd (``_svd``), whose rank cut
-(``_rank_cut``) a sweep flush shares to probe the directions it keeps.
+One geqrt kernel, ``_qr_reflectors``, takes every thin QR, of sweep
+flushes, truncations, sums and the posterior, in the caller's memory, and
+keeps Q as Householder reflectors.  A flush multiplies by Q through them;
+``_qr`` forms Q over them, for ``lr_truncate``, ``lr_sums`` and
+``posterior``; ``lr_singular_values`` and ``lr_norm``'s overflow fallback
+read only R.
+``lr_truncate`` takes its core's thin SVD from one LAPACK gesdd (``_svd``),
+whose rank cut (``_rank_cut``) a sweep flush shares to probe the directions
+it keeps.
 
 Exact linear combinations go through one kernel too, ``lr_sums``: it
 makes every column of basis·C from one QR of the stacked shorter-side
@@ -40,12 +41,6 @@ from .errors import InvalidConfigError, NumericalError, check_real
 # Singular values below this multiple of sigma_1 are floating-point noise
 # and are always discarded, independent of the requested tolerance.
 NOISE_FLOOR = 1e-15
-
-# Reference LAPACK (ilaenv's NX) factors at most this many reflectors with
-# its unblocked QR, which needs n of workspace; past it the blocked code gets
-# the queried optimum, as np.linalg.qr gives it.  Allocating that optimum on
-# every small recompression would only cost memory.
-QR_UNBLOCKED_MAX = 128
 
 # Output columns ``lr_sums`` accumulates together: each term's long-side
 # product is formed once per block, and one block of accumulators is held.
@@ -105,39 +100,74 @@ class LowRankMat:
         return f"LowRankMat(shape={self.shape}, r={self.r})"
 
 
-def _lwork(m: int, n: int) -> int:
-    """The workspace geqrf and orgqr get for an m × n block (see ``QR_UNBLOCKED_MAX``)."""
-    return int(lapack.dgeqrf_lwork(m, n)[0]) if min(m, n) > QR_UNBLOCKED_MAX else n
+def _add_product(W: np.ndarray, alpha: float, Q: np.ndarray, C: np.ndarray) -> None:
+    """W += alpha·Q·C in W's memory; W is a Fortran-ordered float64 block."""
+    if W.size:  # dgemm refuses an empty output block that ``@`` would accept
+        blas.dgemm(alpha, Q, C, beta=1.0, c=W, overwrite_c=True)
 
 
-def _geqrf(A: np.ndarray, overwrite_a: bool = False) -> tuple:
-    """LAPACK geqrf of A: (its output, τ, R), with the k × n triangle R copied out."""
-    qr, tau, _, info = lapack.dgeqrf(A, lwork=_lwork(*A.shape), overwrite_a=overwrite_a)
+def _qr_reflectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin QR of A in A's memory, its Q kept as Householder reflectors: (V, S, R).
+
+    A must be a Fortran-ordered float64 m × n array, and k = min(m, n).
+    LAPACK's geqrt factors it in one block of k reflectors, I − V·T·Vᵀ in
+    compact-WY form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
+    1989), V m × k unit lower trapezoidal and T k × k upper triangular, by
+    recursive level-3 panels (Elmroth & Gustavson, IBM J. Res. Dev. 44,
+    2000).  R (k × n) is copied out, and V's unit lower triangle is written
+    over A's top k × k, so V is A's first k columns and no product with it
+    carries R: a product that took R in and subtracted it back would cancel
+    at rounding of ‖R‖.  The thin Q, of the identity's first k columns E_k,
+    is E_k − V·S with S = T·V[:k]ᵀ, upper triangular with τ on its
+    diagonal, formed in T's memory.
+    """
+    m, n = A.shape
+    k = min(m, n)
+    if k == 0:
+        return A[:, :0], np.zeros((0, 0)), np.zeros((0, n))
+    qr, T, info = lapack.dgeqrt(k, A, overwrite_a=True)
     if info != 0:
-        raise NumericalError(f"QR factorization failed (geqrf info={info})")
-    R = qr[:len(tau)].copy()
-    for i in range(1, len(tau)):  # below the diagonal geqrf leaves its reflectors
-        R[i, :i] = 0.0
-    return qr, tau, R
+        raise NumericalError(f"QR factorization failed (geqrt info={info})")
+    # trmm reads only the triangle it is told of in V's top k × k, uncopied
+    V = qr[:, :k]
+    S = blas.dtrmm(1.0, V, T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+    R = blas.dtrmm(1.0, V, np.eye(k, order="F"), overwrite_b=1)
+    # V[:k] holds R over V's strict lower triangle: zeroing where R is not
+    # zero leaves V's, and copyto, unlike a ufunc, allocates no buffer
+    np.copyto(V[:k], 0.0, where=R != 0.0)
+    np.fill_diagonal(V, 1.0)
+    if n > k:  # a wide block's R has columns right of its triangle too
+        R = np.hstack((R, qr[:k, k:]))
+    return V, S, R
+
+
+def _add_reflector_product(out: np.ndarray, V: np.ndarray, S: np.ndarray,
+                           X: np.ndarray) -> None:
+    """out ← out + Q·X for the Q = E_k − V·S of ``_qr_reflectors``, in out's (Fortran) memory."""
+    _add_product(out, -1.0, V, S @ X)
+    out[:len(S)] += X
+
+
+def _reflector_q(V: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The Q = E_k − V·S of ``_qr_reflectors``, written over V (Fortran-ordered)."""
+    Q = blas.dtrmm(-1.0, S, V, side=1, overwrite_b=1)
+    Q[:len(S)].flat[::len(S) + 1] += 1.0
+    return Q
 
 
 def _qr(A: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR A = Q·R with Q m × k, R k × n and k = min(m, n).
+    """Reduced QR A = Q·R with Q m × k, R k × n and k = min(m, n), by ``_qr_reflectors``.
 
     A wide A gives a square Q.  A is left untouched unless ``overwrite_a``
     is set and A is a Fortran-ordered float64 array; then the factorization
     works in A's memory, and unless A is wide, Q is A itself.
     """
-    m, n = A.shape
-    k = min(m, n)
-    if k == 0:
-        return np.zeros((m, 0)), np.zeros((0, n))
-    qr, tau, R = _geqrf(A, overwrite_a)
-    # a wide A's Q is copied out, so it does not keep the m × n buffer alive
-    Q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=_lwork(m, n), overwrite_a=k == n)
-    if info != 0:
-        raise NumericalError(f"QR factorization failed (orgqr info={info})")
-    return Q, R
+    if not (overwrite_a and A.flags.f_contiguous and A.dtype == np.float64):
+        A = np.array(A, dtype=np.float64, order="F")
+    V, S, R = _qr_reflectors(A)
+    if A.shape[0] < A.shape[1]:  # a wide A's Q is copied out, so it does not keep A alive
+        V = np.array(V, order="F")
+    return _reflector_q(V, S), R
 
 
 def _qr_tall(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
@@ -204,9 +234,8 @@ def _svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _svd_flip(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic sign convention: largest-|entry| of each U column positive."""
-    idx = np.argmax(np.abs(U), axis=0)
-    signs = np.sign(U[idx, np.arange(U.shape[1])])
-    signs[signs == 0] = 1.0
+    # a unit column's largest |entry| is never zero, so each sign is ±1
+    signs = np.copysign(1.0, U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
     return U * signs, V * signs
 
 
@@ -343,23 +372,27 @@ def lr_dot(A: LowRankMat, B: LowRankMat) -> float:
     return float(np.sum((A.W1.T @ B.W1) * (A.W2.T @ B.W2)))
 
 
+def _r_core(A: LowRankMat) -> np.ndarray:
+    """R1·R2ᵀ, which has A's singular values, from its factors' R alone (copies factored)."""
+    R1, R2 = (_qr_reflectors(np.array(W, dtype=float, order="F"))[2] for W in (A.W1, A.W2))
+    return R1 @ R2.T
+
+
 def lr_norm(A: LowRankMat) -> float:
     """Frobenius norm; computed from the Gram product, clamped at zero.
 
-    Where the Gram product overflows, it is ``_fro`` of R1·R2ᵀ, the factors'
-    R: the norm itself, or inf if that lies beyond the float range.
+    Where the Gram product overflows, it is ``_fro`` of ``_r_core(A)``: the
+    norm itself, or inf if that lies beyond the float range.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or NaN
         gram = lr_dot(A, A)
         if np.isfinite(gram):
             return float(np.sqrt(max(gram, 0.0)))
-        return _fro(_geqrf(A.W1)[2] @ _geqrf(A.W2)[2].T)
+        return _fro(_r_core(A))
 
 
 def lr_singular_values(A: LowRankMat) -> np.ndarray:
     """Singular values of the represented matrix (descending), from the factors' R alone."""
     if A.r == 0:
         return np.zeros(0)
-    R1 = _geqrf(A.W1)[2]
-    R2 = _geqrf(A.W2)[2]
-    return np.linalg.svd(R1 @ R2.T, compute_uv=False)
+    return np.linalg.svd(_r_core(A), compute_uv=False)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -448,30 +450,87 @@ def _qr_input(rng, shape):
     return rng.standard_normal(shape)
 
 
+def _assert_thin_qr(A, Q, R):
+    """Q m × k orthonormal and R k × n upper triangular with Q·R = A, to 10·k·eps."""
+    (m, n), k = A.shape, min(A.shape)
+    assert Q.shape == (m, k) and R.shape == (k, n)
+    assert np.array_equal(R, np.triu(R))
+    tol = 10 * k * np.finfo(float).eps
+    assert np.linalg.norm(Q.T @ Q - np.eye(k)) <= tol
+    assert np.linalg.norm(Q @ R - A) <= tol * np.linalg.norm(A)
+
+
 @pytest.mark.parametrize("shape", [(3969, 4), (144, 4), (24, 24), (30, 1200), "repeated",
                                    (0, 4), (5, 0)])
 def test_qr_kernel_is_numpy_qr_bitwise(shape):
     # a flush's pane and remainder, a square core, lr_sums' wide stacked time
-    # factors, a dependent block and the empty blocks of an empty-mask apply
+    # factors, a dependent block and the empty blocks of an empty-mask apply:
+    # numpy's thin QR shapes, and a thin QR to rounding; the geqrt kernel
+    # need not round as numpy's geqrf does
     A = _qr_input(np.random.default_rng(15), shape)
     A0 = A.copy()
     Q, R = _qr(A)
     Qn, Rn = np.linalg.qr(A)
     assert Q.shape == Qn.shape and R.shape == Rn.shape
-    assert np.array_equal(Q, Qn) and np.array_equal(R, Rn)
+    _assert_thin_qr(A, Q, R)
     assert np.array_equal(A, A0)  # the caller's array is never written
 
 
 def test_qr_kernel_in_place_reuses_a_fortran_buffer():
     A = np.asfortranarray(np.random.default_rng(16).standard_normal((200, 12)))
-    Qn, Rn = np.linalg.qr(A)
+    A0 = A.copy()
     Q, R = _qr(A, overwrite_a=True)
     assert np.shares_memory(Q, A)
-    assert np.array_equal(Q, Qn) and np.array_equal(R, Rn)
+    _assert_thin_qr(A0, Q, R)
     # a wide block's square Q is copied out and does not pin the wide buffer
     W = np.asfortranarray(np.random.default_rng(17).standard_normal((6, 40)))
-    Q, _ = _qr(W, overwrite_a=True)
+    W0 = W.copy()
+    Q, R = _qr(W, overwrite_a=True)
     assert Q.shape == (6, 6) and not np.shares_memory(Q, W)
+    _assert_thin_qr(W0, Q, R)
+
+
+def test_in_place_qr_of_the_posterior_block_holds_two_small_squares():
+    # the ic-full posterior's 3969 × 120 block, whose QR sets that workload's
+    # peak: Q takes the block's memory, and beside it the kernel holds R, S
+    # or T and geqrt's workspace, k × k each, two at a time
+    n, k = 3969, 120
+    A = np.asfortranarray(np.random.default_rng(18).standard_normal((n, k)))
+    A0 = A.copy()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        Q, R = _qr(A, overwrite_a=True)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(Q, A)
+    assert peak <= 2.5 * k * k * 8
+    _assert_thin_qr(A0, Q, R)
+
+
+def test_geqrt_is_the_one_qr_routine(monkeypatch):
+    # the LAPACK names lowrank and forward look up while an IC variance run
+    # re-orthonormalizes its posterior basis, and while a full-observation
+    # source run truncates its low-rank Arnoldi basis and Ritz vectors
+    from lrpostcov import cli, forward
+
+    class Recorder:
+        def __init__(self, module):
+            self.module = module
+
+        def __getattr__(self, name):
+            seen.add(name)
+            return getattr(self.module, name)
+
+    seen = set()
+    for module in (lowrank, forward):
+        monkeypatch.setattr(module, "lapack", Recorder(module.lapack))
+    cli.run_variance(cli.RunConfig(problem="heat", n_side=7, nt=5, sensors="none", m_a=20))
+    cli.run_eigs(cli.RunConfig(problem="heat", mode="source", n_side=7, nt=5, sensors="none",
+                               m_a=20))
+    assert {name for name in seen if "qr" in name} == {"dgeqrt"}
+    assert not seen & {"dgeqrf", "dorgqr"}
 
 
 @pytest.mark.parametrize("n, m, r", [(12, 30, 12), (6, 40, 10), (40, 6, 10), (50, 40, 6)])
@@ -507,7 +566,7 @@ def test_singular_values_read_only_the_factors_r(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Q was formed")
 
-    monkeypatch.setattr(lowrank.lapack, "dorgqr", refuse)
+    monkeypatch.setattr(lowrank, "_reflector_q", refuse)
     assert np.array_equal(lr_singular_values(A), want)
 
 
